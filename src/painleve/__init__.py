@@ -12,7 +12,6 @@ from .asymptotics import (
     WkbSpec,
     closed_form_constants,
     extract_constant,
-    gamma_fn,
     hermitian_quartic_energy,
     richardson,
     wkb_energy,
@@ -20,20 +19,14 @@ from .asymptotics import (
 from .classify import ClassificationError, ClassTag, SolutionClass, classify, count_toy_maxima
 from .equations import (
     PAINLEVE_I,
-    EnergyValue,
     PAINLEVE_II,
     TOY_MODEL,
-    BranchSign,
     Equation,
-    EquationKind,
     InitialData,
-    asymptotic_branch,
     branch_curve,
     energy,
-    energy_series,
     equation_from_name,
     fluctuation_integral,
-    rhs,
 )
 from .eigensolver import (
     BisectionError,
@@ -64,15 +57,12 @@ from .integrator import (
 
 __all__ = [
     "BisectionError",
-    "BranchSign",
     "ClassTag",
     "ClassificationError",
     "DegenerateDerivativeError",
     "Direction",
     "EigenvalueRecord",
-    "EnergyValue",
     "Equation",
-    "EquationKind",
     "InitialData",
     "IntegrationConfig",
     "IntegrationError",
@@ -91,7 +81,6 @@ __all__ = [
     "Trajectory",
     "WkbConstants",
     "WkbSpec",
-    "asymptotic_branch",
     "bisect",
     "branch_curve",
     "classify",
@@ -100,15 +89,12 @@ __all__ = [
     "detour",
     "eigen_table",
     "energy",
-    "energy_series",
     "equation_from_name",
     "estimate_pole",
     "extract_constant",
     "fluctuation_integral",
-    "gamma_fn",
     "hermitian_quartic_energy",
     "integrate",
-    "rhs",
     "richardson",
     "scan_brackets",
     "separatrix_check",

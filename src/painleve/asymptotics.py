@@ -21,45 +21,10 @@ __all__ = [
     "WkbSpec",
     "closed_form_constants",
     "extract_constant",
-    "gamma_fn",
     "hermitian_quartic_energy",
     "richardson",
     "wkb_energy",
 ]
-
-
-# Lanczos coefficients, g = 7, n = 9 (standard double-precision set).
-_LG = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def gamma_fn(x: float) -> float:
-    """Euler gamma for positive real arguments, accurate to >= 12 digits.
-
-    Lanczos rational approximation; arguments below 1/2 go through the
-    reflection formula.
-    """
-    if x <= 0.0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LG + 0.5
-    return _SQRT_2PI * t ** (z + 0.5) * math.exp(-t) * acc
 
 
 @dataclass(frozen=True)
@@ -85,8 +50,8 @@ def wkb_energy(spec: WkbSpec, n: int) -> float:
     if n < 1:
         raise ValueError("level index n must be >= 1")
     e = spec.epsilon
-    num = gamma_fn(1.5 + 1.0 / (e + 2.0)) * math.sqrt(math.pi) * n
-    den = math.sin(math.pi / (e + 2.0)) * gamma_fn(1.0 + 1.0 / (e + 2.0))
+    num = math.gamma(1.5 + 1.0 / (e + 2.0)) * math.sqrt(math.pi) * n
+    den = math.sin(math.pi / (e + 2.0)) * math.gamma(1.0 + 1.0 / (e + 2.0))
     return 0.5 * (2.0 * spec.g) ** (2.0 / (4.0 + e)) * (num / den) ** ((2.0 * e + 4.0) / (e + 4.0))
 
 
@@ -98,7 +63,7 @@ def hermitian_quartic_energy(n: int) -> float:
     """
     if n < 1:
         raise ValueError("level index n must be >= 1")
-    return (3.0 * n * math.sqrt(math.pi) * gamma_fn(0.75) / gamma_fn(0.25)) ** (4.0 / 3.0)
+    return (3.0 * n * math.sqrt(math.pi) * math.gamma(0.75) / math.gamma(0.25)) ** (4.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -131,8 +96,8 @@ def closed_form_constants() -> WkbConstants:
     p1_slope = 2 r^{3/5}, p1_value = -r^{2/5},
     p2_slope = (q sqrt(2 pi))^{2/3}, p2_value = (q sqrt(pi))^{1/3}.
     """
-    r = math.sqrt(3.0 * math.pi) * gamma_fn(11.0 / 6.0) / gamma_fn(1.0 / 3.0)
-    q = 3.0 * gamma_fn(0.75) / gamma_fn(0.25)
+    r = math.sqrt(3.0 * math.pi) * math.gamma(11.0 / 6.0) / math.gamma(1.0 / 3.0)
+    q = 3.0 * math.gamma(0.75) / math.gamma(0.25)
     return WkbConstants(
         p1_slope=2.0 * r ** 0.6,
         p1_value=-(r ** 0.4),

@@ -11,6 +11,9 @@ and are never produced by generic initial data.
 In the positive direction (Painleve II) the decaying separatrix is flanked
 by solutions that blow up through the next pole with opposite signs, so the
 classes there are DecayToZero and DivergentPositive/Negative.
+
+The branch curves and the attractor come from the equation's spec
+(``branch_denom`` and ``attractor``).
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import Equation, EquationKind, branch_curve
-from .integrator import Direction, Trajectory
+from .equations import Direction, Equation, branch_curve
+from .integrator import Trajectory
 
 __all__ = [
     "ClassificationError",
@@ -88,7 +91,7 @@ def classify(
     Raises :class:`ClassificationError` when nothing fires; the caller sees
     the ambiguity rather than a guess.
     """
-    if eq.kind is EquationKind.TOY_MODEL:
+    if eq.first_order:
         raise ValueError("toy-model trajectories are characterized by count_toy_maxima")
     if direction is None:
         direction = traj.direction
@@ -121,7 +124,7 @@ def _classify_negative(eq, traj, window):
     if minus_dev <= SEPARATRIX_BAND:
         return SolutionClass(ClassTag.SEPARATRIX_MINUS, n_before, (lo, hi))
 
-    center = -bw.mean() if eq.kind is EquationKind.PAINLEVE_I else 0.0
+    center = eq.attractor * bw.mean()
     if abs(yw.mean() - center) <= OSCILLATION_BAND * bw.mean():
         return SolutionClass(ClassTag.STABLE_OSCILLATION, len(traj.poles), (lo, hi))
     raise ClassificationError(
@@ -131,7 +134,7 @@ def _classify_negative(eq, traj, window):
 
 
 def _classify_positive(eq, traj, window):
-    if eq.kind is not EquationKind.PAINLEVE_II:
+    if Direction.POSITIVE_T not in eq.directions:
         raise ValueError("positive-direction classification applies to Painleve II")
     rt, ry = traj.real_t(), traj.real_y()
     ay = np.abs(ry)
@@ -173,7 +176,7 @@ def count_toy_maxima(traj: Trajectory) -> int:
     Maxima are sign changes of y' = cos(pi t y) from positive to negative,
     evaluated on the recorded samples.
     """
-    if traj.equation.kind is not EquationKind.TOY_MODEL:
+    if not traj.equation.first_order:
         raise ValueError("count_toy_maxima applies to toy-model trajectories")
     rt, ry = traj.real_t(), traj.real_y()
     s = np.cos(math.pi * rt * ry)

@@ -11,6 +11,8 @@ Subcommands:
 
 Every artifact embeds a manifest (command echo, config snapshot, version,
 wall time, input hash). Exit codes: 0 success, 2 partial table, 1 failure.
+Defaults that depend on the equation (direction, search mode, extraction
+rule) come from the equation's spec.
 """
 
 from __future__ import annotations
@@ -26,23 +28,9 @@ import numpy as np
 from . import __version__
 from .asymptotics import closed_form_constants, extract_constant
 from .classify import count_toy_maxima
-from .equations import EquationKind, InitialData, branch_curve, equation_from_name
-from .eigensolver import (
-    ModeKind,
-    PartialTableError,
-    SearchMode,
-    eigen_table,
-    toy_eigen_table,
-)
-from .integrator import Direction, IntegrationConfig, IntegrationError, integrate
-
-_EXTRACTION = {
-    # (equation, mode): (exponent p, richardson order, split even/odd, constant name)
-    ("p1", "slope"): (3.0 / 5.0, 5, False, "p1_slope"),
-    ("p1", "value"): (2.0 / 5.0, 4, False, "p1_value"),
-    ("p2", "slope"): (2.0 / 3.0, 4, True, "p2_slope"),
-    ("p2", "value"): (1.0 / 3.0, 4, False, "p2_value"),
-}
+from .equations import Direction, InitialData, ModeKind, branch_curve, equation_from_name
+from .eigensolver import PartialTableError, SearchMode, eigen_table
+from .integrator import IntegrationConfig, IntegrationError, integrate
 
 
 def _manifest(args: argparse.Namespace, parser_name: str, extra: dict | None = None) -> dict:
@@ -79,7 +67,7 @@ def _write(path: str | None, text: str) -> None:
 
 def _resolve_direction(eq, flag: str | None) -> Direction:
     if flag is None:
-        return Direction.POSITIVE_T if eq.kind is EquationKind.TOY_MODEL else Direction.NEGATIVE_T
+        return eq.directions[0]
     return Direction.NEGATIVE_T if flag == "neg" else Direction.POSITIVE_T
 
 
@@ -101,11 +89,11 @@ def cmd_trajectory(args) -> int:
     rows += [(p.location, float("nan"), 1.0) for p in traj.poles]
     rows.sort(key=lambda r: r[0], reverse=direction is Direction.NEGATIVE_T)
 
-    if eq.kind is EquationKind.TOY_MODEL:
+    if eq.first_order:
         manifest["maxima_count"] = count_toy_maxima(traj)
     manifest["pole_count"] = len(traj.poles)
     manifest["wall_time_s"] = round(time.time() - started, 6)
-    has_branches = eq.kind is not EquationKind.TOY_MODEL
+    has_branches = eq.branch_denom is not None
 
     def branches(t):
         if has_branches and t < 0.0:
@@ -134,7 +122,7 @@ def cmd_trajectory(args) -> int:
     return 0
 
 
-def _records_payload(records, eq, mode_name, fixed):
+def _records_payload(records, mode_name):
     return [
         {
             "index": r.index,
@@ -142,7 +130,7 @@ def _records_payload(records, eq, mode_name, fixed):
             "bracket_width": r.bracket_width,
             "pole_count": r.pole_count,
             "mode": mode_name,
-            "fixed_value": fixed,
+            "fixed_value": r.mode.fixed_value,
         }
         for r in records
     ]
@@ -153,18 +141,14 @@ def cmd_eigen(args) -> int:
     cfg = _config_from_args(args)
     started = time.time()
     status = 0
-    if eq.kind is EquationKind.TOY_MODEL:
-        mode_name = "toy"
-        try:
-            records = toy_eigen_table(args.n, tol=max(args.tol, 1e-8), cfg=cfg)
-        except PartialTableError as exc:
-            records, status = exc.records, 2
-    else:
-        mode_name = args.mode
-        try:
-            records = eigen_table(eq, SearchMode(ModeKind(args.mode)), args.n, tol=args.tol, cfg=cfg)
-        except PartialTableError as exc:
-            records, status = exc.records, 2
+    kind = ModeKind(args.mode)
+    if kind not in eq.modes:  # an equation with a single search mode ignores --mode
+        (kind,) = eq.modes
+    mode_name = kind.value
+    try:
+        records = eigen_table(eq, SearchMode(kind), args.n, tol=args.tol, cfg=cfg)
+    except PartialTableError as exc:
+        records, status = exc.records, 2
     manifest = _manifest(args, "eigen", {"equation": args.eq, "mode": mode_name})
     manifest["wall_time_s"] = round(time.time() - started, 6)
     if args.format == "csv":
@@ -179,7 +163,7 @@ def cmd_eigen(args) -> int:
             "equation": args.eq,
             "mode": mode_name,
             "complete": status == 0,
-            "records": _records_payload(records, eq, mode_name, 0.0),
+            "records": _records_payload(records, mode_name),
         }
         _write(args.out, json.dumps(payload, indent=1, sort_keys=True) + "\n")
     if status:
@@ -206,11 +190,14 @@ def cmd_constants(args) -> int:
         if any("value" not in r or "index" not in r for r in records):
             print("table records need 'index' and 'value' fields", file=sys.stderr)
             return 1
-        key = (eq_name, mode_name)
-        if key not in _EXTRACTION:
-            print(f"no extraction rule for equation/mode {key}", file=sys.stderr)
+        try:
+            spec = equation_from_name(str(eq_name)).modes[ModeKind(str(mode_name))]
+        except (ValueError, KeyError):
+            spec = None
+        if spec is None or spec.constant is None:
+            print(f"no extraction rule for equation/mode {(eq_name, mode_name)}", file=sys.stderr)
             return 1
-        p, order, split, const_name = _EXTRACTION[key]
+        p, order, split = spec.exponent, spec.order, spec.split_even_odd
         values = [r["value"] for r in sorted(records, key=lambda r: r["index"])]
         if split:
             max_order = min(len(values) // 2, (len(values) - 1) // 2) - 1
@@ -220,7 +207,7 @@ def cmd_constants(args) -> int:
         if order < 1:
             print(f"table too short to extrapolate ({len(values)} records)", file=sys.stderr)
             return 1
-        target = consts.as_dict()[const_name]
+        target = consts.as_dict()[spec.constant]
         if split:
             even, odd = extract_constant(values, p, order, split_even_odd=True)
             result["extrapolation"] = {

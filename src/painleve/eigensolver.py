@@ -9,6 +9,10 @@ generic behaviors, so it is found by bisecting on a discriminant:
   blow-up, read off the recorded pole approach signs;
 * toy model: the number of maxima of the solution.
 
+The direction, scan seed and growth law of each search mode, and the
+turning point and instability rate of each equation, come from the
+equation's spec.
+
 The search never asks the classifier to *detect* a separatrix (a
 measure-zero event); separatrix tags are used only to validate converged
 records.
@@ -16,7 +20,7 @@ records.
 
 from __future__ import annotations
 
-import enum
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -24,8 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classify import ClassificationError, ClassTag, classify, count_toy_maxima
-from .equations import Equation, EquationKind, InitialData, branch_curve
-from .integrator import Direction, IntegrationConfig, integrate
+from .equations import TOY_MODEL, Direction, Equation, InitialData, ModeKind, branch_curve, energy
+from .integrator import IntegrationConfig, IntegrationError, integrate
 
 __all__ = [
     "BisectionError",
@@ -58,12 +62,6 @@ class PartialTableError(RuntimeError):
         self.failed_index = failed_index
 
 
-class ModeKind(enum.Enum):
-    SLOPE = "slope"   # fix y(0), vary y'(0)
-    VALUE = "value"   # fix y'(0), vary y(0)
-    TOY = "toy"       # vary y(0)
-
-
 @dataclass(frozen=True)
 class SearchMode:
     kind: ModeKind
@@ -87,15 +85,11 @@ class EigenvalueRecord:
     mode: SearchMode
 
 
-def _direction(eq: Equation, mode: SearchMode) -> Direction:
-    if eq.kind is EquationKind.TOY_MODEL:
-        return Direction.POSITIVE_T
-    if eq.kind is EquationKind.PAINLEVE_II and mode.kind is ModeKind.VALUE:
-        return Direction.POSITIVE_T
-    return Direction.NEGATIVE_T
+def _positive(eq: Equation, mode: SearchMode) -> bool:
+    return eq.modes[mode.kind].direction is Direction.POSITIVE_T
 
 
-def _initial_data(eq: Equation, mode: SearchMode, x: float) -> InitialData:
+def _initial_data(mode: SearchMode, x: float) -> InitialData:
     if mode.kind is ModeKind.SLOPE:
         return InitialData(mode.fixed_value, x)
     if mode.kind is ModeKind.VALUE:
@@ -104,20 +98,12 @@ def _initial_data(eq: Equation, mode: SearchMode, x: float) -> InitialData:
 
 
 def _trial_energy(eq: Equation, mode: SearchMode, x: float) -> float:
-    init = _initial_data(eq, mode, x)
-    if eq.kind is EquationKind.PAINLEVE_I:
-        e = 0.5 * init.slope0**2 - 2.0 * init.y0**3
-    else:
-        e = 0.5 * init.slope0**2 - 0.5 * init.y0**4
-    return max(abs(e), 0.75)
+    init = _initial_data(mode, x)
+    return max(abs(energy(eq, init.y0, init.slope0)), 0.75)
 
 
 def _negative_horizon(eq: Equation, mode: SearchMode, x: float) -> float:
-    e = _trial_energy(eq, mode, x)
-    if eq.kind is EquationKind.PAINLEVE_I:
-        turn = 6.0 * (0.5 * e) ** (2.0 / 3.0)
-    else:
-        turn = math.sqrt(8.0 * e)
+    turn = eq.turning_point(_trial_energy(eq, mode, x))
     return -max(28.0, 1.35 * turn + 16.0)
 
 _COARSE = {"rel_tol": 1e-8, "abs_tol": 1e-10}
@@ -127,7 +113,7 @@ def _probe_cfg(eq, mode, x, cfg: IntegrationConfig, coarse: bool, max_poles=None
     kw = {}
     if coarse:
         kw.update(_COARSE)
-    if cfg.t_horizon is None and _direction(eq, mode) is Direction.NEGATIVE_T:
+    if cfg.t_horizon is None and not _positive(eq, mode):
         kw["t_horizon"] = _negative_horizon(eq, mode, x)
     if max_poles is not None:
         kw["max_poles"] = max_poles
@@ -136,7 +122,7 @@ def _probe_cfg(eq, mode, x, cfg: IntegrationConfig, coarse: bool, max_poles=None
 
 def _negative_key(eq, mode, x, cfg, coarse) -> str:
     pc = _probe_cfg(eq, mode, x, cfg, coarse)
-    traj = integrate(eq, _initial_data(eq, mode, x), Direction.NEGATIVE_T, pc)
+    traj = integrate(eq, _initial_data(mode, x), Direction.NEGATIVE_T, pc)
     cls = classify(eq, traj)
     if cls.tag is ClassTag.POLE_CASCADE:
         return "cascade"
@@ -147,8 +133,24 @@ def _negative_key(eq, mode, x, cfg, coarse) -> str:
 
 def _signature(eq, mode, x, cfg, coarse, n_poles) -> tuple[int, ...]:
     pc = _probe_cfg(eq, mode, x, cfg, coarse, max_poles=n_poles)
-    traj = integrate(eq, _initial_data(eq, mode, x), Direction.POSITIVE_T, pc)
+    traj = integrate(eq, _initial_data(mode, x), Direction.POSITIVE_T, pc)
     return tuple(p.approach_sign for p in traj.poles)
+
+
+def _toy_count(a: float, cfg: IntegrationConfig, coarse: bool = True) -> int:
+    kw = dict(_COARSE) if coarse else {}
+    pc = replace(cfg, **kw) if kw else cfg
+    traj = integrate(TOY_MODEL, InitialData(a), Direction.POSITIVE_T, pc)
+    return count_toy_maxima(traj)
+
+
+def _discriminant(eq, mode, cfg, n_poles=None):
+    """Class key of a trial initial datum, as a function of (x, coarse)."""
+    if eq.first_order:
+        return lambda x, coarse=True: _toy_count(x, cfg, coarse)
+    if _positive(eq, mode):
+        return lambda x, coarse=True: _signature(eq, mode, x, cfg, coarse, n_poles)
+    return lambda x, coarse=True: _negative_key(eq, mode, x, cfg, coarse)
 
 
 def _keys_differ(a, b) -> bool:
@@ -158,24 +160,34 @@ def _keys_differ(a, b) -> bool:
     return a != b
 
 
-class _Discriminant:
-    """Class key of a trial initial datum, with caching across probes."""
+def _walk(disc, x, end, step):
+    """Probe the class key at x, x + step(), ... up to ``end`` (either side
+    of x) and yield each pair of neighbouring probes whose keys differ.
 
-    def __init__(self, eq, mode, cfg, n_poles=None):
-        self.eq, self.mode, self.cfg = eq, mode, cfg
-        self.n_poles = n_poles
-        self.positive = _direction(eq, mode) is Direction.POSITIVE_T
-        self._cache: dict[tuple[float, bool], object] = {}
+    ``step`` is called before every step, so the consumer can change it
+    between flips.
+    """
+    prev = disc(x)
+    while (end - x) * (h := step()) > 0.0:
+        nxt = x + h
+        if (nxt - end) * h > 0.0:
+            nxt = end
+        if nxt == x:
+            break
+        cur = disc(nxt)
+        if _keys_differ(prev, cur):
+            yield x, nxt
+        x, prev = nxt, cur
 
-    def __call__(self, x: float, coarse: bool = True):
-        key = (x, coarse)
-        if key not in self._cache:
-            if self.positive:
-                val = _signature(self.eq, self.mode, x, self.cfg, coarse, self.n_poles)
-            else:
-                val = _negative_key(self.eq, self.mode, x, self.cfg, coarse)
-            self._cache[key] = val
-        return self._cache[key]
+
+@contextlib.contextmanager
+def _partial_table(records: list[EigenvalueRecord]):
+    """Turn a failed probe into a :class:`PartialTableError` that carries the
+    finished records."""
+    try:
+        yield
+    except (BisectionError, ClassificationError, IntegrationError) as exc:
+        raise PartialTableError(str(exc), records, failed_index=len(records) + 1) from exc
 
 
 def scan_brackets(
@@ -200,23 +212,15 @@ def scan_brackets(
         raise ValueError("search range must be a finite nonempty interval")
     if cfg is None:
         cfg = IntegrationConfig()
-    if eq.kind is EquationKind.TOY_MODEL:
-        disc = lambda x, coarse=True: _toy_count(x, cfg, coarse)
-    else:
-        n_poles = int((hi / 1.2) ** 3) + 8 if _direction(eq, mode) is Direction.POSITIVE_T else None
-        disc = _Discriminant(eq, mode, cfg, n_poles=n_poles)
+    n_poles = None
+    if not eq.first_order and _positive(eq, mode):
+        # pole cap a little above the index of a critical value at the range's
+        # far end; 1.2 undershoots the growth coefficient
+        index_exponent = 1.0 / eq.modes[mode.kind].exponent
+        n_poles = int((max(abs(lo), abs(hi)) / 1.2) ** index_exponent) + 8
+    disc = _discriminant(eq, mode, cfg, n_poles)
 
-    brackets = []
-    x = lo
-    prev = disc(x)
-    while x < hi:
-        nxt = min(x + step, hi)
-        if nxt == x:
-            break
-        cur = disc(nxt)
-        if _keys_differ(prev, cur):
-            brackets.append((x, nxt))
-        x, prev = nxt, cur
+    brackets = list(_walk(disc, lo, hi, lambda: step))
     for (a0, _), (b0, _) in zip(brackets, brackets[1:]):
         if b0 - a0 < 2.0 * step:
             warnings.warn(
@@ -293,16 +297,15 @@ def bisect(
         cfg = IntegrationConfig()
     if tol < 10.0 * cfg.rel_tol:
         raise ValueError(f"tol = {tol} is below 10 * rel_tol = {10 * cfg.rel_tol}")
-    # Flip points move by ~3e3 * rel_tol for the second equation (simple
-    # poles amplify traversal noise harder) and ~1e2 * rel_tol for the
-    # first, so the end game runs tight enough for tol to be meaningful.
-    denom = 1000.0 if eq.kind is EquationKind.PAINLEVE_II else 100.0
-    fine_rel = min(1e-10, tol / denom)
+    if eq.first_order:
+        raise ValueError("use toy_eigen_table for the toy model")
+    # Flip points move by ~3e3 * rel_tol for the second equation and ~1e2 *
+    # rel_tol for the first, so the end game runs tight enough for tol to
+    # be meaningful.
+    fine_rel = min(1e-10, tol / eq.fine_tol_divisor)
     cfg_fine = replace(cfg, rel_tol=max(fine_rel, 1e-13), abs_tol=max(fine_rel * 1e-2, 1e-15))
 
-    if eq.kind is EquationKind.TOY_MODEL:
-        raise ValueError("use toy_eigen_table for the toy model")
-    positive = _direction(eq, mode) is Direction.POSITIVE_T
+    positive = _positive(eq, mode)
     n_poles = None
     pole_count = None
     if positive:
@@ -314,14 +317,14 @@ def bisect(
         m = next(i for i in range(common) if sig_lo[i] != sig_hi[i])
         n_poles = m + 2
         pole_count = m  # poles traversed before the decaying stretch
-    disc = _Discriminant(eq, mode, cfg_fine, n_poles=n_poles)
+    disc = _discriminant(eq, mode, cfg_fine, n_poles=n_poles)
     lo, hi, k_lo, k_hi = _bisect_core(disc, bracket, tol, fine_width=1e-5)
 
     value = 0.5 * (lo + hi)
     if not positive:
         stable_x = lo if k_lo == "stable" else hi
         pc = _probe_cfg(eq, mode, stable_x, cfg_fine, coarse=False)
-        traj = integrate(eq, _initial_data(eq, mode, stable_x), Direction.NEGATIVE_T, pc)
+        traj = integrate(eq, _initial_data(mode, stable_x), Direction.NEGATIVE_T, pc)
         pole_count = len(traj.poles)
     return EigenvalueRecord(index, value, hi - lo, pole_count, mode)
 
@@ -345,20 +348,15 @@ def separatrix_check(
     mode = SearchMode.coerce(mode)
     if cfg is None:
         cfg = IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13)
-    direction = _direction(eq, mode)
-    init = _initial_data(eq, mode, value)
+    direction = eq.modes[mode.kind].direction
+    init = _initial_data(mode, value)
     if direction is Direction.POSITIVE_T:
         pc = replace(cfg, t_horizon=25.0, max_step=min(cfg.max_step, 0.05))
         traj = integrate(eq, init, direction, pc)
         return classify(eq, traj)
 
-    e = _trial_energy(eq, mode, value)
-    if eq.kind is EquationKind.PAINLEVE_I:
-        turn = 6.0 * (0.5 * e) ** (2.0 / 3.0)
-        rate = math.sqrt(12.0) * (turn / 6.0) ** 0.25
-    else:
-        turn = math.sqrt(8.0 * e)
-        rate = math.sqrt(2.0 * turn)
+    turn = eq.turning_point(_trial_energy(eq, mode, value))
+    rate = eq.instability_rate(turn)
     split = math.log(1e-3 / max(uncertainty, 1e-13)) / rate
     horizon = -(turn + max(2.0, 0.8 * split) + 2.0)
     pc = replace(cfg, t_horizon=horizon, max_step=min(cfg.max_step, 0.1))
@@ -402,18 +400,6 @@ def _branch_window(eq, traj, band: float = 1e-3):
     return (rt[j] - 0.05 * span, rt[i] + 0.05 * span)
 
 
-_SCAN_SEEDS = {
-    # (equation kind, mode kind):
-    #   (scan origin, initial step, growth exponent p, growth coefficient guess)
-    # The coefficient guesses only bound the scan and size the first steps;
-    # results never depend on them.
-    (EquationKind.PAINLEVE_I, ModeKind.SLOPE): (0.2, 0.3, 3.0 / 5.0, 2.1),
-    (EquationKind.PAINLEVE_I, ModeKind.VALUE): (-0.1, 0.12, 2.0 / 5.0, 1.1),
-    (EquationKind.PAINLEVE_II, ModeKind.SLOPE): (0.1, 0.1, 2.0 / 3.0, 1.9),
-    (EquationKind.PAINLEVE_II, ModeKind.VALUE): (0.3, 0.08, 1.0 / 3.0, 1.3),
-}
-
-
 def eigen_table(
     eq: Equation,
     mode: SearchMode | ModeKind | str,
@@ -423,61 +409,43 @@ def eigen_table(
 ) -> list[EigenvalueRecord]:
     """First ``n_max`` critical initial conditions of a search mode.
 
-    Scans outward from the origin with a step that adapts to the predicted
-    eigenvalue spacing (which shrinks like n^(p-1)), bisecting every class
-    flip. Indices are ordinal in the scanned variable. On a mid-table
-    failure a :class:`PartialTableError` carrying the finished records is
-    raised.
+    Scans outward from the mode's scan origin with a step that adapts to
+    the predicted eigenvalue spacing (which shrinks like n^(p-1)), bisecting
+    every class flip. Indices are ordinal in the scanned variable. On a
+    mid-table failure a :class:`PartialTableError` carrying the finished
+    records is raised. The toy model ignores ``mode`` and is handed to
+    :func:`toy_eigen_table`.
     """
-    if eq.kind is EquationKind.TOY_MODEL:
+    if eq.first_order:
         return toy_eigen_table(n_max, tol=max(tol, 1e-8), cfg=cfg)
     mode = SearchMode.coerce(mode)
     if n_max < 1 or n_max > 30:
         raise ValueError("n_max must be between 1 and 30")
     if cfg is None:
         cfg = IntegrationConfig()
-    origin, step0, p, coeff = _SCAN_SEEDS[(eq.kind, mode.kind)]
-    sign = -1.0 if origin < 0 else 1.0
-    limit = 1.7 * coeff * (n_max + 1) ** p + 3.0
+    spec = eq.modes[mode.kind]
+    p = spec.exponent
+    sign = -1.0 if spec.origin < 0 else 1.0
+    limit = 1.7 * spec.coeff * (n_max + 1) ** p + 3.0
 
-    positive = _direction(eq, mode) is Direction.POSITIVE_T
-    disc = _Discriminant(eq, mode, cfg, n_poles=(n_max + 3) if positive else None)
+    disc = _discriminant(eq, mode, cfg, n_poles=(n_max + 3) if _positive(eq, mode) else None)
     records: list[EigenvalueRecord] = []
-    x = abs(origin)
-    step = step0
-    try:
-        prev_key = disc(sign * x)
-        while len(records) < n_max:
-            if x > limit:
-                raise BisectionError(
-                    f"scan passed |x| = {limit:.3g} with only {len(records)} of "
-                    f"{n_max} eigenvalues found"
-                )
-            nxt = x + step
-            key = disc(sign * nxt)
-            if _keys_differ(prev_key, key):
-                idx = len(records) + 1
-                rec = bisect(eq, mode, tuple(sorted((sign * x, sign * nxt))), tol=tol,
-                             cfg=cfg, index=idx)
-                records.append(rec)
-                if len(records) >= 2:
-                    n = len(records)
-                    gap = abs(records[-1].value - records[-2].value)
-                    ratio = ((n + 1) ** p - n ** p) / (n ** p - (n - 1) ** p)
-                    step = max(gap * ratio * 0.25, tol * 10)
-            x, prev_key = nxt, key
-    except (BisectionError, ClassificationError) as exc:
-        raise PartialTableError(str(exc), records, failed_index=len(records) + 1) from exc
-    return records
-
-
-def _toy_count(a: float, cfg: IntegrationConfig, coarse: bool = True) -> int:
-    kw = dict(_COARSE) if coarse else {}
-    pc = replace(cfg, **kw) if kw else cfg
-    traj = integrate(
-        Equation(EquationKind.TOY_MODEL, 0, 1), InitialData(a), Direction.POSITIVE_T, pc
-    )
-    return count_toy_maxima(traj)
+    step = spec.step
+    with _partial_table(records):
+        for a, b in _walk(disc, spec.origin, sign * limit, lambda: sign * step):
+            records.append(bisect(eq, mode, (min(a, b), max(a, b)), tol=tol, cfg=cfg,
+                                  index=len(records) + 1))
+            n = len(records)
+            if n == n_max:
+                return records
+            if n >= 2:
+                gap = abs(records[-1].value - records[-2].value)
+                ratio = ((n + 1) ** p - n ** p) / (n ** p - (n - 1) ** p)
+                step = max(gap * ratio * 0.25, tol * 10)
+        raise BisectionError(
+            f"scan passed |x| = {limit:.3g} with only {len(records)} of "
+            f"{n_max} eigenvalues found"
+        )
 
 
 def toy_eigen_table(
@@ -494,39 +462,31 @@ def toy_eigen_table(
         cfg = IntegrationConfig(rel_tol=1e-9, abs_tol=1e-11)
     if tol < 10.0 * cfg.rel_tol:
         raise ValueError(f"tol = {tol} is below 10 * rel_tol = {10 * cfg.rel_tol}")
+    spec = TOY_MODEL.modes[ModeKind.TOY]
     mode = SearchMode(ModeKind.TOY)
     records: list[EigenvalueRecord] = []
-    a = 0.05
-    base = _toy_count(a, cfg)
-    step = 0.4
-    target_scale = 2.0 ** (5.0 / 6.0)
-    try:
+    a = spec.origin
+    step = spec.step
+    limit = spec.coeff * (n_max + 2) ** spec.exponent + 3.0
+    with _partial_table(records):
+        base = _toy_count(a, cfg)
         while len(records) < n_max:
-            n = len(records) + 1
-            if a > target_scale * math.sqrt(n_max + 2) + 3.0:
+            if a > limit:
                 raise BisectionError(f"toy scan ran past a = {a:.3g}")
             nxt = a + step
-            cnt = _toy_count(nxt, cfg)
             have = base + len(records)
-            if cnt > have:
-                # bisect to the first jump inside (a, nxt); a multi-jump
-                # interval is handled one jump at a time
-                lo, hi = a, nxt
-                while hi - lo > tol:
-                    coarse = (hi - lo) > 1e-4
-                    mid = 0.5 * (lo + hi)
-                    if _toy_count(mid, cfg, coarse) > have:
-                        hi = mid
-                    else:
-                        lo = mid
-                value = 0.5 * (lo + hi)
-                records.append(EigenvalueRecord(n, value, hi - lo, 0, mode))
-                a = value + tol
-                if len(records) >= 2:
-                    gap = records[-1].value - records[-2].value
-                    step = max(0.25 * gap, 100 * tol)
+            if _toy_count(nxt, cfg) <= have:
+                a = nxt
                 continue
-            a = nxt
-    except BisectionError as exc:
-        raise PartialTableError(str(exc), records, failed_index=len(records) + 1) from exc
+            # bisect to the first jump inside (a, nxt) on the key
+            # count > have; a multi-jump interval is handled one jump at a time
+            disc = lambda x, coarse: _toy_count(x, cfg, coarse) > have  # noqa: E731
+            lo, hi = _half_steps(disc, a, nxt, False, True, max(tol, 1e-4), coarse=True)
+            lo, hi = _half_steps(disc, lo, hi, False, True, tol, coarse=False)
+            value = 0.5 * (lo + hi)
+            records.append(EigenvalueRecord(len(records) + 1, value, hi - lo, 0, mode))
+            a = value + tol
+            if len(records) >= 2:
+                gap = records[-1].value - records[-2].value
+                step = max(0.25 * gap, 100 * tol)
     return records

@@ -1,12 +1,19 @@
-"""Dynamical systems under study: right-hand sides, asymptotic branch curves,
-and the energy/fluctuation diagnostics used to reduce the shooting problems to
-linear spectral ones.
+"""Dynamical systems under study, one spec object per equation.
 
 Three systems are supported:
 
 * Painleve I,  y'' = 6 y^2 + t   (movable double poles),
 * Painleve II, y'' = 2 y^3 + t y (movable simple poles),
 * a first-order toy model, y' = cos(pi t y), which is pole free.
+
+Every fact the pipeline needs about one of them - its right-hand side, the
+energy H and the fluctuation jet, the branch curves and the stable
+attractor, the pole order and Laurent correction, the pole-spacing model,
+the turning point and instability rate, the allowed directions and default
+horizon, and the search facts of each mode (direction, scan seed, growth
+exponent, Richardson order, WKB constant) - lives in its :class:`Equation`
+below. The integrator, classifier, eigensolver and CLI read those facts
+and never ask which equation they hold.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
@@ -23,65 +30,189 @@ if TYPE_CHECKING:
     from .integrator import Trajectory
 
 __all__ = [
-    "BranchSign",
-    "EnergyValue",
+    "Direction",
     "Equation",
-    "EquationKind",
     "InitialData",
+    "ModeKind",
+    "ModeSpec",
     "PAINLEVE_I",
     "PAINLEVE_II",
     "TOY_MODEL",
-    "asymptotic_branch",
     "branch_curve",
     "energy",
-    "energy_series",
     "equation_from_name",
     "fluctuation_integral",
-    "rhs",
 ]
 
 
-class EquationKind(enum.Enum):
-    PAINLEVE_I = "p1"
-    PAINLEVE_II = "p2"
-    TOY_MODEL = "toy"
+class Direction(enum.Enum):
+    NEGATIVE_T = "neg"
+    POSITIVE_T = "pos"
+
+    @property
+    def sign(self) -> float:
+        return -1.0 if self is Direction.NEGATIVE_T else 1.0
+
+
+class ModeKind(enum.Enum):
+    SLOPE = "slope"   # fix y(0), vary y'(0)
+    VALUE = "value"   # fix y'(0), vary y(0)
+    TOY = "toy"       # vary y(0)
 
 
 @dataclass(frozen=True)
-class Equation:
-    """One of the supported systems together with its singularity structure.
+class ModeSpec:
+    """Facts about one search mode of one equation.
 
-    ``pole_order`` is the order of the movable poles the solutions admit
-    (2 for Painleve I, 1 for Painleve II, 0 for the pole-free toy model) and
-    ``ode_order`` the differential order of the equation.
+    The search integrates in ``direction``, and its critical values grow
+    like ``coeff * n**exponent``. The scan starts at ``origin`` with
+    ``step``; ``coeff`` is a rough guess that only bounds the scan, so
+    results never depend on it. ``order``, ``split_even_odd`` and
+    ``constant`` (a :class:`~painleve.asymptotics.WkbConstants` field) drive
+    the Richardson extraction; a mode without a closed form has none.
     """
 
-    kind: EquationKind
+    direction: Direction
+    origin: float
+    step: float
+    exponent: float
+    coeff: float
+    order: int | None = None
+    split_even_odd: bool = False
+    constant: str | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class Equation:
+    """One supported system and every fact the pipeline needs about it.
+
+    ``rhs(t, y, y')`` returns the pair (y', y''); the first-order toy model
+    returns (y', 0) and ignores y'. ``pole_order`` is the order of the
+    movable poles (2, 1, or 0 for the pole-free toy model). The remaining
+    callables are None for the toy model, which has no energy, branch
+    curves or poles:
+
+    * ``hamiltonian(y, y')`` is H, and ``fluct_jet(t, y, y')`` the value and
+      first two derivatives of the fluctuation integrand dH/dt;
+    * the branch curves are +-sqrt(-t / ``branch_denom``) and the stable
+      attractor sits at ``attractor`` times the + branch;
+    * ``laurent_correction(t_hat, d)`` is the error of the leading pole
+      estimate t_hat at signed distance d, ``pole_spacing(|t|)`` the local
+      pole-spacing model;
+    * ``turning_point(E)`` is |t| where the branch curve's energy reaches E,
+      and ``instability_rate(turn)`` the separatrix's e-folding rate there.
+
+    ``fine_tol_divisor`` ties the end-game integration tolerance of a
+    bisection to its width, and ``modes`` holds the facts of each search
+    mode.
+    """
+
+    name: str
     pole_order: int
-    ode_order: int
-
-    _EXPECTED = {
-        EquationKind.PAINLEVE_I: (2, 2),
-        EquationKind.PAINLEVE_II: (1, 2),
-        EquationKind.TOY_MODEL: (0, 1),
-    }
-
-    def __post_init__(self) -> None:
-        expected = self._EXPECTED[self.kind]
-        if (self.pole_order, self.ode_order) != expected:
-            raise ValueError(
-                f"{self.kind.value}: pole_order/ode_order must be {expected}, "
-                f"got {(self.pole_order, self.ode_order)}"
-            )
+    rhs: Callable
+    directions: tuple[Direction, ...]
+    modes: Mapping[ModeKind, ModeSpec]
+    positive_horizon: float = 30.0
+    hamiltonian: Callable | None = None
+    fluct_jet: Callable | None = None
+    branch_denom: float | None = None
+    attractor: float = 0.0
+    laurent_correction: Callable | None = None
+    pole_spacing: Callable | None = None
+    turning_point: Callable | None = None
+    instability_rate: Callable | None = None
+    fine_tol_divisor: float = 100.0
 
     @property
-    def name(self) -> str:
-        return self.kind.value
+    def first_order(self) -> bool:
+        """True for the toy model, the one first-order (and pole-free) system."""
+        return not self.pole_order
 
 
-PAINLEVE_I = Equation(EquationKind.PAINLEVE_I, 2, 2)
-PAINLEVE_II = Equation(EquationKind.PAINLEVE_II, 1, 2)
-TOY_MODEL = Equation(EquationKind.TOY_MODEL, 0, 1)
+def _p1_rhs(t, y, yp):
+    return yp, 6.0 * y * y + t
+
+
+def _p1_jet(t, y, yp):
+    # g = t y'
+    f = 6.0 * y * y + t          # y''
+    fp = 12.0 * y * yp + 1.0     # y'''
+    g = t * yp
+    gp = yp + t * f
+    gpp = 2.0 * f + t * fp
+    return g, gp, gpp
+
+
+def _p2_rhs(t, y, yp):
+    return yp, 2.0 * y * y * y + t * y
+
+
+def _p2_jet(t, y, yp):
+    # g = t y y'
+    f = 2.0 * y * y * y + t * y
+    fp = 6.0 * y * y * yp + y + t * yp
+    g = t * y * yp
+    gp = y * yp + t * (yp * yp + y * f)
+    gpp = 2.0 * (yp * yp + y * f) + t * (3.0 * yp * f + y * fp)
+    return g, gp, gpp
+
+
+def _toy_rhs(t, y, _yp):
+    return cmath.cos(math.pi * t * y), 0.0
+
+
+_NEG, _POS = Direction.NEGATIVE_T, Direction.POSITIVE_T
+
+PAINLEVE_I = Equation(
+    name="p1",
+    pole_order=2,
+    rhs=_p1_rhs,
+    directions=(_NEG,),
+    modes={
+        ModeKind.SLOPE: ModeSpec(_NEG, 0.2, 0.3, 3.0 / 5.0, 2.1, 5, False, "p1_slope"),
+        ModeKind.VALUE: ModeSpec(_NEG, -0.1, 0.12, 2.0 / 5.0, 1.1, 4, False, "p1_value"),
+    },
+    hamiltonian=lambda y, yp: 0.5 * yp * yp - 2.0 * y * y * y,
+    fluct_jet=_p1_jet,
+    branch_denom=6.0,
+    attractor=-1.0,
+    laurent_correction=lambda t_hat, d: (t_hat / 5.0) * d**5 + (5.0 / 12.0) * d**6,
+    # linearized frequency about -sqrt(-t/6) is sqrt(12)*( -t/6 )^(1/4)
+    pole_spacing=lambda mag: 2.0 * math.pi / (math.sqrt(12.0) * max(0.3, mag / 6.0) ** 0.25),
+    turning_point=lambda e: 6.0 * (0.5 * e) ** (2.0 / 3.0),
+    instability_rate=lambda turn: math.sqrt(12.0) * (turn / 6.0) ** 0.25,
+)
+
+PAINLEVE_II = Equation(
+    name="p2",
+    pole_order=1,
+    rhs=_p2_rhs,
+    directions=(_NEG, _POS),
+    modes={
+        ModeKind.SLOPE: ModeSpec(_NEG, 0.1, 0.1, 2.0 / 3.0, 1.9, 4, True, "p2_slope"),
+        ModeKind.VALUE: ModeSpec(_POS, 0.3, 0.08, 1.0 / 3.0, 1.3, 4, False, "p2_value"),
+    },
+    hamiltonian=lambda y, yp: 0.5 * yp * yp - 0.5 * y * y * y * y,
+    fluct_jet=_p2_jet,
+    branch_denom=2.0,
+    laurent_correction=lambda t_hat, d: (t_hat / 3.0) * d**3 + 0.75 * d**4,
+    # cascade swings are faster than the Airy frequency sqrt(-t); the
+    # 1.7 prefactor matches measured pole gaps with ~2x margin
+    pole_spacing=lambda mag: 1.7 / math.sqrt(max(mag, 0.5)),
+    turning_point=lambda e: math.sqrt(8.0 * e),
+    instability_rate=lambda turn: math.sqrt(2.0 * turn),
+    # simple poles amplify traversal noise harder
+    fine_tol_divisor=1000.0,
+)
+
+TOY_MODEL = Equation(
+    name="toy",
+    pole_order=0,
+    rhs=_toy_rhs,
+    directions=(_POS,),
+    modes={ModeKind.TOY: ModeSpec(_POS, 0.05, 0.4, 1.0 / 2.0, 2.0 ** (5.0 / 6.0))},
+    positive_horizon=50.0,
+)
 
 _BY_NAME = {
     "p1": PAINLEVE_I,
@@ -108,52 +239,15 @@ class InitialData:
 
     y0: float
     slope0: float = 0.0
-    t_start: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.t_start != 0.0:
-            raise ValueError("initial data is posed at t = 0")
-
-
-class BranchSign(enum.IntEnum):
-    PLUS = 1
-    MINUS = -1
-
-
-def rhs(eq: Equation, t: complex, y: complex, yp: complex = 0.0) -> complex:
-    """Highest derivative of the system: y'' for the Painleve equations,
-    y' for the toy model. ``yp`` is accepted for interface uniformity and
-    never enters the formulas."""
-    kind = eq.kind
-    if kind is EquationKind.PAINLEVE_I:
-        return 6.0 * y * y + t
-    if kind is EquationKind.PAINLEVE_II:
-        return 2.0 * y * y * y + t * y
-    arg = math.pi * t * y
-    if isinstance(arg, complex):
-        return cmath.cos(arg)
-    return math.cos(arg)
-
-
-def asymptotic_branch(eq: Equation, t: float, sign: BranchSign) -> float:
-    """Value of the square-root branch curve the solutions can latch onto as
-    t -> -infinity: +-sqrt(-t/6) for Painleve I, +-sqrt(-t/2) for Painleve II."""
-    if eq.kind is EquationKind.TOY_MODEL:
-        raise ValueError("the toy model has no asymptotic branch curves")
-    if t >= 0:
-        raise ValueError(f"branch curves are defined for t < 0, got t = {t}")
-    denom = 6.0 if eq.kind is EquationKind.PAINLEVE_I else 2.0
-    return int(sign) * math.sqrt(-t / denom)
 
 
 def branch_curve(eq: Equation, t: np.ndarray) -> np.ndarray:
-    """Vectorized +branch curve; NaN where t >= 0."""
-    if eq.kind is EquationKind.TOY_MODEL:
+    """Vectorized +branch curve sqrt(-t / branch_denom); NaN where t >= 0."""
+    if eq.branch_denom is None:
         raise ValueError("the toy model has no asymptotic branch curves")
-    denom = 6.0 if eq.kind is EquationKind.PAINLEVE_I else 2.0
     t = np.asarray(t, dtype=float)
     with np.errstate(invalid="ignore"):
-        return np.where(t < 0.0, np.sqrt(np.maximum(-t, 0.0) / denom), np.nan)
+        return np.where(t < 0.0, np.sqrt(np.maximum(-t, 0.0) / eq.branch_denom), np.nan)
 
 
 def energy(eq: Equation, y, yp):
@@ -164,52 +258,9 @@ def energy(eq: Equation, y, yp):
     :func:`fluctuation_integral`. Accepts scalars or numpy arrays; meant for
     real states only (it is not evaluated on detours).
     """
-    if eq.kind is EquationKind.PAINLEVE_I:
-        return 0.5 * yp * yp - 2.0 * y * y * y
-    if eq.kind is EquationKind.PAINLEVE_II:
-        return 0.5 * yp * yp - 0.5 * y * y * y * y
-    raise ValueError("energy is defined for the Painleve equations only")
-
-
-@dataclass(frozen=True)
-class EnergyValue:
-    """H and its accumulated fluctuation integral at one real-axis point.
-
-    Along any trajectory h = h(0) + i_of_x holds exactly (it is an integral
-    identity, not an approximation), so h - i_of_x is constant up to
-    integration error.
-    """
-
-    h: float
-    i_of_x: float
-
-
-def energy_series(eq: Equation, traj: "Trajectory") -> list[EnergyValue]:
-    """Paired (H, I) samples at the trajectory's real-axis points."""
-    hs = energy(eq, traj.real_y(), traj.real_yp())
-    return [EnergyValue(float(h), float(i)) for h, i in zip(hs, fluctuation_integral(eq, traj))]
-
-
-def _fluct_jet(eq: Equation, t: complex, y: complex, yp: complex):
-    """Value and first two derivatives of the fluctuation integrand.
-
-    Painleve I:  g = t y',    Painleve II: g = t y y'.
-    Everything follows from (t, y, y') through the equation itself, so a
-    stored trajectory sample carries the full jet.
-    """
-    if eq.kind is EquationKind.PAINLEVE_I:
-        f = 6.0 * y * y + t          # y''
-        fp = 12.0 * y * yp + 1.0     # y'''
-        g = t * yp
-        gp = yp + t * f
-        gpp = 2.0 * f + t * fp
-    else:
-        f = 2.0 * y * y * y + t * y
-        fp = 6.0 * y * y * yp + y + t * yp
-        g = t * y * yp
-        gp = y * yp + t * (yp * yp + y * f)
-        gpp = 2.0 * (yp * yp + y * f) + t * (3.0 * yp * f + y * fp)
-    return g, gp, gpp
+    if eq.hamiltonian is None:
+        raise ValueError("energy is defined for the Painleve equations only")
+    return eq.hamiltonian(y, yp)
 
 
 def _hermite_quad(h: complex, jet0, jet1) -> complex:
@@ -229,10 +280,13 @@ def fluctuation_integral(eq: Equation, traj: "Trajectory") -> np.ndarray:
     I(x) = int_0^x t y'(t) dt for Painleve I and int_0^x t y y' dt for
     Painleve II, accumulated along the same path the integrator took
     (detour arcs included; the integrand is analytic there, so chordal
-    quadrature between stored samples is path-equivalent). Returned values
-    are sampled at the trajectory's real-axis points.
+    quadrature between stored samples is path-equivalent). Everything in the
+    integrand's jet follows from (t, y, y') through the equation itself, so
+    a stored sample carries it in full. Returned values are sampled at the
+    trajectory's real-axis points.
     """
-    if eq.kind is EquationKind.TOY_MODEL:
+    jet_of = eq.fluct_jet
+    if jet_of is None:
         raise ValueError("the fluctuation integral is defined for the Painleve equations only")
     ts, ys, yps = traj.t, traj.y, traj.yp
     n = len(ts)
@@ -241,13 +295,13 @@ def fluctuation_integral(eq: Equation, traj: "Trajectory") -> np.ndarray:
     real_idx = traj.real_indices()
     out = np.empty(len(real_idx))
     acc = 0.0 + 0.0j
-    jet_prev = _fluct_jet(eq, ts[0], ys[0], yps[0])
+    jet_prev = jet_of(ts[0], ys[0], yps[0])
     next_real = 0
     if real_idx[0] == 0:
         out[0] = 0.0
         next_real = 1
     for i in range(1, n):
-        jet = _fluct_jet(eq, ts[i], ys[i], yps[i])
+        jet = jet_of(ts[i], ys[i], yps[i])
         acc += _hermite_quad(ts[i] - ts[i - 1], jet_prev, jet)
         jet_prev = jet
         if next_real < len(real_idx) and real_idx[next_real] == i:

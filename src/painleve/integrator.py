@@ -9,6 +9,10 @@ t = t0 + r e^{i phi} in the upper half plane, and resumes on the far side.
 Exit states must be real to within the purity tolerance; their residual
 imaginary parts are zeroed so drift cannot accumulate.
 
+The right-hand side, pole order, Laurent correction and pole-spacing model
+come from the :class:`~painleve.equations.Equation` spec; the stepper gets the
+right-hand side as a plain callable.
+
 The stepper is an embedded Dormand-Prince 5(4) pair (FSAL) with standard
 PI step-size control, shared by the real-axis sweep and the arcs.
 """
@@ -18,11 +22,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .equations import Equation, EquationKind, InitialData
+from .equations import Direction, Equation, InitialData
 
 __all__ = [
     "DegenerateDerivativeError",
@@ -56,23 +59,14 @@ class StepUnderflowError(IntegrationError):
     """Adaptive stepping stalled below the minimum step size."""
 
 
-class Direction(Enum):
-    NEGATIVE_T = "neg"
-    POSITIVE_T = "pos"
-
-    @property
-    def sign(self) -> float:
-        return -1.0 if self is Direction.NEGATIVE_T else 1.0
-
-
 @dataclass(frozen=True)
 class IntegrationConfig:
     """Tolerances and limits for :func:`integrate`.
 
-    ``t_horizon`` of None selects the per-equation default: -60 for the
-    negative direction, +30 for Painleve II forward in time, +50 for the
-    toy model. ``purity_tol`` bounds |Im y| relative to max(1, |Re y|) at
-    detour exits and real-axis samples.
+    ``t_horizon`` of None selects the default: -60 for the negative
+    direction, the equation's ``positive_horizon`` (+30 for Painleve II,
+    +50 for the toy model) for the positive one. ``purity_tol`` bounds
+    |Im y| relative to max(1, |Re y|) at detour exits and real-axis samples.
     """
 
     rel_tol: float = 1e-10
@@ -115,7 +109,7 @@ class IntegrationConfig:
             return float(self.t_horizon)
         if direction is Direction.NEGATIVE_T:
             return -60.0
-        return 50.0 if eq.kind is EquationKind.TOY_MODEL else 30.0
+        return eq.positive_horizon
 
 
 @dataclass(frozen=True)
@@ -182,12 +176,6 @@ class Trajectory:
     @property
     def truncated(self) -> bool:
         return self.stopped_by != "horizon"
-
-    @property
-    def samples(self) -> list[State]:
-        if self.yp is None:
-            return [State(t, y) for t, y in zip(self.t, self.y)]
-        return [State(t, y, yp) for t, y, yp in zip(self.t, self.y, self.yp)]
 
 
 # Dormand-Prince 5(4) tableau.
@@ -289,20 +277,6 @@ def _advance(f, s0, u0, v0, s1, cfg: IntegrationConfig, on_accept, k1=None, h0=N
             h *= min(1.0, factor)
 
 
-def _pair_rhs(eq: Equation):
-    kind = eq.kind
-    if kind is EquationKind.PAINLEVE_I:
-        def f(t, y, yp):
-            return yp, 6.0 * y * y + t
-    elif kind is EquationKind.PAINLEVE_II:
-        def f(t, y, yp):
-            return yp, 2.0 * y * y * y + t * y
-    else:
-        def f(t, y, _yp):
-            return cmath.cos(math.pi * t * y), 0.0
-    return f
-
-
 def estimate_pole(eq: Equation, s: State, min_ratio: float = 1e-12) -> complex:
     """Estimated pole location from the leading Laurent term.
 
@@ -322,20 +296,17 @@ def estimate_pole(eq: Equation, s: State, min_ratio: float = 1e-12) -> complex:
 def _refined_pole_location(eq: Equation, t: float, y: complex, yp: complex) -> float:
     """Pole location with the next Laurent orders subtracted.
 
-    The leading estimate t + p y/y' errs by (t0/3) d^3 + (3/4) d^4 for the
-    second equation and (t0/5) d^5 + (5/12) d^6 for the first (d the signed
-    distance to the pole), from the known series terms below the free
-    coefficient. Subtracting them matters for deep simple poles, where the
-    raw estimate can miss by a visible fraction of the detour radius.
+    The leading estimate t + p y/y' errs by the equation's
+    ``laurent_correction``: (t0/3) d^3 + (3/4) d^4 for the second equation
+    and (t0/5) d^5 + (5/12) d^6 for the first (d the signed distance to the
+    pole), from the known series terms below the free coefficient.
+    Subtracting them matters for deep simple poles, where the raw estimate
+    can miss by a visible fraction of the detour radius.
     """
     p = eq.pole_order
     t_hat = (t + p * y / yp).real
     d = t - t_hat
-    if eq.kind is EquationKind.PAINLEVE_II:
-        err = (t_hat / 3.0) * d**3 + 0.75 * d**4
-    else:
-        err = (t_hat / 5.0) * d**5 + (5.0 / 12.0) * d**6
-    return t_hat - err
+    return t_hat - eq.laurent_correction(t_hat, d)
 
 
 def _arc_rhs(f, t0: complex, radius: float):
@@ -393,7 +364,6 @@ def detour(
         cfg = IntegrationConfig()
     if half_plane not in (1, -1):
         raise ValueError("half_plane must be +1 or -1")
-    f = _pair_rhs(eq)
     if direction is Direction.NEGATIVE_T:
         phi0, phi1 = 0.0, half_plane * math.pi
     else:
@@ -404,7 +374,7 @@ def detour(
             f"entry state at t = {s.t} is not on the detour circle "
             f"(expected t = {expected_entry})"
         )
-    return _run_arc(f, s, t0, radius, cfg, phi0, phi1)
+    return _run_arc(eq.rhs, s, t0, radius, cfg, phi0, phi1)
 
 
 _RADIUS_MIN = 1e-3
@@ -416,24 +386,16 @@ def _pick_radius(eq: Equation, t0: float, prev_pole: float | None) -> float:
     """Detour radius for the pole at t0.
 
     The semicircle must enclose only this pole, so the radius is capped by a
-    conservative fraction of the local pole spacing (estimated from the
-    oscillation frequency about the attractor, and from the measured gap to
-    the previous pole when available). It must also stay well clear of the
-    trigger distance: carrying the state around at the trigger radius is
-    catastrophically ill-conditioned, because at |y| ~ trigger the free
-    subleading Laurent coefficient is buried ~ (trigger distance)^(2p+1)
-    below the leading terms and double precision cannot retain it. A
+    conservative fraction of the local pole spacing (the equation's
+    ``pole_spacing`` model, and the measured gap to the previous pole when
+    available). It must also stay well clear of the trigger distance:
+    carrying the state around at the trigger radius is catastrophically
+    ill-conditioned, because at |y| ~ trigger the free subleading Laurent
+    coefficient is buried ~ (trigger distance)^(2p+1) below the leading
+    terms and double precision cannot retain it. A
     moderate radius keeps the traversal well conditioned.
     """
-    mag = abs(t0)
-    if eq.kind is EquationKind.PAINLEVE_I:
-        # linearized frequency about -sqrt(-t/6) is sqrt(12)*( -t/6 )^(1/4)
-        spacing = 2.0 * math.pi / (math.sqrt(12.0) * max(0.3, mag / 6.0) ** 0.25)
-    else:
-        # cascade swings are faster than the Airy frequency sqrt(-t); the
-        # 1.7 prefactor matches measured pole gaps with ~2x margin
-        spacing = 1.7 / math.sqrt(max(mag, 0.5))
-    r = 0.3 * spacing
+    r = 0.3 * eq.pole_spacing(abs(t0))
     if prev_pole is not None:
         r = min(r, 0.3 * abs(t0 - prev_pole))
     return min(_RADIUS_MAX, max(_RADIUS_MIN, r))
@@ -449,29 +411,29 @@ def integrate(
     """Integrate the initial-value problem from t = 0 to the horizon,
     traversing movable poles via semicircular detours.
 
-    Painleve I runs in the negative direction only; the toy model in the
-    positive direction only; Painleve II supports both. Every pole crossing
-    is recorded as a :class:`PoleEvent`. Hitting the pole cap or a step
-    underflow truncates the trajectory (see ``Trajectory.stopped_by``)
-    rather than raising, so callers can classify truncated runs.
+    Each equation runs in its ``directions`` only: Painleve I in the
+    negative direction, the toy model in the positive one, Painleve II in
+    both. Every pole crossing is recorded as a :class:`PoleEvent`. Hitting
+    the pole cap or a step underflow truncates the trajectory (see
+    ``Trajectory.stopped_by``) rather than raising, so callers can classify
+    truncated runs.
     """
     if cfg is None:
         cfg = IntegrationConfig()
-    if eq.kind is EquationKind.PAINLEVE_I and direction is not Direction.NEGATIVE_T:
-        raise ValueError("Painleve I is integrated in the negative direction only")
-    if eq.kind is EquationKind.TOY_MODEL and direction is not Direction.POSITIVE_T:
-        raise ValueError("the toy model is integrated in the positive direction only")
+    if direction not in eq.directions:
+        allowed = " and ".join(d.name.split("_")[0].lower() for d in eq.directions)
+        raise ValueError(f"{eq.name} is integrated in the {allowed} direction only")
     horizon = cfg.resolved_horizon(eq, direction)
     dirsign = direction.sign
     if dirsign * horizon <= 0.0:
         raise ValueError(f"horizon {horizon} is on the wrong side of t = 0 for direction {direction.value}")
 
-    f = _pair_rhs(eq)
-    is_toy = eq.kind is EquationKind.TOY_MODEL
+    f = eq.rhs
+    pole_free = not eq.pole_order
     trigger = cfg.detour_threshold
     rearm = _REARM_FRACTION * trigger
 
-    slope0 = 0.0 if is_toy else init.slope0
+    slope0 = 0.0 if eq.first_order else init.slope0
     ts: list[complex] = [complex(0.0)]
     ys: list[complex] = [complex(init.y0)]
     vs: list[complex] = [complex(slope0)]
@@ -488,7 +450,7 @@ def integrate(
         ts.append(complex(s))
         ys.append(u)
         vs.append(w)
-        if is_toy:
+        if pole_free:
             return None
         nonlocal armed
         mag = abs(u)
@@ -589,7 +551,7 @@ def integrate(
 
     t_arr = np.asarray(ts, dtype=complex)
     y_arr = np.asarray(ys, dtype=complex)
-    v_arr = None if is_toy else np.asarray(vs, dtype=complex)
+    v_arr = None if eq.first_order else np.asarray(vs, dtype=complex)
     return Trajectory(
         equation=eq,
         direction=direction,

@@ -4,7 +4,8 @@ property, and acceptance tests."""
 
 import pytest
 
-from painleve import ModeKind, PAINLEVE_I, PAINLEVE_II, eigen_table, toy_eigen_table
+import painleve.eigensolver as eigensolver
+from painleve import ModeKind, PAINLEVE_I, PAINLEVE_II, PurityError, eigen_table, toy_eigen_table
 
 # Reference critical values (reference digits for these systems).
 P1_SLOPE_REF = {
@@ -52,6 +53,22 @@ CONST_REF = {
 # Toy-model critical values frozen from the in-repo fine-grid oracle
 # (maxima-count jumps located by a step-1e-4 scan; see test_eigensolver).
 TOY_REF = {1: 1.602573, 2: 2.388358, 3: 2.976682}
+
+
+def counted_probes(monkeypatch, fail_at=None):
+    """Count the probes made through painleve.eigensolver.integrate, the name
+    every probe goes through; the ``fail_at``-th one raises PurityError."""
+    calls = []
+    real = eigensolver.integrate
+
+    def integrate(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == fail_at:
+            raise PurityError("injected impure detour exit")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "integrate", integrate)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,6 @@ from painleve import (
     WkbSpec,
     closed_form_constants,
     extract_constant,
-    gamma_fn,
     hermitian_quartic_energy,
     richardson,
     wkb_energy,
@@ -28,31 +27,16 @@ def spouge_gamma(x: float, a: int = 20) -> float:
     return (z + a) ** (z + 0.5) * math.exp(-(z + a)) * acc
 
 
-def test_gamma_exact_points():
-    assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-14)
-    assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-14)
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-
-
 def test_gamma_against_independent_oracle():
-    # cross-check the Lanczos path with Spouge's formula before trusting it
-    # (the oracle itself loses a digit above x ~ 5 from cancellation)
-    for x in (1 / 3, 0.25, 0.75, 11 / 6, 2.5, 0.1):
-        assert gamma_fn(x) == pytest.approx(spouge_gamma(x), rel=1e-12)
-    assert gamma_fn(7.3) == pytest.approx(spouge_gamma(7.3), rel=5e-12)
-    assert gamma_fn(1 / 3) == pytest.approx(2.678938534708, abs=5e-13)
-
-
-def test_gamma_recurrence():
-    for x in np.linspace(0.1, 10.0, 199):
-        assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
-
-
-def test_gamma_domain():
-    with pytest.raises(ValueError):
-        gamma_fn(0.0)
-    with pytest.raises(ValueError):
-        gamma_fn(-2.5)
+    # the closed forms, rebuilt from Spouge's gamma series instead of the
+    # stdlib gamma they use, agree far beyond the quoted digits
+    r = math.sqrt(3.0 * math.pi) * spouge_gamma(11 / 6) / spouge_gamma(1 / 3)
+    q = 3.0 * spouge_gamma(0.75) / spouge_gamma(0.25)
+    c = closed_form_constants()
+    assert c.p1_slope == pytest.approx(2.0 * r**0.6, rel=1e-12)
+    assert c.p1_value == pytest.approx(-(r**0.4), rel=1e-12)
+    assert c.p2_slope == pytest.approx((q * math.sqrt(2.0 * math.pi)) ** (2 / 3), rel=1e-12)
+    assert c.p2_value == pytest.approx((q * math.sqrt(math.pi)) ** (1 / 3), rel=1e-12)
 
 
 def test_wkb_spec_validation():
@@ -68,7 +52,7 @@ def test_wkb_energy_cubic_reduction():
     # g=2, eps=1 collapses to 2 [sqrt(3 pi) G(11/6) n / G(1/3)]^{6/5}
     spec = WkbSpec(2.0, 1.0)
     for n in range(1, 11):
-        direct = 2.0 * (math.sqrt(3 * math.pi) * gamma_fn(11 / 6) * n / gamma_fn(1 / 3)) ** 1.2
+        direct = 2.0 * (math.sqrt(3 * math.pi) * math.gamma(11 / 6) * n / math.gamma(1 / 3)) ** 1.2
         assert wkb_energy(spec, n) == pytest.approx(direct, rel=1e-13)
 
 
@@ -76,7 +60,7 @@ def test_wkb_energy_quartic_reduction():
     # g=1/2, eps=2 collapses to (1/2) [3 n sqrt(2 pi) G(3/4)/G(1/4)]^{4/3}
     spec = WkbSpec(0.5, 2.0)
     for n in range(1, 11):
-        direct = 0.5 * (3 * n * math.sqrt(2 * math.pi) * gamma_fn(0.75) / gamma_fn(0.25)) ** (4 / 3)
+        direct = 0.5 * (3 * n * math.sqrt(2 * math.pi) * math.gamma(0.75) / math.gamma(0.25)) ** (4 / 3)
         assert wkb_energy(spec, n) == pytest.approx(direct, rel=1e-13)
 
 

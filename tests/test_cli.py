@@ -6,7 +6,7 @@ import pytest
 from painleve.cli import main
 from painleve.eigensolver import EigenvalueRecord, PartialTableError, SearchMode
 
-from conftest import P2_VALUE_REF
+from conftest import P2_VALUE_REF, counted_probes
 
 
 def _read_csv(path):
@@ -163,6 +163,19 @@ def test_eigen_partial_table_exit_code(tmp_path, monkeypatch):
     payload = json.loads(out.read_text())
     assert payload["complete"] is False
     assert len(payload["records"]) == 1
+
+
+def test_eigen_probe_failure_exit_code(tmp_path, monkeypatch):
+    # an integration failure in the middle of a table keeps the finished
+    # records and reports a partial table
+    counted_probes(monkeypatch, fail_at=40)
+    out = tmp_path / "eigs.json"
+    rc = main(["eigen", "--eq", "toy", "--n", "3", "--out", str(out)])
+    assert rc == 2
+    payload = json.loads(out.read_text())
+    assert payload["complete"] is False
+    assert payload["mode"] == "toy"
+    assert [r["index"] for r in payload["records"]] == [1]
 
 
 def test_manifest_determinism(tmp_path, monkeypatch):

@@ -10,15 +10,18 @@ from painleve import (
     ModeKind,
     PAINLEVE_I,
     PAINLEVE_II,
+    PartialTableError,
+    PurityError,
     SearchMode,
     bisect,
     eigen_table,
     scan_brackets,
     separatrix_check,
+    toy_eigen_table,
 )
 from painleve.eigensolver import _toy_count
 
-from conftest import P1_SLOPE_REF, P1_VALUE_REF, P2_SLOPE_REF, P2_VALUE_REF, TOY_REF
+from conftest import P1_SLOPE_REF, P1_VALUE_REF, P2_SLOPE_REF, P2_VALUE_REF, TOY_REF, counted_probes
 
 
 def test_search_mode_coercion():
@@ -45,6 +48,17 @@ def test_scan_brackets_p2_value_positive_direction():
     assert len(brackets) == 4
     for (lo, hi), n in zip(brackets, range(1, 5)):
         assert lo < P2_VALUE_REF[n] < hi
+
+
+def test_scan_brackets_p2_value_mirror_range():
+    # the second equation is odd in y, so a negative value range holds the
+    # mirror images of the positive range's brackets (this range lies far
+    # enough out to need a pole cap of several poles, near c_9)
+    pos = scan_brackets(PAINLEVE_II, ModeKind.VALUE, (2.5, 2.6), 0.05)
+    neg = scan_brackets(PAINLEVE_II, ModeKind.VALUE, (-2.6, -2.5), 0.05)
+    assert len(pos) == 1
+    mirrored = [(-b, -a) for a, b in reversed(neg)]
+    assert np.allclose(mirrored, pos, rtol=0.0, atol=1e-12)
 
 
 def test_scan_brackets_validation():
@@ -164,6 +178,34 @@ def test_slope_growth_insensitive_to_fixed_value(p1_slope_table):
     # 1/n tail converges slower here; 0.2% still pins the same constant
     res = extract_constant(table, 3.0 / 5.0, 4)
     assert abs(res.estimate - closed_form_constants().p1_slope) < 4e-3
+
+
+def test_toy_probe_count(monkeypatch):
+    calls = counted_probes(monkeypatch)
+    table = toy_eigen_table(3)
+    assert len(calls) == 66
+    for rec in table:
+        assert abs(rec.value - TOY_REF[rec.index]) <= 1.5e-4
+
+
+@pytest.mark.parametrize(
+    "build,fail_at,ref",
+    [
+        (lambda: toy_eigen_table(3), 40, TOY_REF),
+        (lambda: eigen_table(PAINLEVE_II, ModeKind.VALUE, 2, tol=1e-6), 60, P2_VALUE_REF),
+    ],
+    ids=["toy", "p2-value"],
+)
+def test_table_keeps_records_on_integration_error(monkeypatch, build, fail_at, ref):
+    counted_probes(monkeypatch, fail_at)
+    with pytest.raises(PartialTableError) as info:
+        build()
+    exc = info.value
+    assert isinstance(exc.__cause__, PurityError)
+    assert len(exc.records) >= 1
+    assert exc.failed_index == len(exc.records) + 1
+    for rec in exc.records:
+        assert abs(rec.value - ref[rec.index]) <= 1.5e-4
 
 
 def test_toy_table_against_grid_oracle(toy_table):

@@ -3,38 +3,36 @@ import numpy as np
 import pytest
 
 from painleve import (
-    BranchSign,
-    Equation,
-    EquationKind,
     InitialData,
     IntegrationConfig,
     Direction,
     PAINLEVE_I,
     PAINLEVE_II,
     TOY_MODEL,
-    asymptotic_branch,
+    branch_curve,
     energy,
     equation_from_name,
     fluctuation_integral,
     integrate,
-    rhs,
 )
 
 
 def test_equation_singularity_structure():
-    assert PAINLEVE_I.pole_order == 2 and PAINLEVE_I.ode_order == 2
-    assert PAINLEVE_II.pole_order == 1 and PAINLEVE_II.ode_order == 2
-    assert TOY_MODEL.pole_order == 0 and TOY_MODEL.ode_order == 1
-    with pytest.raises(ValueError):
-        Equation(EquationKind.PAINLEVE_I, 1, 2)
+    assert PAINLEVE_I.pole_order == 2 and not PAINLEVE_I.first_order
+    assert PAINLEVE_II.pole_order == 1 and not PAINLEVE_II.first_order
+    assert TOY_MODEL.pole_order == 0 and TOY_MODEL.first_order
     assert equation_from_name("p2") is PAINLEVE_II
     with pytest.raises(ValueError):
         equation_from_name("p7")
 
 
 def test_initial_data_posed_at_zero():
-    with pytest.raises(ValueError):
+    # the data carry no start time: every trajectory begins at t = 0
+    with pytest.raises(TypeError):
         InitialData(0.0, 1.0, t_start=-1.0)
+    traj = integrate(PAINLEVE_II, InitialData(0.4, -1.5), Direction.POSITIVE_T,
+                     IntegrationConfig(t_horizon=0.5))
+    assert (traj.t[0], traj.y[0], traj.yp[0]) == (0.0, 0.4, -1.5)
 
 
 @pytest.mark.parametrize(
@@ -47,32 +45,32 @@ def test_initial_data_posed_at_zero():
     ],
 )
 def test_rhs_zeros(eq, t, y, expect):
-    assert rhs(eq, t, y) == pytest.approx(expect, abs=1e-15)
+    # the pair (y', y'') the integrator runs; at y' = 0 both components vanish
+    # here (for the toy model the first component is y' = cos(pi t y))
+    for component in eq.rhs(t, y, 0.0):
+        assert abs(component - expect) <= 1e-15
 
 
 def test_rhs_reality_and_parity():
     rng = np.random.default_rng(7)
     for _ in range(200):
-        t, y = rng.uniform(-30, 5), rng.uniform(-20, 20)
+        t, y, yp = rng.uniform(-30, 5), rng.uniform(-20, 20), rng.uniform(-20, 20)
         for eq in (PAINLEVE_I, PAINLEVE_II, TOY_MODEL):
-            v = rhs(eq, t, y)
-            assert isinstance(v, float)
-        # odd parity of the second equation's right side in y
-        assert rhs(PAINLEVE_II, t, -y) == -rhs(PAINLEVE_II, t, y)
+            for component in eq.rhs(t, y, yp):
+                assert complex(component).imag == 0.0
+        # odd parity of the second equation's right side in (y, y')
+        assert PAINLEVE_II.rhs(t, -y, -yp) == tuple(-c for c in PAINLEVE_II.rhs(t, y, yp))
 
 
 def test_asymptotic_branch():
-    assert asymptotic_branch(PAINLEVE_I, -6.0, BranchSign.PLUS) == pytest.approx(1.0)
-    assert asymptotic_branch(PAINLEVE_I, -24.0, BranchSign.MINUS) == pytest.approx(-2.0)
-    assert asymptotic_branch(PAINLEVE_II, -2.0, BranchSign.PLUS) == pytest.approx(1.0)
-    for t in np.linspace(-50, -0.1, 23):
-        plus = asymptotic_branch(PAINLEVE_I, t, BranchSign.PLUS)
-        minus = asymptotic_branch(PAINLEVE_I, t, BranchSign.MINUS)
-        assert plus == -minus
+    assert branch_curve(PAINLEVE_I, -6.0) == pytest.approx(1.0)
+    assert branch_curve(PAINLEVE_I, -24.0) == pytest.approx(2.0)
+    assert branch_curve(PAINLEVE_II, -2.0) == pytest.approx(1.0)
+    ts = np.linspace(-50, -0.1, 23)
+    assert np.array_equal(branch_curve(PAINLEVE_I, ts), np.sqrt(-ts / 6.0))
+    assert np.isnan(branch_curve(PAINLEVE_I, np.array([0.0, 1.0]))).all()
     with pytest.raises(ValueError):
-        asymptotic_branch(PAINLEVE_I, 1.0, BranchSign.PLUS)
-    with pytest.raises(ValueError):
-        asymptotic_branch(TOY_MODEL, -1.0, BranchSign.PLUS)
+        branch_curve(TOY_MODEL, -1.0)
 
 
 def test_energy_closed_forms():
@@ -124,7 +122,7 @@ def test_energy_identity_through_detours(eq, init):
     traj = integrate(eq, init, Direction.NEGATIVE_T, cfg)
     assert traj.poles
     _, ry, ryp, defect = _defect(eq, traj)
-    if eq.kind is EquationKind.PAINLEVE_I:
+    if eq is PAINLEVE_I:
         sens = 6.0 * np.abs(ry) ** 3 + ryp**2
     else:
         sens = 2.0 * np.abs(ry) ** 4 + ryp**2
@@ -161,15 +159,3 @@ def test_fluctuation_zero_length():
     I = fluctuation_integral(PAINLEVE_I, traj)
     assert I[0] == 0.0
 
-
-def test_energy_series_pairs():
-    from painleve import energy_series
-
-    cfg = IntegrationConfig(t_horizon=-15.0)
-    traj = integrate(PAINLEVE_I, InitialData(0.0, 1.0), Direction.NEGATIVE_T, cfg)
-    series = energy_series(PAINLEVE_I, traj)
-    assert len(series) == len(traj.real_t())
-    h0 = series[0].h
-    assert series[0].i_of_x == 0.0
-    for ev in series[::50]:
-        assert ev.h - h0 - ev.i_of_x == pytest.approx(0.0, abs=1e-8)

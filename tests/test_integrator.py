@@ -17,7 +17,7 @@ from painleve import (
     estimate_pole,
     integrate,
 )
-from painleve.integrator import _pair_rhs, _run_arc
+from painleve.integrator import _run_arc
 
 
 def test_config_validation():
@@ -121,10 +121,9 @@ def test_detour_radius_robustness():
 
     t0h, entry_h = _first_pole_entry(r / 2)
     exit_half = detour(PAINLEVE_I, entry_h, complex(t0h), r / 2, cfg)
-    from painleve.integrator import _advance, _pair_rhs
+    from painleve.integrator import _advance
 
-    f = _pair_rhs(PAINLEVE_I)
-    s, u, v, _, tok = _advance(f, exit_half.t.real, exit_half.y, exit_half.yp,
+    s, u, v, _, tok = _advance(PAINLEVE_I.rhs, exit_half.t.real, exit_half.y, exit_half.yp,
                                t0 - r, cfg, lambda *a: None)
     assert tok is None
     assert abs(u.real - exit_full.y.real) <= 1e-8 * abs(exit_full.y.real)
