@@ -1,7 +1,8 @@
 """Nonlinear eigenvalue analysis of the first and second Painleve
 transcendents: adaptive integration through movable poles via complex
-detours, separatrix shooting by bisection, Richardson extrapolation of the
-critical-value tables, and closed-form WKB cross-checks.
+detours, separatrix shooting by bisection and asymptotic matching,
+Richardson extrapolation of the critical-value tables, and closed-form WKB
+cross-checks.
 """
 
 __version__ = "0.1.0"

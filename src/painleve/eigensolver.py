@@ -1,7 +1,8 @@
-"""Location of the critical initial conditions by grid scan and bisection.
+"""Location of the critical initial conditions by grid scan, bisection and
+asymptotic matching.
 
 A separatrix initial condition is a boundary between two open families of
-generic behaviors, so it is found by bisecting on a discriminant:
+generic behaviors, so it is bracketed by a binary discriminant:
 
 * negative direction (Painleve I both modes, Painleve II slope mode):
   {pole cascade} vs {stable oscillation};
@@ -9,9 +10,20 @@ generic behaviors, so it is found by bisecting on a discriminant:
   blow-up, read off the recorded pole approach signs;
 * toy model: the number of maxima of the solution.
 
+A scan finds the brackets, and bisection at a coarse integration tolerance
+narrows each to about 1e-5. The end game then switches to a continuous
+discriminant: the deviation from the separatrix's asymptotic series at a
+matching time T, projected onto the growing WKB mode, whose root a secant
+method finds with probes that stop at T instead of running through the
+whole pole cascade. The binary discriminant stays the ground truth: two
+full-horizon probes a bracket width apart must still classify differently
+around the root (the certificate), and if they do not, the end game falls
+back to bisection at the fine tolerance. The toy model is bisected on its
+maxima count throughout.
+
 The direction, scan seed and growth law of each search mode, and the
-turning point and instability rate of each equation, come from the
-equation's spec.
+turning point, instability rate and separatrix asymptotics of each
+equation, come from the equation's spec.
 
 The search never asks the classifier to *detect* a separatrix (a
 measure-zero event); separatrix tags are used only to validate converged
@@ -27,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import ClassificationError, ClassTag, classify, count_toy_maxima
+from .classify import ClassificationError, ClassTag, SolutionClass, classify, count_toy_maxima
 from .equations import TOY_MODEL, Direction, Equation, InitialData, ModeKind, branch_curve, energy
 from .integrator import IntegrationConfig, IntegrationError, integrate
 
@@ -107,6 +119,15 @@ def _negative_horizon(eq: Equation, mode: SearchMode, x: float) -> float:
     return -max(28.0, 1.35 * turn + 16.0)
 
 _COARSE = {"rel_tol": 1e-8, "abs_tol": 1e-10}
+_FINE_WIDTH = 1e-5  # bracket width at which the coarse phase hands over
+
+
+def _fine_cfg(eq: Equation, cfg: IntegrationConfig, tol: float) -> IntegrationConfig:
+    # Flip points move by ~3e3 * rel_tol for the second equation and ~1e2 *
+    # rel_tol for the first, so the end game runs tight enough for tol to
+    # be meaningful.
+    fine_rel = min(1e-10, tol / eq.fine_tol_divisor)
+    return replace(cfg, rel_tol=max(fine_rel, 1e-13), abs_tol=max(fine_rel * 1e-2, 1e-15))
 
 
 def _probe_cfg(eq, mode, x, cfg: IntegrationConfig, coarse: bool, max_poles=None) -> IntegrationConfig:
@@ -120,15 +141,15 @@ def _probe_cfg(eq, mode, x, cfg: IntegrationConfig, coarse: bool, max_poles=None
     return replace(cfg, **kw) if kw else cfg
 
 
-def _negative_key(eq, mode, x, cfg, coarse) -> str:
+_NEGATIVE_KEYS = {ClassTag.POLE_CASCADE: "cascade", ClassTag.STABLE_OSCILLATION: "stable"}
+
+
+def _negative_class(eq, mode, x, cfg, coarse) -> SolutionClass:
     pc = _probe_cfg(eq, mode, x, cfg, coarse)
-    traj = integrate(eq, _initial_data(mode, x), Direction.NEGATIVE_T, pc)
-    cls = classify(eq, traj)
-    if cls.tag is ClassTag.POLE_CASCADE:
-        return "cascade"
-    if cls.tag is ClassTag.STABLE_OSCILLATION:
-        return "stable"
-    raise BisectionError(f"probe x = {x!r} classified as {cls.tag.value}", probe=x)
+    cls = classify(eq, integrate(eq, _initial_data(mode, x), Direction.NEGATIVE_T, pc))
+    if cls.tag not in _NEGATIVE_KEYS:
+        raise BisectionError(f"probe x = {x!r} classified as {cls.tag.value}", probe=x)
+    return cls
 
 
 def _signature(eq, mode, x, cfg, coarse, n_poles) -> tuple[int, ...]:
@@ -150,7 +171,7 @@ def _discriminant(eq, mode, cfg, n_poles=None):
         return lambda x, coarse=True: _toy_count(x, cfg, coarse)
     if _positive(eq, mode):
         return lambda x, coarse=True: _signature(eq, mode, x, cfg, coarse, n_poles)
-    return lambda x, coarse=True: _negative_key(eq, mode, x, cfg, coarse)
+    return lambda x, coarse=True: _NEGATIVE_KEYS[_negative_class(eq, mode, x, cfg, coarse).tag]
 
 
 def _keys_differ(a, b) -> bool:
@@ -250,19 +271,14 @@ def _half_steps(disc, lo, hi, k_lo, k_hi, stop, coarse):
     return lo, hi
 
 
-def _bisect_core(disc, bracket, tol, fine_width):
-    lo, hi = bracket
-    k_lo, k_hi = disc(lo, True), disc(hi, True)
-    if not _keys_differ(k_lo, k_hi):
-        raise BisectionError(f"bracket endpoints {bracket} share the class {k_lo!r}")
-    if hi - lo > fine_width:
-        lo, hi = _half_steps(disc, lo, hi, k_lo, k_hi, fine_width, coarse=True)
+def _fine_bisection(disc, lo, hi, tol):
+    """Fallback end game: halve the coarse bracket at the fine tolerance."""
     # The coarse and tight integrators place the flip at slightly different
     # points, so the coarse-phase bracket may no longer straddle the tight
     # flip. Re-anchor the endpoints at the tight tolerance, widening until
     # they disagree again.
     k_lo, k_hi = disc(lo, False), disc(hi, False)
-    grow = max(hi - lo, fine_width)
+    grow = max(hi - lo, _FINE_WIDTH)
     tries = 0
     while not _keys_differ(k_lo, k_hi):
         lo, hi = lo - grow, hi + grow
@@ -273,8 +289,114 @@ def _bisect_core(disc, bracket, tol, fine_width):
                 f"tight-tolerance flip escaped the bracket around {0.5 * (lo + hi)!r}"
             )
         k_lo, k_hi = disc(lo, False), disc(hi, False)
-    lo, hi = _half_steps(disc, lo, hi, k_lo, k_hi, tol, coarse=False)
-    return lo, hi, k_lo, k_hi
+    return _half_steps(disc, lo, hi, k_lo, k_hi, tol, coarse=False)
+
+
+class _Unmatched(Exception):
+    """A short probe did not end on the real axis at the matching time with
+    the expected poles behind it."""
+
+
+def _secant(g, x0, x1, stop, max_iter=12):
+    """Root of g by the secant method from x0, x1; None if it does not
+    settle to a step below ``stop`` within ``max_iter`` steps."""
+    g0, g1 = g(x0), g(x1)
+    for _ in range(max_iter):
+        if g1 == g0:
+            return x1 if g1 == 0.0 else None
+        x2 = x1 - g1 * (x1 - x0) / (g1 - g0)
+        if not math.isfinite(x2):
+            return None
+        if abs(x2 - x1) < stop:
+            return x2
+        x0, g0, x1, g1 = x1, g1, x2, g(x2)
+    return None
+
+
+def _matching_time(eq, traj, n_poles):
+    """Matching time on a trajectory close to the separatrix: where it
+    stops tracking the separatrix. In the negative direction that is the far
+    end of the branch-hugging window; in the positive one, the dip of |y|
+    between the last shared pole and the next."""
+    if traj.direction is Direction.NEGATIVE_T:
+        win = _branch_window(eq, traj) or _branch_window(eq, traj, band=1e-2)
+        return None if win is None else float(win[0])
+    m = n_poles - 2
+    if len(traj.poles) <= m or traj.poles[m].entry_index is None:
+        return None
+    first = traj.poles[m - 1].exit_index if m else 0
+    idx = traj.real_indices()
+    idx = idx[(idx >= first) & (idx <= traj.poles[m].entry_index)]
+    return float(traj.t[idx[np.argmin(np.abs(traj.y[idx]))]].real)
+
+
+def _matched_root(eq, mode, cfg, lo, hi, tol, n_poles):
+    """Separatrix datum inside the coarse bracket (lo, hi), by secant
+    root-finding on a continuous discriminant; None where that cannot be
+    trusted (the caller then bisects).
+
+    The discriminant is the deviation d = y - y_sep from the separatrix's
+    asymptotic series at a matching time T, projected onto the growing WKB
+    mode of d'' = V d: g = d' + (sigma sqrt(V) + V_t / (4 V)) d, which
+    vanishes on the decaying mode. Probes stop at T. A first pass matches
+    at T1, where the coarse bracket's midpoint x_mid leaves the separatrix.
+    The second pass starts 10 w1 either side of the first root x1 (w1 the
+    first pass's step tolerance) and matches at T2, where deviations have
+    grown by w0 / w1 over T1 (w0 the coarse width) - but by at most
+    3 |x_mid - x1| / w1, so that its start points deviate at T2 by at most
+    30 times what the midpoint did at T1, however close the midpoint lies to
+    the root.
+    """
+    direction = eq.modes[mode.kind].direction
+    sigma = direction.sign
+    series = eq.separatrix[direction]
+    x_mid = 0.5 * (lo + hi)
+    pc = _probe_cfg(eq, mode, x_mid, cfg, True, n_poles)
+    ref = integrate(eq, _initial_data(mode, x_mid), direction, pc)
+    t1 = _matching_time(eq, ref, n_poles)
+    if t1 is None:
+        return None
+    rt = ref.real_t()
+    branch = 1.0 if ref.real_y()[np.argmin(np.abs(rt - t1))] >= 0.0 else -1.0
+    n_before = sum(1 for p in ref.poles if sigma * (p.location - t1) < 0.0)
+
+    def discriminant(t_match):
+        pc = replace(cfg, t_horizon=t_match, max_poles=n_poles or cfg.max_poles)
+        y_sep, yp_sep, v, v_t = series(t_match, branch)
+        if v <= 0.0:
+            raise _Unmatched
+        weight = sigma * math.sqrt(v) + v_t / (4.0 * v)
+
+        def g(x):
+            traj = integrate(eq, _initial_data(mode, x), direction, pc)
+            if (traj.stopped_by != "horizon" or traj.terminal_t != t_match
+                    or traj.t[-1].imag != 0.0 or len(traj.poles) != n_before):
+                raise _Unmatched
+            return (traj.yp[-1].real - yp_sep) + weight * (traj.y[-1].real - y_sep)
+
+        return g, math.sqrt(v)
+
+    w1 = 1e-3 * (hi - lo)
+    try:
+        g1, rate = discriminant(t1)
+        x1 = _secant(g1, lo, hi, w1)
+        if x1 is None:
+            return None
+        growth = max(min(hi - lo, 3.0 * abs(x_mid - x1)), w1) / w1
+        g2, _ = discriminant(t1 + sigma * math.log(growth) / rate)
+        return _secant(g2, x1 - 10.0 * w1, x1 + 10.0 * w1, tol / 20.0)
+    except _Unmatched:
+        return None
+
+
+def _certificate(probe, value, w):
+    """Fine-tolerance, full-horizon keys at value -+ w/2. Returns the pole
+    count of the stable side (the positive direction's probe reports its
+    own), or None when the two keys agree."""
+    (k_lo, n_lo), (k_hi, n_hi) = probe(value - 0.5 * w), probe(value + 0.5 * w)
+    if not _keys_differ(k_lo, k_hi):
+        return None
+    return n_lo if k_lo == "stable" else n_hi
 
 
 def bisect(
@@ -285,12 +407,16 @@ def bisect(
     cfg: IntegrationConfig | None = None,
     index: int = 1,
 ) -> EigenvalueRecord:
-    """Bisect one bracket down to the requested width.
+    """Locate the critical value inside one bracket to the requested width.
 
-    The endpoints must classify differently. While the bracket is wide the
-    probes run at a coarse integration tolerance; the end game uses a
-    tolerance tied to ``tol`` (flip points move by far less than the
-    switch-over width, so the result matches an all-tight bisection).
+    The endpoints must classify differently. Coarse-tolerance bisection
+    narrows the bracket to ``_FINE_WIDTH``; the end game then finds the
+    root of a continuous matching discriminant (:func:`_matched_root`) at
+    a tolerance tied to ``tol``. The binary discriminant stays the ground
+    truth: the probes at value -+ w/2, with w the width fine bisection
+    would reach (the coarse width over 2^m, just below ``tol``), must
+    classify differently. When they do not, or the matching fails, the
+    end game falls back to fine-tolerance bisection.
     """
     mode = SearchMode.coerce(mode)
     if cfg is None:
@@ -299,34 +425,45 @@ def bisect(
         raise ValueError(f"tol = {tol} is below 10 * rel_tol = {10 * cfg.rel_tol}")
     if eq.first_order:
         raise ValueError("use toy_eigen_table for the toy model")
-    # Flip points move by ~3e3 * rel_tol for the second equation and ~1e2 *
-    # rel_tol for the first, so the end game runs tight enough for tol to
-    # be meaningful.
-    fine_rel = min(1e-10, tol / eq.fine_tol_divisor)
-    cfg_fine = replace(cfg, rel_tol=max(fine_rel, 1e-13), abs_tol=max(fine_rel * 1e-2, 1e-15))
+    cfg_fine = _fine_cfg(eq, cfg, tol)
 
-    positive = _positive(eq, mode)
+    lo, hi = bracket
     n_poles = None
-    pole_count = None
-    if positive:
-        sig_lo = _signature(eq, mode, bracket[0], cfg_fine, True, index + 6)
-        sig_hi = _signature(eq, mode, bracket[1], cfg_fine, True, index + 6)
+    if _positive(eq, mode):
+        sig_lo = _signature(eq, mode, lo, cfg_fine, True, index + 6)
+        sig_hi = _signature(eq, mode, hi, cfg_fine, True, index + 6)
         common = min(len(sig_lo), len(sig_hi))
         if sig_lo[:common] == sig_hi[:common]:
             raise BisectionError(f"bracket endpoints {bracket} share the blow-up signature")
         m = next(i for i in range(common) if sig_lo[i] != sig_hi[i])
         n_poles = m + 2
-        pole_count = m  # poles traversed before the decaying stretch
+        k_lo, k_hi = sig_lo[:n_poles + 1], sig_hi[:n_poles + 1]
+        # m poles are traversed before the decaying stretch
+        probe = lambda x: (_signature(eq, mode, x, cfg_fine, False, n_poles), m)  # noqa: E731
+    else:
+        def probe(x):
+            cls = _negative_class(eq, mode, x, cfg_fine, coarse=False)
+            return _NEGATIVE_KEYS[cls.tag], cls.pole_count
     disc = _discriminant(eq, mode, cfg_fine, n_poles=n_poles)
-    lo, hi, k_lo, k_hi = _bisect_core(disc, bracket, tol, fine_width=1e-5)
+    if n_poles is None:
+        k_lo, k_hi = disc(lo), disc(hi)
+    if not _keys_differ(k_lo, k_hi):
+        raise BisectionError(f"bracket endpoints {bracket} share the class {k_lo!r}")
+    if hi - lo > _FINE_WIDTH:
+        lo, hi = _half_steps(disc, lo, hi, k_lo, k_hi, _FINE_WIDTH, coarse=True)
 
-    value = 0.5 * (lo + hi)
-    if not positive:
-        stable_x = lo if k_lo == "stable" else hi
-        pc = _probe_cfg(eq, mode, stable_x, cfg_fine, coarse=False)
-        traj = integrate(eq, _initial_data(mode, stable_x), Direction.NEGATIVE_T, pc)
-        pole_count = len(traj.poles)
-    return EigenvalueRecord(index, value, hi - lo, pole_count, mode)
+    w = hi - lo
+    while w > tol:
+        w *= 0.5
+    value = _matched_root(eq, mode, cfg_fine, lo, hi, tol, n_poles)
+    pole_count = None if value is None else _certificate(probe, value, w)
+    if pole_count is None:
+        lo, hi = _fine_bisection(disc, lo, hi, tol)
+        value, w = 0.5 * (lo + hi), hi - lo
+        pole_count = _certificate(probe, value, w)
+        if pole_count is None:
+            raise BisectionError(f"fine bisection around {value!r} failed its certificate")
+    return EigenvalueRecord(index, float(value), w, pole_count, mode)
 
 
 def separatrix_check(

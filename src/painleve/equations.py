@@ -9,7 +9,8 @@ Three systems are supported:
 Every fact the pipeline needs about one of them - its right-hand side, the
 energy H and the fluctuation jet, the branch curves and the stable
 attractor, the pole order and Laurent correction, the pole-spacing model,
-the turning point and instability rate, the allowed directions and default
+the turning point and instability rate, the separatrix asymptotics the
+eigenvalue search matches to, the allowed directions and default
 horizon, and the search facts of each mode (direction, scan seed, growth
 exponent, Richardson order, WKB constant) - lives in its :class:`Equation`
 below. The integrator, classifier, eigensolver and CLI read those facts
@@ -21,7 +22,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
@@ -100,7 +101,11 @@ class Equation:
       estimate t_hat at signed distance d, ``pole_spacing(|t|)`` the local
       pole-spacing model;
     * ``turning_point(E)`` is |t| where the branch curve's energy reaches E,
-      and ``instability_rate(turn)`` the separatrix's e-folding rate there.
+      and ``instability_rate(turn)`` the separatrix's e-folding rate there;
+    * ``separatrix[direction](t, s)`` is (y, y', V, V_t) at time t: the
+      truncated asymptotic series of the separatrix on branch sign s in that
+      direction, its t-derivative, and the linearised potential V = dy''/dy
+      on it with its t-derivative (small deviations obey d'' = V d).
 
     ``fine_tol_divisor`` ties the end-game integration tolerance of a
     bisection to its width, and ``modes`` holds the facts of each search
@@ -121,6 +126,7 @@ class Equation:
     pole_spacing: Callable | None = None
     turning_point: Callable | None = None
     instability_rate: Callable | None = None
+    separatrix: Mapping[Direction, Callable] = field(default_factory=dict)
     fine_tol_divisor: float = 100.0
 
     @property
@@ -143,6 +149,18 @@ def _p1_jet(t, y, yp):
     return g, gp, gpp
 
 
+# P-I separatrix: y ~ sqrt(x/6) - x^-2/48 - (49 sqrt6/4608) x^(-9/2), x = -t
+_P1_C = 49.0 * math.sqrt(6.0) / 4608.0
+
+
+def _p1_separatrix(t, s):
+    x = -t
+    y = math.sqrt(x / 6.0) - x**-2 / 48.0 - _P1_C * x**-4.5
+    dy_dx = 0.5 / math.sqrt(6.0 * x) + x**-3 / 24.0 + 4.5 * _P1_C * x**-5.5
+    y, yp = s * y, -s * dy_dx
+    return y, yp, 12.0 * y, 12.0 * yp
+
+
 def _p2_rhs(t, y, yp):
     return yp, 2.0 * y * y * y + t * y
 
@@ -155,6 +173,18 @@ def _p2_jet(t, y, yp):
     gp = y * yp + t * (yp * yp + y * f)
     gpp = 2.0 * (yp * yp + y * f) + t * (3.0 * yp * f + y * fp)
     return g, gp, gpp
+
+
+# P-II separatrix in the negative direction: y ~ sqrt(x/2) - x^(-5/2)/(8 sqrt2), x = -t
+_P2_C = 1.0 / (8.0 * math.sqrt(2.0))
+
+
+def _p2_separatrix(t, s):
+    x = -t
+    y = math.sqrt(x / 2.0) - _P2_C * x**-2.5
+    dy_dx = 0.5 / math.sqrt(2.0 * x) + 2.5 * _P2_C * x**-3.5
+    y, yp = s * y, -s * dy_dx
+    return y, yp, 6.0 * y * y + t, 12.0 * y * yp + 1.0
 
 
 def _toy_rhs(t, y, _yp):
@@ -181,6 +211,7 @@ PAINLEVE_I = Equation(
     pole_spacing=lambda mag: 2.0 * math.pi / (math.sqrt(12.0) * max(0.3, mag / 6.0) ** 0.25),
     turning_point=lambda e: 6.0 * (0.5 * e) ** (2.0 / 3.0),
     instability_rate=lambda turn: math.sqrt(12.0) * (turn / 6.0) ** 0.25,
+    separatrix={_NEG: _p1_separatrix},
 )
 
 PAINLEVE_II = Equation(
@@ -201,6 +232,8 @@ PAINLEVE_II = Equation(
     pole_spacing=lambda mag: 1.7 / math.sqrt(max(mag, 0.5)),
     turning_point=lambda e: math.sqrt(8.0 * e),
     instability_rate=lambda turn: math.sqrt(2.0 * turn),
+    # positive direction: the separatrix decays to 0 and deviations obey Airy's d'' = t d
+    separatrix={_NEG: _p2_separatrix, _POS: lambda t, s: (0.0, 0.0, t, 1.0)},
     # simple poles amplify traversal noise harder
     fine_tol_divisor=1000.0,
 )

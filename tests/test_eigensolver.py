@@ -19,7 +19,8 @@ from painleve import (
     separatrix_check,
     toy_eigen_table,
 )
-from painleve.eigensolver import _toy_count
+import painleve.eigensolver as eigensolver
+from painleve.eigensolver import _discriminant, _fine_cfg, _keys_differ, _toy_count
 
 from conftest import P1_SLOPE_REF, P1_VALUE_REF, P2_SLOPE_REF, P2_VALUE_REF, TOY_REF, counted_probes
 
@@ -76,6 +77,73 @@ def test_bisect_first_critical_slope():
     # bracket width halves every step: final width = initial / 2^m
     m = math.log2(0.1 / rec.bracket_width)
     assert abs(m - round(m)) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "eq,mode,bracket,ref",
+    [
+        (PAINLEVE_I, ModeKind.SLOPE, (1.8, 1.9), P1_SLOPE_REF[1]),
+        (PAINLEVE_I, ModeKind.VALUE, (-0.8, -0.7), P1_VALUE_REF[1]),
+        (PAINLEVE_II, ModeKind.SLOPE, (0.55, 0.65), P2_SLOPE_REF[1]),
+        (PAINLEVE_II, ModeKind.VALUE, (1.2, 1.25), P2_VALUE_REF[1]),
+    ],
+    ids=["p1-slope", "p1-value", "p2-slope", "p2-value"],
+)
+def test_end_game_record_flips_at_fine_tolerance(eq, mode, bracket, ref):
+    # the matched end game returns a point estimate; the binary discriminant
+    # at the fine tolerance must still flip across its reported bracket
+    rec = bisect(eq, mode, bracket, tol=1e-9)
+    assert abs(rec.value - ref) < 3e-9
+    assert rec.bracket_width <= 1e-9
+    n_poles = rec.pole_count + 2 if mode is ModeKind.VALUE and eq is PAINLEVE_II else None
+    disc = _discriminant(eq, SearchMode(mode), _fine_cfg(eq, IntegrationConfig(), 1e-9), n_poles)
+    half = 0.5 * rec.bracket_width
+    assert _keys_differ(disc(rec.value - half, False), disc(rec.value + half, False))
+
+
+def _is_coarse(cfg):
+    return cfg.rel_tol == eigensolver._COARSE["rel_tol"]
+
+
+def test_end_game_probe_count(monkeypatch):
+    # Bisecting at the fine tolerance from the coarse bracket down to 1e-9
+    # (the fallback) takes 15 probes here, 2 re-anchors and 13 halvings, each
+    # to the full horizon t = -28. The matched end game stops its probes at
+    # the matching time: only the two certificate probes run to the horizon.
+    calls = counted_probes(monkeypatch)
+    rec = bisect(PAINLEVE_I, ModeKind.SLOPE, (1.8, 1.9), tol=1e-9)
+    assert abs(rec.value - P1_SLOPE_REF[1]) < 3e-9
+    fine = [args[3].t_horizon for args in calls if not _is_coarse(args[3])]
+    full = [t for t in fine if t <= -28.0]
+    assert len(full) <= 2
+    assert len(fine) <= 12
+    # less than half of the time span the fallback integrates
+    assert sum(abs(t) for t in fine) < 0.5 * 15 * 28.0
+
+
+def test_end_game_falls_back_to_bisection(monkeypatch):
+    # a matched root off by 1e-7 fails the certificate; fine bisection then
+    # lands where the matched end game does
+    bracket = (1.8, 1.9)
+    unforced = bisect(PAINLEVE_I, ModeKind.SLOPE, bracket, tol=1e-9)
+    real_secant, real_fallback = eigensolver._secant, eigensolver._fine_bisection
+    fallbacks = []
+
+    def off_secant(*args, **kwargs):
+        root = real_secant(*args, **kwargs)
+        return None if root is None else root + 1e-7
+
+    def fallback(*args):
+        fallbacks.append(args)
+        return real_fallback(*args)
+
+    monkeypatch.setattr(eigensolver, "_secant", off_secant)
+    monkeypatch.setattr(eigensolver, "_fine_bisection", fallback)
+    forced = bisect(PAINLEVE_I, ModeKind.SLOPE, bracket, tol=1e-9)
+    assert len(fallbacks) == 1
+    assert abs(forced.value - unforced.value) < 1e-9
+    assert forced.bracket_width <= 1e-9
+    assert forced.pole_count == unforced.pole_count == 0
 
 
 def test_bisect_first_critical_value():
@@ -192,7 +260,8 @@ def test_toy_probe_count(monkeypatch):
     "build,fail_at,ref",
     [
         (lambda: toy_eigen_table(3), 40, TOY_REF),
-        (lambda: eigen_table(PAINLEVE_II, ModeKind.VALUE, 2, tol=1e-6), 60, P2_VALUE_REF),
+        # the second eigenvalue's bisection runs probes 42-65 of 65
+        (lambda: eigen_table(PAINLEVE_II, ModeKind.VALUE, 2, tol=1e-6), 53, P2_VALUE_REF),
     ],
     ids=["toy", "p2-value"],
 )

@@ -73,6 +73,53 @@ def test_asymptotic_branch():
         branch_curve(TOY_MODEL, -1.0)
 
 
+def _series_residual(eq, t, s, h=1e-3):
+    # y'' from the series' own y' by a central difference, against the ODE
+    y, yp, _, _ = eq.separatrix[Direction.NEGATIVE_T](t, s)
+    yp_plus = eq.separatrix[Direction.NEGATIVE_T](t + h, s)[1]
+    yp_minus = eq.separatrix[Direction.NEGATIVE_T](t - h, s)[1]
+    return (yp_plus - yp_minus) / (2.0 * h) - eq.rhs(t, y, yp)[1]
+
+
+@pytest.mark.parametrize(
+    "eq,branches,order",
+    # the omitted terms are x^-7 (P-I) and x^-11/2 (P-II), x = -t, so the
+    # residuals fall like x^-13/2 and x^-9/2
+    [(PAINLEVE_I, (1.0,), 6.5), (PAINLEVE_II, (1.0, -1.0), 4.5)],
+    ids=["p1", "p2"],
+)
+def test_separatrix_series_residual(eq, branches, order):
+    x = np.array([6.0, 8.0, 10.0, 14.0, 20.0])
+    for s in branches:
+        res = np.array([_series_residual(eq, -xi, s) for xi in x])
+        slope = np.polyfit(np.log(x), np.log(np.abs(res)), 1)[0]
+        assert abs(slope + order) < 0.02
+        assert np.ptp(res * x**order) < 1e-2 * np.abs(res * x**order).max()
+
+
+@pytest.mark.parametrize("eq,direction,s", [
+    (PAINLEVE_I, Direction.NEGATIVE_T, 1.0),
+    (PAINLEVE_II, Direction.NEGATIVE_T, 1.0),
+    (PAINLEVE_II, Direction.NEGATIVE_T, -1.0),
+    (PAINLEVE_II, Direction.POSITIVE_T, 1.0),
+])
+def test_separatrix_series_derivatives(eq, direction, s):
+    # y' is dy/dt of the series, V the linearised potential dy''/dy on it and
+    # V_t its t-derivative
+    series = eq.separatrix[direction]
+    h = 1e-4
+    for t in (6.0, 9.0, 15.0):
+        t *= direction.sign
+        y, yp, v, v_t = series(t, s)
+        plus, minus = series(t + h, s), series(t - h, s)
+        assert (plus[0] - minus[0]) / (2 * h) == pytest.approx(yp, abs=1e-8)
+        assert (plus[2] - minus[2]) / (2 * h) == pytest.approx(v_t, abs=1e-7)
+        dv = (eq.rhs(t, y + h, yp)[1] - eq.rhs(t, y - h, yp)[1]) / (2 * h)
+        assert dv == pytest.approx(v, abs=1e-6)
+        assert v > 0.0
+    assert TOY_MODEL.separatrix == {}
+
+
 def test_energy_closed_forms():
     b, c = 1.7, -0.9
     assert energy(PAINLEVE_I, 0.0, b) == pytest.approx(b * b / 2)
