@@ -9,8 +9,9 @@ Subcommands:
   produced by ``eigen``, also report the Richardson estimates and their
   deviations from the closed forms.
 
-Every artifact embeds a manifest (command echo, config snapshot, version,
-wall time, input hash). Exit codes: 0 success, 2 partial table, 1 failure.
+Every artifact embeds a manifest (command echo, version, wall time, input
+hash); trajectory and eigen manifests also hold the integration config
+snapshot. Exit codes: 0 success, 2 partial table, 1 failure.
 Defaults that depend on the equation (direction, search mode, extraction
 rule) come from the equation's spec.
 """
@@ -18,6 +19,7 @@ rule) come from the equation's spec.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -82,7 +84,8 @@ def cmd_trajectory(args) -> int:
     except (IntegrationError, ValueError) as exc:
         print(f"trajectory failed: {exc}", file=sys.stderr)
         return 1
-    manifest = _manifest(args, "trajectory", {"stopped_by": traj.stopped_by})
+    manifest = _manifest(args, "trajectory",
+                         {"config": dataclasses.asdict(cfg), "stopped_by": traj.stopped_by})
 
     rt, ry = traj.real_t(), traj.real_y()
     rows = [(float(t), float(y), 0.0) for t, y in zip(rt, ry)]
@@ -149,7 +152,8 @@ def cmd_eigen(args) -> int:
         records = eigen_table(eq, SearchMode(kind), args.n, tol=args.tol, cfg=cfg)
     except PartialTableError as exc:
         records, status = exc.records, 2
-    manifest = _manifest(args, "eigen", {"equation": args.eq, "mode": mode_name})
+    manifest = _manifest(args, "eigen",
+                         {"config": dataclasses.asdict(cfg), "equation": args.eq, "mode": mode_name})
     manifest["wall_time_s"] = round(time.time() - started, 6)
     if args.format == "csv":
         lines = ["# manifest: " + json.dumps(manifest, sort_keys=True),

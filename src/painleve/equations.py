@@ -19,7 +19,6 @@ and never ask which equation they hold.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass, field
@@ -188,7 +187,7 @@ def _p2_separatrix(t, s):
 
 
 def _toy_rhs(t, y, _yp):
-    return cmath.cos(math.pi * t * y), 0.0
+    return math.cos(math.pi * t * y), 0.0
 
 
 _NEG, _POS = Direction.NEGATIVE_T, Direction.POSITIVE_T
@@ -296,15 +295,9 @@ def energy(eq: Equation, y, yp):
     return eq.hamiltonian(y, yp)
 
 
-def _hermite_quad(h: complex, jet0, jet1) -> complex:
-    # Two-point quintic Hermite quadrature: exact through degree 5, O(h^7) error.
-    g0, gp0, gpp0 = jet0
-    g1, gp1, gpp1 = jet1
-    return (
-        0.5 * h * (g0 + g1)
-        - h * h / 10.0 * (gp1 - gp0)
-        + h * h * h / 120.0 * (gpp0 + gpp1)
-    )
+# Samples per block of fluctuation_integral: one pass over a whole cascade
+# (about 2e4 samples) would hold a dozen trajectory-long temporaries at once.
+_FLUCT_BLOCK = 2048
 
 
 def fluctuation_integral(eq: Equation, traj: "Trajectory") -> np.ndarray:
@@ -323,21 +316,24 @@ def fluctuation_integral(eq: Equation, traj: "Trajectory") -> np.ndarray:
         raise ValueError("the fluctuation integral is defined for the Painleve equations only")
     ts, ys, yps = traj.t, traj.y, traj.yp
     n = len(ts)
-    if n == 0:
-        return np.zeros(0)
-    real_idx = traj.real_indices()
-    out = np.empty(len(real_idx))
-    acc = 0.0 + 0.0j
-    jet_prev = jet_of(ts[0], ys[0], yps[0])
-    next_real = 0
-    if real_idx[0] == 0:
-        out[0] = 0.0
-        next_real = 1
-    for i in range(1, n):
-        jet = jet_of(ts[i], ys[i], yps[i])
-        acc += _hermite_quad(ts[i] - ts[i - 1], jet_prev, jet)
-        jet_prev = jet
-        if next_real < len(real_idx) and real_idx[next_real] == i:
-            out[next_real] = acc.real
-            next_real += 1
-    return out[:next_real]
+    running = np.zeros(n)
+    acc = 0j
+    for lo in range(0, n - 1, _FLUCT_BLOCK):
+        hi = min(lo + _FLUCT_BLOCK, n - 1)
+        t = ts[lo:hi + 1]
+        g, gp, gpp = jet_of(t, ys[lo:hi + 1], yps[lo:hi + 1])
+        h = np.diff(t)
+        # The carried sum leads the block, so the cumulative sum adds the
+        # steps in the same order as a running total would.
+        steps = np.empty(hi - lo + 1, dtype=complex)
+        steps[0] = acc
+        # Two-point quintic Hermite rule: exact through degree 5, O(h^7) error.
+        steps[1:] = (
+            0.5 * h * (g[:-1] + g[1:])
+            - h * h / 10.0 * (gp[1:] - gp[:-1])
+            + h * h * h / 120.0 * (gpp[:-1] + gpp[1:])
+        )
+        sums = np.cumsum(steps)
+        running[lo + 1:hi + 1] = sums[1:].real
+        acc = sums[-1]
+    return running[traj.real_indices()]

@@ -14,7 +14,8 @@ come from the :class:`~painleve.equations.Equation` spec; the stepper gets the
 right-hand side as a plain callable.
 
 The stepper is an embedded Dormand-Prince 5(4) pair (FSAL) with standard
-PI step-size control, shared by the real-axis sweep and the arcs.
+PI step-size control, shared by the real-axis sweep, which runs in float
+arithmetic, and the arcs, the only part that runs in complex.
 """
 
 from __future__ import annotations
@@ -114,7 +115,8 @@ class IntegrationConfig:
 
 @dataclass(frozen=True)
 class State:
-    """Point on a trajectory. ``yp`` is None for the first-order toy model."""
+    """Point on a trajectory: floats on the real axis, complex on a detour
+    arc. ``yp`` is None for the first-order toy model."""
 
     t: complex
     y: complex
@@ -144,9 +146,9 @@ class PoleEvent:
 class Trajectory:
     """Sampled solution path with recorded pole events.
 
-    Samples are ordered by Re t in the integration direction; detour samples
-    carry complex t. ``stopped_by`` is one of 'horizon', 'pole-cap',
-    'step-underflow'.
+    Samples are ordered by Re t in the integration direction. The arrays are
+    complex; only detour samples have t off the real axis. ``stopped_by`` is
+    one of 'horizon', 'pole-cap', 'step-underflow'.
     """
 
     equation: Equation
@@ -206,9 +208,9 @@ def _advance(f, s0, u0, v0, s1, cfg: IntegrationConfig, on_accept, k1=None, h0=N
     """March the first-order pair (u, v)' = f(s, u, v) from s0 to s1.
 
     ``s`` is the real integration parameter (t on the axis, the angle on an
-    arc); u, v are complex. ``on_accept(s, u, v)`` runs after every accepted
-    step and may return a truthy stop token. Returns
-    (s, u, v, k1, stop_token) where stop_token is None when s1 was reached.
+    arc); u, v are floats on the axis, complex on an arc. ``on_accept(s, u,
+    v)`` runs after every accepted step and may return a truthy stop token.
+    Returns (s, u, v, k1, stop_token), stop_token None when s1 was reached.
     """
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     min_step, max_step = cfg.min_step, cfg.max_step
@@ -293,7 +295,7 @@ def estimate_pole(eq: Equation, s: State, min_ratio: float = 1e-12) -> complex:
     return s.t + eq.pole_order * s.y / s.yp
 
 
-def _refined_pole_location(eq: Equation, t: float, y: complex, yp: complex) -> float:
+def _refined_pole_location(eq: Equation, t: float, y: float, yp: float) -> float:
     """Pole location with the next Laurent orders subtracted.
 
     The leading estimate t + p y/y' errs by the equation's
@@ -304,7 +306,7 @@ def _refined_pole_location(eq: Equation, t: float, y: complex, yp: complex) -> f
     can miss by a visible fraction of the detour radius.
     """
     p = eq.pole_order
-    t_hat = (t + p * y / yp).real
+    t_hat = t + p * y / yp
     d = t - t_hat
     return t_hat - eq.laurent_correction(t_hat, d)
 
@@ -340,7 +342,7 @@ def _run_arc(f, entry: State, t0: complex, radius: float, cfg, phi0, phi1, recor
     if record is not None:
         record.extend(samples)
     exit_t = (t0 + radius * cmath.exp(1j * phi1)).real
-    return State(complex(exit_t), complex(u.real), complex(v.real))
+    return State(exit_t, u.real, v.real)
 
 
 def detour(
@@ -433,21 +435,19 @@ def integrate(
     trigger = cfg.detour_threshold
     rearm = _REARM_FRACTION * trigger
 
-    slope0 = 0.0 if eq.first_order else init.slope0
-    ts: list[complex] = [complex(0.0)]
-    ys: list[complex] = [complex(init.y0)]
-    vs: list[complex] = [complex(slope0)]
+    t = 0.0
+    y = float(init.y0)
+    v = 0.0 if eq.first_order else float(init.slope0)
+    ts: list[float | complex] = [t]
+    ys: list[float | complex] = [y]
+    vs: list[float | complex] = [v]
     poles: list[PoleEvent] = []
-
-    t = complex(0.0)
-    y = complex(init.y0)
-    v = complex(slope0)
     armed = abs(y) < trigger
     stopped_by = "horizon"
     k1 = None
 
     def on_accept(s, u, w):
-        ts.append(complex(s))
+        ts.append(s)
         ys.append(u)
         vs.append(w)
         if pole_free:
@@ -461,34 +461,33 @@ def integrate(
         return None
 
     while True:
-        t_r, y, v, k1, token = _advance(f, t.real, y, v, horizon, cfg, on_accept, k1=k1)
-        t = complex(t_r)
+        t, y, v, k1, token = _advance(f, t, y, v, horizon, cfg, on_accept, k1=k1)
         if token is None:
             break
         if token == "step-underflow":
             stopped_by = "step-underflow"
             break
         # Pole trigger fired at (t, y, v).
-        approach_sign = 1 if y.real >= 0.0 else -1
+        approach_sign = 1 if y >= 0.0 else -1
         if abs(v) < cfg.min_step * abs(y):
             raise DegenerateDerivativeError(
-                f"cannot estimate pole at t = {t.real:.6g}: derivative is degenerate"
+                f"cannot estimate pole at t = {t:.6g}: derivative is degenerate"
             )
-        t0 = complex(_refined_pole_location(eq, t.real, y, v))
-        if dirsign * (t0.real - t.real) <= 0.0:
+        t0 = _refined_pole_location(eq, t, y, v)
+        if dirsign * (t0 - t) <= 0.0:
             raise IntegrationError(
-                f"pole estimate {t0.real:.6g} is not ahead of the sweep at t = {t.real:.6g}"
+                f"pole estimate {t0:.6g} is not ahead of the sweep at t = {t:.6g}"
             )
         if poles:
             prev = poles[-1].location
-            if dirsign * (t0.real - prev) <= 0.0:
+            if dirsign * (t0 - prev) <= 0.0:
                 raise IntegrationError(
-                    f"pole estimate {t0.real:.6g} is not beyond the previous pole at {prev:.6g}"
+                    f"pole estimate {t0:.6g} is not beyond the previous pole at {prev:.6g}"
                 )
         if len(poles) >= cfg.max_poles:
             poles.append(
                 PoleEvent(
-                    location=t0.real,
+                    location=t0,
                     order=eq.pole_order,
                     detour_radius=0.0,
                     approach_sign=approach_sign,
@@ -497,23 +496,21 @@ def integrate(
             )
             stopped_by = "pole-cap"
             break
-        radius = _pick_radius(eq, t0.real, poles[-1].location if poles else None)
-        entry_t = t0.real - dirsign * radius
-        if abs(entry_t - t.real) > 1e-14 * max(1.0, abs(t.real)):
+        radius = _pick_radius(eq, t0, poles[-1].location if poles else None)
+        entry_t = t0 - dirsign * radius
+        if abs(entry_t - t) > 1e-14 * max(1.0, abs(t)):
             # Walk (possibly against the sweep direction) to the circle.
-            t_r, y, v, _, tok2 = _advance(f, t.real, y, v, entry_t, cfg, lambda *_: None, k1=k1)
+            t, y, v, _, tok2 = _advance(f, t, y, v, entry_t, cfg, lambda *_: None, k1=k1)
             if tok2 == "step-underflow":
                 stopped_by = "step-underflow"
-                t = complex(t_r)
                 break
-            t = complex(t_r)
         # Samples at or past the circle entry would break Re-t monotonicity
         # once the fresh entry sample is appended; drop them.
         while len(ts) > 1 and ts[-1].imag == 0.0 and dirsign * (ts[-1].real - entry_t) >= 0.0:
             ts.pop()
             ys.pop()
             vs.pop()
-        ts.append(complex(entry_t))
+        ts.append(entry_t)
         ys.append(y)
         vs.append(v)
         entry_index = len(ts) - 1
@@ -523,7 +520,8 @@ def integrate(
         else:
             phi0, phi1 = half_plane * math.pi, 0.0
         exit_state = _run_arc(
-            f, State(complex(entry_t), y, v), t0, radius, cfg, phi0, phi1, record=arc_record
+            f, State(entry_t, complex(y), complex(v)), t0, radius, cfg, phi0, phi1,
+            record=arc_record,
         )
         for tc, uc, wc in arc_record:
             ts.append(tc)
@@ -535,7 +533,7 @@ def integrate(
         exit_index = len(ts) - 1
         poles.append(
             PoleEvent(
-                location=t0.real,
+                location=t0,
                 order=eq.pole_order,
                 detour_radius=radius,
                 approach_sign=approach_sign,
@@ -546,7 +544,7 @@ def integrate(
         t, y, v = exit_state.t, exit_state.y, exit_state.yp
         armed = False
         k1 = None
-        if dirsign * (t.real - horizon) >= 0.0:
+        if dirsign * (t - horizon) >= 0.0:
             break
 
     t_arr = np.asarray(ts, dtype=complex)
@@ -559,7 +557,7 @@ def integrate(
         y=y_arr,
         yp=v_arr,
         poles=poles,
-        terminal_t=float(t.real),
+        terminal_t=t,
         stopped_by=stopped_by,
         config=cfg,
     )

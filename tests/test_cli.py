@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from painleve import IntegrationConfig
 from painleve.cli import main
 from painleve.eigensolver import EigenvalueRecord, PartialTableError, SearchMode
 
@@ -79,6 +80,8 @@ def test_eigen_csv_format(tmp_path, monkeypatch):
     lines = out.read_text().splitlines()
     assert lines[1] == "index,value,bracket_width,pole_count,mode"
     assert lines[2].startswith("1,1.8518540337,")
+    manifest = json.loads(lines[0].split("# manifest: ", 1)[1])
+    assert IntegrationConfig(**manifest["config"]) == IntegrationConfig()
 
 
 def test_trajectory_rejects_bad_direction(capsys):
@@ -194,3 +197,5 @@ def test_manifest_determinism(tmp_path, monkeypatch):
     assert ma == mb
     assert rows_a == rows_b
     assert texts[0].replace(f'"wall_time_s": {wa}', "") == texts[1].replace(f'"wall_time_s": {wb}', "")
+    # the config snapshot reads back as the config the run used
+    assert IntegrationConfig(**ma["config"]) == IntegrationConfig(t_horizon=-5.0)

@@ -1,4 +1,6 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from painleve import (
     fluctuation_integral,
     integrate,
 )
+from painleve.equations import _FLUCT_BLOCK
 
 
 def test_equation_singularity_structure():
@@ -56,8 +59,10 @@ def test_rhs_reality_and_parity():
     for _ in range(200):
         t, y, yp = rng.uniform(-30, 5), rng.uniform(-20, 20), rng.uniform(-20, 20)
         for eq in (PAINLEVE_I, PAINLEVE_II, TOY_MODEL):
+            # float in, float out: a complex result would turn the whole
+            # real-axis sweep complex again
             for component in eq.rhs(t, y, yp):
-                assert complex(component).imag == 0.0
+                assert type(component) is float
         # odd parity of the second equation's right side in (y, y')
         assert PAINLEVE_II.rhs(t, -y, -yp) == tuple(-c for c in PAINLEVE_II.rhs(t, y, yp))
 
@@ -198,6 +203,46 @@ def test_fluctuation_smooth_at_critical_slope():
     sel = (rt <= -3.0) & (rt >= -8.7)
     flips = np.count_nonzero(np.diff(np.sign(np.diff(I[sel]))))
     assert flips >= 3
+
+
+def _hermite_loop(eq, traj):
+    # Reference: the per-sample running sum of the two-point quintic Hermite
+    # rule, one step at a time in complex scalars.
+    ts, ys, yps = traj.t, traj.y, traj.yp
+    acc = 0j
+    out = [0.0]
+    g0, gp0, gpp0 = eq.fluct_jet(ts[0], ys[0], yps[0])
+    for i in range(1, len(ts)):
+        g1, gp1, gpp1 = eq.fluct_jet(ts[i], ys[i], yps[i])
+        h = ts[i] - ts[i - 1]
+        acc += 0.5 * h * (g0 + g1) - h * h / 10.0 * (gp1 - gp0) + h * h * h / 120.0 * (gpp0 + gpp1)
+        g0, gp0, gpp0 = g1, gp1, gpp1
+        out.append(acc.real)
+    return np.array(out)[traj.real_indices()]
+
+
+@pytest.mark.parametrize(
+    "eq,slope,keep",
+    [
+        (PAINLEVE_I, 2.504031103, None),   # cascade with detours
+        (PAINLEVE_II, 1.5, None),          # a block boundary falls on a detour arc
+        (PAINLEVE_I, 2.504031103, 1),
+        (PAINLEVE_I, 2.504031103, 2),
+    ],
+    ids=["p1-cascade", "p2-past-block", "one-sample", "two-samples"],
+)
+def test_fluctuation_matches_per_sample_loop(eq, slope, keep):
+    traj = integrate(eq, InitialData(0.0, slope), Direction.NEGATIVE_T,
+                     IntegrationConfig(t_horizon=-12.0))
+    assert traj.poles and len(traj.t) > _FLUCT_BLOCK
+    if eq is PAINLEVE_II:
+        assert traj.t[_FLUCT_BLOCK].imag != 0.0
+    if keep is not None:
+        traj = dataclasses.replace(traj, t=traj.t[:keep], y=traj.y[:keep], yp=traj.yp[:keep])
+    I = fluctuation_integral(eq, traj)
+    ref = _hermite_loop(eq, traj)
+    assert I.shape == ref.shape == traj.real_indices().shape
+    assert np.abs(I - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
 def test_fluctuation_zero_length():

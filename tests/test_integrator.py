@@ -165,6 +165,8 @@ def test_trajectory_structure_cascade():
     # reality away from detours
     ri = traj.real_indices()
     assert np.abs(traj.y[ri].imag).max() == 0.0
+    # the sweep runs in floats, but the public arrays stay complex
+    assert traj.t.dtype == traj.y.dtype == traj.yp.dtype == np.complex128
 
 
 def test_pole_cap_truncates():
