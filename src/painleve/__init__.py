@@ -51,7 +51,6 @@ from .integrator import (
     State,
     StepUnderflowError,
     Trajectory,
-    detour,
     estimate_pole,
     integrate,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "classify",
     "closed_form_constants",
     "count_toy_maxima",
-    "detour",
     "eigen_table",
     "energy",
     "equation_from_name",

@@ -148,11 +148,10 @@ def extract_constant(
     exponent: float,
     order: int,
     split_even_odd: bool = False,
-    offset: float = 0.0,
 ) -> RichardsonResult | tuple[RichardsonResult, RichardsonResult]:
     """Leading growth coefficient of an eigenvalue table.
 
-    Extrapolates s_n = value_n / (n + offset)^p. With ``split_even_odd``
+    Extrapolates s_n = value_n / n^p. With ``split_even_odd``
     (slope mode of the second equation, where the separatrices alternate
     between the two branch curves) the even- and odd-indexed subsequences
     are extrapolated separately against their own counter and both results
@@ -163,8 +162,8 @@ def extract_constant(
         even = [values[2 * m - 1] for m in range(1, len(values) // 2 + 1)]
         odd = [values[2 * m] for m in range(1, (len(values) - 1) // 2 + 1)]
         return (
-            richardson([v / (m + 1.0 + offset) ** exponent for m, v in enumerate(even)], order),
-            richardson([v / (m + 1.0 + offset) ** exponent for m, v in enumerate(odd)], order),
+            richardson([v / (m + 1.0) ** exponent for m, v in enumerate(even)], order),
+            richardson([v / (m + 1.0) ** exponent for m, v in enumerate(odd)], order),
         )
-    seq = [v / (m + 1.0 + offset) ** exponent for m, v in enumerate(values)]
+    seq = [v / (m + 1.0) ** exponent for m, v in enumerate(values)]
     return richardson(seq, order)

@@ -73,7 +73,6 @@ def _window_default(traj: Trajectory) -> tuple[float, float]:
 def classify(
     eq: Equation,
     traj: Trajectory,
-    direction: Direction | None = None,
     window: tuple[float, float] | None = None,
 ) -> SolutionClass:
     """Assign the trajectory its terminal behavior class.
@@ -93,9 +92,7 @@ def classify(
     """
     if eq.first_order:
         raise ValueError("toy-model trajectories are characterized by count_toy_maxima")
-    if direction is None:
-        direction = traj.direction
-    if direction is Direction.NEGATIVE_T:
+    if traj.direction is Direction.NEGATIVE_T:
         return _classify_negative(eq, traj, window)
     return _classify_positive(eq, traj, window)
 

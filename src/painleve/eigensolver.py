@@ -39,7 +39,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import ClassificationError, ClassTag, SolutionClass, classify, count_toy_maxima
+from .classify import (SEPARATRIX_BAND, ClassificationError, ClassTag, SolutionClass, classify,
+                       count_toy_maxima)
 from .equations import TOY_MODEL, Direction, Equation, InitialData, ModeKind, branch_curve, energy
 from .integrator import IntegrationConfig, IntegrationError, integrate
 
@@ -494,7 +495,7 @@ def separatrix_check(
 
     turn = eq.turning_point(_trial_energy(eq, mode, value))
     rate = eq.instability_rate(turn)
-    split = math.log(1e-3 / max(uncertainty, 1e-13)) / rate
+    split = math.log(SEPARATRIX_BAND / max(uncertainty, 1e-13)) / rate
     horizon = -(turn + max(2.0, 0.8 * split) + 2.0)
     pc = replace(cfg, t_horizon=horizon, max_step=min(cfg.max_step, 0.1))
     traj = integrate(eq, init, direction, pc)
@@ -506,7 +507,7 @@ def separatrix_check(
     return classify(eq, traj, window=win)
 
 
-def _branch_window(eq, traj, band: float = 1e-3):
+def _branch_window(eq, traj, band: float = SEPARATRIX_BAND):
     """Longest contiguous stretch where the trajectory hugs a branch curve."""
     rt, ry = traj.real_t(), traj.real_y()
     m = rt < -0.5

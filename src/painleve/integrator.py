@@ -2,10 +2,11 @@
 poles in the complex time plane.
 
 The sweep follows the real axis in the requested direction. When |y| crosses
-the pole trigger, the pole location t0 is estimated from the leading Laurent
-behavior (y ~ (t - t0)^{-p}  =>  t0 = t + p y/y'), the sweep walks to the
-point at the detour radius from t0, integrates along a half circle
-t = t0 + r e^{i phi} in the upper half plane, and resumes on the far side.
+``detour_start``, the pole location t0 is estimated by :func:`estimate_pole`
+from the leading Laurent behavior (y ~ (t - t0)^{-p}  =>  t0 = t + p y/y'),
+less the equation's Laurent correction; the sweep walks to the point at the
+detour radius from t0, integrates along a half circle t = t0 + r e^{i phi}
+in the upper half plane, and resumes on the far side.
 Exit states must be real to within the purity tolerance; their residual
 imaginary parts are zeroed so drift cannot accumulate.
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +40,6 @@ __all__ = [
     "State",
     "StepUnderflowError",
     "Trajectory",
-    "detour",
     "estimate_pole",
     "integrate",
 ]
@@ -67,43 +68,36 @@ class IntegrationConfig:
     ``t_horizon`` of None selects the default: -60 for the negative
     direction, the equation's ``positive_horizon`` (+30 for Painleve II,
     +50 for the toy model) for the positive one. ``purity_tol`` bounds
-    |Im y| relative to max(1, |Re y|) at detour exits and real-axis samples.
+    |Im y| and |Im y'| relative to max(1, |Re|) at detour exits. The default
+    ``max_step`` is the largest finite float, which never binds and keeps
+    the config strict JSON.
+
+    ``detour_start`` is the |y| at which pole handling engages. Detours must
+    begin while the state is still moderate: carrying the pair (y, y')
+    deeper than |y| ~ 100 and turning around loses the subleading Laurent
+    data to double-precision truncation, which corrupts every post-pole
+    digit.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    pole_trigger: float = 1e3
     purity_tol: float = 1e-6
     t_horizon: float | None = None
     max_poles: int = 200
     min_step: float = 1e-12
-    max_step: float = math.inf
+    max_step: float = sys.float_info.max
     detour_start: float = 15.0
 
     def __post_init__(self) -> None:
         for name in ("rel_tol", "abs_tol", "purity_tol", "min_step"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.pole_trigger <= 10.0:
-            raise ValueError("pole_trigger must exceed 10")
         if self.detour_start <= 10.0:
             raise ValueError("detour_start must exceed 10")
         if self.max_poles < 0:
             raise ValueError("max_poles must be non-negative")
         if self.max_step <= 0.0:
             raise ValueError("max_step must be positive")
-
-    @property
-    def detour_threshold(self) -> float:
-        """|y| magnitude at which pole handling engages.
-
-        Detours must begin while the state is still moderate: carrying the
-        pair (y, y') deeper than |y| ~ 100 and turning around loses the
-        subleading Laurent data to double-precision truncation, which
-        corrupts every post-pole digit. The engagement threshold is therefore
-        min(pole_trigger, detour_start).
-        """
-        return min(self.pole_trigger, self.detour_start)
 
     def resolved_horizon(self, eq: Equation, direction: Direction) -> float:
         if self.t_horizon is not None:
@@ -131,15 +125,14 @@ class PoleEvent:
     direction of the blow-up on the approach side. ``entry_index`` and
     ``exit_index`` locate the detour's real-axis endpoints in the sample
     arrays; a cap-terminating event that was not traversed has neither.
+    The pole's order is the equation's ``pole_order``.
     """
 
     location: float
-    order: int
     detour_radius: float
     approach_sign: int
     entry_index: int | None = None
     exit_index: int | None = None
-    detoured: bool = True
 
 
 @dataclass
@@ -298,17 +291,15 @@ def estimate_pole(eq: Equation, s: State, min_ratio: float = 1e-12) -> complex:
 def _refined_pole_location(eq: Equation, t: float, y: float, yp: float) -> float:
     """Pole location with the next Laurent orders subtracted.
 
-    The leading estimate t + p y/y' errs by the equation's
+    The leading estimate of :func:`estimate_pole` errs by the equation's
     ``laurent_correction``: (t0/3) d^3 + (3/4) d^4 for the second equation
     and (t0/5) d^5 + (5/12) d^6 for the first (d the signed distance to the
     pole), from the known series terms below the free coefficient.
     Subtracting them matters for deep simple poles, where the raw estimate
     can miss by a visible fraction of the detour radius.
     """
-    p = eq.pole_order
-    t_hat = t + p * y / yp
-    d = t - t_hat
-    return t_hat - eq.laurent_correction(t_hat, d)
+    t_hat = estimate_pole(eq, State(t, y, yp))
+    return t_hat - eq.laurent_correction(t_hat, t - t_hat)
 
 
 def _arc_rhs(f, t0: complex, radius: float):
@@ -320,63 +311,28 @@ def _arc_rhs(f, t0: complex, radius: float):
     return g
 
 
-def _run_arc(f, entry: State, t0: complex, radius: float, cfg, phi0, phi1, record=None):
+def _run_arc(f, entry: State, t0: complex, radius: float, cfg, phi0, phi1):
+    """Carry the entry state around t0 along the arc t = t0 + radius e^{i phi},
+    phi from phi0 to phi1, and return the real exit state with the complex
+    (t, y, y') samples accepted on the way."""
     arc_f = _arc_rhs(f, t0, radius)
     samples = []
 
     def on_accept(phi, u, v):
-        if record is not None:
-            samples.append((t0 + radius * cmath.exp(1j * phi), u, v))
-        return None
+        samples.append((t0 + radius * cmath.exp(1j * phi), u, v))
 
     phi, u, v, _, token = _advance(arc_f, phi0, entry.y, entry.yp, phi1, cfg, on_accept)
     if token == "step-underflow":
         raise StepUnderflowError(f"detour arc around t0 = {t0} stalled at phi = {phi}")
+    exit_t = (t0 + radius * cmath.exp(1j * phi1)).real
     scale_y = max(1.0, abs(u.real))
     scale_v = max(1.0, abs(v.real))
     if abs(u.imag) > cfg.purity_tol * scale_y or abs(v.imag) > cfg.purity_tol * scale_v:
         raise PurityError(
-            f"detour exit at t = {(t0 + radius * cmath.exp(1j * phi1)).real:.6g} is not real: "
+            f"detour exit at t = {exit_t:.6g} is not real: "
             f"Im y = {u.imag:.3e}, Im y' = {v.imag:.3e} (purity_tol = {cfg.purity_tol})"
         )
-    if record is not None:
-        record.extend(samples)
-    exit_t = (t0 + radius * cmath.exp(1j * phi1)).real
-    return State(exit_t, u.real, v.real)
-
-
-def detour(
-    eq: Equation,
-    s: State,
-    t0: complex,
-    radius: float,
-    cfg: IntegrationConfig | None = None,
-    direction: Direction = Direction.NEGATIVE_T,
-    half_plane: int = 1,
-) -> State:
-    """Carry a state around the pole at t0 along a half circle of the given
-    radius and return the real state on the far side.
-
-    The entry state must sit on the real axis at distance ``radius`` from
-    Re t0 on the approach side. ``half_plane`` +1 detours through the upper
-    half plane (default), -1 through the lower; by Schwarz reflection the two
-    give conjugate paths and identical real exits.
-    """
-    if cfg is None:
-        cfg = IntegrationConfig()
-    if half_plane not in (1, -1):
-        raise ValueError("half_plane must be +1 or -1")
-    if direction is Direction.NEGATIVE_T:
-        phi0, phi1 = 0.0, half_plane * math.pi
-    else:
-        phi0, phi1 = half_plane * math.pi, 0.0
-    expected_entry = t0 + radius * cmath.exp(1j * phi0)
-    if abs(s.t - expected_entry) > 1e-9 * max(1.0, abs(t0)):
-        raise ValueError(
-            f"entry state at t = {s.t} is not on the detour circle "
-            f"(expected t = {expected_entry})"
-        )
-    return _run_arc(eq.rhs, s, t0, radius, cfg, phi0, phi1)
+    return State(exit_t, u.real, v.real), samples
 
 
 _RADIUS_MIN = 1e-3
@@ -418,10 +374,14 @@ def integrate(
     both. Every pole crossing is recorded as a :class:`PoleEvent`. Hitting
     the pole cap or a step underflow truncates the trajectory (see
     ``Trajectory.stopped_by``) rather than raising, so callers can classify
-    truncated runs.
+    truncated runs. ``half_plane`` +1 detours through the upper half plane,
+    -1 through the lower; by Schwarz reflection the two give conjugate arcs
+    and the same real exits.
     """
     if cfg is None:
         cfg = IntegrationConfig()
+    if half_plane not in (1, -1):
+        raise ValueError("half_plane must be +1 or -1")
     if direction not in eq.directions:
         allowed = " and ".join(d.name.split("_")[0].lower() for d in eq.directions)
         raise ValueError(f"{eq.name} is integrated in the {allowed} direction only")
@@ -432,7 +392,7 @@ def integrate(
 
     f = eq.rhs
     pole_free = not eq.pole_order
-    trigger = cfg.detour_threshold
+    trigger = cfg.detour_start
     rearm = _REARM_FRACTION * trigger
 
     t = 0.0
@@ -469,10 +429,6 @@ def integrate(
             break
         # Pole trigger fired at (t, y, v).
         approach_sign = 1 if y >= 0.0 else -1
-        if abs(v) < cfg.min_step * abs(y):
-            raise DegenerateDerivativeError(
-                f"cannot estimate pole at t = {t:.6g}: derivative is degenerate"
-            )
         t0 = _refined_pole_location(eq, t, y, v)
         if dirsign * (t0 - t) <= 0.0:
             raise IntegrationError(
@@ -485,15 +441,7 @@ def integrate(
                     f"pole estimate {t0:.6g} is not beyond the previous pole at {prev:.6g}"
                 )
         if len(poles) >= cfg.max_poles:
-            poles.append(
-                PoleEvent(
-                    location=t0,
-                    order=eq.pole_order,
-                    detour_radius=0.0,
-                    approach_sign=approach_sign,
-                    detoured=False,
-                )
-            )
+            poles.append(PoleEvent(location=t0, detour_radius=0.0, approach_sign=approach_sign))
             stopped_by = "pole-cap"
             break
         radius = _pick_radius(eq, t0, poles[-1].location if poles else None)
@@ -514,16 +462,14 @@ def integrate(
         ys.append(y)
         vs.append(v)
         entry_index = len(ts) - 1
-        arc_record: list[tuple[complex, complex, complex]] = []
         if direction is Direction.NEGATIVE_T:
             phi0, phi1 = 0.0, half_plane * math.pi
         else:
             phi0, phi1 = half_plane * math.pi, 0.0
-        exit_state = _run_arc(
-            f, State(entry_t, complex(y), complex(v)), t0, radius, cfg, phi0, phi1,
-            record=arc_record,
+        exit_state, arc = _run_arc(
+            f, State(entry_t, complex(y), complex(v)), t0, radius, cfg, phi0, phi1
         )
-        for tc, uc, wc in arc_record:
+        for tc, uc, wc in arc:
             ts.append(tc)
             ys.append(uc)
             vs.append(wc)
@@ -534,7 +480,6 @@ def integrate(
         poles.append(
             PoleEvent(
                 location=t0,
-                order=eq.pole_order,
                 detour_radius=radius,
                 approach_sign=approach_sign,
                 entry_index=entry_index,

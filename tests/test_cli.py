@@ -199,3 +199,25 @@ def test_manifest_determinism(tmp_path, monkeypatch):
     assert texts[0].replace(f'"wall_time_s": {wa}', "") == texts[1].replace(f'"wall_time_s": {wb}', "")
     # the config snapshot reads back as the config the run used
     assert IntegrationConfig(**ma["config"]) == IntegrationConfig(t_horizon=-5.0)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_manifest_lines_are_strict_json(tmp_path, monkeypatch):
+    # the manifest must parse under a strict JSON parser (no Infinity/NaN)
+    # and the config must still read back as the one the run used
+    monkeypatch.setattr("painleve.cli.eigen_table", lambda *a, **kw: [])
+    runs = {
+        "trajectory": (["--eq", "p1", "--y0", "0", "--slope", "2.0", "--horizon", "-2"],
+                       IntegrationConfig(t_horizon=-2.0)),
+        "eigen": (["--eq", "p1", "--mode", "slope", "--n", "1", "--format", "csv"],
+                  IntegrationConfig()),
+    }
+    for command, (flags, cfg) in runs.items():
+        out = tmp_path / f"{command}.csv"
+        main([command, *flags, "--out", str(out)])
+        line = out.read_text().splitlines()[0]
+        manifest = json.loads(line.split("# manifest: ", 1)[1], parse_constant=_reject_constant)
+        assert IntegrationConfig(**manifest["config"]) == cfg

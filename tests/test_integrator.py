@@ -13,18 +13,15 @@ from painleve import (
     TOY_MODEL,
     State,
     branch_curve,
-    detour,
     estimate_pole,
     integrate,
 )
-from painleve.integrator import _run_arc
+from painleve.integrator import _advance, _run_arc
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegrationConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegrationConfig(pole_trigger=5.0)
     with pytest.raises(ValueError):
         IntegrationConfig(detour_start=1.0)
     with pytest.raises(ValueError):
@@ -81,7 +78,7 @@ def test_detour_pure_double_pole_mirror():
     f = lambda t, y, yp: (yp, 6.0 * y * y)
     r = 0.05
     entry = State(complex(5.0 + r), complex(r**-2), complex(-2.0 * r**-3))
-    out = _run_arc(f, entry, complex(5.0), r, IntegrationConfig(), 0.0, math.pi)
+    out, _ = _run_arc(f, entry, complex(5.0), r, IntegrationConfig(), 0.0, math.pi)
     assert out.t.real == pytest.approx(5.0 - r, abs=1e-12)
     assert out.y.real == pytest.approx(r**-2, rel=1e-9)
     assert out.yp.real == pytest.approx(2.0 * r**-3, rel=1e-9)
@@ -92,7 +89,7 @@ def test_detour_pure_simple_pole_mirror():
     f = lambda t, y, yp: (yp, 2.0 * y * y * y)
     r = 0.05
     entry = State(complex(3.0 + r), complex(1.0 / r), complex(-1.0 / r**2))
-    out = _run_arc(f, entry, complex(3.0), r, IntegrationConfig(), 0.0, math.pi)
+    out, _ = _run_arc(f, entry, complex(3.0), r, IntegrationConfig(), 0.0, math.pi)
     assert out.y.real == pytest.approx(-1.0 / r, rel=1e-9)
     assert out.yp.real == pytest.approx(-1.0 / r**2, rel=1e-9)
 
@@ -106,7 +103,7 @@ def _first_pole_entry(radius):
     # suppress pole handling for the prefix: it ends before the pole
     pre = integrate(PAINLEVE_I, InitialData(0.0, 2.504031103), Direction.NEGATIVE_T,
                     IntegrationConfig(t_horizon=t0 + radius, rel_tol=1e-12, abs_tol=1e-14,
-                                      pole_trigger=1e7, detour_start=1e6))
+                                      detour_start=1e6))
     assert not pre.poles
     return t0, State(complex(t0 + radius), complex(pre.real_y()[-1]), complex(pre.real_yp()[-1]))
 
@@ -117,23 +114,15 @@ def test_detour_radius_robustness():
     cfg = IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13)
     r = 0.2
     t0, entry = _first_pole_entry(r)
-    exit_full = detour(PAINLEVE_I, entry, complex(t0), r, cfg)
+    exit_full, _ = _run_arc(PAINLEVE_I.rhs, entry, complex(t0), r, cfg, 0.0, math.pi)
 
     t0h, entry_h = _first_pole_entry(r / 2)
-    exit_half = detour(PAINLEVE_I, entry_h, complex(t0h), r / 2, cfg)
-    from painleve.integrator import _advance
-
+    exit_half, _ = _run_arc(PAINLEVE_I.rhs, entry_h, complex(t0h), r / 2, cfg, 0.0, math.pi)
     s, u, v, _, tok = _advance(PAINLEVE_I.rhs, exit_half.t.real, exit_half.y, exit_half.yp,
                                t0 - r, cfg, lambda *a: None)
     assert tok is None
     assert abs(u.real - exit_full.y.real) <= 1e-8 * abs(exit_full.y.real)
     assert abs(v.real - exit_full.yp.real) <= 1e-8 * abs(exit_full.yp.real)
-
-
-def test_detour_entry_must_sit_on_circle():
-    _, entry = _first_pole_entry(0.2)
-    with pytest.raises(ValueError):
-        detour(PAINLEVE_I, entry, complex(entry.t.real), 0.2)
 
 
 def test_detour_half_plane_conjugation():
@@ -147,6 +136,8 @@ def test_detour_half_plane_conjugation():
     assert up.real_y()[-1] == pytest.approx(dn.real_y()[-1], rel=1e-6, abs=1e-8)
     # arc samples are mirror images: their imaginary parts have opposite sign
     assert (up.t.imag >= 0.0).all() and (dn.t.imag <= 0.0).all()
+    with pytest.raises(ValueError):
+        integrate(PAINLEVE_I, InitialData(0.0, 2.504031103), Direction.NEGATIVE_T, cfg, half_plane=0)
 
 
 def test_trajectory_structure_cascade():
@@ -155,7 +146,8 @@ def test_trajectory_structure_cascade():
     assert traj.stopped_by == "horizon"
     locs = [p.location for p in traj.poles]
     assert all(b < a for a, b in zip(locs, locs[1:]))  # strictly advancing
-    assert all(p.order == 2 for p in traj.poles)
+    assert traj.equation.pole_order == 2
+    assert all(p.entry_index < p.exit_index for p in traj.poles)
     # real-axis sample between consecutive poles
     rt = traj.real_t()
     for a, b in zip(locs, locs[1:]):
@@ -174,7 +166,29 @@ def test_pole_cap_truncates():
     traj = integrate(PAINLEVE_I, InitialData(0.0, 2.504031103), Direction.NEGATIVE_T, cfg)
     assert traj.stopped_by == "pole-cap"
     assert traj.truncated
-    assert len(traj.poles) == 4 and not traj.poles[-1].detoured
+    assert len(traj.poles) == 4 and traj.poles[-1].entry_index is None
+    assert all(p.entry_index is not None for p in traj.poles[:-1])
+
+
+def test_integrate_estimates_poles_with_estimate_pole(monkeypatch):
+    # the pipeline's pole estimate is the public estimate_pole, one call per
+    # recorded pole, the cap-terminating event included
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return estimate_pole(*args, **kwargs)
+
+    monkeypatch.setattr("painleve.integrator.estimate_pole", counting)
+    init = InitialData(0.0, 2.504031103)
+    traj = integrate(PAINLEVE_I, init, Direction.NEGATIVE_T, IntegrationConfig(t_horizon=-12.0))
+    assert traj.stopped_by == "horizon" and traj.poles
+    assert len(calls) == len(traj.poles)
+    calls.clear()
+    capped = integrate(PAINLEVE_I, init, Direction.NEGATIVE_T,
+                       IntegrationConfig(t_horizon=-12.0, max_poles=3))
+    assert capped.stopped_by == "pole-cap"
+    assert len(calls) == len(capped.poles) == 4
 
 
 def test_determinism():
