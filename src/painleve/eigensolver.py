@@ -1,5 +1,5 @@
-"""Location of the critical initial conditions by grid scan, bisection and
-asymptotic matching.
+"""Location of the critical initial conditions by grid scan and asymptotic
+matching.
 
 A separatrix initial condition is a boundary between two open families of
 generic behaviors, so it is bracketed by a binary discriminant:
@@ -10,16 +10,17 @@ generic behaviors, so it is bracketed by a binary discriminant:
   blow-up, read off the recorded pole approach signs;
 * toy model: the number of maxima of the solution.
 
-A scan finds the brackets, and bisection at a coarse integration tolerance
-narrows each to about 1e-5. The end game then switches to a continuous
-discriminant: the deviation from the separatrix's asymptotic series at a
-matching time T, projected onto the growing WKB mode, whose root a secant
-method finds with probes that stop at T instead of running through the
-whole pole cascade. The binary discriminant stays the ground truth: two
-full-horizon probes a bracket width apart must still classify differently
-around the root (the certificate), and if they do not, the end game falls
-back to bisection at the fine tolerance. The toy model is bisected on its
-maxima count throughout.
+A scan at a coarse integration tolerance finds the brackets. The end game
+then switches to a continuous discriminant: the deviation from the
+separatrix's asymptotic series at a matching time T, projected onto the
+growing WKB mode. The two bracket ends pick the first T, and a bracketing
+Illinois search finds its root in passes at later and later T, with probes
+that stop at T instead of running through the whole pole cascade. The
+binary discriminant stays the ground truth: two full-horizon probes a
+bracket width apart must still classify differently around the root (the
+certificate), and if they do not, the end game falls back to bisecting the
+scan bracket at the fine tolerance. The toy model is bisected on its maxima
+count throughout.
 
 The direction, scan seed and growth law of each search mode, and the
 turning point, instability rate and separatrix asymptotics of each
@@ -39,9 +40,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import (SEPARATRIX_BAND, ClassificationError, ClassTag, SolutionClass, classify,
+from .classify import (SEPARATRIX_BAND, ClassificationError, ClassTag, classify,
                        count_toy_maxima)
-from .equations import TOY_MODEL, Direction, Equation, InitialData, ModeKind, branch_curve, energy
+from .equations import (TOY_MODEL, Direction, Equation, InitialData, ModeKind, ModeSpec, branch_curve,
+                        energy)
 from .integrator import IntegrationConfig, IntegrationError, integrate
 
 __all__ = [
@@ -98,8 +100,15 @@ class EigenvalueRecord:
     mode: SearchMode
 
 
+def _spec(eq: Equation, mode: SearchMode) -> ModeSpec:
+    if mode.kind not in eq.modes:
+        names = ", ".join(kind.value for kind in eq.modes)
+        raise ValueError(f"{eq.name} has no {mode.kind.value} mode; its modes are: {names}")
+    return eq.modes[mode.kind]
+
+
 def _positive(eq: Equation, mode: SearchMode) -> bool:
-    return eq.modes[mode.kind].direction is Direction.POSITIVE_T
+    return _spec(eq, mode).direction is Direction.POSITIVE_T
 
 
 def _initial_data(mode: SearchMode, x: float) -> InitialData:
@@ -119,8 +128,9 @@ def _negative_horizon(eq: Equation, mode: SearchMode, x: float) -> float:
     turn = eq.turning_point(_trial_energy(eq, mode, x))
     return -max(28.0, 1.35 * turn + 16.0)
 
+# Tolerance of the scan, the toy's coarse bisection and bisect's two end
+# probes; perfbench/workloads.py keeps a copy of its rel_tol.
 _COARSE = {"rel_tol": 1e-8, "abs_tol": 1e-10}
-_FINE_WIDTH = 1e-5  # bracket width at which the coarse phase hands over
 
 
 def _fine_cfg(eq: Equation, cfg: IntegrationConfig, tol: float) -> IntegrationConfig:
@@ -131,48 +141,41 @@ def _fine_cfg(eq: Equation, cfg: IntegrationConfig, tol: float) -> IntegrationCo
     return replace(cfg, rel_tol=max(fine_rel, 1e-13), abs_tol=max(fine_rel * 1e-2, 1e-15))
 
 
-def _probe_cfg(eq, mode, x, cfg: IntegrationConfig, coarse: bool, max_poles=None) -> IntegrationConfig:
-    kw = {}
-    if coarse:
-        kw.update(_COARSE)
-    if cfg.t_horizon is None and not _positive(eq, mode):
-        kw["t_horizon"] = _negative_horizon(eq, mode, x)
-    if max_poles is not None:
-        kw["max_poles"] = max_poles
-    return replace(cfg, **kw) if kw else cfg
+def _probe(eq, mode, x, cfg: IntegrationConfig, max_poles=None):
+    """Full-horizon trajectory of the trial datum x at the tolerance of cfg."""
+    negative = cfg.t_horizon is None and not _positive(eq, mode)
+    pc = replace(cfg, t_horizon=_negative_horizon(eq, mode, x) if negative else cfg.t_horizon,
+                 max_poles=cfg.max_poles if max_poles is None else max_poles)
+    return integrate(eq, _initial_data(mode, x), _spec(eq, mode).direction, pc)
 
 
 _NEGATIVE_KEYS = {ClassTag.POLE_CASCADE: "cascade", ClassTag.STABLE_OSCILLATION: "stable"}
 
 
-def _negative_class(eq, mode, x, cfg, coarse) -> SolutionClass:
-    pc = _probe_cfg(eq, mode, x, cfg, coarse)
-    cls = classify(eq, integrate(eq, _initial_data(mode, x), Direction.NEGATIVE_T, pc))
-    if cls.tag not in _NEGATIVE_KEYS:
-        raise BisectionError(f"probe x = {x!r} classified as {cls.tag.value}", probe=x)
-    return cls
-
-
-def _signature(eq, mode, x, cfg, coarse, n_poles) -> tuple[int, ...]:
-    pc = _probe_cfg(eq, mode, x, cfg, coarse, max_poles=n_poles)
-    traj = integrate(eq, _initial_data(mode, x), Direction.POSITIVE_T, pc)
+def _signature(traj) -> tuple[int, ...]:
     return tuple(p.approach_sign for p in traj.poles)
 
 
-def _toy_count(a: float, cfg: IntegrationConfig, coarse: bool = True) -> int:
-    kw = dict(_COARSE) if coarse else {}
-    pc = replace(cfg, **kw) if kw else cfg
-    traj = integrate(TOY_MODEL, InitialData(a), Direction.POSITIVE_T, pc)
+def _class_key(eq, x, traj):
+    """Blow-up signature, or cascade / stable and the pole count, of a probe."""
+    if traj.direction is Direction.POSITIVE_T:
+        return _signature(traj), None
+    cls = classify(eq, traj)
+    if cls.tag not in _NEGATIVE_KEYS:
+        raise BisectionError(f"probe x = {x!r} classified as {cls.tag.value}", probe=x)
+    return _NEGATIVE_KEYS[cls.tag], cls.pole_count
+
+
+def _toy_count(a: float, cfg: IntegrationConfig) -> int:
+    traj = integrate(TOY_MODEL, InitialData(a), Direction.POSITIVE_T, cfg)
     return count_toy_maxima(traj)
 
 
 def _discriminant(eq, mode, cfg, n_poles=None):
-    """Class key of a trial initial datum, as a function of (x, coarse)."""
+    """Class key of a trial initial datum x, probed at the tolerance of cfg."""
     if eq.first_order:
-        return lambda x, coarse=True: _toy_count(x, cfg, coarse)
-    if _positive(eq, mode):
-        return lambda x, coarse=True: _signature(eq, mode, x, cfg, coarse, n_poles)
-    return lambda x, coarse=True: _NEGATIVE_KEYS[_negative_class(eq, mode, x, cfg, coarse).tag]
+        return lambda x: _toy_count(x, cfg)
+    return lambda x: _class_key(eq, x, _probe(eq, mode, x, cfg, n_poles))[0]
 
 
 def _keys_differ(a, b) -> bool:
@@ -238,9 +241,9 @@ def scan_brackets(
     if not eq.first_order and _positive(eq, mode):
         # pole cap a little above the index of a critical value at the range's
         # far end; 1.2 undershoots the growth coefficient
-        index_exponent = 1.0 / eq.modes[mode.kind].exponent
+        index_exponent = 1.0 / _spec(eq, mode).exponent
         n_poles = int((max(abs(lo), abs(hi)) / 1.2) ** index_exponent) + 8
-    disc = _discriminant(eq, mode, cfg, n_poles)
+    disc = _discriminant(eq, mode, replace(cfg, **_COARSE), n_poles)
 
     brackets = list(_walk(disc, lo, hi, lambda: step))
     for (a0, _), (b0, _) in zip(brackets, brackets[1:]):
@@ -254,12 +257,12 @@ def scan_brackets(
     return brackets
 
 
-def _half_steps(disc, lo, hi, k_lo, k_hi, stop, coarse):
+def _half_steps(disc, lo, hi, k_lo, k_hi, stop):
     while hi - lo > stop:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        k_mid = disc(mid, coarse)
+        k_mid = disc(mid)
         if not _keys_differ(k_mid, k_lo):
             lo = mid
         elif not _keys_differ(k_mid, k_hi):
@@ -273,131 +276,135 @@ def _half_steps(disc, lo, hi, k_lo, k_hi, stop, coarse):
 
 
 def _fine_bisection(disc, lo, hi, tol):
-    """Fallback end game: halve the coarse bracket at the fine tolerance."""
-    # The coarse and tight integrators place the flip at slightly different
-    # points, so the coarse-phase bracket may no longer straddle the tight
-    # flip. Re-anchor the endpoints at the tight tolerance, widening until
-    # they disagree again.
-    k_lo, k_hi = disc(lo, False), disc(hi, False)
-    grow = max(hi - lo, _FINE_WIDTH)
-    tries = 0
-    while not _keys_differ(k_lo, k_hi):
-        lo, hi = lo - grow, hi + grow
-        grow *= 2.0
-        tries += 1
-        if tries > 12:
-            raise BisectionError(
-                f"tight-tolerance flip escaped the bracket around {0.5 * (lo + hi)!r}"
-            )
-        k_lo, k_hi = disc(lo, False), disc(hi, False)
-    return _half_steps(disc, lo, hi, k_lo, k_hi, tol, coarse=False)
+    """Fallback end game: halve the scan bracket at the fine tolerance."""
+    k_lo, k_hi = disc(lo), disc(hi)
+    if not _keys_differ(k_lo, k_hi):
+        raise BisectionError(f"fine probes at both ends of ({lo!r}, {hi!r}) share the class {k_lo!r}")
+    return _half_steps(disc, lo, hi, k_lo, k_hi, tol)
 
 
 class _Unmatched(Exception):
-    """A short probe did not end on the real axis at the matching time with
-    the expected poles behind it."""
+    """A short probe ended early, off the axis or behind other poles."""
 
 
-def _secant(g, x0, x1, stop, max_iter=12):
-    """Root of g by the secant method from x0, x1; None if it does not
-    settle to a step below ``stop`` within ``max_iter`` steps."""
-    g0, g1 = g(x0), g(x1)
-    for _ in range(max_iter):
-        if g1 == g0:
-            return x1 if g1 == 0.0 else None
-        x2 = x1 - g1 * (x1 - x0) / (g1 - g0)
-        if not math.isfinite(x2):
-            return None
-        if abs(x2 - x1) < stop:
-            return x2
-        x0, g0, x1, g1 = x1, g1, x2, g(x2)
+def _illinois(g, a, ga, b, gb, stop):
+    """Root of g between a and b (ga = g(a), gb = g(b) of opposite signs) by Illinois
+    regula falsi, once a step or the bracket is below ``stop``; None after 40 steps."""
+    x_old, side = math.inf, 0
+    for _ in range(40):
+        x = b - gb * (b - a) / (gb - ga)
+        gx = g(x)
+        if (gx > 0.0) == (gb > 0.0):
+            b, gb, ga, side = x, gx, 0.5 * ga if side == 1 else ga, 1
+        else:
+            a, ga, gb, side = x, gx, 0.5 * gb if side == -1 else gb, -1
+        if gx == 0.0 or abs(x - x_old) < stop or abs(b - a) < stop:
+            return x
+        x_old = x
     return None
 
 
-def _matching_time(eq, traj, n_poles):
-    """Matching time on a trajectory close to the separatrix: where it
-    stops tracking the separatrix. In the negative direction that is the far
-    end of the branch-hugging window; in the positive one, the dip of |y|
-    between the last shared pole and the next."""
-    if traj.direction is Direction.NEGATIVE_T:
-        win = _branch_window(eq, traj) or _branch_window(eq, traj, band=1e-2)
-        return None if win is None else float(win[0])
-    m = n_poles - 2
-    if len(traj.poles) <= m or traj.poles[m].entry_index is None:
-        return None
-    first = traj.poles[m - 1].exit_index if m else 0
-    idx = traj.real_indices()
-    idx = idx[(idx >= first) & (idx <= traj.poles[m].entry_index)]
-    return float(traj.t[idx[np.argmin(np.abs(traj.y[idx]))]].real)
+def _shared_poles(sig_a, sig_b) -> int:
+    """Number of leading poles two blow-up signatures share."""
+    return next((i for i, (p, q) in enumerate(zip(sig_a, sig_b)) if p != q), min(len(sig_a), len(sig_b)))
 
 
-def _matched_root(eq, mode, cfg, lo, hi, tol, n_poles):
-    """Separatrix datum inside the coarse bracket (lo, hi), by secant
-    root-finding on a continuous discriminant; None where that cannot be
-    trusted (the caller then bisects).
+def _projection(eq, direction, t, branch, y, yp):
+    """Share g = d' + (sigma sqrt(V) + V_t / (4 V)) d of the growing WKB mode
+    of d'' = V d in the deviation d = y - y_sep from the separatrix series at
+    t, and the growth rate sqrt(V). Raises _Unmatched where V <= 0."""
+    y_sep, yp_sep, v, v_t = eq.separatrix[direction](t, branch)
+    if v <= 0.0:
+        raise _Unmatched
+    return (yp - yp_sep) + (direction.sign * math.sqrt(v) + v_t / (4.0 * v)) * (y - y_sep), math.sqrt(v)
 
-    The discriminant is the deviation d = y - y_sep from the separatrix's
-    asymptotic series at a matching time T, projected onto the growing WKB
-    mode of d'' = V d: g = d' + (sigma sqrt(V) + V_t / (4 V)) d, which
-    vanishes on the decaying mode. Probes stop at T. A first pass matches
-    at T1, where the coarse bracket's midpoint x_mid leaves the separatrix.
-    The second pass starts 10 w1 either side of the first root x1 (w1 the
-    first pass's step tolerance) and matches at T2, where deviations have
-    grown by w0 / w1 over T1 (w0 the coarse width) - but by at most
-    3 |x_mid - x1| / w1, so that its start points deviate at T2 by at most
-    30 times what the midpoint did at T1, however close the midpoint lies to
-    the root.
+
+def _axis_states(traj, u, n_behind):
+    """y, y' at the times sigma * u, interpolated between neighbouring real
+    samples; NaN off the axis or where other than n_behind poles lie behind."""
+    idx, sigma = traj.real_indices(), traj.direction.sign
+    s, y, yp = sigma * traj.t[idx].real, traj.y[idx].real, traj.yp[idx].real
+    i = np.clip(np.searchsorted(s, u, side="right") - 1, 0, len(s) - 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = (u - s[i]) / (s[i + 1] - s[i])
+    behind = np.searchsorted(sigma * np.array([p.location for p in traj.poles]), u)
+    f[(idx[i + 1] != idx[i] + 1) | (f < 0.0) | (f > 1.0) | (behind != n_behind)] = np.nan
+    return y[i] + f * (y[i + 1] - y[i]), yp[i] + f * (yp[i + 1] - yp[i])
+
+
+def _matching_start(eq, ends):
+    """(T, branch sign, poles behind, g at each end) at the last T at which
+    both bracket ends sit on the real axis behind the poles they share, with
+    opposite signs of g. Raises _Unmatched if there is none."""
+    direction = ends[0].direction
+    shared = _shared_poles(*map(_signature, ends))
+    u = np.sort(direction.sign * np.concatenate([tr.real_t() for tr in ends]))[::-1]
+    states = [_axis_states(tr, u, shared) for tr in ends]
+    y_sum = states[0][0] + states[1][0]
+    for k in np.nonzero((u > 0.0) & np.isfinite(y_sum))[0]:
+        t, branch = direction.sign * float(u[k]), 1.0 if y_sum[k] >= 0.0 else -1.0
+        try:
+            g_a, g_b = (_projection(eq, direction, t, branch, y[k], yp[k])[0] for y, yp in states)
+        except _Unmatched:
+            continue
+        if g_a * g_b < 0.0:
+            return t, branch, shared, float(g_a), float(g_b)
+    raise _Unmatched
+
+
+_SHRINK = 1e4  # each later matched bracket is this much narrower than the last
+_MARGIN = 3.0  # its ends deviate this much less than the last bracket's nearer end did
+_WIDEN = 3  # times it widens by 4 while its ends share a sign
+_STOP = 0.1  # the first pass stops below this share of the next bracket
+
+
+def _matched_root(eq, mode, cfg, cfg_fine, bracket, ends, tol, n_poles):
+    """Separatrix datum in the scan bracket by root-finding on g
+    (:func:`_projection`) at a matching time T, with probes that stop at T;
+    None where that cannot be trusted (the caller then bisects). The first
+    pass only places the next bracket, so it runs at the caller's tolerance.
+    Each later pass centres a narrower bracket on the last root, matches at
+    a later T and runs at the fine tolerance down to tol / 20. The matching
+    error shrinks at least as fast as deviations grow, so the passes end
+    once the root moves by less than that growth times tol / 4.
     """
-    direction = eq.modes[mode.kind].direction
-    sigma = direction.sign
-    series = eq.separatrix[direction]
-    x_mid = 0.5 * (lo + hi)
-    pc = _probe_cfg(eq, mode, x_mid, cfg, True, n_poles)
-    ref = integrate(eq, _initial_data(mode, x_mid), direction, pc)
-    t1 = _matching_time(eq, ref, n_poles)
-    if t1 is None:
-        return None
-    rt = ref.real_t()
-    branch = 1.0 if ref.real_y()[np.argmin(np.abs(rt - t1))] >= 0.0 else -1.0
-    n_before = sum(1 for p in ref.poles if sigma * (p.location - t1) < 0.0)
+    direction, sigma = ends[0].direction, ends[0].direction.sign
 
-    def discriminant(t_match):
-        pc = replace(cfg, t_horizon=t_match, max_poles=n_poles or cfg.max_poles)
-        y_sep, yp_sep, v, v_t = series(t_match, branch)
-        if v <= 0.0:
+    def g(x, t, pc):
+        traj = integrate(eq, _initial_data(mode, x), direction,
+                         replace(pc, t_horizon=t, max_poles=n_poles or pc.max_poles))
+        if (traj.stopped_by != "horizon" or traj.terminal_t != t
+                or traj.t[-1].imag != 0.0 or len(traj.poles) != n_before):
             raise _Unmatched
-        weight = sigma * math.sqrt(v) + v_t / (4.0 * v)
+        return _projection(eq, direction, t, branch, traj.y[-1].real, traj.yp[-1].real)[0]
 
-        def g(x):
-            traj = integrate(eq, _initial_data(mode, x), direction, pc)
-            if (traj.stopped_by != "horizon" or traj.terminal_t != t_match
-                    or traj.t[-1].imag != 0.0 or len(traj.poles) != n_before):
-                raise _Unmatched
-            return (traj.yp[-1].real - yp_sep) + weight * (traj.y[-1].real - y_sep)
-
-        return g, math.sqrt(v)
-
-    w1 = 1e-3 * (hi - lo)
+    rate = lambda t: _projection(eq, direction, t, branch, 0.0, 0.0)[1]  # noqa: E731
+    lo, hi = bracket
+    width = (hi - lo) / _SHRINK
     try:
-        g1, rate = discriminant(t1)
-        x1 = _secant(g1, lo, hi, w1)
-        if x1 is None:
-            return None
-        growth = max(min(hi - lo, 3.0 * abs(x_mid - x1)), w1) / w1
-        g2, _ = discriminant(t1 + sigma * math.log(growth) / rate)
-        return _secant(g2, x1 - 10.0 * w1, x1 + 10.0 * w1, tol / 20.0)
+        t_match, branch, n_before, g_lo, g_hi = _matching_start(eq, ends)
+        root = _illinois(lambda x: g(x, t_match, cfg), lo, g_lo, hi, g_hi, _STOP * width)
+        while root is not None:
+            near, t_last = min(root - lo, hi - root), t_match
+            for _ in range(_WIDEN):
+                step = math.log(max(2.0 * near / (_MARGIN * width), 1.0))
+                # sqrt(V) rises along the run: step with its value at the far end
+                t_match = t_last + sigma * step / rate(t_last + sigma * step / rate(t_last))
+                lo, hi = root - 0.5 * width, root + 0.5 * width
+                g_lo, g_hi = g(lo, t_match, cfg_fine), g(hi, t_match, cfg_fine)
+                if g_lo * g_hi < 0.0:
+                    break
+                width *= 4.0
+            else:
+                return None
+            last = root
+            root = _illinois(lambda x: g(x, t_match, cfg_fine), lo, g_lo, hi, g_hi, tol / 20.0)
+            if root is None or abs(root - last) <= math.exp(step) * tol / 4.0:
+                return root
+            width /= _SHRINK
+        return None
     except _Unmatched:
         return None
-
-
-def _certificate(probe, value, w):
-    """Fine-tolerance, full-horizon keys at value -+ w/2. Returns the pole
-    count of the stable side (the positive direction's probe reports its
-    own), or None when the two keys agree."""
-    (k_lo, n_lo), (k_hi, n_hi) = probe(value - 0.5 * w), probe(value + 0.5 * w)
-    if not _keys_differ(k_lo, k_hi):
-        return None
-    return n_lo if k_lo == "stable" else n_hi
 
 
 def bisect(
@@ -410,14 +417,12 @@ def bisect(
 ) -> EigenvalueRecord:
     """Locate the critical value inside one bracket to the requested width.
 
-    The endpoints must classify differently. Coarse-tolerance bisection
-    narrows the bracket to ``_FINE_WIDTH``; the end game then finds the
-    root of a continuous matching discriminant (:func:`_matched_root`) at
-    a tolerance tied to ``tol``. The binary discriminant stays the ground
-    truth: the probes at value -+ w/2, with w the width fine bisection
-    would reach (the coarse width over 2^m, just below ``tol``), must
-    classify differently. When they do not, or the matching fails, the
-    end game falls back to fine-tolerance bisection.
+    The endpoints, probed at the scan tolerance, must classify differently;
+    their trajectories start the matched end game (:func:`_matched_root`).
+    The class stays the ground truth: fine-tolerance probes at value -+ w/2,
+    with w the bracket width halved until it is at most ``tol``, must still
+    classify differently (the certificate). If not, or if matching fails,
+    the bracket is bisected at the fine tolerance instead.
     """
     mode = SearchMode.coerce(mode)
     if cfg is None:
@@ -426,42 +431,34 @@ def bisect(
         raise ValueError(f"tol = {tol} is below 10 * rel_tol = {10 * cfg.rel_tol}")
     if eq.first_order:
         raise ValueError("use toy_eigen_table for the toy model")
+    positive = _positive(eq, mode)
     cfg_fine = _fine_cfg(eq, cfg, tol)
 
     lo, hi = bracket
-    n_poles = None
-    if _positive(eq, mode):
-        sig_lo = _signature(eq, mode, lo, cfg_fine, True, index + 6)
-        sig_hi = _signature(eq, mode, hi, cfg_fine, True, index + 6)
-        common = min(len(sig_lo), len(sig_hi))
-        if sig_lo[:common] == sig_hi[:common]:
-            raise BisectionError(f"bracket endpoints {bracket} share the blow-up signature")
-        m = next(i for i in range(common) if sig_lo[i] != sig_hi[i])
-        n_poles = m + 2
-        k_lo, k_hi = sig_lo[:n_poles + 1], sig_hi[:n_poles + 1]
-        # m poles are traversed before the decaying stretch
-        probe = lambda x: (_signature(eq, mode, x, cfg_fine, False, n_poles), m)  # noqa: E731
-    else:
-        def probe(x):
-            cls = _negative_class(eq, mode, x, cfg_fine, coarse=False)
-            return _NEGATIVE_KEYS[cls.tag], cls.pole_count
-    disc = _discriminant(eq, mode, cfg_fine, n_poles=n_poles)
-    if n_poles is None:
-        k_lo, k_hi = disc(lo), disc(hi)
-    if not _keys_differ(k_lo, k_hi):
-        raise BisectionError(f"bracket endpoints {bracket} share the class {k_lo!r}")
-    if hi - lo > _FINE_WIDTH:
-        lo, hi = _half_steps(disc, lo, hi, k_lo, k_hi, _FINE_WIDTH, coarse=True)
-
+    ends = [_probe(eq, mode, x, replace(cfg, **_COARSE), index + 6 if positive else None) for x in bracket]
+    keys = [_class_key(eq, x, traj)[0] for x, traj in zip(bracket, ends)]
+    if not _keys_differ(*keys):
+        raise BisectionError(f"bracket endpoints {bracket} share the class {keys[0]!r}")
+    # in the positive direction m poles are traversed before the decaying stretch
+    m = _shared_poles(*keys) if positive else None
+    n_poles = m + 2 if positive else None
     w = hi - lo
     while w > tol:
         w *= 0.5
-    value = _matched_root(eq, mode, cfg_fine, lo, hi, tol, n_poles)
-    pole_count = None if value is None else _certificate(probe, value, w)
+
+    def certified_poles(value):
+        (k_lo, n_lo), (k_hi, n_hi) = (_class_key(eq, x, _probe(eq, mode, x, cfg_fine, n_poles))
+                                      for x in (value - 0.5 * w, value + 0.5 * w))
+        if not _keys_differ(k_lo, k_hi):
+            return None
+        return m if positive else n_lo if k_lo == "stable" else n_hi
+
+    value = _matched_root(eq, mode, cfg, cfg_fine, bracket, ends, tol, n_poles)
+    pole_count = None if value is None else certified_poles(value)
     if pole_count is None:
-        lo, hi = _fine_bisection(disc, lo, hi, tol)
-        value, w = 0.5 * (lo + hi), hi - lo
-        pole_count = _certificate(probe, value, w)
+        lo, hi = _fine_bisection(_discriminant(eq, mode, cfg_fine, n_poles), lo, hi, tol)
+        value = 0.5 * (lo + hi)
+        pole_count = certified_poles(value)
         if pole_count is None:
             raise BisectionError(f"fine bisection around {value!r} failed its certificate")
     return EigenvalueRecord(index, float(value), w, pole_count, mode)
@@ -486,7 +483,7 @@ def separatrix_check(
     mode = SearchMode.coerce(mode)
     if cfg is None:
         cfg = IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13)
-    direction = eq.modes[mode.kind].direction
+    direction = _spec(eq, mode).direction
     init = _initial_data(mode, value)
     if direction is Direction.POSITIVE_T:
         pc = replace(cfg, t_horizon=25.0, max_step=min(cfg.max_step, 0.05))
@@ -507,7 +504,7 @@ def separatrix_check(
     return classify(eq, traj, window=win)
 
 
-def _branch_window(eq, traj, band: float = SEPARATRIX_BAND):
+def _branch_window(eq, traj):
     """Longest contiguous stretch where the trajectory hugs a branch curve."""
     rt, ry = traj.real_t(), traj.real_y()
     m = rt < -0.5
@@ -515,7 +512,7 @@ def _branch_window(eq, traj, band: float = SEPARATRIX_BAND):
     if len(rt) < 4:
         return None
     bw = branch_curve(eq, rt)
-    ok = (np.abs(ry - bw) <= band * bw) | (np.abs(ry + bw) <= band * bw)
+    ok = (np.abs(ry - bw) <= SEPARATRIX_BAND * bw) | (np.abs(ry + bw) <= SEPARATRIX_BAND * bw)
     best = None
     i = 0
     n = len(ok)
@@ -561,12 +558,12 @@ def eigen_table(
         raise ValueError("n_max must be between 1 and 30")
     if cfg is None:
         cfg = IntegrationConfig()
-    spec = eq.modes[mode.kind]
+    spec = _spec(eq, mode)
     p = spec.exponent
     sign = -1.0 if spec.origin < 0 else 1.0
     limit = 1.7 * spec.coeff * (n_max + 1) ** p + 3.0
 
-    disc = _discriminant(eq, mode, cfg, n_poles=(n_max + 3) if _positive(eq, mode) else None)
+    disc = _discriminant(eq, mode, replace(cfg, **_COARSE), (n_max + 3) if _positive(eq, mode) else None)
     records: list[EigenvalueRecord] = []
     step = spec.step
     with _partial_table(records):
@@ -606,21 +603,22 @@ def toy_eigen_table(
     a = spec.origin
     step = spec.step
     limit = spec.coeff * (n_max + 2) ** spec.exponent + 3.0
+    coarse = replace(cfg, **_COARSE)
     with _partial_table(records):
-        base = _toy_count(a, cfg)
+        base = _toy_count(a, coarse)
         while len(records) < n_max:
             if a > limit:
                 raise BisectionError(f"toy scan ran past a = {a:.3g}")
             nxt = a + step
             have = base + len(records)
-            if _toy_count(nxt, cfg) <= have:
+            if _toy_count(nxt, coarse) <= have:
                 a = nxt
                 continue
             # bisect to the first jump inside (a, nxt) on the key
             # count > have; a multi-jump interval is handled one jump at a time
-            disc = lambda x, coarse: _toy_count(x, cfg, coarse) > have  # noqa: E731
-            lo, hi = _half_steps(disc, a, nxt, False, True, max(tol, 1e-4), coarse=True)
-            lo, hi = _half_steps(disc, lo, hi, False, True, tol, coarse=False)
+            lo, hi = _half_steps(lambda x: _toy_count(x, coarse) > have, a, nxt, False, True,
+                                 max(tol, 1e-4))
+            lo, hi = _half_steps(lambda x: _toy_count(x, cfg) > have, lo, hi, False, True, tol)
             value = 0.5 * (lo + hi)
             records.append(EigenvalueRecord(len(records) + 1, value, hi - lo, 0, mode))
             a = value + tol

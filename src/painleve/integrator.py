@@ -195,6 +195,7 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
+_MIN_RATIO = 1e-12  # |y'/y| below which estimate_pole calls the state degenerate
 
 
 def _advance(f, s0, u0, v0, s1, cfg: IntegrationConfig, on_accept, k1=None, h0=None):
@@ -272,7 +273,7 @@ def _advance(f, s0, u0, v0, s1, cfg: IntegrationConfig, on_accept, k1=None, h0=N
             h *= min(1.0, factor)
 
 
-def estimate_pole(eq: Equation, s: State, min_ratio: float = 1e-12) -> complex:
+def estimate_pole(eq: Equation, s: State) -> complex:
     """Estimated pole location from the leading Laurent term.
 
     For y ~ (t - t0)^{-p}, y'/y = -p/(t - t0), so t0 = t + p y/y'. Exact for
@@ -280,7 +281,7 @@ def estimate_pole(eq: Equation, s: State, min_ratio: float = 1e-12) -> complex:
     """
     if not eq.pole_order:
         raise ValueError("the toy model admits no poles")
-    if s.yp is None or abs(s.yp) < min_ratio * abs(s.y):
+    if s.yp is None or abs(s.yp) < _MIN_RATIO * abs(s.y):
         raise DegenerateDerivativeError(
             f"cannot estimate pole at t = {s.t}: |y'| = {0.0 if s.yp is None else abs(s.yp)} "
             f"is degenerate against |y| = {abs(s.y)}"

@@ -142,7 +142,7 @@ def test_criterion_8_toy_model(toy_table):
     for n in (1, 5, 25, 50):
         a = toy_table[n - 1].value
         eps = 2.0 * toy_table[n - 1].bracket_width + 1e-6
-        jump = _toy_count(a + eps, cfg, coarse=False) - _toy_count(a - eps, cfg, coarse=False)
+        jump = _toy_count(a + eps, cfg) - _toy_count(a - eps, cfg)
         assert jump == 1, (n, jump)
     print(f"\ncriterion 8 PASS: a_n/sqrt(n) within {100*worst:.2f}% of 2^(5/6) "
           "(<= 2%), count jumps exactly 1 at a_1, a_5, a_25, a_50")

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,7 +81,7 @@ def test_bisect_first_critical_slope():
     assert abs(m - round(m)) < 1e-6
 
 
-@pytest.mark.parametrize(
+END_GAME_CASES = pytest.mark.parametrize(
     "eq,mode,bracket,ref",
     [
         (PAINLEVE_I, ModeKind.SLOPE, (1.8, 1.9), P1_SLOPE_REF[1]),
@@ -89,6 +91,9 @@ def test_bisect_first_critical_slope():
     ],
     ids=["p1-slope", "p1-value", "p2-slope", "p2-value"],
 )
+
+
+@END_GAME_CASES
 def test_end_game_record_flips_at_fine_tolerance(eq, mode, bracket, ref):
     # the matched end game returns a point estimate; the binary discriminant
     # at the fine tolerance must still flip across its reported bracket
@@ -98,27 +103,29 @@ def test_end_game_record_flips_at_fine_tolerance(eq, mode, bracket, ref):
     n_poles = rec.pole_count + 2 if mode is ModeKind.VALUE and eq is PAINLEVE_II else None
     disc = _discriminant(eq, SearchMode(mode), _fine_cfg(eq, IntegrationConfig(), 1e-9), n_poles)
     half = 0.5 * rec.bracket_width
-    assert _keys_differ(disc(rec.value - half, False), disc(rec.value + half, False))
+    assert _keys_differ(disc(rec.value - half), disc(rec.value + half))
 
 
 def _is_coarse(cfg):
     return cfg.rel_tol == eigensolver._COARSE["rel_tol"]
 
 
-def test_end_game_probe_count(monkeypatch):
-    # Bisecting at the fine tolerance from the coarse bracket down to 1e-9
-    # (the fallback) takes 15 probes here, 2 re-anchors and 13 halvings, each
-    # to the full horizon t = -28. The matched end game stops its probes at
-    # the matching time: only the two certificate probes run to the horizon.
+@END_GAME_CASES
+def test_end_game_probe_count(monkeypatch, eq, mode, bracket, ref):
+    # Only the two bracket ends are probed at the scan tolerance. The matched
+    # passes stop their probes at the matching time, so only the two
+    # certificate probes run to the full horizon, and all of them together
+    # integrate less than half of the time span that bisecting at the fine
+    # tolerance (15 probes to t = -28 for the first of these cases) would.
     calls = counted_probes(monkeypatch)
-    rec = bisect(PAINLEVE_I, ModeKind.SLOPE, (1.8, 1.9), tol=1e-9)
-    assert abs(rec.value - P1_SLOPE_REF[1]) < 3e-9
-    fine = [args[3].t_horizon for args in calls if not _is_coarse(args[3])]
-    full = [t for t in fine if t <= -28.0]
+    rec = bisect(eq, mode, bracket, tol=1e-9)
+    assert abs(rec.value - ref) < 3e-9
+    coarse = [args for args in calls if _is_coarse(args[3])]
+    spans = [abs(args[3].resolved_horizon(args[0], args[2])) for args in calls if not _is_coarse(args[3])]
+    full = [t for t in spans if t >= 28.0]
+    assert len(coarse) <= 2
     assert len(full) <= 2
-    assert len(fine) <= 12
-    # less than half of the time span the fallback integrates
-    assert sum(abs(t) for t in fine) < 0.5 * 15 * 28.0
+    assert sum(spans) < 0.5 * 15 * 28.0
 
 
 def test_end_game_falls_back_to_bisection(monkeypatch):
@@ -126,24 +133,50 @@ def test_end_game_falls_back_to_bisection(monkeypatch):
     # lands where the matched end game does
     bracket = (1.8, 1.9)
     unforced = bisect(PAINLEVE_I, ModeKind.SLOPE, bracket, tol=1e-9)
-    real_secant, real_fallback = eigensolver._secant, eigensolver._fine_bisection
+    real_illinois, real_fallback = eigensolver._illinois, eigensolver._fine_bisection
     fallbacks = []
 
-    def off_secant(*args, **kwargs):
-        root = real_secant(*args, **kwargs)
+    def off_illinois(*args, **kwargs):
+        root = real_illinois(*args, **kwargs)
         return None if root is None else root + 1e-7
 
     def fallback(*args):
         fallbacks.append(args)
         return real_fallback(*args)
 
-    monkeypatch.setattr(eigensolver, "_secant", off_secant)
+    monkeypatch.setattr(eigensolver, "_illinois", off_illinois)
     monkeypatch.setattr(eigensolver, "_fine_bisection", fallback)
     forced = bisect(PAINLEVE_I, ModeKind.SLOPE, bracket, tol=1e-9)
     assert len(fallbacks) == 1
     assert abs(forced.value - unforced.value) < 1e-9
     assert forced.bracket_width <= 1e-9
     assert forced.pole_count == unforced.pole_count == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: scan_brackets(PAINLEVE_I, "toy", (0.5, 1.0), 0.1),
+        lambda: bisect(PAINLEVE_I, ModeKind.TOY, (1.8, 1.9)),
+        lambda: eigen_table(PAINLEVE_I, "toy", 2),
+    ],
+    ids=["scan_brackets", "bisect", "eigen_table"],
+)
+def test_mode_missing_from_equation(call):
+    with pytest.raises(ValueError, match="p1 has no toy mode; its modes are: slope, value"):
+        call()
+
+
+def test_benchmark_copies_scan_tolerance():
+    # perfbench splits traced probes into coarse and fine by comparing
+    # rel_tol with its own copy of the scan tolerance; read that copy without
+    # importing the benchmark
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    copies = [node.value for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "COARSE_REL_TOL" for t in node.targets)]
+    assert len(copies) == 1
+    assert ast.literal_eval(copies[0]) == eigensolver._COARSE["rel_tol"]
 
 
 def test_bisect_first_critical_value():
@@ -260,8 +293,8 @@ def test_toy_probe_count(monkeypatch):
     "build,fail_at,ref",
     [
         (lambda: toy_eigen_table(3), 40, TOY_REF),
-        # the second eigenvalue's bisection runs probes 42-65 of 65
-        (lambda: eigen_table(PAINLEVE_II, ModeKind.VALUE, 2, tol=1e-6), 53, P2_VALUE_REF),
+        # the second eigenvalue's bisection runs probes 33-47 of 47
+        (lambda: eigen_table(PAINLEVE_II, ModeKind.VALUE, 2, tol=1e-6), 40, P2_VALUE_REF),
     ],
     ids=["toy", "p2-value"],
 )
@@ -291,7 +324,7 @@ def test_toy_oracle_rerun_around_first_jump(toy_table):
     cfg = IntegrationConfig(rel_tol=1e-9, abs_tol=1e-11)
     a1 = toy_table[0].value
     grid = np.arange(a1 - 0.002, a1 + 0.002, 1e-4)
-    counts = [_toy_count(float(a), cfg, coarse=False) for a in grid]
+    counts = [_toy_count(float(a), cfg) for a in grid]
     jumps = [i for i in range(len(counts) - 1) if counts[i + 1] != counts[i]]
     assert len(jumps) == 1
     i = jumps[0]
@@ -303,8 +336,8 @@ def test_toy_jump_matches_table_at_n5(toy_table):
     # cross-module consistency: the count jump sits where the solver put a_5
     cfg = IntegrationConfig(rel_tol=1e-9, abs_tol=1e-11)
     a5 = toy_table[4].value
-    below = _toy_count(a5 - 2e-6, cfg, coarse=False)
-    above = _toy_count(a5 + 2e-6, cfg, coarse=False)
+    below = _toy_count(a5 - 2e-6, cfg)
+    above = _toy_count(a5 + 2e-6, cfg)
     assert above - below == 1
 
 
