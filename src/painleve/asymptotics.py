@@ -90,19 +90,20 @@ class WkbConstants:
 
 
 def closed_form_constants() -> WkbConstants:
-    """Evaluate the four closed forms.
+    """The four constants, read off the first level E_1 of each spectrum.
 
-    With r = sqrt(3 pi) G(11/6) / G(1/3) and q = 3 G(3/4)/G(1/4):
-    p1_slope = 2 r^{3/5}, p1_value = -r^{2/5},
-    p2_slope = (q sqrt(2 pi))^{2/3}, p2_value = (q sqrt(pi))^{1/3}.
+    The n-th critical datum carries the n-th level's energy, which grows
+    with n as the datum's growth law does, so each constant is the datum of
+    E_1. H(0) = E_1 gives p1_slope = sqrt(2 E_1) and p1_value = -(E_1/2)^{1/3}
+    with E_1 of p^2/2 + 2 i x^3, and p2_slope = sqrt(2 E_1) with E_1 of
+    p^2/2 - x^4/2; p2_value = E_1^{1/4} with E_1 of p^2/2 + x^4/2.
     """
-    r = math.sqrt(3.0 * math.pi) * math.gamma(11.0 / 6.0) / math.gamma(1.0 / 3.0)
-    q = 3.0 * math.gamma(0.75) / math.gamma(0.25)
+    e_cubic = wkb_energy(WkbSpec(2.0, 1.0), 1)
     return WkbConstants(
-        p1_slope=2.0 * r ** 0.6,
-        p1_value=-(r ** 0.4),
-        p2_slope=(q * math.sqrt(2.0 * math.pi)) ** (2.0 / 3.0),
-        p2_value=(q * math.sqrt(math.pi)) ** (1.0 / 3.0),
+        p1_slope=math.sqrt(2.0 * e_cubic),
+        p1_value=-((0.5 * e_cubic) ** (1.0 / 3.0)),
+        p2_slope=math.sqrt(2.0 * wkb_energy(WkbSpec(0.5, 2.0), 1)),
+        p2_value=hermitian_quartic_energy(1) ** 0.25,
     )
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "SolutionClass",
     "classify",
     "count_toy_maxima",
+    "toy_maxima",
 ]
 
 SEPARATRIX_BAND = 1e-3     # relative band around a branch curve
@@ -167,15 +168,17 @@ def _classify_positive(eq, traj, window):
     return SolutionClass(tag, len(traj.poles), (lo, hi))
 
 
-def count_toy_maxima(traj: Trajectory) -> int:
-    """Number of local maxima of a toy-model trajectory on t > 0.
-
-    Maxima are sign changes of y' = cos(pi t y) from positive to negative,
-    evaluated on the recorded samples.
-    """
+def toy_maxima(traj: Trajectory) -> np.ndarray:
+    """Times of the local maxima of a toy-model trajectory on t > 0: the
+    samples after which y' = cos(pi t y) changes sign from + to -."""
     if not traj.equation.first_order:
-        raise ValueError("count_toy_maxima applies to toy-model trajectories")
+        raise ValueError("maxima are located on toy-model trajectories only")
     rt, ry = traj.real_t(), traj.real_y()
-    s = np.cos(math.pi * rt * ry)
-    pos = s > 0.0
-    return int(np.count_nonzero(pos[:-1] & ~pos[1:]))
+    pos = np.cos(math.pi * rt * ry) > 0.0
+    return rt[:-1][pos[:-1] & ~pos[1:]]
+
+
+def count_toy_maxima(traj: Trajectory) -> int:
+    """Number of local maxima of a toy-model trajectory on t > 0
+    (see :func:`toy_maxima`)."""
+    return len(toy_maxima(traj))

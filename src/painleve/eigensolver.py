@@ -8,19 +8,19 @@ generic behaviors, so it is bracketed by a binary discriminant:
   {pole cascade} vs {stable oscillation};
 * positive direction (Painleve II value mode): the sign of the (n+1)-th
   blow-up, read off the recorded pole approach signs;
-* toy model: the number of maxima of the solution.
+* toy model: the number of maxima of the solution, which rises by one
+  across each critical value.
 
 A scan at a coarse integration tolerance finds the brackets. The end game
 then switches to a continuous discriminant: the deviation from the
-separatrix's asymptotic series at a matching time T, projected onto the
-growing WKB mode. The two bracket ends pick the first T, and a bracketing
-Illinois search finds its root in passes at later and later T, with probes
-that stop at T instead of running through the whole pole cascade. The
-binary discriminant stays the ground truth: two full-horizon probes a
+separatrix at a matching time T, projected onto the growing mode. The two
+bracket ends pick the first T, and a bracketing Illinois search finds its
+root in passes at later and later T, with probes that stop at T instead of
+running through the whole pole cascade or out to the toy model's horizon.
+The binary discriminant stays the ground truth: two full-horizon probes a
 bracket width apart must still classify differently around the root (the
 certificate), and if they do not, the end game falls back to bisecting the
-scan bracket at the fine tolerance. The toy model is bisected on its maxima
-count throughout.
+scan bracket at the fine tolerance.
 
 The direction, scan seed and growth law of each search mode, and the
 turning point, instability rate and separatrix asymptotics of each
@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classify import (SEPARATRIX_BAND, ClassificationError, ClassTag, classify,
-                       count_toy_maxima)
+                       count_toy_maxima, toy_maxima)
 from .equations import (TOY_MODEL, Direction, Equation, InitialData, ModeKind, ModeSpec, branch_curve,
                         energy)
 from .integrator import IntegrationConfig, IntegrationError, integrate
@@ -128,8 +128,8 @@ def _negative_horizon(eq: Equation, mode: SearchMode, x: float) -> float:
     turn = eq.turning_point(_trial_energy(eq, mode, x))
     return -max(28.0, 1.35 * turn + 16.0)
 
-# Tolerance of the scan, the toy's coarse bisection and bisect's two end
-# probes; perfbench/workloads.py keeps a copy of its rel_tol.
+# Tolerance of the scan and bisect's two end probes; perfbench/workloads.py
+# keeps a copy of its rel_tol.
 _COARSE = {"rel_tol": 1e-8, "abs_tol": 1e-10}
 
 
@@ -152,29 +152,22 @@ def _probe(eq, mode, x, cfg: IntegrationConfig, max_poles=None):
 _NEGATIVE_KEYS = {ClassTag.POLE_CASCADE: "cascade", ClassTag.STABLE_OSCILLATION: "stable"}
 
 
-def _signature(traj) -> tuple[int, ...]:
-    return tuple(p.approach_sign for p in traj.poles)
-
-
 def _class_key(eq, x, traj):
-    """Blow-up signature, or cascade / stable and the pole count, of a probe."""
+    """Class key of a probe and its pole count: the toy model's maxima count
+    (no poles), the blow-up signature in the positive direction (its pole
+    count follows from the other bracket end), or cascade / stable."""
+    if eq.first_order:
+        return count_toy_maxima(traj), 0
     if traj.direction is Direction.POSITIVE_T:
-        return _signature(traj), None
+        return _events(traj)[1], None
     cls = classify(eq, traj)
     if cls.tag not in _NEGATIVE_KEYS:
         raise BisectionError(f"probe x = {x!r} classified as {cls.tag.value}", probe=x)
     return _NEGATIVE_KEYS[cls.tag], cls.pole_count
 
 
-def _toy_count(a: float, cfg: IntegrationConfig) -> int:
-    traj = integrate(TOY_MODEL, InitialData(a), Direction.POSITIVE_T, cfg)
-    return count_toy_maxima(traj)
-
-
 def _discriminant(eq, mode, cfg, n_poles=None):
     """Class key of a trial initial datum x, probed at the tolerance of cfg."""
-    if eq.first_order:
-        return lambda x: _toy_count(x, cfg)
     return lambda x: _class_key(eq, x, _probe(eq, mode, x, cfg, n_poles))[0]
 
 
@@ -183,6 +176,12 @@ def _keys_differ(a, b) -> bool:
         n = min(len(a), len(b))
         return a[:n] != b[:n]
     return a != b
+
+
+def _one_flip(k_lo, k_hi) -> bool:
+    """Keys at the ends of a bracket around one critical value: a maxima
+    count rises by exactly 1, other keys differ."""
+    return k_hi - k_lo == 1 if isinstance(k_lo, int) else _keys_differ(k_lo, k_hi)
 
 
 def _walk(disc, x, end, step):
@@ -238,7 +237,7 @@ def scan_brackets(
     if cfg is None:
         cfg = IntegrationConfig()
     n_poles = None
-    if not eq.first_order and _positive(eq, mode):
+    if _positive(eq, mode):
         # pole cap a little above the index of a critical value at the range's
         # far end; 1.2 undershoots the growth coefficient
         index_exponent = 1.0 / _spec(eq, mode).exponent
@@ -257,8 +256,12 @@ def scan_brackets(
     return brackets
 
 
-def _half_steps(disc, lo, hi, k_lo, k_hi, stop):
-    while hi - lo > stop:
+def _fine_bisection(disc, lo, hi, tol):
+    """Fallback end game: halve the scan bracket at the fine tolerance."""
+    k_lo, k_hi = disc(lo), disc(hi)
+    if not _keys_differ(k_lo, k_hi):
+        raise BisectionError(f"fine probes at both ends of ({lo!r}, {hi!r}) share the class {k_lo!r}")
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -275,16 +278,8 @@ def _half_steps(disc, lo, hi, k_lo, k_hi, stop):
     return lo, hi
 
 
-def _fine_bisection(disc, lo, hi, tol):
-    """Fallback end game: halve the scan bracket at the fine tolerance."""
-    k_lo, k_hi = disc(lo), disc(hi)
-    if not _keys_differ(k_lo, k_hi):
-        raise BisectionError(f"fine probes at both ends of ({lo!r}, {hi!r}) share the class {k_lo!r}")
-    return _half_steps(disc, lo, hi, k_lo, k_hi, tol)
-
-
 class _Unmatched(Exception):
-    """A short probe ended early, off the axis or behind other poles."""
+    """A short probe ended early, off the axis or behind other poles or maxima."""
 
 
 def _illinois(g, a, ga, b, gb, stop):
@@ -304,51 +299,69 @@ def _illinois(g, a, ga, b, gb, stop):
     return None
 
 
-def _shared_poles(sig_a, sig_b) -> int:
-    """Number of leading poles two blow-up signatures share."""
+def _shared_events(sig_a, sig_b) -> int:
+    """Number of leading events two signatures share."""
     return next((i for i, (p, q) in enumerate(zip(sig_a, sig_b)) if p != q), min(len(sig_a), len(sig_b)))
 
 
-def _projection(eq, direction, t, branch, y, yp):
-    """Share g = d' + (sigma sqrt(V) + V_t / (4 V)) d of the growing WKB mode
-    of d'' = V d in the deviation d = y - y_sep from the separatrix series at
-    t, and the growth rate sqrt(V). Raises _Unmatched where V <= 0."""
-    y_sep, yp_sep, v, v_t = eq.separatrix[direction](t, branch)
+def _events(traj):
+    """Times and signature of the events a probe's class key counts: its
+    poles, signed by the blow-up, or the toy model's maxima."""
+    if traj.equation.first_order:
+        times = toy_maxima(traj)
+        return times, (1,) * len(times)
+    return np.array([p.location for p in traj.poles]), tuple(p.approach_sign for p in traj.poles)
+
+
+def _projection(at, direction, y, yp):
+    """Share g of the growing mode in the deviation d = y - y_sep of (y, yp)
+    from the separatrix ``at`` = (y_sep, y_sep', V, V_t), and its growth rate:
+    for d'' = V d, g = d' + (sigma sqrt(V) + V_t / (4 V)) d grows at sqrt(V);
+    for d' = V d (yp None) g = d grows at V. Raises _Unmatched where V <= 0."""
+    y_sep, yp_sep, v, v_t = at
     if v <= 0.0:
         raise _Unmatched
+    if yp is None:
+        return y - y_sep, v
     return (yp - yp_sep) + (direction.sign * math.sqrt(v) + v_t / (4.0 * v)) * (y - y_sep), math.sqrt(v)
 
 
-def _axis_states(traj, u, n_behind):
-    """y, y' at the times sigma * u, interpolated between neighbouring real
-    samples; NaN off the axis or where other than n_behind poles lie behind."""
+def _axis_states(traj, u, times, n_behind):
+    """y, y' (None for a first-order equation) at the times sigma * u,
+    interpolated between neighbouring real samples; NaN off the axis or where
+    other than n_behind of the event ``times`` lie behind."""
     idx, sigma = traj.real_indices(), traj.direction.sign
-    s, y, yp = sigma * traj.t[idx].real, traj.y[idx].real, traj.yp[idx].real
+    s = sigma * traj.t[idx].real
     i = np.clip(np.searchsorted(s, u, side="right") - 1, 0, len(s) - 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = (u - s[i]) / (s[i + 1] - s[i])
-    behind = np.searchsorted(sigma * np.array([p.location for p in traj.poles]), u)
+    behind = np.searchsorted(sigma * times, u)
     f[(idx[i + 1] != idx[i] + 1) | (f < 0.0) | (f > 1.0) | (behind != n_behind)] = np.nan
-    return y[i] + f * (y[i + 1] - y[i]), yp[i] + f * (yp[i + 1] - yp[i])
+    lerp = lambda v: v[i] + f * (v[i + 1] - v[i])  # noqa: E731
+    return lerp(traj.y[idx].real), None if traj.yp is None else lerp(traj.yp[idx].real)
 
 
 def _matching_start(eq, ends):
-    """(T, branch sign, poles behind, g at each end) at the last T at which
-    both bracket ends sit on the real axis behind the poles they share, with
-    opposite signs of g. Raises _Unmatched if there is none."""
+    """((T, y), events behind, g at each end) at the last T at which both
+    bracket ends sit on the real axis behind the events they share, with
+    opposite signs of g on the separatrix nearest (T, y), y their mean.
+    Raises _Unmatched if there is none."""
     direction = ends[0].direction
-    shared = _shared_poles(*map(_signature, ends))
+    events = [_events(tr) for tr in ends]
+    shared = _shared_events(*(sig for _, sig in events))
     u = np.sort(direction.sign * np.concatenate([tr.real_t() for tr in ends]))[::-1]
-    states = [_axis_states(tr, u, shared) for tr in ends]
-    y_sum = states[0][0] + states[1][0]
-    for k in np.nonzero((u > 0.0) & np.isfinite(y_sum))[0]:
-        t, branch = direction.sign * float(u[k]), 1.0 if y_sum[k] >= 0.0 else -1.0
+    states = [_axis_states(tr, u, times, shared) for tr, (times, _) in zip(ends, events)]
+    y_mid = 0.5 * (states[0][0] + states[1][0])
+    for k in np.nonzero((u > 0.0) & np.isfinite(y_mid))[0]:
+        t = direction.sign * float(u[k])
+        at = eq.separatrix[direction](t, t, float(y_mid[k]))
         try:
-            g_a, g_b = (_projection(eq, direction, t, branch, y[k], yp[k])[0] for y, yp in states)
+            g_a, g_b = (_projection(at, direction, y[k], None if yp is None else yp[k])[0]
+                        for y, yp in states)
         except _Unmatched:
             continue
         if g_a * g_b < 0.0:
-            return t, branch, shared, float(g_a), float(g_b)
+            return (t, float(y_mid[k])), shared, float(g_a), float(g_b)
     raise _Unmatched
 
 
@@ -370,20 +383,29 @@ def _matched_root(eq, mode, cfg, cfg_fine, bracket, ends, tol, n_poles):
     """
     direction, sigma = ends[0].direction, ends[0].direction.sign
 
-    def g(x, t, pc):
-        traj = integrate(eq, _initial_data(mode, x), direction,
-                         replace(pc, t_horizon=t, max_poles=n_poles or pc.max_poles))
-        if (traj.stopped_by != "horizon" or traj.terminal_t != t
-                or traj.t[-1].imag != 0.0 or len(traj.poles) != n_before):
-            raise _Unmatched
-        return _projection(eq, direction, t, branch, traj.y[-1].real, traj.yp[-1].real)[0]
+    def g(t, pc):
+        """g at T = t of a trial datum, probed with the tolerance of pc. The
+        separatrix is evaluated once per T: the toy model's is a backward run."""
+        at = eq.separatrix[direction](t, *point)
 
-    rate = lambda t: _projection(eq, direction, t, branch, 0.0, 0.0)[1]  # noqa: E731
+        def g_t(x):
+            traj = integrate(eq, _initial_data(mode, x), direction,
+                             replace(pc, t_horizon=t, max_poles=n_poles or pc.max_poles))
+            if (traj.stopped_by != "horizon" or traj.terminal_t != t
+                    or traj.t[-1].imag != 0.0 or len(_events(traj)[1]) != n_before):
+                raise _Unmatched
+            yp = None if traj.yp is None else traj.yp[-1].real
+            return _projection(at, direction, traj.y[-1].real, yp)[0]
+        return g_t
+
+    yp0 = None if eq.first_order else 0.0
+    rate = lambda t: _projection(eq.separatrix[direction](t, *point), direction, 0.0, yp0)[1]  # noqa: E731
     lo, hi = bracket
     width = (hi - lo) / _SHRINK
     try:
-        t_match, branch, n_before, g_lo, g_hi = _matching_start(eq, ends)
-        root = _illinois(lambda x: g(x, t_match, cfg), lo, g_lo, hi, g_hi, _STOP * width)
+        point, n_before, g_lo, g_hi = _matching_start(eq, ends)
+        t_match = point[0]
+        root = _illinois(g(t_match, cfg), lo, g_lo, hi, g_hi, _STOP * width)
         while root is not None:
             near, t_last = min(root - lo, hi - root), t_match
             for _ in range(_WIDEN):
@@ -391,14 +413,15 @@ def _matched_root(eq, mode, cfg, cfg_fine, bracket, ends, tol, n_poles):
                 # sqrt(V) rises along the run: step with its value at the far end
                 t_match = t_last + sigma * step / rate(t_last + sigma * step / rate(t_last))
                 lo, hi = root - 0.5 * width, root + 0.5 * width
-                g_lo, g_hi = g(lo, t_match, cfg_fine), g(hi, t_match, cfg_fine)
+                g_t = g(t_match, cfg_fine)
+                g_lo, g_hi = g_t(lo), g_t(hi)
                 if g_lo * g_hi < 0.0:
                     break
                 width *= 4.0
             else:
                 return None
             last = root
-            root = _illinois(lambda x: g(x, t_match, cfg_fine), lo, g_lo, hi, g_hi, tol / 20.0)
+            root = _illinois(g_t, lo, g_lo, hi, g_hi, tol / 20.0)
             if root is None or abs(root - last) <= math.exp(step) * tol / 4.0:
                 return root
             width /= _SHRINK
@@ -417,31 +440,31 @@ def bisect(
 ) -> EigenvalueRecord:
     """Locate the critical value inside one bracket to the requested width.
 
-    The endpoints, probed at the scan tolerance, must classify differently;
+    The endpoints, probed at the scan tolerance, must classify differently,
+    and the toy model's maxima count must rise by exactly 1 between them;
     their trajectories start the matched end game (:func:`_matched_root`).
     The class stays the ground truth: fine-tolerance probes at value -+ w/2,
     with w the bracket width halved until it is at most ``tol``, must still
-    classify differently (the certificate). If not, or if matching fails,
-    the bracket is bisected at the fine tolerance instead.
+    classify so (the certificate). If not, or if matching fails, the bracket
+    is bisected at the fine tolerance instead.
     """
     mode = SearchMode.coerce(mode)
     if cfg is None:
         cfg = IntegrationConfig()
     if tol < 10.0 * cfg.rel_tol:
         raise ValueError(f"tol = {tol} is below 10 * rel_tol = {10 * cfg.rel_tol}")
-    if eq.first_order:
-        raise ValueError("use toy_eigen_table for the toy model")
     positive = _positive(eq, mode)
     cfg_fine = _fine_cfg(eq, cfg, tol)
 
     lo, hi = bracket
     ends = [_probe(eq, mode, x, replace(cfg, **_COARSE), index + 6 if positive else None) for x in bracket]
-    keys = [_class_key(eq, x, traj)[0] for x, traj in zip(bracket, ends)]
-    if not _keys_differ(*keys):
-        raise BisectionError(f"bracket endpoints {bracket} share the class {keys[0]!r}")
-    # in the positive direction m poles are traversed before the decaying stretch
-    m = _shared_poles(*keys) if positive else None
-    n_poles = m + 2 if positive else None
+    (k_lo, n_lo), (k_hi, _) = (_class_key(eq, x, traj) for x, traj in zip(bracket, ends))
+    if not _one_flip(k_lo, k_hi):
+        raise BisectionError(f"bracket endpoints {bracket} have the classes {k_lo!r} and {k_hi!r}, "
+                             "not one flip apart")
+    # a blow-up signature traverses m poles before the decaying stretch
+    m = _shared_events(k_lo, k_hi) if n_lo is None else None
+    n_poles = None if m is None else m + 2
     w = hi - lo
     while w > tol:
         w *= 0.5
@@ -449,9 +472,9 @@ def bisect(
     def certified_poles(value):
         (k_lo, n_lo), (k_hi, n_hi) = (_class_key(eq, x, _probe(eq, mode, x, cfg_fine, n_poles))
                                       for x in (value - 0.5 * w, value + 0.5 * w))
-        if not _keys_differ(k_lo, k_hi):
+        if not _one_flip(k_lo, k_hi):
             return None
-        return m if positive else n_lo if k_lo == "stable" else n_hi
+        return m if m is not None else n_lo if k_lo == "stable" else n_hi
 
     value = _matched_root(eq, mode, cfg, cfg_fine, bracket, ends, tol, n_poles)
     pole_count = None if value is None else certified_poles(value)
@@ -545,20 +568,17 @@ def eigen_table(
     """First ``n_max`` critical initial conditions of a search mode.
 
     Scans outward from the mode's scan origin with a step that adapts to
-    the predicted eigenvalue spacing (which shrinks like n^(p-1)), bisecting
-    every class flip. Indices are ordinal in the scanned variable. On a
-    mid-table failure a :class:`PartialTableError` carrying the finished
-    records is raised. The toy model ignores ``mode`` and is handed to
-    :func:`toy_eigen_table`.
+    the predicted eigenvalue spacing (which shrinks like n^(p-1)), and hands
+    every class flip to :func:`bisect`. Indices are ordinal in the scanned
+    variable. On a mid-table failure a :class:`PartialTableError` carrying
+    the finished records is raised.
     """
-    if eq.first_order:
-        return toy_eigen_table(n_max, tol=max(tol, 1e-8), cfg=cfg)
     mode = SearchMode.coerce(mode)
-    if n_max < 1 or n_max > 30:
-        raise ValueError("n_max must be between 1 and 30")
+    spec = _spec(eq, mode)
+    if n_max < 1 or n_max > spec.max_index:
+        raise ValueError(f"n_max must be between 1 and {spec.max_index}")
     if cfg is None:
         cfg = IntegrationConfig()
-    spec = _spec(eq, mode)
     p = spec.exponent
     sign = -1.0 if spec.origin < 0 else 1.0
     limit = 1.7 * spec.coeff * (n_max + 1) ** p + 3.0
@@ -588,41 +608,11 @@ def toy_eigen_table(
     tol: float = 1e-6,
     cfg: IntegrationConfig | None = None,
 ) -> list[EigenvalueRecord]:
-    """Critical initial values of the toy model, by bisection on the
-    maxima count. The n-th record is where the count first reaches
-    (count at the scan origin) + n."""
-    if n_max < 1 or n_max > 60:
-        raise ValueError("n_max must be between 1 and 60")
+    """Critical initial values a_n of the toy model: :func:`eigen_table` on
+    its one search mode, at ``rel_tol`` 1e-9 unless ``cfg`` is given. The
+    maxima count of y' = cos(pi t y) rises by one across each a_n."""
     if cfg is None:
         cfg = IntegrationConfig(rel_tol=1e-9, abs_tol=1e-11)
     if tol < 10.0 * cfg.rel_tol:
         raise ValueError(f"tol = {tol} is below 10 * rel_tol = {10 * cfg.rel_tol}")
-    spec = TOY_MODEL.modes[ModeKind.TOY]
-    mode = SearchMode(ModeKind.TOY)
-    records: list[EigenvalueRecord] = []
-    a = spec.origin
-    step = spec.step
-    limit = spec.coeff * (n_max + 2) ** spec.exponent + 3.0
-    coarse = replace(cfg, **_COARSE)
-    with _partial_table(records):
-        base = _toy_count(a, coarse)
-        while len(records) < n_max:
-            if a > limit:
-                raise BisectionError(f"toy scan ran past a = {a:.3g}")
-            nxt = a + step
-            have = base + len(records)
-            if _toy_count(nxt, coarse) <= have:
-                a = nxt
-                continue
-            # bisect to the first jump inside (a, nxt) on the key
-            # count > have; a multi-jump interval is handled one jump at a time
-            lo, hi = _half_steps(lambda x: _toy_count(x, coarse) > have, a, nxt, False, True,
-                                 max(tol, 1e-4))
-            lo, hi = _half_steps(lambda x: _toy_count(x, cfg) > have, lo, hi, False, True, tol)
-            value = 0.5 * (lo + hi)
-            records.append(EigenvalueRecord(len(records) + 1, value, hi - lo, 0, mode))
-            a = value + tol
-            if len(records) >= 2:
-                gap = records[-1].value - records[-2].value
-                step = max(0.25 * gap, 100 * tol)
-    return records
+    return eigen_table(TOY_MODEL, ModeKind.TOY, n_max, tol, cfg)

@@ -70,6 +70,7 @@ class ModeSpec:
     results never depend on it. ``order``, ``split_even_odd`` and
     ``constant`` (a :class:`~painleve.asymptotics.WkbConstants` field) drive
     the Richardson extraction; a mode without a closed form has none.
+    A table of the mode holds at most ``max_index`` critical values.
     """
 
     direction: Direction
@@ -80,6 +81,7 @@ class ModeSpec:
     order: int | None = None
     split_even_odd: bool = False
     constant: str | None = None
+    max_index: int = 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +90,9 @@ class Equation:
 
     ``rhs(t, y, y')`` returns the pair (y', y''); the first-order toy model
     returns (y', 0) and ignores y'. ``pole_order`` is the order of the
-    movable poles (2, 1, or 0 for the pole-free toy model). The remaining
-    callables are None for the toy model, which has no energy, branch
-    curves or poles:
+    movable poles (2, 1, or 0 for the pole-free toy model). The toy model
+    has no energy, branch curves or poles, so of the callables below it has
+    only ``separatrix``:
 
     * ``hamiltonian(y, y')`` is H, and ``fluct_jet(t, y, y')`` the value and
       first two derivatives of the fluctuation integrand dH/dt;
@@ -101,10 +103,12 @@ class Equation:
       pole-spacing model;
     * ``turning_point(E)`` is |t| where the branch curve's energy reaches E,
       and ``instability_rate(turn)`` the separatrix's e-folding rate there;
-    * ``separatrix[direction](t, s)`` is (y, y', V, V_t) at time t: the
-      truncated asymptotic series of the separatrix on branch sign s in that
-      direction, its t-derivative, and the linearised potential V = dy''/dy
-      on it with its t-derivative (small deviations obey d'' = V d).
+    * ``separatrix[direction](t, t_near, y_near)`` is (y, y', V, V_t) at t
+      on the separatrix nearest (t_near, y_near) in that direction: the
+      branch of y_near's sign, or the toy model's unstable level t y =
+      2k - 1/2 nearest t_near y_near. y, y' follow its asymptotics, and small
+      deviations d obey d'' = V d (V = dy''/dy), or d' = V d (V = dy'/dy)
+      for the toy model.
 
     ``fine_tol_divisor`` ties the end-game integration tolerance of a
     bisection to its width, and ``modes`` holds the facts of each search
@@ -152,7 +156,8 @@ def _p1_jet(t, y, yp):
 _P1_C = 49.0 * math.sqrt(6.0) / 4608.0
 
 
-def _p1_separatrix(t, s):
+def _p1_separatrix(t, _t_near, y_near):
+    s = 1.0 if y_near >= 0.0 else -1.0
     x = -t
     y = math.sqrt(x / 6.0) - x**-2 / 48.0 - _P1_C * x**-4.5
     dy_dx = 0.5 / math.sqrt(6.0 * x) + x**-3 / 24.0 + 4.5 * _P1_C * x**-5.5
@@ -178,7 +183,8 @@ def _p2_jet(t, y, yp):
 _P2_C = 1.0 / (8.0 * math.sqrt(2.0))
 
 
-def _p2_separatrix(t, s):
+def _p2_separatrix(t, _t_near, y_near):
+    s = 1.0 if y_near >= 0.0 else -1.0
     x = -t
     y = math.sqrt(x / 2.0) - _P2_C * x**-2.5
     dy_dx = 0.5 / math.sqrt(2.0 * x) + 2.5 * _P2_C * x**-3.5
@@ -188,6 +194,26 @@ def _p2_separatrix(t, s):
 
 def _toy_rhs(t, y, _yp):
     return math.cos(math.pi * t * y), 0.0
+
+
+def _toy_separatrix(t, t_near, y_near):
+    # y' = cos(pi t y) repels from the levels t y = c = 2k - 1/2 at the rate
+    # V = dy'/dy = -pi t sin(pi t y) ~ pi t, so backward in t they attract: a
+    # run back from the series c/t - c/(pi t^3) over 36 e-foldings of pi t
+    # lands on the separatrix, where that series misses by up to 4e-2 in t y
+    c = 2.0 * round(0.5 * (t_near * y_near + 0.5)) - 0.5
+    s = t + 36.0 / (math.pi * t)
+    n = math.ceil(4.0 * math.pi * s * (s - t))  # RK4 steps of 1/(4 pi s)
+    y, h = c / s - c / (math.pi * s**3), (t - s) / n
+    for _ in range(n):
+        k1 = math.cos(math.pi * s * y)
+        k2 = math.cos(math.pi * (s + 0.5 * h) * (y + 0.5 * h * k1))
+        k3 = math.cos(math.pi * (s + 0.5 * h) * (y + 0.5 * h * k2))
+        s += h
+        y += h * (k1 + 2.0 * k2 + 2.0 * k3 + math.cos(math.pi * s * (y + h * k3))) / 6.0
+    u = math.pi * t * y
+    yp = math.cos(u)
+    return y, yp, -math.pi * t * math.sin(u), -math.pi * math.sin(u) - math.pi**2 * t * yp * (y + t * yp)
 
 
 _NEG, _POS = Direction.NEGATIVE_T, Direction.POSITIVE_T
@@ -232,7 +258,7 @@ PAINLEVE_II = Equation(
     turning_point=lambda e: math.sqrt(8.0 * e),
     instability_rate=lambda turn: math.sqrt(2.0 * turn),
     # positive direction: the separatrix decays to 0 and deviations obey Airy's d'' = t d
-    separatrix={_NEG: _p2_separatrix, _POS: lambda t, s: (0.0, 0.0, t, 1.0)},
+    separatrix={_NEG: _p2_separatrix, _POS: lambda t, _t_near, _y_near: (0.0, 0.0, t, 1.0)},
     # simple poles amplify traversal noise harder
     fine_tol_divisor=1000.0,
 )
@@ -242,8 +268,9 @@ TOY_MODEL = Equation(
     pole_order=0,
     rhs=_toy_rhs,
     directions=(_POS,),
-    modes={ModeKind.TOY: ModeSpec(_POS, 0.05, 0.4, 1.0 / 2.0, 2.0 ** (5.0 / 6.0))},
+    modes={ModeKind.TOY: ModeSpec(_POS, 0.05, 0.4, 1.0 / 2.0, 2.0 ** (5.0 / 6.0), max_index=60)},
     positive_horizon=50.0,
+    separatrix={_POS: _toy_separatrix},
 )
 
 _BY_NAME = {

@@ -5,7 +5,8 @@ property, and acceptance tests."""
 import pytest
 
 import painleve.eigensolver as eigensolver
-from painleve import ModeKind, PAINLEVE_I, PAINLEVE_II, PurityError, eigen_table, toy_eigen_table
+from painleve import (Direction, InitialData, ModeKind, PAINLEVE_I, PAINLEVE_II, PurityError, TOY_MODEL,
+                      count_toy_maxima, eigen_table, integrate, toy_eigen_table)
 
 # Reference critical values (reference digits for these systems).
 P1_SLOPE_REF = {
@@ -53,6 +54,11 @@ CONST_REF = {
 # Toy-model critical values frozen from the in-repo fine-grid oracle
 # (maxima-count jumps located by a step-1e-4 scan; see test_eigensolver).
 TOY_REF = {1: 1.602573, 2: 2.388358, 3: 2.976682}
+
+
+def toy_count(a, cfg):
+    """Maxima count of the toy model's trajectory from y(0) = a."""
+    return count_toy_maxima(integrate(TOY_MODEL, InitialData(a), Direction.POSITIVE_T, cfg))
 
 
 def counted_probes(monkeypatch, fail_at=None):

@@ -28,14 +28,13 @@ from painleve import (
     bisect,
     separatrix_check,
 )
-from painleve.eigensolver import _toy_count
-
 from conftest import (
     CONST_REF,
     P1_SLOPE_REF,
     P1_VALUE_REF,
     P2_SLOPE_REF,
     P2_VALUE_REF,
+    toy_count,
 )
 
 TOL_EIGEN = 1e-6
@@ -142,7 +141,7 @@ def test_criterion_8_toy_model(toy_table):
     for n in (1, 5, 25, 50):
         a = toy_table[n - 1].value
         eps = 2.0 * toy_table[n - 1].bracket_width + 1e-6
-        jump = _toy_count(a + eps, cfg) - _toy_count(a - eps, cfg)
+        jump = toy_count(a + eps, cfg) - toy_count(a - eps, cfg)
         assert jump == 1, (n, jump)
     print(f"\ncriterion 8 PASS: a_n/sqrt(n) within {100*worst:.2f}% of 2^(5/6) "
           "(<= 2%), count jumps exactly 1 at a_1, a_5, a_25, a_50")

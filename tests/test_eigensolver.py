@@ -15,6 +15,7 @@ from painleve import (
     PartialTableError,
     PurityError,
     SearchMode,
+    TOY_MODEL,
     bisect,
     eigen_table,
     scan_brackets,
@@ -22,9 +23,10 @@ from painleve import (
     toy_eigen_table,
 )
 import painleve.eigensolver as eigensolver
-from painleve.eigensolver import _discriminant, _fine_cfg, _keys_differ, _toy_count
+from painleve.eigensolver import _discriminant, _fine_cfg, _keys_differ
 
-from conftest import P1_SLOPE_REF, P1_VALUE_REF, P2_SLOPE_REF, P2_VALUE_REF, TOY_REF, counted_probes
+from conftest import (P1_SLOPE_REF, P1_VALUE_REF, P2_SLOPE_REF, P2_VALUE_REF, TOY_REF, counted_probes,
+                      toy_count)
 
 
 def test_search_mode_coercion():
@@ -153,30 +155,53 @@ def test_end_game_falls_back_to_bisection(monkeypatch):
     assert forced.pole_count == unforced.pole_count == 0
 
 
+_NO_TOY_MODE = "p1 has no toy mode; its modes are: slope, value"
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call,message",
     [
-        lambda: scan_brackets(PAINLEVE_I, "toy", (0.5, 1.0), 0.1),
-        lambda: bisect(PAINLEVE_I, ModeKind.TOY, (1.8, 1.9)),
-        lambda: eigen_table(PAINLEVE_I, "toy", 2),
+        (lambda: scan_brackets(PAINLEVE_I, "toy", (0.5, 1.0), 0.1), _NO_TOY_MODE),
+        (lambda: bisect(PAINLEVE_I, ModeKind.TOY, (1.8, 1.9)), _NO_TOY_MODE),
+        (lambda: eigen_table(PAINLEVE_I, "toy", 2), _NO_TOY_MODE),
+        (lambda: scan_brackets(TOY_MODEL, "slope", (0.5, 1.0), 0.1), "toy has no slope mode; its modes are: toy"),
     ],
-    ids=["scan_brackets", "bisect", "eigen_table"],
+    ids=["scan_brackets", "bisect", "eigen_table", "toy-scan_brackets"],
 )
-def test_mode_missing_from_equation(call):
-    with pytest.raises(ValueError, match="p1 has no toy mode; its modes are: slope, value"):
+def test_mode_missing_from_equation(call, message):
+    with pytest.raises(ValueError, match=message):
         call()
+
+
+def _benchmark_copy(name):
+    """The value perfbench/workloads.py assigns to ``name``, read without
+    importing the benchmark."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    copies = [node.value for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)]
+    assert len(copies) == 1
+    return ast.literal_eval(copies[0])
+
+
+def test_benchmark_copies_reference_values():
+    # perfbench checks its critical values against its own copies of the
+    # references, so that an edit to the tests cannot loosen them; hold those
+    # copies to the tests' ones
+    tests = {("p1", "slope"): P1_SLOPE_REF, ("p1", "value"): P1_VALUE_REF,
+             ("p2", "slope"): P2_SLOPE_REF, ("p2", "value"): P2_VALUE_REF}
+    refs = _benchmark_copy("REFS")
+    assert set(refs) == set(tests)
+    for key, values in refs.items():
+        for n, value in values.items():
+            assert value == tests[key][n], (key, n)
+    assert _benchmark_copy("TOY_REF") == TOY_REF
 
 
 def test_benchmark_copies_scan_tolerance():
     # perfbench splits traced probes into coarse and fine by comparing
-    # rel_tol with its own copy of the scan tolerance; read that copy without
-    # importing the benchmark
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    copies = [node.value for node in ast.parse(path.read_text()).body
-              if isinstance(node, ast.Assign)
-              and any(isinstance(t, ast.Name) and t.id == "COARSE_REL_TOL" for t in node.targets)]
-    assert len(copies) == 1
-    assert ast.literal_eval(copies[0]) == eigensolver._COARSE["rel_tol"]
+    # rel_tol with its own copy of the scan tolerance
+    assert _benchmark_copy("COARSE_REL_TOL") == eigensolver._COARSE["rel_tol"]
 
 
 def test_bisect_first_critical_value():
@@ -282,9 +307,26 @@ def test_slope_growth_insensitive_to_fixed_value(p1_slope_table):
 
 
 def test_toy_probe_count(monkeypatch):
+    # Beyond the scan, each eigenvalue runs at most four probes to the full
+    # horizon: the two bracket ends and the two certificate probes. Every
+    # other end-game probe stops at its matching time, well short of it.
     calls = counted_probes(monkeypatch)
+    end_games = []
+    real_bisect = eigensolver.bisect
+
+    def bisect(*args, **kwargs):
+        start = len(calls)
+        rec = real_bisect(*args, **kwargs)
+        end_games.append(calls[start:])
+        return rec
+
+    monkeypatch.setattr(eigensolver, "bisect", bisect)
     table = toy_eigen_table(3)
-    assert len(calls) == 66
+    assert len(end_games) == 3
+    for probes in end_games:
+        horizons = [args[3].t_horizon for args in probes]
+        assert horizons.count(None) <= 4
+        assert all(t <= 0.1 * TOY_MODEL.positive_horizon for t in horizons if t is not None)
     for rec in table:
         assert abs(rec.value - TOY_REF[rec.index]) <= 1.5e-4
 
@@ -292,6 +334,7 @@ def test_toy_probe_count(monkeypatch):
 @pytest.mark.parametrize(
     "build,fail_at,ref",
     [
+        # the second eigenvalue's end game runs probes 27-45 of 67
         (lambda: toy_eigen_table(3), 40, TOY_REF),
         # the second eigenvalue's bisection runs probes 33-47 of 47
         (lambda: eigen_table(PAINLEVE_II, ModeKind.VALUE, 2, tol=1e-6), 40, P2_VALUE_REF),
@@ -324,7 +367,7 @@ def test_toy_oracle_rerun_around_first_jump(toy_table):
     cfg = IntegrationConfig(rel_tol=1e-9, abs_tol=1e-11)
     a1 = toy_table[0].value
     grid = np.arange(a1 - 0.002, a1 + 0.002, 1e-4)
-    counts = [_toy_count(float(a), cfg) for a in grid]
+    counts = [toy_count(float(a), cfg) for a in grid]
     jumps = [i for i in range(len(counts) - 1) if counts[i + 1] != counts[i]]
     assert len(jumps) == 1
     i = jumps[0]
@@ -336,9 +379,26 @@ def test_toy_jump_matches_table_at_n5(toy_table):
     # cross-module consistency: the count jump sits where the solver put a_5
     cfg = IntegrationConfig(rel_tol=1e-9, abs_tol=1e-11)
     a5 = toy_table[4].value
-    below = _toy_count(a5 - 2e-6, cfg)
-    above = _toy_count(a5 + 2e-6, cfg)
+    below = toy_count(a5 - 2e-6, cfg)
+    above = toy_count(a5 + 2e-6, cfg)
     assert above - below == 1
+
+
+def test_toy_records_against_tight_reference(toy_table):
+    # The honest error bar of a toy record: a maxima-count bisection at
+    # rel_tol 1e-12 on a +-2e-6 window locates a_n far inside the record's
+    # bracket width. At a_32 a count bisection at the table's rel_tol of
+    # 1e-9 misses by twice that width.
+    cfg = IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14)
+    for n in (1, 3, 32):
+        rec = toy_table[n - 1]
+        lo, hi = rec.value - 2e-6, rec.value + 2e-6
+        below = toy_count(lo, cfg)
+        assert toy_count(hi, cfg) == below + 1
+        while hi - lo > 1e-3 * rec.bracket_width:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if toy_count(mid, cfg) == below else (lo, mid)
+        assert abs(rec.value - 0.5 * (lo + hi)) <= rec.bracket_width
 
 
 def test_toy_growth_constant(toy_table):

@@ -80,9 +80,9 @@ def test_asymptotic_branch():
 
 def _series_residual(eq, t, s, h=1e-3):
     # y'' from the series' own y' by a central difference, against the ODE
-    y, yp, _, _ = eq.separatrix[Direction.NEGATIVE_T](t, s)
-    yp_plus = eq.separatrix[Direction.NEGATIVE_T](t + h, s)[1]
-    yp_minus = eq.separatrix[Direction.NEGATIVE_T](t - h, s)[1]
+    y, yp, _, _ = eq.separatrix[Direction.NEGATIVE_T](t, t, s)
+    yp_plus = eq.separatrix[Direction.NEGATIVE_T](t + h, t, s)[1]
+    yp_minus = eq.separatrix[Direction.NEGATIVE_T](t - h, t, s)[1]
     return (yp_plus - yp_minus) / (2.0 * h) - eq.rhs(t, y, yp)[1]
 
 
@@ -115,14 +115,35 @@ def test_separatrix_series_derivatives(eq, direction, s):
     h = 1e-4
     for t in (6.0, 9.0, 15.0):
         t *= direction.sign
-        y, yp, v, v_t = series(t, s)
-        plus, minus = series(t + h, s), series(t - h, s)
+        y, yp, v, v_t = series(t, t, s)
+        plus, minus = series(t + h, t, s), series(t - h, t, s)
         assert (plus[0] - minus[0]) / (2 * h) == pytest.approx(yp, abs=1e-8)
         assert (plus[2] - minus[2]) / (2 * h) == pytest.approx(v_t, abs=1e-7)
         dv = (eq.rhs(t, y + h, yp)[1] - eq.rhs(t, y - h, yp)[1]) / (2 * h)
         assert dv == pytest.approx(v, abs=1e-6)
         assert v > 0.0
-    assert TOY_MODEL.separatrix == {}
+
+
+def test_toy_separatrix_levels():
+    # the toy model's separatrices track the unstable levels t y = c = 2k - 1/2
+    # nearest the given point, and far out they follow the series
+    # c - c/(pi t^2) + 3 c/(pi^2 t^4) of t y, whose next term is O(c^3 / t^6)
+    sep = TOY_MODEL.separatrix[Direction.POSITIVE_T]
+    for t_near, y_near, c in ((3.0, 0.8, 1.5), (3.0, 0.85, 3.5), (12.0, 8.3, 99.5)):
+        for t in (30.0, 40.0):
+            series = c - c / (np.pi * t**2) + 3.0 * c / (np.pi * t**2) ** 2
+            assert t * sep(t, t_near, y_near)[0] == pytest.approx(series, abs=c**3 / t**6)
+    # nearer in, the curve still solves y' = cos(pi t y), with the repelling
+    # rate V = dy'/dy = -pi t sin(pi t y) and its t-derivative V_t
+    h = 1e-4
+    for t, c in ((2.0, 1.5), (6.0, 5.5), (12.0, 99.5)):
+        y, yp, v, v_t = sep(t, t, c / t)
+        plus, minus = sep(t + h, t, c / t), sep(t - h, t, c / t)
+        assert yp == np.cos(np.pi * t * y)
+        assert (plus[0] - minus[0]) / (2 * h) == pytest.approx(yp, abs=1e-7)
+        assert v == pytest.approx(-np.pi * t * np.sin(np.pi * t * y), rel=1e-15)
+        assert v > 2.0 * t
+        assert (plus[2] - minus[2]) / (2 * h) == pytest.approx(v_t, rel=1e-5)
 
 
 def test_energy_closed_forms():
