@@ -16,11 +16,13 @@ then switches to a continuous discriminant: the deviation from the
 separatrix at a matching time T, projected onto the growing mode. The two
 bracket ends pick the first T, and a bracketing Illinois search finds its
 root in passes at later and later T, with probes that stop at T instead of
-running through the whole pole cascade or out to the toy model's horizon.
+running through the whole pole cascade or through the toy model's maxima.
 The binary discriminant stays the ground truth: two full-horizon probes a
 bracket width apart must still classify differently around the root (the
 certificate), and if they do not, the end game falls back to bisecting the
-scan bracket at the fine tolerance.
+scan bracket at the fine tolerance. A toy-model probe that runs for its
+class key ends as soon as its maxima count is final (``Equation.settled``),
+a few time units past t = 0, not at the horizon.
 
 The direction, scan seed and growth law of each search mode, and the
 turning point, instability rate and separatrix asymptotics of each
@@ -142,11 +144,13 @@ def _fine_cfg(eq: Equation, cfg: IntegrationConfig, tol: float) -> IntegrationCo
 
 
 def _probe(eq, mode, x, cfg: IntegrationConfig, max_poles=None):
-    """Full-horizon trajectory of the trial datum x at the tolerance of cfg."""
+    """Full-horizon trajectory of the trial datum x at the tolerance of cfg.
+    It ends early once the equation's ``settled`` rule says its class key is
+    final (the toy model's maxima count), else at the horizon."""
     negative = cfg.t_horizon is None and not _positive(eq, mode)
     pc = replace(cfg, t_horizon=_negative_horizon(eq, mode, x) if negative else cfg.t_horizon,
                  max_poles=cfg.max_poles if max_poles is None else max_poles)
-    return integrate(eq, _initial_data(mode, x), _spec(eq, mode).direction, pc)
+    return integrate(eq, _initial_data(mode, x), _spec(eq, mode).direction, pc, until=eq.settled)
 
 
 _NEGATIVE_KEYS = {ClassTag.POLE_CASCADE: "cascade", ClassTag.STABLE_OSCILLATION: "stable"}

@@ -10,11 +10,12 @@ Every fact the pipeline needs about one of them - its right-hand side, the
 energy H and the fluctuation jet, the branch curves and the stable
 attractor, the pole order and Laurent correction, the pole-spacing model,
 the turning point and instability rate, the separatrix asymptotics the
-eigenvalue search matches to, the allowed directions and default
-horizon, and the search facts of each mode (direction, scan seed, growth
-exponent, Richardson order, WKB constant) - lives in its :class:`Equation`
-below. The integrator, classifier, eigensolver and CLI read those facts
-and never ask which equation they hold.
+eigenvalue search matches to, the rule that ends a probe once its class is
+final, the allowed directions and default horizon, and the search facts
+of each mode (direction, scan seed, growth exponent, Richardson order, WKB
+constant) - lives in its :class:`Equation` below. The integrator,
+classifier, eigensolver and CLI read those facts and never ask which
+equation they hold.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class Equation:
     returns (y', 0) and ignores y'. ``pole_order`` is the order of the
     movable poles (2, 1, or 0 for the pole-free toy model). The toy model
     has no energy, branch curves or poles, so of the callables below it has
-    only ``separatrix``:
+    only ``separatrix`` and ``settled``:
 
     * ``hamiltonian(y, y')`` is H, and ``fluct_jet(t, y, y')`` the value and
       first two derivatives of the fluctuation integrand dH/dt;
@@ -108,7 +109,10 @@ class Equation:
       branch of y_near's sign, or the toy model's unstable level t y =
       2k - 1/2 nearest t_near y_near. y, y' follow its asymptotics, and small
       deviations d obey d'' = V d (V = dy''/dy), or d' = V d (V = dy'/dy)
-      for the toy model.
+      for the toy model;
+    * ``settled(t, y, y')`` is true once the class key of the run can no
+      longer change, so an eigenvalue probe may stop there; None runs every
+      probe to its horizon.
 
     ``fine_tol_divisor`` ties the end-game integration tolerance of a
     bisection to its width, and ``modes`` holds the facts of each search
@@ -130,6 +134,7 @@ class Equation:
     turning_point: Callable | None = None
     instability_rate: Callable | None = None
     separatrix: Mapping[Direction, Callable] = field(default_factory=dict)
+    settled: Callable | None = None
     fine_tol_divisor: float = 100.0
 
     @property
@@ -216,6 +221,16 @@ def _toy_separatrix(t, t_near, y_near):
     return y, yp, -math.pi * t * math.sin(u), -math.pi * math.sin(u) - math.pi**2 * t * yp * (y + t * yp)
 
 
+def _toy_settled(t, y, _yp):
+    # u = t y obeys u' = u/t + t cos(pi u), which is u/t > 0 wherever
+    # cos(pi u) = 0: u crosses those levels upward only, and a maximum of y
+    # is an upward crossing of some u = 2k + 1/2. Once u' < 0 (here y > 0),
+    # u lies inside (2k + 1/2, 2k + 3/2), and any b just above u bars it for
+    # good, since t^2 (-cos(pi b)) > b only strengthens as t grows: no
+    # further maximum can come.
+    return y > 0.0 and y + t * math.cos(math.pi * t * y) < 0.0
+
+
 _NEG, _POS = Direction.NEGATIVE_T, Direction.POSITIVE_T
 
 PAINLEVE_I = Equation(
@@ -271,6 +286,7 @@ TOY_MODEL = Equation(
     modes={ModeKind.TOY: ModeSpec(_POS, 0.05, 0.4, 1.0 / 2.0, 2.0 ** (5.0 / 6.0), max_index=60)},
     positive_horizon=50.0,
     separatrix={_POS: _toy_separatrix},
+    settled=_toy_settled,
 )
 
 _BY_NAME = {

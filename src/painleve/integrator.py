@@ -25,6 +25,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -67,10 +68,12 @@ class IntegrationConfig:
 
     ``t_horizon`` of None selects the default: -60 for the negative
     direction, the equation's ``positive_horizon`` (+30 for Painleve II,
-    +50 for the toy model) for the positive one. ``purity_tol`` bounds
-    |Im y| and |Im y'| relative to max(1, |Re|) at detour exits. The default
-    ``max_step`` is the largest finite float, which never binds and keeps
-    the config strict JSON.
+    +50 for the toy model) for the positive one. The eigensolver's toy-model
+    probes stop once their maxima count is final (``Equation.settled``), so
+    for them the horizon is only a cap on runs that never settle.
+    ``purity_tol`` bounds |Im y| and |Im y'| relative to max(1, |Re|) at
+    detour exits. The default ``max_step`` is the largest finite float,
+    which never binds and keeps the config strict JSON.
 
     ``detour_start`` is the |y| at which pole handling engages. Detours must
     begin while the state is still moderate: carrying the pair (y, y')
@@ -141,7 +144,8 @@ class Trajectory:
 
     Samples are ordered by Re t in the integration direction. The arrays are
     complex; only detour samples have t off the real axis. ``stopped_by`` is
-    one of 'horizon', 'pole-cap', 'step-underflow'.
+    one of 'horizon', 'settled' (the caller's ``until`` predicate fired),
+    'pole-cap', 'step-underflow'; only the last two truncate the run.
     """
 
     equation: Equation
@@ -170,7 +174,7 @@ class Trajectory:
 
     @property
     def truncated(self) -> bool:
-        return self.stopped_by != "horizon"
+        return self.stopped_by in ("pole-cap", "step-underflow")
 
 
 # Dormand-Prince 5(4) tableau.
@@ -366,6 +370,7 @@ def integrate(
     direction: Direction,
     cfg: IntegrationConfig | None = None,
     half_plane: int = 1,
+    until: Callable | None = None,
 ) -> Trajectory:
     """Integrate the initial-value problem from t = 0 to the horizon,
     traversing movable poles via semicircular detours.
@@ -377,7 +382,9 @@ def integrate(
     ``Trajectory.stopped_by``) rather than raising, so callers can classify
     truncated runs. ``half_plane`` +1 detours through the upper half plane,
     -1 through the lower; by Schwarz reflection the two give conjugate arcs
-    and the same real exits.
+    and the same real exits. ``until(t, y, y')``, if given, is checked after
+    every accepted real-axis step; once it holds, the run ends there with
+    ``stopped_by`` 'settled'.
     """
     if cfg is None:
         cfg = IntegrationConfig()
@@ -411,6 +418,8 @@ def integrate(
         ts.append(s)
         ys.append(u)
         vs.append(w)
+        if until is not None and until(s, u, w):
+            return "settled"
         if pole_free:
             return None
         nonlocal armed
@@ -425,8 +434,8 @@ def integrate(
         t, y, v, k1, token = _advance(f, t, y, v, horizon, cfg, on_accept, k1=k1)
         if token is None:
             break
-        if token == "step-underflow":
-            stopped_by = "step-underflow"
+        if token != "pole":
+            stopped_by = token
             break
         # Pole trigger fired at (t, y, v).
         approach_sign = 1 if y >= 0.0 else -1

@@ -16,6 +16,7 @@ from painleve import (
     integrate,
     separatrix_check,
 )
+from painleve.classify import toy_maxima
 
 
 def _neg(eq, y0, slope, horizon=-40.0, **kw):
@@ -103,6 +104,21 @@ def test_count_toy_maxima_monotone():
         counts.append(count_toy_maxima(traj))
     assert all(b >= a for a, b in zip(counts, counts[1:]))
     assert counts[-1] > counts[0]
+
+
+def test_toy_settle_rule_is_exact():
+    # A run stopped by TOY_MODEL.settled counts the maxima of the full run to
+    # t = 50: it always settles, and only after the full run's last maximum.
+    cfg = IntegrationConfig(rel_tol=1e-9, abs_tol=1e-11)
+    for a in np.random.default_rng(8).uniform(0.05, 14.5, 200):
+        init = InitialData(float(a))
+        full = integrate(TOY_MODEL, init, Direction.POSITIVE_T, cfg)
+        assert full.stopped_by == "horizon" and full.terminal_t == 50.0
+        stopped = integrate(TOY_MODEL, init, Direction.POSITIVE_T, cfg, until=TOY_MODEL.settled)
+        assert stopped.stopped_by == "settled", a
+        maxima = toy_maxima(full)
+        assert count_toy_maxima(stopped) == len(maxima), a
+        assert stopped.terminal_t > maxima[-1], a
 
 
 def test_count_toy_maxima_rejects_others():

@@ -310,7 +310,18 @@ def test_toy_probe_count(monkeypatch):
     # Beyond the scan, each eigenvalue runs at most four probes to the full
     # horizon: the two bracket ends and the two certificate probes. Every
     # other end-game probe stops at its matching time, well short of it.
+    # Every full-horizon probe stops once its maxima count is final; the
+    # latest measured stop is t = 4.32, and 6 leaves a margin of 39 %.
     calls = counted_probes(monkeypatch)
+    stops = []
+    counted = eigensolver.integrate
+
+    def integrate(*args, **kwargs):
+        traj = counted(*args, **kwargs)
+        stops.append((traj.stopped_by, traj.terminal_t))
+        return traj
+
+    monkeypatch.setattr(eigensolver, "integrate", integrate)
     end_games = []
     real_bisect = eigensolver.bisect
 
@@ -327,6 +338,8 @@ def test_toy_probe_count(monkeypatch):
         horizons = [args[3].t_horizon for args in probes]
         assert horizons.count(None) <= 4
         assert all(t <= 0.1 * TOY_MODEL.positive_horizon for t in horizons if t is not None)
+    full = [stop for args, stop in zip(calls, stops) if args[3].t_horizon is None]
+    assert full and all(by == "settled" and t < 6.0 for by, t in full)
     for rec in table:
         assert abs(rec.value - TOY_REF[rec.index]) <= 1.5e-4
 
@@ -334,8 +347,8 @@ def test_toy_probe_count(monkeypatch):
 @pytest.mark.parametrize(
     "build,fail_at,ref",
     [
-        # the second eigenvalue's end game runs probes 27-45 of 67
-        (lambda: toy_eigen_table(3), 40, TOY_REF),
+        # the second eigenvalue's end game runs probes 21-36 of 54
+        (lambda: toy_eigen_table(3), 28, TOY_REF),
         # the second eigenvalue's bisection runs probes 33-47 of 47
         (lambda: eigen_table(PAINLEVE_II, ModeKind.VALUE, 2, tol=1e-6), 40, P2_VALUE_REF),
     ],

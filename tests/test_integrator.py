@@ -170,6 +170,29 @@ def test_pole_cap_truncates():
     assert all(p.entry_index is not None for p in traj.poles[:-1])
 
 
+def test_until_stops_without_truncating():
+    # until ends a run at the first accepted real-axis step at which it
+    # holds; the run up to there is the full run's, and it is not truncated
+    cases = [
+        (TOY_MODEL, InitialData(2.0), Direction.POSITIVE_T, IntegrationConfig(rel_tol=1e-9, abs_tol=1e-11),
+         TOY_MODEL.settled),
+        (PAINLEVE_I, InitialData(0.0, 2.504031103), Direction.NEGATIVE_T, IntegrationConfig(t_horizon=-20.0),
+         lambda t, y, yp: t < -8.0),
+    ]
+    for eq, init, direction, cfg, until in cases:
+        full = integrate(eq, init, direction, cfg)
+        assert full.stopped_by == "horizon" and not full.truncated
+        stopped = integrate(eq, init, direction, cfg, until=until)
+        assert stopped.stopped_by == "settled" and not stopped.truncated
+        n = len(stopped.t)
+        assert n < len(full.t)
+        assert np.array_equal(stopped.t, full.t[:n]) and np.array_equal(stopped.y, full.y[:n])
+        assert [p.location for p in stopped.poles] == [p.location for p in full.poles[:len(stopped.poles)]]
+        last, prev = ((stopped.t[i].real, stopped.y[i].real, None if stopped.yp is None else stopped.yp[i].real)
+                      for i in (-1, -2))
+        assert stopped.terminal_t == last[0] and until(*last) and not until(*prev)
+
+
 def test_integrate_estimates_poles_with_estimate_pole(monkeypatch):
     # the pipeline's pole estimate is the public estimate_pole, one call per
     # recorded pole, the cap-terminating event included
