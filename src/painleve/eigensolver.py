@@ -26,7 +26,8 @@ a few time units past t = 0, not at the horizon.
 
 The direction, scan seed and growth law of each search mode, and the
 turning point, instability rate and separatrix asymptotics of each
-equation, come from the equation's spec.
+equation, come from the equation's spec. Each probe is sized from its own
+datum (:func:`_probe`), so ``bisect``'s ``index`` is only a label.
 
 The search never asks the classifier to *detect* a separatrix (a
 measure-zero event); separatrix tags are used only to validate converged
@@ -109,10 +110,6 @@ def _spec(eq: Equation, mode: SearchMode) -> ModeSpec:
     return eq.modes[mode.kind]
 
 
-def _positive(eq: Equation, mode: SearchMode) -> bool:
-    return _spec(eq, mode).direction is Direction.POSITIVE_T
-
-
 def _initial_data(mode: SearchMode, x: float) -> InitialData:
     if mode.kind is ModeKind.SLOPE:
         return InitialData(mode.fixed_value, x)
@@ -135,6 +132,11 @@ def _negative_horizon(eq: Equation, mode: SearchMode, x: float) -> float:
 _COARSE = {"rel_tol": 1e-8, "abs_tol": 1e-10}
 
 
+def _check_tol(tol: float, cfg: IntegrationConfig) -> None:
+    if tol < 10.0 * cfg.rel_tol:
+        raise ValueError(f"tol = {tol} is below 10 * rel_tol = {10 * cfg.rel_tol}")
+
+
 def _fine_cfg(eq: Equation, cfg: IntegrationConfig, tol: float) -> IntegrationConfig:
     # Flip points move by ~3e3 * rel_tol for the second equation and ~1e2 *
     # rel_tol for the first, so the end game runs tight enough for tol to
@@ -143,14 +145,19 @@ def _fine_cfg(eq: Equation, cfg: IntegrationConfig, tol: float) -> IntegrationCo
     return replace(cfg, rel_tol=max(fine_rel, 1e-13), abs_tol=max(fine_rel * 1e-2, 1e-15))
 
 
-def _probe(eq, mode, x, cfg: IntegrationConfig, max_poles=None):
-    """Full-horizon trajectory of the trial datum x at the tolerance of cfg.
-    It ends early once the equation's ``settled`` rule says its class key is
-    final (the toy model's maxima count), else at the horizon."""
-    negative = cfg.t_horizon is None and not _positive(eq, mode)
-    pc = replace(cfg, t_horizon=_negative_horizon(eq, mode, x) if negative else cfg.t_horizon,
-                 max_poles=cfg.max_poles if max_poles is None else max_poles)
-    return integrate(eq, _initial_data(mode, x), _spec(eq, mode).direction, pc, until=eq.settled)
+def _probe(eq, mode, x, cfg: IntegrationConfig):
+    """Full-horizon trajectory of the trial datum x at the tolerance of cfg,
+    sized from x alone: the horizon follows from the trial energy in the
+    negative direction (unless cfg sets one); the positive direction caps
+    the poles at (|x| / coeff)^(1/p) + 2, past the n + 1 blow-ups that tell
+    the sides of any c_n <= |x|; a toy-model run ends once ``settled``."""
+    spec = _spec(eq, mode)
+    if spec.direction is Direction.NEGATIVE_T:
+        if cfg.t_horizon is None:
+            cfg = replace(cfg, t_horizon=_negative_horizon(eq, mode, x))
+    elif eq.pole_order:
+        cfg = replace(cfg, max_poles=int((abs(x) / spec.coeff) ** (1.0 / spec.exponent)) + 2)
+    return integrate(eq, _initial_data(mode, x), spec.direction, cfg, until=eq.settled)
 
 
 _NEGATIVE_KEYS = {ClassTag.POLE_CASCADE: "cascade", ClassTag.STABLE_OSCILLATION: "stable"}
@@ -170,9 +177,9 @@ def _class_key(eq, x, traj):
     return _NEGATIVE_KEYS[cls.tag], cls.pole_count
 
 
-def _discriminant(eq, mode, cfg, n_poles=None):
+def _discriminant(eq, mode, cfg):
     """Class key of a trial initial datum x, probed at the tolerance of cfg."""
-    return lambda x: _class_key(eq, x, _probe(eq, mode, x, cfg, n_poles))[0]
+    return lambda x: _class_key(eq, x, _probe(eq, mode, x, cfg))[0]
 
 
 def _keys_differ(a, b) -> bool:
@@ -240,13 +247,7 @@ def scan_brackets(
         raise ValueError("search range must be a finite nonempty interval")
     if cfg is None:
         cfg = IntegrationConfig()
-    n_poles = None
-    if _positive(eq, mode):
-        # pole cap a little above the index of a critical value at the range's
-        # far end; 1.2 undershoots the growth coefficient
-        index_exponent = 1.0 / _spec(eq, mode).exponent
-        n_poles = int((max(abs(lo), abs(hi)) / 1.2) ** index_exponent) + 8
-    disc = _discriminant(eq, mode, replace(cfg, **_COARSE), n_poles)
+    disc = _discriminant(eq, mode, replace(cfg, **_COARSE))
 
     brackets = list(_walk(disc, lo, hi, lambda: step))
     for (a0, _), (b0, _) in zip(brackets, brackets[1:]):
@@ -375,7 +376,7 @@ _WIDEN = 3  # times it widens by 4 while its ends share a sign
 _STOP = 0.1  # the first pass stops below this share of the next bracket
 
 
-def _matched_root(eq, mode, cfg, cfg_fine, bracket, ends, tol, n_poles):
+def _matched_root(eq, mode, cfg, cfg_fine, bracket, ends, tol):
     """Separatrix datum in the scan bracket by root-finding on g
     (:func:`_projection`) at a matching time T, with probes that stop at T;
     None where that cannot be trusted (the caller then bisects). The first
@@ -393,8 +394,7 @@ def _matched_root(eq, mode, cfg, cfg_fine, bracket, ends, tol, n_poles):
         at = eq.separatrix[direction](t, *point)
 
         def g_t(x):
-            traj = integrate(eq, _initial_data(mode, x), direction,
-                             replace(pc, t_horizon=t, max_poles=n_poles or pc.max_poles))
+            traj = integrate(eq, _initial_data(mode, x), direction, replace(pc, t_horizon=t))
             if (traj.stopped_by != "horizon" or traj.terminal_t != t
                     or traj.t[-1].imag != 0.0 or len(_events(traj)[1]) != n_before):
                 raise _Unmatched
@@ -451,39 +451,39 @@ def bisect(
     with w the bracket width halved until it is at most ``tol``, must still
     classify so (the certificate). If not, or if matching fails, the bracket
     is bisected at the fine tolerance instead.
+
+    Every probe is sized from its datum, so ``index`` only labels the
+    returned record.
     """
     mode = SearchMode.coerce(mode)
     if cfg is None:
         cfg = IntegrationConfig()
-    if tol < 10.0 * cfg.rel_tol:
-        raise ValueError(f"tol = {tol} is below 10 * rel_tol = {10 * cfg.rel_tol}")
-    positive = _positive(eq, mode)
+    _check_tol(tol, cfg)
     cfg_fine = _fine_cfg(eq, cfg, tol)
 
     lo, hi = bracket
-    ends = [_probe(eq, mode, x, replace(cfg, **_COARSE), index + 6 if positive else None) for x in bracket]
+    ends = [_probe(eq, mode, x, replace(cfg, **_COARSE)) for x in bracket]
     (k_lo, n_lo), (k_hi, _) = (_class_key(eq, x, traj) for x, traj in zip(bracket, ends))
     if not _one_flip(k_lo, k_hi):
         raise BisectionError(f"bracket endpoints {bracket} have the classes {k_lo!r} and {k_hi!r}, "
                              "not one flip apart")
     # a blow-up signature traverses m poles before the decaying stretch
     m = _shared_events(k_lo, k_hi) if n_lo is None else None
-    n_poles = None if m is None else m + 2
     w = hi - lo
     while w > tol:
         w *= 0.5
 
     def certified_poles(value):
-        (k_lo, n_lo), (k_hi, n_hi) = (_class_key(eq, x, _probe(eq, mode, x, cfg_fine, n_poles))
+        (k_lo, n_lo), (k_hi, n_hi) = (_class_key(eq, x, _probe(eq, mode, x, cfg_fine))
                                       for x in (value - 0.5 * w, value + 0.5 * w))
         if not _one_flip(k_lo, k_hi):
             return None
         return m if m is not None else n_lo if k_lo == "stable" else n_hi
 
-    value = _matched_root(eq, mode, cfg, cfg_fine, bracket, ends, tol, n_poles)
+    value = _matched_root(eq, mode, cfg, cfg_fine, bracket, ends, tol)
     pole_count = None if value is None else certified_poles(value)
     if pole_count is None:
-        lo, hi = _fine_bisection(_discriminant(eq, mode, cfg_fine, n_poles), lo, hi, tol)
+        lo, hi = _fine_bisection(_discriminant(eq, mode, cfg_fine), lo, hi, tol)
         value = 0.5 * (lo + hi)
         pole_count = certified_poles(value)
         if pole_count is None:
@@ -583,11 +583,12 @@ def eigen_table(
         raise ValueError(f"n_max must be between 1 and {spec.max_index}")
     if cfg is None:
         cfg = IntegrationConfig()
+    _check_tol(tol, cfg)
     p = spec.exponent
     sign = -1.0 if spec.origin < 0 else 1.0
     limit = 1.7 * spec.coeff * (n_max + 1) ** p + 3.0
 
-    disc = _discriminant(eq, mode, replace(cfg, **_COARSE), (n_max + 3) if _positive(eq, mode) else None)
+    disc = _discriminant(eq, mode, replace(cfg, **_COARSE))
     records: list[EigenvalueRecord] = []
     step = spec.step
     with _partial_table(records):
@@ -617,6 +618,4 @@ def toy_eigen_table(
     maxima count of y' = cos(pi t y) rises by one across each a_n."""
     if cfg is None:
         cfg = IntegrationConfig(rel_tol=1e-9, abs_tol=1e-11)
-    if tol < 10.0 * cfg.rel_tol:
-        raise ValueError(f"tol = {tol} is below 10 * rel_tol = {10 * cfg.rel_tol}")
     return eigen_table(TOY_MODEL, ModeKind.TOY, n_max, tol, cfg)

@@ -67,8 +67,9 @@ class ModeSpec:
 
     The search integrates in ``direction``, and its critical values grow
     like ``coeff * n**exponent``. The scan starts at ``origin`` with
-    ``step``; ``coeff`` is a rough guess that only bounds the scan, so
-    results never depend on it. ``order``, ``split_even_odd`` and
+    ``step``. ``coeff`` bounds the scan and, in the positive direction, sizes
+    each probe's pole cap from the n poles c_n passes, so there it must be a
+    lower bound on c_n / n**exponent. ``order``, ``split_even_odd`` and
     ``constant`` (a :class:`~painleve.asymptotics.WkbConstants` field) drive
     the Richardson extraction; a mode without a closed form has none.
     A table of the mode holds at most ``max_index`` critical values.
@@ -261,7 +262,8 @@ PAINLEVE_II = Equation(
     directions=(_NEG, _POS),
     modes={
         ModeKind.SLOPE: ModeSpec(_NEG, 0.1, 0.1, 2.0 / 3.0, 1.9, 4, True, "p2_slope"),
-        ModeKind.VALUE: ModeSpec(_POS, 0.3, 0.08, 1.0 / 3.0, 1.3, 4, False, "p2_value"),
+        # (c_n / 1.2)^3 - n runs from 0.058 (n = 1) to 1.202 (n = 30)
+        ModeKind.VALUE: ModeSpec(_POS, 0.3, 0.08, 1.0 / 3.0, 1.2, 4, False, "p2_value"),
     },
     hamiltonian=lambda y, yp: 0.5 * yp * yp - 0.5 * y * y * y * y,
     fluct_jet=_p2_jet,
@@ -274,6 +276,8 @@ PAINLEVE_II = Equation(
     instability_rate=lambda turn: math.sqrt(2.0 * turn),
     # positive direction: the separatrix decays to 0 and deviations obey Airy's d'' = t d
     separatrix={_NEG: _p2_separatrix, _POS: lambda t, _t_near, _y_near: (0.0, 0.0, t, 1.0)},
+    # the certificate of c_29 reads its 30th blow-up, past t = 30
+    positive_horizon=40.0,
     # simple poles amplify traversal noise harder
     fine_tol_divisor=1000.0,
 )

@@ -7,7 +7,7 @@ from the leading Laurent behavior (y ~ (t - t0)^{-p}  =>  t0 = t + p y/y'),
 less the equation's Laurent correction; the sweep walks to the point at the
 detour radius from t0, integrates along a half circle t = t0 + r e^{i phi}
 in the upper half plane, and resumes on the far side.
-Exit states must be real to within the purity tolerance; their residual
+Exit states must be real to within ``_PURITY_TOL``; their residual
 imaginary parts are zeroed so drift cannot accumulate.
 
 The right-hand side, pole order, Laurent correction and pole-spacing model
@@ -67,13 +67,12 @@ class IntegrationConfig:
     """Tolerances and limits for :func:`integrate`.
 
     ``t_horizon`` of None selects the default: -60 for the negative
-    direction, the equation's ``positive_horizon`` (+30 for Painleve II,
+    direction, the equation's ``positive_horizon`` (+40 for Painleve II,
     +50 for the toy model) for the positive one. The eigensolver's toy-model
     probes stop once their maxima count is final (``Equation.settled``), so
-    for them the horizon is only a cap on runs that never settle.
-    ``purity_tol`` bounds |Im y| and |Im y'| relative to max(1, |Re|) at
-    detour exits. The default ``max_step`` is the largest finite float,
-    which never binds and keeps the config strict JSON.
+    for them the horizon is only a cap on runs that never settle. The
+    default ``max_step`` is the largest finite float, which never binds and
+    keeps the config strict JSON.
 
     ``detour_start`` is the |y| at which pole handling engages. Detours must
     begin while the state is still moderate: carrying the pair (y, y')
@@ -84,15 +83,13 @@ class IntegrationConfig:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    purity_tol: float = 1e-6
     t_horizon: float | None = None
     max_poles: int = 200
-    min_step: float = 1e-12
     max_step: float = sys.float_info.max
     detour_start: float = 15.0
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "purity_tol", "min_step"):
+        for name in ("rel_tol", "abs_tol"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.detour_start <= 10.0:
@@ -200,9 +197,11 @@ _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 _MIN_RATIO = 1e-12  # |y'/y| below which estimate_pole calls the state degenerate
+_MIN_STEP = 1e-12  # a step below this underflows
+_PURITY_TOL = 1e-6  # bound on |Im y|, |Im y'| relative to max(1, |Re|) at a detour exit
 
 
-def _advance(f, s0, u0, v0, s1, cfg: IntegrationConfig, on_accept, k1=None, h0=None):
+def _advance(f, s0, u0, v0, s1, cfg: IntegrationConfig, on_accept, k1=None):
     """March the first-order pair (u, v)' = f(s, u, v) from s0 to s1.
 
     ``s`` is the real integration parameter (t on the axis, the angle on an
@@ -210,8 +209,7 @@ def _advance(f, s0, u0, v0, s1, cfg: IntegrationConfig, on_accept, k1=None, h0=N
     v)`` runs after every accepted step and may return a truthy stop token.
     Returns (s, u, v, k1, stop_token), stop_token None when s1 was reached.
     """
-    rtol, atol = cfg.rel_tol, cfg.abs_tol
-    min_step, max_step = cfg.min_step, cfg.max_step
+    rtol, atol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
     s, u, v = s0, u0, v0
     span = s1 - s0
     if span == 0.0:
@@ -219,16 +217,14 @@ def _advance(f, s0, u0, v0, s1, cfg: IntegrationConfig, on_accept, k1=None, h0=N
     direction = 1.0 if span > 0.0 else -1.0
     if k1 is None:
         k1 = f(s, u, v)
-    if h0 is None:
-        h0 = min(1e-3, abs(span) / 10.0)
-    h = direction * min(abs(h0), max_step)
+    h = direction * min(1e-3, abs(span) / 10.0, max_step)
     err_prev = 1e-4
     while True:
         if direction * (s + h - s1) > 0.0:
-            if abs(s1 - s) <= min_step:
+            if abs(s1 - s) <= _MIN_STEP:
                 return s1, u, v, k1, None
             h = s1 - s
-        if abs(h) < min_step:
+        if abs(h) < _MIN_STEP:
             return s, u, v, k1, "step-underflow"
         k1u, k1v = k1
         ua = u + h * (_A21 * k1u)
@@ -332,10 +328,10 @@ def _run_arc(f, entry: State, t0: complex, radius: float, cfg, phi0, phi1):
     exit_t = (t0 + radius * cmath.exp(1j * phi1)).real
     scale_y = max(1.0, abs(u.real))
     scale_v = max(1.0, abs(v.real))
-    if abs(u.imag) > cfg.purity_tol * scale_y or abs(v.imag) > cfg.purity_tol * scale_v:
+    if abs(u.imag) > _PURITY_TOL * scale_y or abs(v.imag) > _PURITY_TOL * scale_v:
         raise PurityError(
             f"detour exit at t = {exit_t:.6g} is not real: "
-            f"Im y = {u.imag:.3e}, Im y' = {v.imag:.3e} (purity_tol = {cfg.purity_tol})"
+            f"Im y = {u.imag:.3e}, Im y' = {v.imag:.3e} (purity tolerance {_PURITY_TOL})"
         )
     return State(exit_t, u.real, v.real), samples
 

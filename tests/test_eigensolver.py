@@ -102,8 +102,7 @@ def test_end_game_record_flips_at_fine_tolerance(eq, mode, bracket, ref):
     rec = bisect(eq, mode, bracket, tol=1e-9)
     assert abs(rec.value - ref) < 3e-9
     assert rec.bracket_width <= 1e-9
-    n_poles = rec.pole_count + 2 if mode is ModeKind.VALUE and eq is PAINLEVE_II else None
-    disc = _discriminant(eq, SearchMode(mode), _fine_cfg(eq, IntegrationConfig(), 1e-9), n_poles)
+    disc = _discriminant(eq, SearchMode(mode), _fine_cfg(eq, IntegrationConfig(), 1e-9))
     half = 0.5 * rec.bracket_width
     assert _keys_differ(disc(rec.value - half), disc(rec.value + half))
 
@@ -218,6 +217,39 @@ def test_bisect_requires_class_flip():
 def test_bisect_tolerance_guard():
     with pytest.raises(ValueError):
         bisect(PAINLEVE_I, ModeKind.SLOPE, (1.8, 1.9), tol=1e-12)
+
+
+def test_eigen_table_checks_tolerance_before_scanning(monkeypatch):
+    calls = counted_probes(monkeypatch)
+    with pytest.raises(ValueError, match="below 10 \\* rel_tol"):
+        eigen_table(PAINLEVE_I, ModeKind.SLOPE, 3, tol=1e-11)
+    assert calls == []
+
+
+def test_p2_value_growth_coefficient_bounds_references():
+    # each positive-direction probe caps its poles at (|x| / coeff)^(1/p) + 2,
+    # which covers the n poles of c_n only while coeff stays below c_n / n^p
+    spec = PAINLEVE_II.modes[ModeKind.VALUE]
+    for n, c in P2_VALUE_REF.items():
+        assert (c / spec.coeff) ** (1.0 / spec.exponent) >= n
+
+
+def test_bisect_index_only_labels_the_record():
+    # the probes are sized from their data, so a far-out bracket needs no
+    # index hint: with the default index 1 this finds c_13 and its 13 poles
+    rec = bisect(PAINLEVE_II, ModeKind.VALUE, (2.84, 2.88), tol=1e-9)
+    assert abs(rec.value - P2_VALUE_REF[13]) < 1e-8
+    assert rec.pole_count == 13
+    assert rec.index == 1
+
+
+def test_bisect_last_p2_value_index():
+    # the certificate of c_29 reads the sign of its 30th blow-up, which lies
+    # past t = 30, inside the horizon of 40 (3.735381955 was computed by this
+    # code, not quoted)
+    rec = bisect(PAINLEVE_II, ModeKind.VALUE, (3.73, 3.74), tol=1e-9, index=29)
+    assert rec.pole_count == 29
+    assert abs(rec.value - 3.735381955) < 1e-8
 
 
 def test_p1_slope_table(p1_slope_table):
