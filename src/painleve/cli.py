@@ -264,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["slope", "value"], default="slope")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
     p.add_argument("--format", choices=["csv", "json"], default="json")
     p.add_argument("--out", default=None)

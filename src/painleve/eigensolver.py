@@ -13,21 +13,24 @@ generic behaviors, so it is bracketed by a binary discriminant:
 
 A scan at a coarse integration tolerance finds the brackets. The end game
 then switches to a continuous discriminant: the deviation from the
-separatrix at a matching time T, projected onto the growing mode. The two
-bracket ends pick the first T, and a bracketing Illinois search finds its
-root in passes at later and later T, with probes that stop at T instead of
-running through the whole pole cascade or through the toy model's maxima.
-The binary discriminant stays the ground truth: two full-horizon probes a
-bracket width apart must still classify differently around the root (the
-certificate), and if they do not, the end game falls back to bisecting the
-scan bracket at the fine tolerance. A toy-model probe that runs for its
-class key ends as soon as its maxima count is final (``Equation.settled``),
-a few time units past t = 0, not at the horizon.
+separatrix at a matching time T, projected onto the growing mode. The
+scan's own records of the two bracket ends pick the first T, and a
+bracketing Illinois search finds its root in passes at later and later T,
+with probes that stop at T instead of running through the whole pole
+cascade or through the toy model's maxima. The binary discriminant stays
+the ground truth: two full-horizon probes a bracket width apart must still
+be one flip apart around the root (the certificate). If they are not, the
+end game bisects the scan bracket at the fine tolerance, and its last
+bracket is the certificate. One rule, :func:`_flip_poles`, reads off the
+flip and the pole count for the bracket ends, the certificate and the
+fallback. A toy-model probe that runs for its class key ends as soon as its
+maxima count is final (``Equation.settled``), not at the horizon.
 
 The direction, scan seed and growth law of each search mode, and the
 turning point, instability rate and separatrix asymptotics of each
 equation, come from the equation's spec. Each probe is sized from its own
-datum (:func:`_probe`), so ``bisect``'s ``index`` is only a label.
+datum (:func:`_probe`), so a config may not set a horizon and ``bisect``'s
+``index`` is only a label.
 
 The search never asks the classifier to *detect* a separatrix (a
 measure-zero event); separatrix tags are used only to validate converged
@@ -39,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -127,9 +131,18 @@ def _negative_horizon(eq: Equation, mode: SearchMode, x: float) -> float:
     turn = eq.turning_point(_trial_energy(eq, mode, x))
     return -max(28.0, 1.35 * turn + 16.0)
 
-# Tolerance of the scan and bisect's two end probes; perfbench/workloads.py
+# Tolerance of the scan and of its bracket-end probes; perfbench/workloads.py
 # keeps a copy of its rel_tol.
 _COARSE = {"rel_tol": 1e-8, "abs_tol": 1e-10}
+
+
+def _search_cfg(cfg: IntegrationConfig | None) -> IntegrationConfig:
+    """cfg, or the default; it sets no horizon, since each probe sizes its own."""
+    if cfg is None:
+        return IntegrationConfig()
+    if cfg.t_horizon is not None:
+        raise ValueError(f"cfg sets t_horizon = {cfg.t_horizon}; each probe sizes its own horizon")
+    return cfg
 
 
 def _check_tol(tol: float, cfg: IntegrationConfig) -> None:
@@ -141,20 +154,19 @@ def _fine_cfg(eq: Equation, cfg: IntegrationConfig, tol: float) -> IntegrationCo
     # Flip points move by ~3e3 * rel_tol for the second equation and ~1e2 *
     # rel_tol for the first, so the end game runs tight enough for tol to
     # be meaningful.
-    fine_rel = min(1e-10, tol / eq.fine_tol_divisor)
+    fine_rel = min(1e-10, cfg.rel_tol, tol / eq.fine_tol_divisor)
     return replace(cfg, rel_tol=max(fine_rel, 1e-13), abs_tol=max(fine_rel * 1e-2, 1e-15))
 
 
 def _probe(eq, mode, x, cfg: IntegrationConfig):
     """Full-horizon trajectory of the trial datum x at the tolerance of cfg,
     sized from x alone: the horizon follows from the trial energy in the
-    negative direction (unless cfg sets one); the positive direction caps
-    the poles at (|x| / coeff)^(1/p) + 2, past the n + 1 blow-ups that tell
-    the sides of any c_n <= |x|; a toy-model run ends once ``settled``."""
+    negative direction; the positive direction caps the poles at
+    (|x| / coeff)^(1/p) + 2, past the n + 1 blow-ups that tell the sides of
+    any c_n <= |x|; a toy-model run ends once ``settled``."""
     spec = _spec(eq, mode)
     if spec.direction is Direction.NEGATIVE_T:
-        if cfg.t_horizon is None:
-            cfg = replace(cfg, t_horizon=_negative_horizon(eq, mode, x))
+        cfg = replace(cfg, t_horizon=_negative_horizon(eq, mode, x))
     elif eq.pole_order:
         cfg = replace(cfg, max_poles=int((abs(x) / spec.coeff) ** (1.0 / spec.exponent)) + 2)
     return integrate(eq, _initial_data(mode, x), spec.direction, cfg, until=eq.settled)
@@ -166,7 +178,7 @@ _NEGATIVE_KEYS = {ClassTag.POLE_CASCADE: "cascade", ClassTag.STABLE_OSCILLATION:
 def _class_key(eq, x, traj):
     """Class key of a probe and its pole count: the toy model's maxima count
     (no poles), the blow-up signature in the positive direction (its pole
-    count follows from the other bracket end), or cascade / stable."""
+    count needs the other bracket end, :func:`_flip_poles`), or cascade / stable."""
     if eq.first_order:
         return count_toy_maxima(traj), 0
     if traj.direction is Direction.POSITIVE_T:
@@ -177,9 +189,15 @@ def _class_key(eq, x, traj):
     return _NEGATIVE_KEYS[cls.tag], cls.pole_count
 
 
-def _discriminant(eq, mode, cfg):
-    """Class key of a trial initial datum x, probed at the tolerance of cfg."""
-    return lambda x: _class_key(eq, x, _probe(eq, mode, x, cfg))[0]
+_Record = namedtuple("_Record", "x traj key poles")  # a probe of the trial datum x
+
+
+def _prober(eq, mode, cfg):
+    """probe(x): the record of x, probed at the tolerance of cfg."""
+    def probe(x):
+        traj = _probe(eq, mode, x, cfg)
+        return _Record(x, traj, *_class_key(eq, x, traj))
+    return probe
 
 
 def _keys_differ(a, b) -> bool:
@@ -189,29 +207,37 @@ def _keys_differ(a, b) -> bool:
     return a != b
 
 
-def _one_flip(k_lo, k_hi) -> bool:
-    """Keys at the ends of a bracket around one critical value: a maxima
-    count rises by exactly 1, other keys differ."""
-    return k_hi - k_lo == 1 if isinstance(k_lo, int) else _keys_differ(k_lo, k_hi)
+def _flip_poles(lo, hi) -> int | None:
+    """Pole count of the separatrix between the records lo < hi, or None
+    unless their keys are one flip apart: the toy model's maxima count rises
+    by exactly 1 (no poles); blow-up signatures differ past the events they
+    share; otherwise one side cascades and the count is the stable side's."""
+    if isinstance(lo.key, int):
+        return 0 if hi.key - lo.key == 1 else None
+    if not _keys_differ(lo.key, hi.key):
+        return None
+    if isinstance(lo.key, tuple):
+        return _shared_events(lo.key, hi.key)
+    return lo.poles if lo.key == "stable" else hi.poles
 
 
-def _walk(disc, x, end, step):
-    """Probe the class key at x, x + step(), ... up to ``end`` (either side
-    of x) and yield each pair of neighbouring probes whose keys differ.
+def _walk(probe, x, end, step):
+    """Probe x, x + step(), ... up to ``end`` (either side of x) and yield
+    each pair of neighbouring records whose keys differ, lower datum first.
 
     ``step`` is called before every step, so the consumer can change it
     between flips.
     """
-    prev = disc(x)
+    prev = probe(x)
     while (end - x) * (h := step()) > 0.0:
         nxt = x + h
         if (nxt - end) * h > 0.0:
             nxt = end
         if nxt == x:
             break
-        cur = disc(nxt)
-        if _keys_differ(prev, cur):
-            yield x, nxt
+        cur = probe(nxt)
+        if _keys_differ(prev.key, cur.key):
+            yield (prev, cur) if h > 0.0 else (cur, prev)
         x, prev = nxt, cur
 
 
@@ -245,11 +271,8 @@ def scan_brackets(
     lo, hi = search_range
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise ValueError("search range must be a finite nonempty interval")
-    if cfg is None:
-        cfg = IntegrationConfig()
-    disc = _discriminant(eq, mode, replace(cfg, **_COARSE))
-
-    brackets = list(_walk(disc, lo, hi, lambda: step))
+    probe = _prober(eq, mode, replace(_search_cfg(cfg), **_COARSE))
+    brackets = [(a.x, b.x) for a, b in _walk(probe, lo, hi, lambda: step)]
     for (a0, _), (b0, _) in zip(brackets, brackets[1:]):
         if b0 - a0 < 2.0 * step:
             warnings.warn(
@@ -261,25 +284,25 @@ def scan_brackets(
     return brackets
 
 
-def _fine_bisection(disc, lo, hi, tol):
-    """Fallback end game: halve the scan bracket at the fine tolerance."""
-    k_lo, k_hi = disc(lo), disc(hi)
+def _fine_bisection(probe, lo, hi, tol):
+    """Fallback end game: halve the scan bracket with the fine prober; the
+    records at the ends of the last bracket."""
+    lo, hi = probe(lo), probe(hi)
+    k_lo, k_hi = lo.key, hi.key
     if not _keys_differ(k_lo, k_hi):
-        raise BisectionError(f"fine probes at both ends of ({lo!r}, {hi!r}) share the class {k_lo!r}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        raise BisectionError(f"fine probes at both ends of ({lo.x!r}, {hi.x!r}) share the class {k_lo!r}")
+    while hi.x - lo.x > tol:
+        x = 0.5 * (lo.x + hi.x)
+        if x == lo.x or x == hi.x:
             break
-        k_mid = disc(mid)
-        if not _keys_differ(k_mid, k_lo):
+        mid = probe(x)
+        if not _keys_differ(mid.key, k_lo):
             lo = mid
-        elif not _keys_differ(k_mid, k_hi):
+        elif not _keys_differ(mid.key, k_hi):
             hi = mid
         else:
-            raise BisectionError(
-                f"probe {mid!r} produced class {k_mid!r}, matching neither "
-                f"{k_lo!r} nor {k_hi!r}", probe=mid,
-            )
+            raise BisectionError(f"probe {x!r} produced class {mid.key!r}, matching neither "
+                                 f"{k_lo!r} nor {k_hi!r}", probe=x)
     return lo, hi
 
 
@@ -442,50 +465,39 @@ def bisect(
     cfg: IntegrationConfig | None = None,
     index: int = 1,
 ) -> EigenvalueRecord:
-    """Locate the critical value inside one bracket to the requested width.
-
-    The endpoints, probed at the scan tolerance, must classify differently,
-    and the toy model's maxima count must rise by exactly 1 between them;
-    their trajectories start the matched end game (:func:`_matched_root`).
-    The class stays the ground truth: fine-tolerance probes at value -+ w/2,
-    with w the bracket width halved until it is at most ``tol``, must still
-    classify so (the certificate). If not, or if matching fails, the bracket
-    is bisected at the fine tolerance instead.
-
-    Every probe is sized from its datum, so ``index`` only labels the
-    returned record.
+    """Locate the critical value inside one bracket to the requested width:
+    probe its two ends at the scan tolerance and run :func:`_end_game`.
+    Every probe is sized from its datum, so ``index`` only labels the record.
     """
     mode = SearchMode.coerce(mode)
-    if cfg is None:
-        cfg = IntegrationConfig()
+    cfg = _search_cfg(cfg)
     _check_tol(tol, cfg)
-    cfg_fine = _fine_cfg(eq, cfg, tol)
+    probe = _prober(eq, mode, replace(cfg, **_COARSE))
+    return _end_game(eq, mode, probe(bracket[0]), probe(bracket[1]), tol, cfg, index)
 
-    lo, hi = bracket
-    ends = [_probe(eq, mode, x, replace(cfg, **_COARSE)) for x in bracket]
-    (k_lo, n_lo), (k_hi, _) = (_class_key(eq, x, traj) for x, traj in zip(bracket, ends))
-    if not _one_flip(k_lo, k_hi):
-        raise BisectionError(f"bracket endpoints {bracket} have the classes {k_lo!r} and {k_hi!r}, "
+
+def _end_game(eq, mode, lo, hi, tol, cfg, index):
+    """Critical value between the scan-tolerance records lo < hi of a
+    bracket's ends, one flip apart; their trajectories start the matched end
+    game (:func:`_matched_root`). Fine-tolerance probes at value -+ w/2, with
+    w the bracket width halved until it is at most ``tol``, must still be
+    one flip apart (the certificate). If not, or if matching fails, the
+    bracket is bisected at the fine tolerance, and its last bracket, w wide
+    too, is the certificate."""
+    if _flip_poles(lo, hi) is None:
+        raise BisectionError(f"bracket endpoints {(lo.x, hi.x)} have the classes {lo.key!r} and {hi.key!r}, "
                              "not one flip apart")
-    # a blow-up signature traverses m poles before the decaying stretch
-    m = _shared_events(k_lo, k_hi) if n_lo is None else None
-    w = hi - lo
+    cfg_fine = _fine_cfg(eq, cfg, tol)
+    w = hi.x - lo.x
     while w > tol:
         w *= 0.5
-
-    def certified_poles(value):
-        (k_lo, n_lo), (k_hi, n_hi) = (_class_key(eq, x, _probe(eq, mode, x, cfg_fine))
-                                      for x in (value - 0.5 * w, value + 0.5 * w))
-        if not _one_flip(k_lo, k_hi):
-            return None
-        return m if m is not None else n_lo if k_lo == "stable" else n_hi
-
-    value = _matched_root(eq, mode, cfg, cfg_fine, bracket, ends, tol)
-    pole_count = None if value is None else certified_poles(value)
+    fine = _prober(eq, mode, cfg_fine)
+    value = _matched_root(eq, mode, cfg, cfg_fine, (lo.x, hi.x), (lo.traj, hi.traj), tol)
+    pole_count = None if value is None else _flip_poles(fine(value - 0.5 * w), fine(value + 0.5 * w))
     if pole_count is None:
-        lo, hi = _fine_bisection(_discriminant(eq, mode, cfg_fine), lo, hi, tol)
-        value = 0.5 * (lo + hi)
-        pole_count = certified_poles(value)
+        lo, hi = _fine_bisection(fine, lo.x, hi.x, tol)
+        value = 0.5 * (lo.x + hi.x)
+        pole_count = _flip_poles(lo, hi)
         if pole_count is None:
             raise BisectionError(f"fine bisection around {value!r} failed its certificate")
     return EigenvalueRecord(index, float(value), w, pole_count, mode)
@@ -540,22 +552,11 @@ def _branch_window(eq, traj):
         return None
     bw = branch_curve(eq, rt)
     ok = (np.abs(ry - bw) <= SEPARATRIX_BAND * bw) | (np.abs(ry + bw) <= SEPARATRIX_BAND * bw)
-    best = None
-    i = 0
-    n = len(ok)
-    while i < n:
-        if ok[i]:
-            j = i
-            while j + 1 < n and ok[j + 1]:
-                j += 1
-            if best is None or abs(rt[j] - rt[i]) > abs(rt[best[1]] - rt[best[0]]):
-                best = (i, j)
-            i = j + 1
-        else:
-            i += 1
-    if best is None:
+    # runs [i, j] of ok samples; the first with the longest time span wins
+    runs = np.flatnonzero(np.diff(ok, prepend=False, append=False)).reshape(-1, 2) - (0, 1)
+    if not len(runs):
         return None
-    i, j = best
+    i, j = runs[np.argmax(np.abs(rt[runs[:, 1]] - rt[runs[:, 0]]))]
     if j - i < 3:
         return None
     span = rt[j] - rt[i]
@@ -573,28 +574,26 @@ def eigen_table(
 
     Scans outward from the mode's scan origin with a step that adapts to
     the predicted eigenvalue spacing (which shrinks like n^(p-1)), and hands
-    every class flip to :func:`bisect`. Indices are ordinal in the scanned
-    variable. On a mid-table failure a :class:`PartialTableError` carrying
-    the finished records is raised.
+    the records of every class flip's two scan probes to :func:`_end_game`.
+    Indices are ordinal in the scanned variable. On a mid-table failure a
+    :class:`PartialTableError` carrying the finished records is raised.
     """
     mode = SearchMode.coerce(mode)
     spec = _spec(eq, mode)
     if n_max < 1 or n_max > spec.max_index:
         raise ValueError(f"n_max must be between 1 and {spec.max_index}")
-    if cfg is None:
-        cfg = IntegrationConfig()
+    cfg = _search_cfg(cfg)
     _check_tol(tol, cfg)
     p = spec.exponent
     sign = -1.0 if spec.origin < 0 else 1.0
     limit = 1.7 * spec.coeff * (n_max + 1) ** p + 3.0
 
-    disc = _discriminant(eq, mode, replace(cfg, **_COARSE))
+    probe = _prober(eq, mode, replace(cfg, **_COARSE))
     records: list[EigenvalueRecord] = []
     step = spec.step
     with _partial_table(records):
-        for a, b in _walk(disc, spec.origin, sign * limit, lambda: sign * step):
-            records.append(bisect(eq, mode, (min(a, b), max(a, b)), tol=tol, cfg=cfg,
-                                  index=len(records) + 1))
+        for lo, hi in _walk(probe, spec.origin, sign * limit, lambda: sign * step):
+            records.append(_end_game(eq, mode, lo, hi, tol, cfg, len(records) + 1))
             n = len(records)
             if n == n_max:
                 return records

@@ -171,7 +171,7 @@ def test_eigen_partial_table_exit_code(tmp_path, monkeypatch):
 def test_eigen_probe_failure_exit_code(tmp_path, monkeypatch):
     # an integration failure in the middle of a table keeps the finished
     # records and reports a partial table; the second eigenvalue's end game
-    # runs probes 22-38 of 57
+    # runs probes 20-34 of 51
     counted_probes(monkeypatch, fail_at=30)
     out = tmp_path / "eigs.json"
     rc = main(["eigen", "--eq", "toy", "--n", "3", "--out", str(out)])

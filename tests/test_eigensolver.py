@@ -22,8 +22,9 @@ from painleve import (
     separatrix_check,
     toy_eigen_table,
 )
+import painleve
 import painleve.eigensolver as eigensolver
-from painleve.eigensolver import _discriminant, _fine_cfg, _keys_differ
+from painleve.eigensolver import _fine_cfg, _flip_poles, _prober
 
 from conftest import (P1_SLOPE_REF, P1_VALUE_REF, P2_SLOPE_REF, P2_VALUE_REF, TOY_REF, counted_probes,
                       toy_count)
@@ -102,9 +103,9 @@ def test_end_game_record_flips_at_fine_tolerance(eq, mode, bracket, ref):
     rec = bisect(eq, mode, bracket, tol=1e-9)
     assert abs(rec.value - ref) < 3e-9
     assert rec.bracket_width <= 1e-9
-    disc = _discriminant(eq, SearchMode(mode), _fine_cfg(eq, IntegrationConfig(), 1e-9))
+    probe = _prober(eq, SearchMode(mode), _fine_cfg(eq, IntegrationConfig(), 1e-9))
     half = 0.5 * rec.bracket_width
-    assert _keys_differ(disc(rec.value - half), disc(rec.value + half))
+    assert _flip_poles(probe(rec.value - half), probe(rec.value + half)) == rec.pole_count
 
 
 def _is_coarse(cfg):
@@ -197,6 +198,16 @@ def test_benchmark_copies_reference_values():
     assert _benchmark_copy("TOY_REF") == TOY_REF
 
 
+def test_benchmark_names_exist():
+    # perfbench patches the names painleve.eigensolver imports and calls the
+    # public search functions; a rename would stop the benchmark from running
+    for name in _benchmark_copy("EIGENSOLVER_IMPORTS"):
+        assert hasattr(eigensolver, name), name
+    for name in ("scan_brackets", "bisect", "toy_eigen_table"):
+        assert hasattr(eigensolver, name) and name in painleve.__all__, name
+        assert getattr(painleve, name) is getattr(eigensolver, name)
+
+
 def test_benchmark_copies_scan_tolerance():
     # perfbench splits traced probes into coarse and fine by comparing
     # rel_tol with its own copy of the scan tolerance
@@ -217,6 +228,37 @@ def test_bisect_requires_class_flip():
 def test_bisect_tolerance_guard():
     with pytest.raises(ValueError):
         bisect(PAINLEVE_I, ModeKind.SLOPE, (1.8, 1.9), tol=1e-12)
+
+
+def test_fine_cfg_keeps_a_tighter_caller_tolerance():
+    cfg = _fine_cfg(PAINLEVE_I, IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14), 1e-9)
+    assert cfg.rel_tol <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cfg: scan_brackets(PAINLEVE_I, ModeKind.SLOPE, (0.5, 5.0), 0.05, cfg=cfg),
+        lambda cfg: bisect(PAINLEVE_I, ModeKind.SLOPE, (1.8, 1.9), cfg=cfg),
+        lambda cfg: eigen_table(PAINLEVE_I, ModeKind.SLOPE, 3, cfg=cfg),
+    ],
+    ids=["scan_brackets", "bisect", "eigen_table"],
+)
+def test_search_rejects_a_set_horizon(monkeypatch, call):
+    # every probe sizes its own horizon from its datum
+    calls = counted_probes(monkeypatch)
+    with pytest.raises(ValueError, match="t_horizon"):
+        call(IntegrationConfig(t_horizon=-40.0))
+    assert calls == []
+
+
+def test_eigen_table_probes_no_datum_twice_at_scan_tolerance(monkeypatch):
+    # the end game starts from the scan's own records of the bracket ends
+    calls = counted_probes(monkeypatch)
+    eigen_table(PAINLEVE_I, ModeKind.SLOPE, 3)
+    scan = [(args[1], args[3].rel_tol) for args in calls if _is_coarse(args[3])]
+    assert len(scan) > 3
+    assert len(set(scan)) == len(scan)
 
 
 def test_eigen_table_checks_tolerance_before_scanning(monkeypatch):
@@ -339,9 +381,10 @@ def test_slope_growth_insensitive_to_fixed_value(p1_slope_table):
 
 
 def test_toy_probe_count(monkeypatch):
-    # Beyond the scan, each eigenvalue runs at most four probes to the full
-    # horizon: the two bracket ends and the two certificate probes. Every
-    # other end-game probe stops at its matching time, well short of it.
+    # Beyond the scan, each eigenvalue runs at most two probes to the full
+    # horizon, the certificate's: the end game starts from the scan's records
+    # of the bracket ends. Every other end-game probe stops at its matching
+    # time, well short of it.
     # Every full-horizon probe stops once its maxima count is final; the
     # latest measured stop is t = 4.32, and 6 leaves a margin of 39 %.
     calls = counted_probes(monkeypatch)
@@ -355,20 +398,20 @@ def test_toy_probe_count(monkeypatch):
 
     monkeypatch.setattr(eigensolver, "integrate", integrate)
     end_games = []
-    real_bisect = eigensolver.bisect
+    real_end_game = eigensolver._end_game
 
-    def bisect(*args, **kwargs):
+    def end_game(*args, **kwargs):
         start = len(calls)
-        rec = real_bisect(*args, **kwargs)
+        rec = real_end_game(*args, **kwargs)
         end_games.append(calls[start:])
         return rec
 
-    monkeypatch.setattr(eigensolver, "bisect", bisect)
+    monkeypatch.setattr(eigensolver, "_end_game", end_game)
     table = toy_eigen_table(3)
     assert len(end_games) == 3
     for probes in end_games:
         horizons = [args[3].t_horizon for args in probes]
-        assert horizons.count(None) <= 4
+        assert horizons.count(None) <= 2
         assert all(t <= 0.1 * TOY_MODEL.positive_horizon for t in horizons if t is not None)
     full = [stop for args, stop in zip(calls, stops) if args[3].t_horizon is None]
     assert full and all(by == "settled" and t < 6.0 for by, t in full)
@@ -379,9 +422,9 @@ def test_toy_probe_count(monkeypatch):
 @pytest.mark.parametrize(
     "build,fail_at,ref",
     [
-        # the second eigenvalue's end game runs probes 21-36 of 54
+        # the second eigenvalue's end game runs probes 19-32 of 48
         (lambda: toy_eigen_table(3), 28, TOY_REF),
-        # the second eigenvalue's bisection runs probes 33-47 of 47
+        # the second eigenvalue's end game runs probes 31-43 of 43
         (lambda: eigen_table(PAINLEVE_II, ModeKind.VALUE, 2, tol=1e-6), 40, P2_VALUE_REF),
     ],
     ids=["toy", "p2-value"],
