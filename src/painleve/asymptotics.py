@@ -80,14 +80,6 @@ class WkbConstants:
     p2_slope: float
     p2_value: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "p1_slope": self.p1_slope,
-            "p1_value": self.p1_value,
-            "p2_slope": self.p2_slope,
-            "p2_value": self.p2_value,
-        }
-
 
 def closed_form_constants() -> WkbConstants:
     """The four constants, read off the first level E_1 of each spectrum.

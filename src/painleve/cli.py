@@ -10,10 +10,11 @@ Subcommands:
   deviations from the closed forms.
 
 Every artifact embeds a manifest (command echo, version, wall time, input
-hash); trajectory and eigen manifests also hold the integration config
-snapshot. Exit codes: 0 success, 2 partial table, 1 failure.
-Defaults that depend on the equation (direction, search mode, extraction
-rule) come from the equation's spec.
+hash); a trajectory manifest also holds the integration config snapshot,
+and an eigen manifest the relative tolerance the search ran at. Exit
+codes: 0 success, 2 partial table, 1 failure. Defaults that depend on the
+equation (direction, search mode, extraction rule) come from the
+equation's spec.
 """
 
 from __future__ import annotations
@@ -50,15 +51,6 @@ def _manifest(args: argparse.Namespace, parser_name: str, extra: dict | None = N
     return manifest
 
 
-def _config_from_args(args) -> IntegrationConfig:
-    kw = {}
-    if getattr(args, "horizon", None) is not None:
-        kw["t_horizon"] = args.horizon
-    if getattr(args, "rel_tol", None) is not None:
-        kw["rel_tol"] = args.rel_tol
-    return IntegrationConfig(**kw)
-
-
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -76,7 +68,8 @@ def _resolve_direction(eq, flag: str | None) -> Direction:
 def cmd_trajectory(args) -> int:
     eq = equation_from_name(args.eq)
     direction = _resolve_direction(eq, args.direction)
-    cfg = _config_from_args(args)
+    kw = {} if args.rel_tol is None else {"rel_tol": args.rel_tol}
+    cfg = IntegrationConfig(t_horizon=args.horizon, **kw)
     init = InitialData(args.y0, args.slope)
     started = time.time()
     try:
@@ -141,7 +134,6 @@ def _records_payload(records, mode_name):
 
 def cmd_eigen(args) -> int:
     eq = equation_from_name(args.eq)
-    cfg = _config_from_args(args)
     started = time.time()
     status = 0
     kind = ModeKind(args.mode)
@@ -149,11 +141,11 @@ def cmd_eigen(args) -> int:
         (kind,) = eq.modes
     mode_name = kind.value
     try:
-        records = eigen_table(eq, SearchMode(kind), args.n, tol=args.tol, cfg=cfg)
+        records = eigen_table(eq, SearchMode(kind), args.n, tol=args.tol, rel_tol=args.rel_tol)
     except PartialTableError as exc:
         records, status = exc.records, 2
     manifest = _manifest(args, "eigen",
-                         {"config": dataclasses.asdict(cfg), "equation": args.eq, "mode": mode_name})
+                         {"rel_tol": args.rel_tol, "equation": args.eq, "mode": mode_name})
     manifest["wall_time_s"] = round(time.time() - started, 6)
     if args.format == "csv":
         lines = ["# manifest: " + json.dumps(manifest, sort_keys=True),
@@ -178,7 +170,7 @@ def cmd_eigen(args) -> int:
 def cmd_constants(args) -> int:
     started = time.time()
     consts = closed_form_constants()
-    result = {"closed_forms": consts.as_dict()}
+    result = {"closed_forms": dataclasses.asdict(consts)}
     if args.table:
         try:
             with open(args.table) as fh:
@@ -202,7 +194,11 @@ def cmd_constants(args) -> int:
             print(f"no extraction rule for equation/mode {(eq_name, mode_name)}", file=sys.stderr)
             return 1
         p, order, split = spec.exponent, spec.order, spec.split_even_odd
-        values = [r["value"] for r in sorted(records, key=lambda r: r["index"])]
+        records = sorted(records, key=lambda r: r["index"])
+        if [r["index"] for r in records] != list(range(1, len(records) + 1)):
+            print("table indices must run 1..N without gaps", file=sys.stderr)
+            return 1
+        values = [r["value"] for r in records]
         if split:
             max_order = min(len(values) // 2, (len(values) - 1) // 2) - 1
         else:
@@ -211,7 +207,7 @@ def cmd_constants(args) -> int:
         if order < 1:
             print(f"table too short to extrapolate ({len(values)} records)", file=sys.stderr)
             return 1
-        target = consts.as_dict()[spec.constant]
+        target = getattr(consts, spec.constant)
         if split:
             even, odd = extract_constant(values, p, order, split_even_odd=True)
             result["extrapolation"] = {
@@ -264,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["slope", "value"], default="slope")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
+    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-10)
     p.add_argument("--format", choices=["csv", "json"], default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eigen)

@@ -27,10 +27,12 @@ fallback. A toy-model probe that runs for its class key ends as soon as its
 maxima count is final (``Equation.settled``), not at the horizon.
 
 The direction, scan seed and growth law of each search mode, and the
-turning point, instability rate and separatrix asymptotics of each
-equation, come from the equation's spec. Each probe is sized from its own
-datum (:func:`_probe`), so a config may not set a horizon and ``bisect``'s
-``index`` is only a label.
+turning point and separatrix asymptotics of each equation, come from the
+equation's spec; the instability rate is sqrt(V) of the separatrix. Each
+probe is sized from its own datum (:func:`_probe`), so ``bisect``'s
+``index`` is only a label, and one rule (:func:`_cfg`) builds every
+probe's config from its relative tolerance, the one integration setting a
+caller of the search chooses.
 
 The search never asks the classifier to *detect* a separatrix (a
 measure-zero event); separatrix tags are used only to validate converged
@@ -131,31 +133,28 @@ def _negative_horizon(eq: Equation, mode: SearchMode, x: float) -> float:
     turn = eq.turning_point(_trial_energy(eq, mode, x))
     return -max(28.0, 1.35 * turn + 16.0)
 
-# Tolerance of the scan and of its bracket-end probes; perfbench/workloads.py
-# keeps a copy of its rel_tol.
-_COARSE = {"rel_tol": 1e-8, "abs_tol": 1e-10}
+# rel_tol of the scan and of its bracket-end probes; perfbench/workloads.py
+# keeps a copy of it.
+_COARSE = 1e-8
 
 
-def _search_cfg(cfg: IntegrationConfig | None) -> IntegrationConfig:
-    """cfg, or the default; it sets no horizon, since each probe sizes its own."""
-    if cfg is None:
-        return IntegrationConfig()
-    if cfg.t_horizon is not None:
-        raise ValueError(f"cfg sets t_horizon = {cfg.t_horizon}; each probe sizes its own horizon")
-    return cfg
+def _cfg(rel_tol: float) -> IntegrationConfig:
+    """Config of a search probe at rel_tol; :func:`_probe` sizes its horizon."""
+    return IntegrationConfig(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2)
 
 
-def _check_tol(tol: float, cfg: IntegrationConfig) -> None:
-    if tol < 10.0 * cfg.rel_tol:
-        raise ValueError(f"tol = {tol} is below 10 * rel_tol = {10 * cfg.rel_tol}")
+def _check_tol(tol: float, rel_tol: float) -> None:
+    if not rel_tol > 0.0:
+        raise ValueError(f"rel_tol = {rel_tol} must be positive")
+    if tol < 10.0 * rel_tol:
+        raise ValueError(f"tol = {tol} is below 10 * rel_tol = {10 * rel_tol}")
 
 
-def _fine_cfg(eq: Equation, cfg: IntegrationConfig, tol: float) -> IntegrationConfig:
+def _fine_cfg(eq: Equation, rel_tol: float, tol: float) -> IntegrationConfig:
     # Flip points move by ~3e3 * rel_tol for the second equation and ~1e2 *
     # rel_tol for the first, so the end game runs tight enough for tol to
     # be meaningful.
-    fine_rel = min(1e-10, cfg.rel_tol, tol / eq.fine_tol_divisor)
-    return replace(cfg, rel_tol=max(fine_rel, 1e-13), abs_tol=max(fine_rel * 1e-2, 1e-15))
+    return _cfg(max(min(1e-10, rel_tol, tol / eq.fine_tol_divisor), 1e-13))
 
 
 def _probe(eq, mode, x, cfg: IntegrationConfig):
@@ -256,7 +255,6 @@ def scan_brackets(
     mode: SearchMode | ModeKind | str,
     search_range: tuple[float, float],
     step: float,
-    cfg: IntegrationConfig | None = None,
 ) -> list[tuple[float, float]]:
     """Brackets [x, x+step] on which the discriminant class flips.
 
@@ -271,7 +269,7 @@ def scan_brackets(
     lo, hi = search_range
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise ValueError("search range must be a finite nonempty interval")
-    probe = _prober(eq, mode, replace(_search_cfg(cfg), **_COARSE))
+    probe = _prober(eq, mode, _cfg(_COARSE))
     brackets = [(a.x, b.x) for a, b in _walk(probe, lo, hi, lambda: step)]
     for (a0, _), (b0, _) in zip(brackets, brackets[1:]):
         if b0 - a0 < 2.0 * step:
@@ -462,7 +460,7 @@ def bisect(
     mode: SearchMode | ModeKind | str,
     bracket: tuple[float, float],
     tol: float = 1e-9,
-    cfg: IntegrationConfig | None = None,
+    rel_tol: float = 1e-10,
     index: int = 1,
 ) -> EigenvalueRecord:
     """Locate the critical value inside one bracket to the requested width:
@@ -470,29 +468,28 @@ def bisect(
     Every probe is sized from its datum, so ``index`` only labels the record.
     """
     mode = SearchMode.coerce(mode)
-    cfg = _search_cfg(cfg)
-    _check_tol(tol, cfg)
-    probe = _prober(eq, mode, replace(cfg, **_COARSE))
-    return _end_game(eq, mode, probe(bracket[0]), probe(bracket[1]), tol, cfg, index)
+    _check_tol(tol, rel_tol)
+    probe = _prober(eq, mode, _cfg(_COARSE))
+    return _end_game(eq, mode, probe(bracket[0]), probe(bracket[1]), tol, rel_tol, index)
 
 
-def _end_game(eq, mode, lo, hi, tol, cfg, index):
+def _end_game(eq, mode, lo, hi, tol, rel_tol, index):
     """Critical value between the scan-tolerance records lo < hi of a
     bracket's ends, one flip apart; their trajectories start the matched end
     game (:func:`_matched_root`). Fine-tolerance probes at value -+ w/2, with
     w the bracket width halved until it is at most ``tol``, must still be
     one flip apart (the certificate). If not, or if matching fails, the
     bracket is bisected at the fine tolerance, and its last bracket, w wide
-    too, is the certificate."""
+    too, is the certificate. The first matched pass runs at rel_tol."""
     if _flip_poles(lo, hi) is None:
         raise BisectionError(f"bracket endpoints {(lo.x, hi.x)} have the classes {lo.key!r} and {hi.key!r}, "
                              "not one flip apart")
-    cfg_fine = _fine_cfg(eq, cfg, tol)
+    cfg_fine = _fine_cfg(eq, rel_tol, tol)
     w = hi.x - lo.x
     while w > tol:
         w *= 0.5
     fine = _prober(eq, mode, cfg_fine)
-    value = _matched_root(eq, mode, cfg, cfg_fine, (lo.x, hi.x), (lo.traj, hi.traj), tol)
+    value = _matched_root(eq, mode, _cfg(rel_tol), cfg_fine, (lo.x, hi.x), (lo.traj, hi.traj), tol)
     pole_count = None if value is None else _flip_poles(fine(value - 0.5 * w), fine(value + 0.5 * w))
     if pole_count is None:
         lo, hi = _fine_bisection(fine, lo.x, hi.x, tol)
@@ -508,7 +505,6 @@ def separatrix_check(
     mode: SearchMode | ModeKind | str,
     value: float,
     uncertainty: float = 1e-9,
-    cfg: IntegrationConfig | None = None,
 ):
     """Classify the trajectory at a converged critical value.
 
@@ -520,21 +516,18 @@ def separatrix_check(
     separatrix (negative direction) or decay (positive direction).
     """
     mode = SearchMode.coerce(mode)
-    if cfg is None:
-        cfg = IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13)
+    cfg = _cfg(1e-11)
     direction = _spec(eq, mode).direction
     init = _initial_data(mode, value)
     if direction is Direction.POSITIVE_T:
-        pc = replace(cfg, t_horizon=25.0, max_step=min(cfg.max_step, 0.05))
-        traj = integrate(eq, init, direction, pc)
+        traj = integrate(eq, init, direction, replace(cfg, t_horizon=25.0, max_step=0.05))
         return classify(eq, traj)
 
     turn = eq.turning_point(_trial_energy(eq, mode, value))
-    rate = eq.instability_rate(turn)
+    rate = math.sqrt(eq.separatrix[direction](-turn, -turn, 1.0)[2])
     split = math.log(SEPARATRIX_BAND / max(uncertainty, 1e-13)) / rate
     horizon = -(turn + max(2.0, 0.8 * split) + 2.0)
-    pc = replace(cfg, t_horizon=horizon, max_step=min(cfg.max_step, 0.1))
-    traj = integrate(eq, init, direction, pc)
+    traj = integrate(eq, init, direction, replace(cfg, t_horizon=horizon, max_step=0.1))
     win = _branch_window(eq, traj)
     if win is None:
         raise ClassificationError(
@@ -568,7 +561,7 @@ def eigen_table(
     mode: SearchMode | ModeKind | str,
     n_max: int,
     tol: float = 1e-9,
-    cfg: IntegrationConfig | None = None,
+    rel_tol: float = 1e-10,
 ) -> list[EigenvalueRecord]:
     """First ``n_max`` critical initial conditions of a search mode.
 
@@ -582,18 +575,17 @@ def eigen_table(
     spec = _spec(eq, mode)
     if n_max < 1 or n_max > spec.max_index:
         raise ValueError(f"n_max must be between 1 and {spec.max_index}")
-    cfg = _search_cfg(cfg)
-    _check_tol(tol, cfg)
+    _check_tol(tol, rel_tol)
     p = spec.exponent
     sign = -1.0 if spec.origin < 0 else 1.0
     limit = 1.7 * spec.coeff * (n_max + 1) ** p + 3.0
 
-    probe = _prober(eq, mode, replace(cfg, **_COARSE))
+    probe = _prober(eq, mode, _cfg(_COARSE))
     records: list[EigenvalueRecord] = []
     step = spec.step
     with _partial_table(records):
         for lo, hi in _walk(probe, spec.origin, sign * limit, lambda: sign * step):
-            records.append(_end_game(eq, mode, lo, hi, tol, cfg, len(records) + 1))
+            records.append(_end_game(eq, mode, lo, hi, tol, rel_tol, len(records) + 1))
             n = len(records)
             if n == n_max:
                 return records
@@ -607,14 +599,8 @@ def eigen_table(
         )
 
 
-def toy_eigen_table(
-    n_max: int,
-    tol: float = 1e-6,
-    cfg: IntegrationConfig | None = None,
-) -> list[EigenvalueRecord]:
+def toy_eigen_table(n_max: int, tol: float = 1e-6) -> list[EigenvalueRecord]:
     """Critical initial values a_n of the toy model: :func:`eigen_table` on
-    its one search mode, at ``rel_tol`` 1e-9 unless ``cfg`` is given. The
-    maxima count of y' = cos(pi t y) rises by one across each a_n."""
-    if cfg is None:
-        cfg = IntegrationConfig(rel_tol=1e-9, abs_tol=1e-11)
-    return eigen_table(TOY_MODEL, ModeKind.TOY, n_max, tol, cfg)
+    its one search mode, at ``rel_tol`` 1e-9. The maxima count of
+    y' = cos(pi t y) rises by one across each a_n."""
+    return eigen_table(TOY_MODEL, ModeKind.TOY, n_max, tol, rel_tol=1e-9)

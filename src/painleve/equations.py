@@ -9,13 +9,13 @@ Three systems are supported:
 Every fact the pipeline needs about one of them - its right-hand side, the
 energy H and the fluctuation jet, the branch curves and the stable
 attractor, the pole order and Laurent correction, the pole-spacing model,
-the turning point and instability rate, the separatrix asymptotics the
-eigenvalue search matches to, the rule that ends a probe once its class is
-final, the allowed directions and default horizon, and the search facts
-of each mode (direction, scan seed, growth exponent, Richardson order, WKB
-constant) - lives in its :class:`Equation` below. The integrator,
-classifier, eigensolver and CLI read those facts and never ask which
-equation they hold.
+the turning point, the separatrix asymptotics the eigenvalue search
+matches to, the rule that ends a probe once its class is final, the
+allowed directions and default horizon, and the search facts of each mode
+(direction, scan seed, growth exponent, Richardson order, WKB constant) -
+lives in its :class:`Equation` below. The integrator, classifier,
+eigensolver and CLI read those facts and never ask which equation they
+hold.
 """
 
 from __future__ import annotations
@@ -103,14 +103,13 @@ class Equation:
     * ``laurent_correction(t_hat, d)`` is the error of the leading pole
       estimate t_hat at signed distance d, ``pole_spacing(|t|)`` the local
       pole-spacing model;
-    * ``turning_point(E)`` is |t| where the branch curve's energy reaches E,
-      and ``instability_rate(turn)`` the separatrix's e-folding rate there;
+    * ``turning_point(E)`` is |t| where the branch curve's energy reaches E;
     * ``separatrix[direction](t, t_near, y_near)`` is (y, y', V, V_t) at t
       on the separatrix nearest (t_near, y_near) in that direction: the
       branch of y_near's sign, or the toy model's unstable level t y =
       2k - 1/2 nearest t_near y_near. y, y' follow its asymptotics, and small
-      deviations d obey d'' = V d (V = dy''/dy), or d' = V d (V = dy'/dy)
-      for the toy model;
+      deviations d obey d'' = V d (V = dy''/dy), so they e-fold at
+      sqrt(V), or d' = V d (V = dy'/dy) for the toy model;
     * ``settled(t, y, y')`` is true once the class key of the run can no
       longer change, so an eigenvalue probe may stop there; None runs every
       probe to its horizon.
@@ -133,7 +132,6 @@ class Equation:
     laurent_correction: Callable | None = None
     pole_spacing: Callable | None = None
     turning_point: Callable | None = None
-    instability_rate: Callable | None = None
     separatrix: Mapping[Direction, Callable] = field(default_factory=dict)
     settled: Callable | None = None
     fine_tol_divisor: float = 100.0
@@ -251,7 +249,6 @@ PAINLEVE_I = Equation(
     # linearized frequency about -sqrt(-t/6) is sqrt(12)*( -t/6 )^(1/4)
     pole_spacing=lambda mag: 2.0 * math.pi / (math.sqrt(12.0) * max(0.3, mag / 6.0) ** 0.25),
     turning_point=lambda e: 6.0 * (0.5 * e) ** (2.0 / 3.0),
-    instability_rate=lambda turn: math.sqrt(12.0) * (turn / 6.0) ** 0.25,
     separatrix={_NEG: _p1_separatrix},
 )
 
@@ -273,7 +270,6 @@ PAINLEVE_II = Equation(
     # 1.7 prefactor matches measured pole gaps with ~2x margin
     pole_spacing=lambda mag: 1.7 / math.sqrt(max(mag, 0.5)),
     turning_point=lambda e: math.sqrt(8.0 * e),
-    instability_rate=lambda turn: math.sqrt(2.0 * turn),
     # positive direction: the separatrix decays to 0 and deviations obey Airy's d'' = t d
     separatrix={_NEG: _p2_separatrix, _POS: lambda t, _t_near, _y_near: (0.0, 0.0, t, 1.0)},
     # the certificate of c_29 reads its 30th blow-up, past t = 30

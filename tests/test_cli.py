@@ -7,7 +7,7 @@ from painleve import IntegrationConfig
 from painleve.cli import main
 from painleve.eigensolver import EigenvalueRecord, PartialTableError, SearchMode
 
-from conftest import P2_VALUE_REF, counted_probes
+from conftest import P1_SLOPE_REF, P2_VALUE_REF, counted_probes
 
 
 def _read_csv(path):
@@ -81,7 +81,23 @@ def test_eigen_csv_format(tmp_path, monkeypatch):
     assert lines[1] == "index,value,bracket_width,pole_count,mode"
     assert lines[2].startswith("1,1.8518540337,")
     manifest = json.loads(lines[0].split("# manifest: ", 1)[1])
-    assert IntegrationConfig(**manifest["config"]) == IntegrationConfig()
+    # the search takes only a relative tolerance; the manifest records it
+    assert manifest["rel_tol"] == 1e-10
+    assert "config" not in manifest
+
+
+def test_eigen_rel_tol_sets_the_first_matched_pass(tmp_path, monkeypatch):
+    # --rel-tol is the search's rel_tol: the first matched pass runs at it,
+    # with abs_tol rel_tol * 1e-2 like every other probe
+    calls = counted_probes(monkeypatch)
+    out = tmp_path / "eigs.json"
+    rc = main(["eigen", "--eq", "toy", "--n", "1", "--tol", "1e-6", "--rel-tol", "1e-9",
+               "--out", str(out)])
+    assert rc == 0
+    first_pass = [args[3] for args in calls if args[3].rel_tol == 1e-9]
+    assert first_pass
+    assert all(cfg.abs_tol == pytest.approx(1e-11, rel=1e-9) for cfg in first_pass)
+    assert json.loads(out.read_text())["manifest"]["rel_tol"] == 1e-9
 
 
 def test_trajectory_rejects_bad_direction(capsys):
@@ -136,6 +152,19 @@ def test_constants_closed_forms_only(capsys):
     assert cf["p1_value"] == pytest.approx(-1.0304844, abs=5e-8)
     assert cf["p2_slope"] == pytest.approx(1.8624128, abs=5e-8)
     assert cf["p2_value"] == pytest.approx(1.21581165, abs=1e-8)
+
+
+def test_constants_rejects_table_with_index_gaps(tmp_path, capsys):
+    # Richardson extrapolation reads the k-th value as n = k, so a table
+    # holding indices 2-4 of the first equation's slopes must not pass
+    table = tmp_path / "eigs.json"
+    table.write_text(json.dumps({
+        "equation": "p1", "mode": "slope",
+        "records": [{"index": n, "value": P1_SLOPE_REF[n]} for n in (2, 3, 4)],
+    }))
+    rc = main(["constants", "--table", str(table)])
+    assert rc == 1
+    assert "indices" in capsys.readouterr().err
 
 
 def test_constants_rejects_empty_table(tmp_path, capsys):
@@ -208,17 +237,17 @@ def _reject_constant(token):
 
 def test_manifest_lines_are_strict_json(tmp_path, monkeypatch):
     # the manifest must parse under a strict JSON parser (no Infinity/NaN)
-    # and the config must still read back as the one the run used
+    # and must still read back as the settings the run used
     monkeypatch.setattr("painleve.cli.eigen_table", lambda *a, **kw: [])
     runs = {
-        "trajectory": (["--eq", "p1", "--y0", "0", "--slope", "2.0", "--horizon", "-2"],
-                       IntegrationConfig(t_horizon=-2.0)),
-        "eigen": (["--eq", "p1", "--mode", "slope", "--n", "1", "--format", "csv"],
-                  IntegrationConfig()),
+        "trajectory": ["--eq", "p1", "--y0", "0", "--slope", "2.0", "--horizon", "-2"],
+        "eigen": ["--eq", "p1", "--mode", "slope", "--n", "1", "--format", "csv"],
     }
-    for command, (flags, cfg) in runs.items():
+    manifests = {}
+    for command, flags in runs.items():
         out = tmp_path / f"{command}.csv"
         main([command, *flags, "--out", str(out)])
         line = out.read_text().splitlines()[0]
-        manifest = json.loads(line.split("# manifest: ", 1)[1], parse_constant=_reject_constant)
-        assert IntegrationConfig(**manifest["config"]) == cfg
+        manifests[command] = json.loads(line.split("# manifest: ", 1)[1], parse_constant=_reject_constant)
+    assert IntegrationConfig(**manifests["trajectory"]["config"]) == IntegrationConfig(t_horizon=-2.0)
+    assert manifests["eigen"]["rel_tol"] == 1e-10

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 from pathlib import Path
 
@@ -103,13 +104,13 @@ def test_end_game_record_flips_at_fine_tolerance(eq, mode, bracket, ref):
     rec = bisect(eq, mode, bracket, tol=1e-9)
     assert abs(rec.value - ref) < 3e-9
     assert rec.bracket_width <= 1e-9
-    probe = _prober(eq, SearchMode(mode), _fine_cfg(eq, IntegrationConfig(), 1e-9))
+    probe = _prober(eq, SearchMode(mode), _fine_cfg(eq, 1e-10, 1e-9))
     half = 0.5 * rec.bracket_width
     assert _flip_poles(probe(rec.value - half), probe(rec.value + half)) == rec.pole_count
 
 
 def _is_coarse(cfg):
-    return cfg.rel_tol == eigensolver._COARSE["rel_tol"]
+    return cfg.rel_tol == eigensolver._COARSE
 
 
 @END_GAME_CASES
@@ -200,18 +201,23 @@ def test_benchmark_copies_reference_values():
 
 def test_benchmark_names_exist():
     # perfbench patches the names painleve.eigensolver imports and calls the
-    # public search functions; a rename would stop the benchmark from running
+    # public search functions; a rename or a new signature would stop the
+    # benchmark from running
     for name in _benchmark_copy("EIGENSOLVER_IMPORTS"):
         assert hasattr(eigensolver, name), name
     for name in ("scan_brackets", "bisect", "toy_eigen_table"):
         assert hasattr(eigensolver, name) and name in painleve.__all__, name
         assert getattr(painleve, name) is getattr(eigensolver, name)
+    # the call shapes of perfbench/workloads.py
+    inspect.signature(scan_brackets).bind(PAINLEVE_I, "slope", (1.8, 1.9), 0.025)
+    inspect.signature(bisect).bind(PAINLEVE_I, "slope", (1.8, 1.9), tol=1e-9, index=1)
+    inspect.signature(toy_eigen_table).bind(3, tol=1e-6)
 
 
 def test_benchmark_copies_scan_tolerance():
     # perfbench splits traced probes into coarse and fine by comparing
     # rel_tol with its own copy of the scan tolerance
-    assert _benchmark_copy("COARSE_REL_TOL") == eigensolver._COARSE["rel_tol"]
+    assert _benchmark_copy("COARSE_REL_TOL") == eigensolver._COARSE
 
 
 def test_bisect_first_critical_value():
@@ -231,25 +237,20 @@ def test_bisect_tolerance_guard():
 
 
 def test_fine_cfg_keeps_a_tighter_caller_tolerance():
-    cfg = _fine_cfg(PAINLEVE_I, IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14), 1e-9)
+    cfg = _fine_cfg(PAINLEVE_I, 1e-12, 1e-9)
     assert cfg.rel_tol <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda cfg: scan_brackets(PAINLEVE_I, ModeKind.SLOPE, (0.5, 5.0), 0.05, cfg=cfg),
-        lambda cfg: bisect(PAINLEVE_I, ModeKind.SLOPE, (1.8, 1.9), cfg=cfg),
-        lambda cfg: eigen_table(PAINLEVE_I, ModeKind.SLOPE, 3, cfg=cfg),
-    ],
-    ids=["scan_brackets", "bisect", "eigen_table"],
-)
-def test_search_rejects_a_set_horizon(monkeypatch, call):
-    # every probe sizes its own horizon from its datum
+def test_every_probe_config_follows_one_rule(monkeypatch):
+    # scan, bracket ends, matched passes and certificates alike: abs_tol is
+    # rel_tol * 1e-2, and the search sets no other integration setting
     calls = counted_probes(monkeypatch)
-    with pytest.raises(ValueError, match="t_horizon"):
-        call(IntegrationConfig(t_horizon=-40.0))
-    assert calls == []
+    eigen_table(PAINLEVE_I, ModeKind.SLOPE, 3)
+    toy_eigen_table(3)
+    rel_tols = {args[3].rel_tol for args in calls}
+    assert {eigensolver._COARSE, 1e-10, 1e-9} <= rel_tols
+    for args in calls:
+        assert args[3].abs_tol == args[3].rel_tol * 1e-2
 
 
 def test_eigen_table_probes_no_datum_twice_at_scan_tolerance(monkeypatch):
@@ -265,6 +266,10 @@ def test_eigen_table_checks_tolerance_before_scanning(monkeypatch):
     calls = counted_probes(monkeypatch)
     with pytest.raises(ValueError, match="below 10 \\* rel_tol"):
         eigen_table(PAINLEVE_I, ModeKind.SLOPE, 3, tol=1e-11)
+    for search in (lambda **kw: eigen_table(PAINLEVE_I, ModeKind.SLOPE, 3, **kw),
+                   lambda **kw: bisect(PAINLEVE_I, ModeKind.SLOPE, (1.8, 1.9), **kw)):
+        with pytest.raises(ValueError, match="rel_tol = 0.0 must be positive"):
+            search(rel_tol=0.0)
     assert calls == []
 
 
