@@ -19,7 +19,6 @@ The branch curves and the attractor come from the equation's spec
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,13 +168,20 @@ def _classify_positive(eq, traj, window):
 
 
 def toy_maxima(traj: Trajectory) -> np.ndarray:
-    """Times of the local maxima of a toy-model trajectory on t > 0: the
-    samples after which y' = cos(pi t y) changes sign from + to -."""
+    """Times of the local maxima of a toy-model trajectory on t > 0.
+
+    With u = t y, y' = cos(pi u), so a maximum is an upward crossing of a
+    level u = 2k + 1/2, and u crosses those levels upward only (there
+    u' = u/t > 0). The maxima are therefore read from the highest such level
+    below u at each sample, not from sign changes of y' between samples,
+    which one long step can hide by crossing two levels. Each maximum is
+    timed at the sample before its crossing, once per level crossed.
+    """
     if not traj.equation.first_order:
         raise ValueError("maxima are located on toy-model trajectories only")
     rt, ry = traj.real_t(), traj.real_y()
-    pos = np.cos(math.pi * rt * ry) > 0.0
-    return rt[:-1][pos[:-1] & ~pos[1:]]
+    level = np.maximum.accumulate(np.floor((rt * ry - 0.5) / 2.0))
+    return np.repeat(rt[:-1], np.diff(level).astype(int))
 
 
 def count_toy_maxima(traj: Trajectory) -> int:

@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -183,9 +184,22 @@ def cmd_constants(args) -> int:
         if not records:
             print("table holds no records", file=sys.stderr)
             return 1
-        if any("value" not in r or "index" not in r for r in records):
+        if not isinstance(records, list) or any(
+            not isinstance(r, dict) or "value" not in r or "index" not in r for r in records
+        ):
             print("table records need 'index' and 'value' fields", file=sys.stderr)
             return 1
+        for r in records:
+            index, value = r["index"], r["value"]
+            # bool is an int subclass, but true/false is neither an index nor a value
+            if not isinstance(index, int) or isinstance(index, bool):
+                print(f"cannot read table: index {index!r} is not an integer", file=sys.stderr)
+                return 1
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or not math.isfinite(value)):
+                print(f"cannot read table: value {value!r} of index {index} is not a real number",
+                      file=sys.stderr)
+                return 1
         try:
             spec = equation_from_name(str(eq_name)).modes[ModeKind(str(mode_name))]
         except (ValueError, KeyError):

@@ -6,8 +6,8 @@ Three systems are supported:
 * Painleve II, y'' = 2 y^3 + t y (movable simple poles),
 * a first-order toy model, y' = cos(pi t y), which is pole free.
 
-Every fact the pipeline needs about one of them - its right-hand side, the
-energy H and the fluctuation jet, the branch curves and the stable
+Every fact the pipeline needs about one of them - its right-hand side and
+fluctuation integrand dH/dt, the energy H, the branch curves and the stable
 attractor, the pole order and Laurent correction, the pole-spacing model,
 the turning point, the separatrix asymptotics the eigenvalue search
 matches to, the rule that ends a probe once its class is final, the
@@ -90,14 +90,17 @@ class ModeSpec:
 class Equation:
     """One supported system and every fact the pipeline needs about it.
 
-    ``rhs(t, y, y')`` returns the pair (y', y''); the first-order toy model
-    returns (y', 0) and ignores y'. ``pole_order`` is the order of the
-    movable poles (2, 1, or 0 for the pole-free toy model). The toy model
-    has no energy, branch curves or poles, so of the callables below it has
-    only ``separatrix`` and ``settled``:
+    ``rhs(t, y, y')`` returns the triple (y', y'', dH/dt): the system the
+    integrator steps, and the rate of the energy along a solution (t y' for
+    Painleve I, t y y' for Painleve II), whose integral the integrator
+    carries beside the state as the fluctuation integral. The first-order
+    toy model returns (y', 0, 0) and ignores y'.
+    ``pole_order`` is the order of the movable poles (2, 1, or 0 for the
+    pole-free toy model). The toy model has no energy, branch curves or
+    poles, so of the callables below it has only ``separatrix`` and
+    ``settled``:
 
-    * ``hamiltonian(y, y')`` is H, and ``fluct_jet(t, y, y')`` the value and
-      first two derivatives of the fluctuation integrand dH/dt;
+    * ``hamiltonian(y, y')`` is H;
     * the branch curves are +-sqrt(-t / ``branch_denom``) and the stable
       attractor sits at ``attractor`` times the + branch;
     * ``laurent_correction(t_hat, d)`` is the error of the leading pole
@@ -126,7 +129,6 @@ class Equation:
     modes: Mapping[ModeKind, ModeSpec]
     positive_horizon: float = 30.0
     hamiltonian: Callable | None = None
-    fluct_jet: Callable | None = None
     branch_denom: float | None = None
     attractor: float = 0.0
     laurent_correction: Callable | None = None
@@ -143,17 +145,7 @@ class Equation:
 
 
 def _p1_rhs(t, y, yp):
-    return yp, 6.0 * y * y + t
-
-
-def _p1_jet(t, y, yp):
-    # g = t y'
-    f = 6.0 * y * y + t          # y''
-    fp = 12.0 * y * yp + 1.0     # y'''
-    g = t * yp
-    gp = yp + t * f
-    gpp = 2.0 * f + t * fp
-    return g, gp, gpp
+    return yp, 6.0 * y * y + t, t * yp
 
 
 # P-I separatrix: y ~ sqrt(x/6) - x^-2/48 - (49 sqrt6/4608) x^(-9/2), x = -t
@@ -170,17 +162,7 @@ def _p1_separatrix(t, _t_near, y_near):
 
 
 def _p2_rhs(t, y, yp):
-    return yp, 2.0 * y * y * y + t * y
-
-
-def _p2_jet(t, y, yp):
-    # g = t y y'
-    f = 2.0 * y * y * y + t * y
-    fp = 6.0 * y * y * yp + y + t * yp
-    g = t * y * yp
-    gp = y * yp + t * (yp * yp + y * f)
-    gpp = 2.0 * (yp * yp + y * f) + t * (3.0 * yp * f + y * fp)
-    return g, gp, gpp
+    return yp, 2.0 * y * y * y + t * y, t * y * yp
 
 
 # P-II separatrix in the negative direction: y ~ sqrt(x/2) - x^(-5/2)/(8 sqrt2), x = -t
@@ -197,7 +179,7 @@ def _p2_separatrix(t, _t_near, y_near):
 
 
 def _toy_rhs(t, y, _yp):
-    return math.cos(math.pi * t * y), 0.0
+    return math.cos(math.pi * t * y), 0.0, 0.0
 
 
 def _toy_separatrix(t, t_near, y_near):
@@ -242,7 +224,6 @@ PAINLEVE_I = Equation(
         ModeKind.VALUE: ModeSpec(_NEG, -0.1, 0.12, 2.0 / 5.0, 1.1, 4, False, "p1_value"),
     },
     hamiltonian=lambda y, yp: 0.5 * yp * yp - 2.0 * y * y * y,
-    fluct_jet=_p1_jet,
     branch_denom=6.0,
     attractor=-1.0,
     laurent_correction=lambda t_hat, d: (t_hat / 5.0) * d**5 + (5.0 / 12.0) * d**6,
@@ -263,7 +244,6 @@ PAINLEVE_II = Equation(
         ModeKind.VALUE: ModeSpec(_POS, 0.3, 0.08, 1.0 / 3.0, 1.2, 4, False, "p2_value"),
     },
     hamiltonian=lambda y, yp: 0.5 * yp * yp - 0.5 * y * y * y * y,
-    fluct_jet=_p2_jet,
     branch_denom=2.0,
     laurent_correction=lambda t_hat, d: (t_hat / 3.0) * d**3 + 0.75 * d**4,
     # cascade swings are faster than the Airy frequency sqrt(-t); the
@@ -338,45 +318,16 @@ def energy(eq: Equation, y, yp):
     return eq.hamiltonian(y, yp)
 
 
-# Samples per block of fluctuation_integral: one pass over a whole cascade
-# (about 2e4 samples) would hold a dozen trajectory-long temporaries at once.
-_FLUCT_BLOCK = 2048
-
-
 def fluctuation_integral(eq: Equation, traj: "Trajectory") -> np.ndarray:
     """Cumulative fluctuation integral I(x) along the trajectory's path.
 
     I(x) = int_0^x t y'(t) dt for Painleve I and int_0^x t y y' dt for
-    Painleve II, accumulated along the same path the integrator took
-    (detour arcs included; the integrand is analytic there, so chordal
-    quadrature between stored samples is path-equivalent). Everything in the
-    integrand's jet follows from (t, y, y') through the equation itself, so
-    a stored sample carries it in full. Returned values are sampled at the
-    trajectory's real-axis points.
+    Painleve II, the integral of the third component of ``eq.rhs``. The
+    integrator carries it as a state beside (y, y') along the path it takes
+    (detour arcs included, where it is integrated in the angle; the integrand
+    is analytic there, so the path is equivalent), at the stepper's own
+    order; this reads it at the trajectory's real-axis samples.
     """
-    jet_of = eq.fluct_jet
-    if jet_of is None:
+    if eq.hamiltonian is None:
         raise ValueError("the fluctuation integral is defined for the Painleve equations only")
-    ts, ys, yps = traj.t, traj.y, traj.yp
-    n = len(ts)
-    running = np.zeros(n)
-    acc = 0j
-    for lo in range(0, n - 1, _FLUCT_BLOCK):
-        hi = min(lo + _FLUCT_BLOCK, n - 1)
-        t = ts[lo:hi + 1]
-        g, gp, gpp = jet_of(t, ys[lo:hi + 1], yps[lo:hi + 1])
-        h = np.diff(t)
-        # The carried sum leads the block, so the cumulative sum adds the
-        # steps in the same order as a running total would.
-        steps = np.empty(hi - lo + 1, dtype=complex)
-        steps[0] = acc
-        # Two-point quintic Hermite rule: exact through degree 5, O(h^7) error.
-        steps[1:] = (
-            0.5 * h * (g[:-1] + g[1:])
-            - h * h / 10.0 * (gp[1:] - gp[:-1])
-            + h * h * h / 120.0 * (gpp[:-1] + gpp[1:])
-        )
-        sums = np.cumsum(steps)
-        running[lo + 1:hi + 1] = sums[1:].real
-        acc = sums[-1]
-    return running[traj.real_indices()]
+    return traj.fluct[traj.real_indices()].real

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,25 @@ def test_toy_settle_rule_is_exact():
         maxima = toy_maxima(full)
         assert count_toy_maxima(stopped) == len(maxima), a
         assert stopped.terminal_t > maxima[-1], a
+
+
+def test_count_toy_maxima_counts_level_crossings():
+    # A maximum of y is an upward crossing of u = t y through a level
+    # 2k + 1/2, and u crosses those levels upward only, starting from u = 0.
+    # So the count is exact from the last sample alone, however long the
+    # steps that led there. The first case holds one step that crosses two
+    # levels, which sign changes of y' between samples counted as none.
+    rng = np.random.default_rng(13)
+    cases = [(3.9720647697219613, 13.198333523294993, 1e-6)] + [
+        (rng.uniform(0.05, 7.0), rng.uniform(2.0, 50.0), rng.choice([1e-6, 1e-8, 1e-9, 1e-10]))
+        for _ in range(200)
+    ]
+    for a, horizon, rel_tol in cases:
+        cfg = IntegrationConfig(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2, t_horizon=horizon)
+        traj = integrate(TOY_MODEL, InitialData(a), Direction.POSITIVE_T, cfg)
+        u = traj.real_t()[-1] * traj.real_y()[-1]
+        crossed = max(0, math.floor((u - 0.5) / 2.0) + 1)
+        assert count_toy_maxima(traj) == crossed, (a, horizon, rel_tol)
 
 
 def test_count_toy_maxima_rejects_others():

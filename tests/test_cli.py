@@ -167,6 +167,23 @@ def test_constants_rejects_table_with_index_gaps(tmp_path, capsys):
     assert "indices" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"index": "2"}, {"value": "a"}, {"index": True}, {"value": False}, {"value": float("nan")}],
+    ids=["index-str", "value-str", "index-bool", "value-bool", "value-nan"],
+)
+def test_constants_rejects_unreadable_records(tmp_path, capsys, bad):
+    # a record whose index is not an int, or whose value is not a real
+    # number, is a read error with exit 1, not a traceback
+    records = [{"index": n, "value": P1_SLOPE_REF[n]} for n in (1, 2, 3)]
+    records[1].update(bad)
+    table = tmp_path / "eigs.json"
+    table.write_text(json.dumps({"equation": "p1", "mode": "slope", "records": records}))
+    rc = main(["constants", "--table", str(table)])
+    assert rc == 1
+    assert "cannot read table" in capsys.readouterr().err
+
+
 def test_constants_rejects_empty_table(tmp_path, capsys):
     table = tmp_path / "bad.json"
     table.write_text(json.dumps({"equation": "p1", "mode": "slope", "records": []}))

@@ -16,7 +16,8 @@ from painleve import (
     estimate_pole,
     integrate,
 )
-from painleve.integrator import _advance, _run_arc
+from painleve import integrator
+from painleve.integrator import _advance, _run_arc, _step
 
 
 def test_config_validation():
@@ -28,6 +29,69 @@ def test_config_validation():
     assert cfg.resolved_horizon(PAINLEVE_I, Direction.NEGATIVE_T) == -60.0
     assert cfg.resolved_horizon(PAINLEVE_II, Direction.POSITIVE_T) == 40.0
     assert cfg.resolved_horizon(TOY_MODEL, Direction.POSITIVE_T) == 50.0
+
+
+def _tableau():
+    """The integrator's DOP853 constants as arrays over stages 1..12: nodes
+    c, stage matrix a, weights b, 5th-order error weights e5 and 3rd-order
+    error weights e3 = b - bhh. Constants the integrator does not name are
+    zero; the last node is 1."""
+    def get(name):
+        return getattr(integrator, name, 0.0)
+
+    c = np.array([0.0] + [get(f"_C{i}") for i in range(2, 12)] + [1.0])
+    a = np.array([[get(f"_A{i}{j}") if j < i else 0.0 for j in range(1, 13)] for i in range(1, 13)])
+    b = np.array([get(f"_B{j}") for j in range(1, 13)])
+    e5 = np.array([get(f"_ER{j}") for j in range(1, 13)])
+    e3 = b - np.array([get(f"_BHH{j}") for j in range(1, 13)])
+    return c, a, b, e5, e3
+
+
+def test_dop853_tableau_matches_scipy():
+    coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    n = coeffs.N_STAGES
+    c, a, b, e5, e3 = _tableau()
+    assert np.array_equal(c, coeffs.C[:n])
+    assert np.array_equal(a, coeffs.A[:n, :n])
+    assert np.array_equal(b, coeffs.B)
+    # the 13th (first-same-as-last) stage carries no error weight
+    assert np.array_equal(e5, coeffs.E5[:n]) and coeffs.E5[n] == 0.0
+    assert np.array_equal(e3, coeffs.E3[:n]) and coeffs.E3[n] == 0.0
+
+
+def test_step_follows_the_tableau():
+    # the unrolled step is the generic explicit Runge-Kutta step of the
+    # tableau, for the state and the carried quadrature alike
+    c, a, b, _, _ = _tableau()
+    f = PAINLEVE_II.rhs
+    s, u, v, h = -3.0, 0.7, -1.3, 0.21
+    k = []
+    for i in range(12):
+        ui = u + h * sum(a[i, j] * k[j][0] for j in range(i))
+        vi = v + h * sum(a[i, j] * k[j][1] for j in range(i))
+        k.append(f(s + c[i] * h, ui, vi))
+    ref = [sum(b[j] * k[j][m] for j in range(12)) for m in range(3)]
+    un, vn, dw, _ = _step(f, s, u, v, h, k[0], 1e-10, 1e-12)
+    assert un == pytest.approx(u + h * ref[0], rel=1e-14)
+    assert vn == pytest.approx(v + h * ref[1], rel=1e-14)
+    assert dw == pytest.approx(ref[2], rel=1e-14)
+
+
+def test_step_is_eighth_order():
+    # fixed steps on y'' = -y with the quadrature w' = y^2 carried: halving
+    # h cuts the error at t = 4 about 2^8-fold, in the state and in w
+    f = lambda t, y, yp: (yp, -y, y * y)
+
+    def errors(n):
+        h, s, u, v, w = 4.0 / n, 0.0, 1.0, 0.0, 0.0
+        for _ in range(n):
+            u, v, dw, _ = _step(f, s, u, v, h, f(s, u, v), 1.0, 1.0)
+            s, w = s + h, w + h * dw
+        return abs(u - math.cos(4.0)), abs(w - (2.0 + math.sin(8.0) / 4.0))
+
+    coarse, fine = errors(8), errors(16)
+    for e_coarse, e_fine in zip(coarse, fine):
+        assert 7.5 <= math.log2(e_coarse / e_fine) <= 8.5
 
 
 def test_direction_restrictions():
@@ -73,10 +137,10 @@ def test_estimator_location_converges_with_threshold():
 def test_detour_pure_double_pole_mirror():
     # on the scale-free model y'' = 6 y^2 the pure double pole is an exact
     # solution and the half circle maps the entry to its mirror image
-    f = lambda t, y, yp: (yp, 6.0 * y * y)
+    f = lambda t, y, yp: (yp, 6.0 * y * y, 0.0)
     r = 0.05
     entry = State(complex(5.0 + r), complex(r**-2), complex(-2.0 * r**-3))
-    out, _ = _run_arc(f, entry, complex(5.0), r, IntegrationConfig(), 0.0, math.pi)
+    out, _, _ = _run_arc(f, entry, 0j, complex(5.0), r, IntegrationConfig(), 0.0, math.pi)
     assert out.t.real == pytest.approx(5.0 - r, abs=1e-12)
     assert out.y.real == pytest.approx(r**-2, rel=1e-9)
     assert out.yp.real == pytest.approx(2.0 * r**-3, rel=1e-9)
@@ -84,10 +148,10 @@ def test_detour_pure_double_pole_mirror():
 
 
 def test_detour_pure_simple_pole_mirror():
-    f = lambda t, y, yp: (yp, 2.0 * y * y * y)
+    f = lambda t, y, yp: (yp, 2.0 * y * y * y, 0.0)
     r = 0.05
     entry = State(complex(3.0 + r), complex(1.0 / r), complex(-1.0 / r**2))
-    out, _ = _run_arc(f, entry, complex(3.0), r, IntegrationConfig(), 0.0, math.pi)
+    out, _, _ = _run_arc(f, entry, 0j, complex(3.0), r, IntegrationConfig(), 0.0, math.pi)
     assert out.y.real == pytest.approx(-1.0 / r, rel=1e-9)
     assert out.yp.real == pytest.approx(-1.0 / r**2, rel=1e-9)
 
@@ -112,12 +176,15 @@ def test_detour_radius_robustness():
     cfg = IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13)
     r = 0.2
     t0, entry = _first_pole_entry(r)
-    exit_full, _ = _run_arc(PAINLEVE_I.rhs, entry, complex(t0), r, cfg, 0.0, math.pi)
+    exit_full, fluct, _ = _run_arc(PAINLEVE_I.rhs, entry, 0j, complex(t0), r, cfg, 0.0, math.pi)
+    # the quadrature carried around the arc is the energy change across it
+    h_in, h_out = (PAINLEVE_I.hamiltonian(s.y.real, s.yp.real) for s in (entry, exit_full))
+    assert abs(fluct - (h_out - h_in)) <= 1e-9 * abs(h_in)
 
     t0h, entry_h = _first_pole_entry(r / 2)
-    exit_half, _ = _run_arc(PAINLEVE_I.rhs, entry_h, complex(t0h), r / 2, cfg, 0.0, math.pi)
-    s, u, v, _, tok = _advance(PAINLEVE_I.rhs, exit_half.t.real, exit_half.y, exit_half.yp,
-                               t0 - r, cfg, lambda *a: None)
+    exit_half, _, _ = _run_arc(PAINLEVE_I.rhs, entry_h, 0j, complex(t0h), r / 2, cfg, 0.0, math.pi)
+    s, u, v, _, _, tok = _advance(PAINLEVE_I.rhs, exit_half.t.real, exit_half.y, exit_half.yp, 0.0,
+                                  t0 - r, cfg, lambda *a: None)
     assert tok is None
     assert abs(u.real - exit_full.y.real) <= 1e-8 * abs(exit_full.y.real)
     assert abs(v.real - exit_full.yp.real) <= 1e-8 * abs(exit_full.yp.real)
