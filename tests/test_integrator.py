@@ -134,13 +134,51 @@ def test_estimator_location_converges_with_threshold():
     assert drift <= 1e-2 * locs[15.0][1]
 
 
+# The README P-I run and P-II from slope 1.5: pole cascades to t = -40.
+_CASCADES = [
+    (PAINLEVE_I, InitialData(0.0, 2.504031103)),
+    (PAINLEVE_II, InitialData(0.0, 1.5)),
+]
+
+
+@pytest.mark.parametrize("eq,init", _CASCADES, ids=["p1", "p2"])
+def test_crossing_independent_of_trigger_depth(eq, init):
+    # the sweep walks to each detour circle from the last sample before it,
+    # so how deep the trigger sits changes the pole estimate only, and the
+    # continuation past the poles not at all
+    ends = [integrate(eq, init, Direction.NEGATIVE_T,
+                      IntegrationConfig(t_horizon=-20.0, detour_start=ds)).real_y()[-1]
+            for ds in (15.0, 50.0, 150.0)]
+    assert max(ends) - min(ends) <= 1e-8
+
+
+@pytest.mark.parametrize("eq,init", _CASCADES, ids=["p1", "p2"])
+def test_crossing_accuracy_through_cascade(eq, init):
+    # y(-40) at the default tolerance lies within 2e-6 of a run at 1e-13
+    run = integrate(eq, init, Direction.NEGATIVE_T, IntegrationConfig(t_horizon=-40.0))
+    ref = integrate(eq, init, Direction.NEGATIVE_T,
+                    IntegrationConfig(t_horizon=-40.0, rel_tol=1e-13, abs_tol=1e-15))
+    assert len(run.poles) == len(ref.poles) > 20
+    assert abs(run.real_y()[-1] - ref.real_y()[-1]) <= 2e-6
+
+
+def test_p2_cascades_reach_default_horizon():
+    # between the poles of deep P-II cascades |y| stays above half the
+    # trigger; the detour re-arms once |y| rises again after an exit, so
+    # the run meets every pole armed and reaches t = -60
+    rng = np.random.default_rng(20261019)
+    for x in [3.4591, *rng.uniform(0.1, 8.8, size=6)]:
+        traj = integrate(PAINLEVE_II, InitialData(0.0, x), Direction.NEGATIVE_T)
+        assert traj.stopped_by == "horizon" and traj.terminal_t <= -60.0, x
+
+
 def test_detour_pure_double_pole_mirror():
     # on the scale-free model y'' = 6 y^2 the pure double pole is an exact
     # solution and the half circle maps the entry to its mirror image
     f = lambda t, y, yp: (yp, 6.0 * y * y, 0.0)
     r = 0.05
     entry = State(complex(5.0 + r), complex(r**-2), complex(-2.0 * r**-3))
-    out, _, _ = _run_arc(f, entry, 0j, complex(5.0), r, IntegrationConfig(), 0.0, math.pi)
+    out, _, _, _ = _run_arc(f, entry, 0j, complex(5.0), r, IntegrationConfig(), 0.0, math.pi)
     assert out.t.real == pytest.approx(5.0 - r, abs=1e-12)
     assert out.y.real == pytest.approx(r**-2, rel=1e-9)
     assert out.yp.real == pytest.approx(2.0 * r**-3, rel=1e-9)
@@ -151,7 +189,7 @@ def test_detour_pure_simple_pole_mirror():
     f = lambda t, y, yp: (yp, 2.0 * y * y * y, 0.0)
     r = 0.05
     entry = State(complex(3.0 + r), complex(1.0 / r), complex(-1.0 / r**2))
-    out, _, _ = _run_arc(f, entry, 0j, complex(3.0), r, IntegrationConfig(), 0.0, math.pi)
+    out, _, _, _ = _run_arc(f, entry, 0j, complex(3.0), r, IntegrationConfig(), 0.0, math.pi)
     assert out.y.real == pytest.approx(-1.0 / r, rel=1e-9)
     assert out.yp.real == pytest.approx(-1.0 / r**2, rel=1e-9)
 
@@ -176,14 +214,14 @@ def test_detour_radius_robustness():
     cfg = IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13)
     r = 0.2
     t0, entry = _first_pole_entry(r)
-    exit_full, fluct, _ = _run_arc(PAINLEVE_I.rhs, entry, 0j, complex(t0), r, cfg, 0.0, math.pi)
+    exit_full, fluct, _, _ = _run_arc(PAINLEVE_I.rhs, entry, 0j, complex(t0), r, cfg, 0.0, math.pi)
     # the quadrature carried around the arc is the energy change across it
     h_in, h_out = (PAINLEVE_I.hamiltonian(s.y.real, s.yp.real) for s in (entry, exit_full))
     assert abs(fluct - (h_out - h_in)) <= 1e-9 * abs(h_in)
 
     t0h, entry_h = _first_pole_entry(r / 2)
-    exit_half, _, _ = _run_arc(PAINLEVE_I.rhs, entry_h, 0j, complex(t0h), r / 2, cfg, 0.0, math.pi)
-    s, u, v, _, _, tok = _advance(PAINLEVE_I.rhs, exit_half.t.real, exit_half.y, exit_half.yp, 0.0,
+    exit_half, _, _, _ = _run_arc(PAINLEVE_I.rhs, entry_h, 0j, complex(t0h), r / 2, cfg, 0.0, math.pi)
+    s, u, v, _, _, _, tok = _advance(PAINLEVE_I.rhs, exit_half.t.real, exit_half.y, exit_half.yp, 0.0,
                                   t0 - r, cfg, lambda *a: None)
     assert tok is None
     assert abs(u.real - exit_full.y.real) <= 1e-8 * abs(exit_full.y.real)
