@@ -60,15 +60,9 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _resolve_direction(eq, flag: str | None) -> Direction:
-    if flag is None:
-        return eq.directions[0]
-    return Direction.NEGATIVE_T if flag == "neg" else Direction.POSITIVE_T
-
-
 def cmd_trajectory(args) -> int:
     eq = equation_from_name(args.eq)
-    direction = _resolve_direction(eq, args.direction)
+    direction = eq.directions[0] if args.direction is None else Direction(args.direction)
     kw = {} if args.rel_tol is None else {"rel_tol": args.rel_tol}
     cfg = IntegrationConfig(t_horizon=args.horizon, **kw)
     init = InitialData(args.y0, args.slope)
@@ -222,27 +216,17 @@ def cmd_constants(args) -> int:
             print(f"table too short to extrapolate ({len(values)} records)", file=sys.stderr)
             return 1
         target = getattr(consts, spec.constant)
+
+        def report(res):
+            return {"estimate": res.estimate, "stability": res.stability, "deviation": res.estimate - target}
+
+        extrapolation = {"exponent": p, "order": order, "closed_form": target}
         if split:
             even, odd = extract_constant(values, p, order, split_even_odd=True)
-            result["extrapolation"] = {
-                "exponent": p,
-                "order": order,
-                "even": {"estimate": even.estimate, "stability": even.stability,
-                         "deviation": even.estimate - target},
-                "odd": {"estimate": odd.estimate, "stability": odd.stability,
-                        "deviation": odd.estimate - target},
-                "closed_form": target,
-            }
+            extrapolation.update(even=report(even), odd=report(odd))
         else:
-            res = extract_constant(values, p, order)
-            result["extrapolation"] = {
-                "exponent": p,
-                "order": order,
-                "estimate": res.estimate,
-                "stability": res.stability,
-                "closed_form": target,
-                "deviation": res.estimate - target,
-            }
+            extrapolation.update(report(extract_constant(values, p, order)))
+        result["extrapolation"] = extrapolation
     manifest = _manifest(args, "constants")
     manifest["wall_time_s"] = round(time.time() - started, 6)
     result["manifest"] = manifest

@@ -30,9 +30,8 @@ The direction, scan seed and growth law of each search mode, and the
 turning point and separatrix asymptotics of each equation, come from the
 equation's spec; the instability rate is sqrt(V) of the separatrix. Each
 probe is sized from its own datum (:func:`_probe`), so ``bisect``'s
-``index`` is only a label, and one rule (:func:`_cfg`) builds every
-probe's config from its relative tolerance, the one integration setting a
-caller of the search chooses.
+``index`` is only a label, and its relative tolerance is the one
+integration setting a caller of the search chooses.
 
 The search never asks the classifier to *detect* a separatrix (a
 measure-zero event); separatrix tags are used only to validate converged
@@ -41,11 +40,10 @@ records.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,11 +136,6 @@ def _negative_horizon(eq: Equation, mode: SearchMode, x: float) -> float:
 _COARSE = 1e-8
 
 
-def _cfg(rel_tol: float) -> IntegrationConfig:
-    """Config of a search probe at rel_tol; :func:`_probe` sizes its horizon."""
-    return IntegrationConfig(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2)
-
-
 def _check_tol(tol: float, rel_tol: float) -> None:
     if not rel_tol > 0.0:
         raise ValueError(f"rel_tol = {rel_tol} must be positive")
@@ -150,24 +143,26 @@ def _check_tol(tol: float, rel_tol: float) -> None:
         raise ValueError(f"tol = {tol} is below 10 * rel_tol = {10 * rel_tol}")
 
 
-def _fine_cfg(eq: Equation, rel_tol: float, tol: float) -> IntegrationConfig:
+def _fine_rel_tol(eq: Equation, rel_tol: float, tol: float) -> float:
     # Flip points move by ~3e3 * rel_tol for the second equation and ~1e2 *
     # rel_tol for the first, so the end game runs tight enough for tol to
     # be meaningful.
-    return _cfg(max(min(1e-10, rel_tol, tol / eq.fine_tol_divisor), 1e-13))
+    return max(min(1e-10, rel_tol, tol / eq.fine_tol_divisor), 1e-13)
 
 
-def _probe(eq, mode, x, cfg: IntegrationConfig):
-    """Full-horizon trajectory of the trial datum x at the tolerance of cfg,
-    sized from x alone: the horizon follows from the trial energy in the
-    negative direction; the positive direction caps the poles at
+def _probe(eq, mode, x, rel_tol: float):
+    """Full-horizon trajectory of the trial datum x at rel_tol, sized from x
+    alone: the horizon follows from the trial energy in the negative
+    direction; the positive direction caps the poles at
     (|x| / coeff)^(1/p) + 2, past the n + 1 blow-ups that tell the sides of
     any c_n <= |x|; a toy-model run ends once ``settled``."""
     spec = _spec(eq, mode)
     if spec.direction is Direction.NEGATIVE_T:
-        cfg = replace(cfg, t_horizon=_negative_horizon(eq, mode, x))
+        cfg = IntegrationConfig(rel_tol, t_horizon=_negative_horizon(eq, mode, x))
     elif eq.pole_order:
-        cfg = replace(cfg, max_poles=int((abs(x) / spec.coeff) ** (1.0 / spec.exponent)) + 2)
+        cfg = IntegrationConfig(rel_tol, max_poles=int((abs(x) / spec.coeff) ** (1.0 / spec.exponent)) + 2)
+    else:
+        cfg = IntegrationConfig(rel_tol)
     return integrate(eq, _initial_data(mode, x), spec.direction, cfg, until=eq.settled)
 
 
@@ -191,10 +186,10 @@ def _class_key(eq, x, traj):
 _Record = namedtuple("_Record", "x traj key poles")  # a probe of the trial datum x
 
 
-def _prober(eq, mode, cfg):
-    """probe(x): the record of x, probed at the tolerance of cfg."""
+def _prober(eq, mode, rel_tol):
+    """probe(x): the record of x, probed at rel_tol."""
     def probe(x):
-        traj = _probe(eq, mode, x, cfg)
+        traj = _probe(eq, mode, x, rel_tol)
         return _Record(x, traj, *_class_key(eq, x, traj))
     return probe
 
@@ -240,16 +235,6 @@ def _walk(probe, x, end, step):
         x, prev = nxt, cur
 
 
-@contextlib.contextmanager
-def _partial_table(records: list[EigenvalueRecord]):
-    """Turn a failed probe into a :class:`PartialTableError` that carries the
-    finished records."""
-    try:
-        yield
-    except (BisectionError, ClassificationError, IntegrationError) as exc:
-        raise PartialTableError(str(exc), records, failed_index=len(records) + 1) from exc
-
-
 def scan_brackets(
     eq: Equation,
     mode: SearchMode | ModeKind | str,
@@ -269,7 +254,7 @@ def scan_brackets(
     lo, hi = search_range
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise ValueError("search range must be a finite nonempty interval")
-    probe = _prober(eq, mode, _cfg(_COARSE))
+    probe = _prober(eq, mode, _COARSE)
     brackets = [(a.x, b.x) for a, b in _walk(probe, lo, hi, lambda: step)]
     for (a0, _), (b0, _) in zip(brackets, brackets[1:]):
         if b0 - a0 < 2.0 * step:
@@ -397,7 +382,7 @@ _WIDEN = 3  # times it widens by 4 while its ends share a sign
 _STOP = 0.1  # the first pass stops below this share of the next bracket
 
 
-def _matched_root(eq, mode, cfg, cfg_fine, bracket, ends, tol):
+def _matched_root(eq, mode, rel_tol, fine_rel_tol, bracket, ends, tol):
     """Separatrix datum in the scan bracket by root-finding on g
     (:func:`_projection`) at a matching time T, with probes that stop at T;
     None where that cannot be trusted (the caller then bisects). The first
@@ -409,13 +394,14 @@ def _matched_root(eq, mode, cfg, cfg_fine, bracket, ends, tol):
     """
     direction, sigma = ends[0].direction, ends[0].direction.sign
 
-    def g(t, pc):
-        """g at T = t of a trial datum, probed with the tolerance of pc. The
-        separatrix is evaluated once per T: the toy model's is a backward run."""
+    def g(t, rtol):
+        """g at T = t of a trial datum, probed at rtol. The separatrix is
+        evaluated once per T: the toy model's is a backward run."""
         at = eq.separatrix[direction](t, *point)
+        cfg = IntegrationConfig(rtol, t_horizon=t)
 
         def g_t(x):
-            traj = integrate(eq, _initial_data(mode, x), direction, replace(pc, t_horizon=t))
+            traj = integrate(eq, _initial_data(mode, x), direction, cfg)
             if (traj.stopped_by != "horizon" or traj.terminal_t != t
                     or traj.t[-1].imag != 0.0 or len(_events(traj)[1]) != n_before):
                 raise _Unmatched
@@ -430,7 +416,7 @@ def _matched_root(eq, mode, cfg, cfg_fine, bracket, ends, tol):
     try:
         point, n_before, g_lo, g_hi = _matching_start(eq, ends)
         t_match = point[0]
-        root = _illinois(g(t_match, cfg), lo, g_lo, hi, g_hi, _STOP * width)
+        root = _illinois(g(t_match, rel_tol), lo, g_lo, hi, g_hi, _STOP * width)
         while root is not None:
             near, t_last = min(root - lo, hi - root), t_match
             for _ in range(_WIDEN):
@@ -438,7 +424,7 @@ def _matched_root(eq, mode, cfg, cfg_fine, bracket, ends, tol):
                 # sqrt(V) rises along the run: step with its value at the far end
                 t_match = t_last + sigma * step / rate(t_last + sigma * step / rate(t_last))
                 lo, hi = root - 0.5 * width, root + 0.5 * width
-                g_t = g(t_match, cfg_fine)
+                g_t = g(t_match, fine_rel_tol)
                 g_lo, g_hi = g_t(lo), g_t(hi)
                 if g_lo * g_hi < 0.0:
                     break
@@ -469,7 +455,7 @@ def bisect(
     """
     mode = SearchMode.coerce(mode)
     _check_tol(tol, rel_tol)
-    probe = _prober(eq, mode, _cfg(_COARSE))
+    probe = _prober(eq, mode, _COARSE)
     return _end_game(eq, mode, probe(bracket[0]), probe(bracket[1]), tol, rel_tol, index)
 
 
@@ -484,12 +470,12 @@ def _end_game(eq, mode, lo, hi, tol, rel_tol, index):
     if _flip_poles(lo, hi) is None:
         raise BisectionError(f"bracket endpoints {(lo.x, hi.x)} have the classes {lo.key!r} and {hi.key!r}, "
                              "not one flip apart")
-    cfg_fine = _fine_cfg(eq, rel_tol, tol)
+    fine_rel_tol = _fine_rel_tol(eq, rel_tol, tol)
     w = hi.x - lo.x
     while w > tol:
         w *= 0.5
-    fine = _prober(eq, mode, cfg_fine)
-    value = _matched_root(eq, mode, _cfg(rel_tol), cfg_fine, (lo.x, hi.x), (lo.traj, hi.traj), tol)
+    fine = _prober(eq, mode, fine_rel_tol)
+    value = _matched_root(eq, mode, rel_tol, fine_rel_tol, (lo.x, hi.x), (lo.traj, hi.traj), tol)
     pole_count = None if value is None else _flip_poles(fine(value - 0.5 * w), fine(value + 0.5 * w))
     if pole_count is None:
         lo, hi = _fine_bisection(fine, lo.x, hi.x, tol)
@@ -516,18 +502,17 @@ def separatrix_check(
     separatrix (negative direction) or decay (positive direction).
     """
     mode = SearchMode.coerce(mode)
-    cfg = _cfg(1e-11)
     direction = _spec(eq, mode).direction
     init = _initial_data(mode, value)
     if direction is Direction.POSITIVE_T:
-        traj = integrate(eq, init, direction, replace(cfg, t_horizon=25.0, max_step=0.05))
+        traj = integrate(eq, init, direction, IntegrationConfig(1e-11, t_horizon=25.0, max_step=0.05))
         return classify(eq, traj)
 
     turn = eq.turning_point(_trial_energy(eq, mode, value))
     rate = math.sqrt(eq.separatrix[direction](-turn, -turn, 1.0)[2])
     split = math.log(SEPARATRIX_BAND / max(uncertainty, 1e-13)) / rate
     horizon = -(turn + max(2.0, 0.8 * split) + 2.0)
-    traj = integrate(eq, init, direction, replace(cfg, t_horizon=horizon, max_step=0.1))
+    traj = integrate(eq, init, direction, IntegrationConfig(1e-11, t_horizon=horizon, max_step=0.1))
     win = _branch_window(eq, traj)
     if win is None:
         raise ClassificationError(
@@ -580,10 +565,10 @@ def eigen_table(
     sign = -1.0 if spec.origin < 0 else 1.0
     limit = 1.7 * spec.coeff * (n_max + 1) ** p + 3.0
 
-    probe = _prober(eq, mode, _cfg(_COARSE))
+    probe = _prober(eq, mode, _COARSE)
     records: list[EigenvalueRecord] = []
     step = spec.step
-    with _partial_table(records):
+    try:
         for lo, hi in _walk(probe, spec.origin, sign * limit, lambda: sign * step):
             records.append(_end_game(eq, mode, lo, hi, tol, rel_tol, len(records) + 1))
             n = len(records)
@@ -597,6 +582,8 @@ def eigen_table(
             f"scan passed |x| = {limit:.3g} with only {len(records)} of "
             f"{n_max} eigenvalues found"
         )
+    except (BisectionError, ClassificationError, IntegrationError) as exc:
+        raise PartialTableError(str(exc), records, failed_index=len(records) + 1) from exc
 
 
 def toy_eigen_table(n_max: int, tol: float = 1e-6) -> list[EigenvalueRecord]:

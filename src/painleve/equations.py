@@ -271,9 +271,7 @@ TOY_MODEL = Equation(
 
 _BY_NAME = {
     "p1": PAINLEVE_I,
-    "painleve-1": PAINLEVE_I,
     "p2": PAINLEVE_II,
-    "painleve-2": PAINLEVE_II,
     "toy": TOY_MODEL,
 }
 
@@ -282,7 +280,7 @@ def equation_from_name(name: str) -> Equation:
     try:
         return _BY_NAME[name.lower()]
     except KeyError:
-        raise ValueError(f"unknown equation {name!r}; expected one of {sorted(set(_BY_NAME))}") from None
+        raise ValueError(f"unknown equation {name!r}; expected one of {sorted(_BY_NAME)}") from None
 
 
 @dataclass(frozen=True)

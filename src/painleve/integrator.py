@@ -2,7 +2,7 @@
 poles in the complex time plane.
 
 The sweep follows the real axis in the requested direction. When |y| crosses
-``detour_start``, the pole location t0 is estimated by :func:`estimate_pole`
+``_DETOUR_START``, the pole location t0 is estimated by :func:`estimate_pole`
 from the leading Laurent behavior (y ~ (t - t0)^{-p}  =>  t0 = t + p y/y'),
 less the equation's Laurent correction. The samples at or past the entry
 point, at the detour radius from t0, are dropped, and the sweep walks
@@ -87,32 +87,26 @@ class IntegrationConfig:
     probes stop once their maxima count is final (``Equation.settled``), so
     for them the horizon is only a cap on runs that never settle. The
     default ``max_step`` is the largest finite float, which never binds and
-    keeps the config strict JSON.
-
-    ``detour_start`` is the |y| at which pole handling engages: the trigger
-    that estimates the pole. The crossing itself starts from the last sample
-    before the detour circle, so a deeper trigger sharpens the estimate but
-    leaves the continuation past the pole as it is (y(-20) of the README
-    runs moves by at most 1.2e-9 between 15 and 150).
+    keeps the config strict JSON. ``abs_tol`` follows ``rel_tol`` as
+    ``rel_tol * 1e-2``.
     """
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
     t_horizon: float | None = None
     max_poles: int = 200
     max_step: float = sys.float_info.max
-    detour_start: float = 15.0
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.detour_start <= 10.0:
-            raise ValueError("detour_start must exceed 10")
+        if self.rel_tol <= 0.0:
+            raise ValueError("rel_tol must be positive")
         if self.max_poles < 0:
             raise ValueError("max_poles must be non-negative")
         if self.max_step <= 0.0:
             raise ValueError("max_step must be positive")
+
+    @property
+    def abs_tol(self) -> float:
+        return self.rel_tol * 1e-2
 
     def resolved_horizon(self, eq: Equation, direction: Direction) -> float:
         if self.t_horizon is not None:
@@ -290,6 +284,12 @@ _ERR_SCALE = 4.0
 _MIN_RATIO = 1e-12  # |y'/y| below which estimate_pole calls the state degenerate
 _MIN_STEP = 1e-12  # a step below this underflows
 _PURITY_TOL = 1e-6  # bound on |Im y|, |Im y'| relative to max(1, |Re|) at a detour exit
+# |y| at which pole handling engages: the trigger that estimates the pole. The
+# crossing itself starts from the last sample before the detour circle, so a
+# deeper trigger sharpens the estimate but leaves the continuation past the
+# pole as it is (y(-20) of the README runs moves by at most 1.2e-9 between 15
+# and 150).
+_DETOUR_START = 15.0
 
 
 def _step(f, s, u, v, h, k1, rtol, atol):
@@ -457,20 +457,21 @@ def _arc_rhs(f, t0: complex, radius: float):
     return g
 
 
-def _run_arc(f, entry: State, fluct: complex, t0: complex, radius: float, cfg, phi0, phi1, h=None):
-    """Carry the entry state, and the quadrature value ``fluct`` beside it,
-    around t0 along the arc t = t0 + radius e^{i phi}, phi from phi0 to
-    phi1, all in the angle variable, starting from the angle step ``h``
-    (see :func:`_advance`). Returns the real exit state, the real part of
-    the quadrature at the exit, the complex (t, y, y', I) samples accepted
-    on the way and the angle step the arc proposed at its end."""
+def _run_arc(f, entry, t0: complex, radius: float, cfg, phi0, phi1, h=None):
+    """Carry the entry sample (t, y, y', I) around t0 along the arc
+    t = t0 + radius e^{i phi}, phi from phi0 to phi1, all in the angle
+    variable, starting from the angle step ``h`` (see :func:`_advance`).
+    Returns the real exit sample, the complex samples accepted on the way and
+    the angle step the arc proposed at its end."""
     arc_f = _arc_rhs(f, t0, radius)
     samples = []
 
     def on_accept(phi, u, v, w):
         samples.append((t0 + cmath.rect(radius, phi), u, v, w))
 
-    phi, u, v, w, _, h, token = _advance(arc_f, phi0, entry.y, entry.yp, fluct, phi1, cfg, on_accept, h=h)
+    _, y, yp, fluct = entry
+    phi, u, v, w, _, h, token = _advance(arc_f, phi0, complex(y), complex(yp), complex(fluct), phi1, cfg,
+                                         on_accept, h=h)
     if token == "step-underflow":
         raise StepUnderflowError(f"detour arc around t0 = {t0} stalled at phi = {phi}")
     exit_t = (t0 + cmath.rect(radius, phi1)).real
@@ -481,7 +482,7 @@ def _run_arc(f, entry: State, fluct: complex, t0: complex, radius: float, cfg, p
             f"detour exit at t = {exit_t:.6g} is not real: "
             f"Im y = {u.imag:.3e}, Im y' = {v.imag:.3e} (purity tolerance {_PURITY_TOL})"
         )
-    return State(exit_t, u.real, v.real), w.real, samples, h
+    return (exit_t, u.real, v.real, w.real), samples, h
 
 
 _RADIUS_MIN = 1e-3
@@ -543,16 +544,13 @@ def integrate(
 
     f = eq.rhs
     pole_free = not eq.pole_order
-    trigger = cfg.detour_start
+    trigger = _DETOUR_START
 
     t = 0.0
     y = float(init.y0)
     v = 0.0 if eq.first_order else float(init.slope0)
     w = 0.0
-    ts: list[float | complex] = [t]
-    ys: list[float | complex] = [y]
-    vs: list[float | complex] = [v]
-    ws: list[float | complex] = [w]
+    samples: list[tuple] = [(t, y, v, w)]  # (t, y, y', I), real or on an arc
     poles: list[PoleEvent] = []
     armed = abs(y) < trigger
     last_mag = abs(y)
@@ -561,10 +559,7 @@ def integrate(
     h = h_arc = None
 
     def on_accept(s, u, yp, fluct):
-        ts.append(s)
-        ys.append(u)
-        vs.append(yp)
-        ws.append(fluct)
+        samples.append((s, u, yp, fluct))
         if until is not None and until(s, u, yp):
             return "settled"
         if pole_free:
@@ -611,44 +606,30 @@ def integrate(
         # sample before it, so no state from inside the circle is carried
         # back out.
         if dirsign * (t - entry_t) >= 0.0:
-            while len(ts) > 1 and ts[-1].imag == 0.0 and dirsign * (ts[-1].real - entry_t) >= 0.0:
-                ts.pop()
-                ys.pop()
-                vs.pop()
-                ws.pop()
-            if ts[-1].imag != 0.0:
+            while (len(samples) > 1 and samples[-1][0].imag == 0.0
+                   and dirsign * (samples[-1][0].real - entry_t) >= 0.0):
+                samples.pop()
+            if samples[-1][0].imag != 0.0:
                 raise IntegrationError(
                     f"detour circle of the pole at {t0:.6g} overlaps the previous detour"
                 )
-            t, y, v, w, k1 = ts[-1], ys[-1], vs[-1], ws[-1], None
+            (t, y, v, w), k1 = samples[-1], None
         if abs(entry_t - t) > 1e-14 * max(1.0, abs(t)):
             t, y, v, w, _, h, tok2 = _advance(f, t, y, v, w, entry_t, cfg, lambda *_: None,
                                               k1=k1, h=abs(entry_t - t))
             if tok2 == "step-underflow":
                 stopped_by = "step-underflow"
                 break
-        ts.append(entry_t)
-        ys.append(y)
-        vs.append(v)
-        ws.append(w)
-        entry_index = len(ts) - 1
+        samples.append((entry_t, y, v, w))
+        entry_index = len(samples) - 1
         if direction is Direction.NEGATIVE_T:
             phi0, phi1 = 0.0, half_plane * math.pi
         else:
             phi0, phi1 = half_plane * math.pi, 0.0
-        exit_state, w, arc, h_arc = _run_arc(
-            f, State(entry_t, complex(y), complex(v)), complex(w), t0, radius, cfg, phi0, phi1, h_arc
-        )
-        for tc, uc, vc, wc in arc:
-            ts.append(tc)
-            ys.append(uc)
-            vs.append(vc)
-            ws.append(wc)
-        ts.append(exit_state.t)
-        ys.append(exit_state.y)
-        vs.append(exit_state.yp)
-        ws.append(w)
-        exit_index = len(ts) - 1
+        exit_sample, arc, h_arc = _run_arc(f, samples[-1], t0, radius, cfg, phi0, phi1, h_arc)
+        samples += arc
+        samples.append(exit_sample)
+        exit_index = len(samples) - 1
         poles.append(
             PoleEvent(
                 location=t0,
@@ -658,24 +639,21 @@ def integrate(
                 exit_index=exit_index,
             )
         )
-        t, y, v = exit_state.t, exit_state.y, exit_state.yp
+        t, y, v, w = exit_sample
         armed = False
         last_mag = abs(y)
         k1 = None
         if dirsign * (t - horizon) >= 0.0:
             break
 
-    t_arr = np.asarray(ts, dtype=complex)
-    y_arr = np.asarray(ys, dtype=complex)
-    v_arr = None if eq.first_order else np.asarray(vs, dtype=complex)
-    w_arr = None if eq.first_order else np.asarray(ws, dtype=complex)
+    t_arr, y_arr, v_arr, w_arr = (np.array(col, dtype=complex) for col in zip(*samples))
     return Trajectory(
         equation=eq,
         direction=direction,
         t=t_arr,
         y=y_arr,
-        yp=v_arr,
-        fluct=w_arr,
+        yp=None if eq.first_order else v_arr,
+        fluct=None if eq.first_order else w_arr,
         poles=poles,
         terminal_t=t,
         stopped_by=stopped_by,

@@ -137,7 +137,7 @@ def test_criterion_8_toy_model(toy_table):
         ratio = toy_table[n - 1].value / math.sqrt(n)
         worst = max(worst, abs(ratio / target - 1.0))
         assert abs(ratio / target - 1.0) <= 0.02
-    cfg = IntegrationConfig(rel_tol=1e-9, abs_tol=1e-11)
+    cfg = IntegrationConfig(rel_tol=1e-9)
     for n in (1, 5, 25, 50):
         a = toy_table[n - 1].value
         eps = 2.0 * toy_table[n - 1].bracket_width + 1e-6

@@ -99,7 +99,7 @@ def test_ambiguous_window_reported():
 
 
 def test_count_toy_maxima_monotone():
-    cfg = IntegrationConfig(rel_tol=1e-9, abs_tol=1e-11)
+    cfg = IntegrationConfig(rel_tol=1e-9)
     counts = []
     for a in np.linspace(0.3, 4.0, 16):
         traj = integrate(TOY_MODEL, InitialData(float(a)), Direction.POSITIVE_T, cfg)
@@ -111,7 +111,7 @@ def test_count_toy_maxima_monotone():
 def test_toy_settle_rule_is_exact():
     # A run stopped by TOY_MODEL.settled counts the maxima of the full run to
     # t = 50: it always settles, and only after the full run's last maximum.
-    cfg = IntegrationConfig(rel_tol=1e-9, abs_tol=1e-11)
+    cfg = IntegrationConfig(rel_tol=1e-9)
     for a in np.random.default_rng(8).uniform(0.05, 14.5, 200):
         init = InitialData(float(a))
         full = integrate(TOY_MODEL, init, Direction.POSITIVE_T, cfg)
@@ -135,7 +135,7 @@ def test_count_toy_maxima_counts_level_crossings():
         for _ in range(200)
     ]
     for a, horizon, rel_tol in cases:
-        cfg = IntegrationConfig(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2, t_horizon=horizon)
+        cfg = IntegrationConfig(rel_tol=rel_tol, t_horizon=horizon)
         traj = integrate(TOY_MODEL, InitialData(a), Direction.POSITIVE_T, cfg)
         u = traj.real_t()[-1] * traj.real_y()[-1]
         crossed = max(0, math.floor((u - 0.5) / 2.0) + 1)

@@ -7,7 +7,7 @@ from painleve import IntegrationConfig
 from painleve.cli import main
 from painleve.eigensolver import EigenvalueRecord, PartialTableError, SearchMode
 
-from conftest import P1_SLOPE_REF, P2_VALUE_REF, counted_probes
+from conftest import P1_SLOPE_REF, P2_SLOPE_REF, P2_VALUE_REF, counted_probes
 
 
 def _read_csv(path):
@@ -88,7 +88,7 @@ def test_eigen_csv_format(tmp_path, monkeypatch):
 
 def test_eigen_rel_tol_sets_the_first_matched_pass(tmp_path, monkeypatch):
     # --rel-tol is the search's rel_tol: the first matched pass runs at it,
-    # with abs_tol rel_tol * 1e-2 like every other probe
+    # with no integration setting but its horizon, the matching time
     calls = counted_probes(monkeypatch)
     out = tmp_path / "eigs.json"
     rc = main(["eigen", "--eq", "toy", "--n", "1", "--tol", "1e-6", "--rel-tol", "1e-9",
@@ -96,8 +96,20 @@ def test_eigen_rel_tol_sets_the_first_matched_pass(tmp_path, monkeypatch):
     assert rc == 0
     first_pass = [args[3] for args in calls if args[3].rel_tol == 1e-9]
     assert first_pass
-    assert all(cfg.abs_tol == pytest.approx(1e-11, rel=1e-9) for cfg in first_pass)
+    assert all(cfg == IntegrationConfig(1e-9, t_horizon=cfg.t_horizon) for cfg in first_pass)
     assert json.loads(out.read_text())["manifest"]["rel_tol"] == 1e-9
+
+
+def test_trajectory_manifest_config_holds_four_settings(tmp_path):
+    # abs_tol follows rel_tol inside IntegrationConfig, so the snapshot holds
+    # the four settings a config has and nothing else
+    out = tmp_path / "t.csv"
+    rc = main(["trajectory", "--eq", "p1", "--slope", "2.0", "--horizon", "-2", "--rel-tol", "1e-12",
+               "--out", str(out)])
+    assert rc == 0
+    config = _read_csv(out)[0]["config"]
+    assert set(config) == {"rel_tol", "t_horizon", "max_poles", "max_step"}
+    assert config["rel_tol"] == 1e-12
 
 
 def test_trajectory_rejects_bad_direction(capsys):
@@ -141,6 +153,28 @@ def test_constants_short_split_table_reports(tmp_path, capsys):
     rc = main(["constants", "--table", str(table)])
     assert rc == 1
     assert "too short" in capsys.readouterr().err
+
+
+def test_constants_split_table_reports(tmp_path):
+    # the second equation's slopes alternate, so each parity class gets its
+    # own estimate of the one closed form
+    table = tmp_path / "eigs.json"
+    table.write_text(json.dumps({
+        "equation": "p2", "mode": "slope",
+        "records": [{"index": n, "value": P2_SLOPE_REF[n]} for n in range(1, 6)],
+    }))
+    out = tmp_path / "const.json"
+    rc = main(["constants", "--table", str(table), "--out", str(out)])
+    assert rc == 0
+    ex = json.loads(out.read_text())["extrapolation"]
+    assert set(ex) == {"exponent", "order", "closed_form", "even", "odd"}
+    assert ex["order"] == 1  # five terms hold one order per parity class
+    assert ex["exponent"] == pytest.approx(2.0 / 3.0)
+    assert ex["closed_form"] == pytest.approx(1.8624128, abs=5e-8)
+    for side in (ex["even"], ex["odd"]):
+        assert set(side) == {"estimate", "stability", "deviation"}
+        assert side["deviation"] == side["estimate"] - ex["closed_form"]
+        assert abs(side["deviation"]) < 2e-2
 
 
 def test_constants_closed_forms_only(capsys):

@@ -25,7 +25,7 @@ from painleve import (
 )
 import painleve
 import painleve.eigensolver as eigensolver
-from painleve.eigensolver import _fine_cfg, _flip_poles, _prober
+from painleve.eigensolver import _fine_rel_tol, _flip_poles, _prober
 
 from conftest import (P1_SLOPE_REF, P1_VALUE_REF, P2_SLOPE_REF, P2_VALUE_REF, TOY_REF, counted_probes,
                       toy_count)
@@ -104,7 +104,7 @@ def test_end_game_record_flips_at_fine_tolerance(eq, mode, bracket, ref):
     rec = bisect(eq, mode, bracket, tol=1e-9)
     assert abs(rec.value - ref) < 3e-9
     assert rec.bracket_width <= 1e-9
-    probe = _prober(eq, SearchMode(mode), _fine_cfg(eq, 1e-10, 1e-9))
+    probe = _prober(eq, SearchMode(mode), _fine_rel_tol(eq, 1e-10, 1e-9))
     half = 0.5 * rec.bracket_width
     assert _flip_poles(probe(rec.value - half), probe(rec.value + half)) == rec.pole_count
 
@@ -237,20 +237,21 @@ def test_bisect_tolerance_guard():
 
 
 def test_fine_cfg_keeps_a_tighter_caller_tolerance():
-    cfg = _fine_cfg(PAINLEVE_I, 1e-12, 1e-9)
-    assert cfg.rel_tol <= 1e-12
+    assert _fine_rel_tol(PAINLEVE_I, 1e-12, 1e-9) <= 1e-12
 
 
 def test_every_probe_config_follows_one_rule(monkeypatch):
-    # scan, bracket ends, matched passes and certificates alike: abs_tol is
-    # rel_tol * 1e-2, and the search sets no other integration setting
+    # scan, bracket ends, matched passes and certificates alike: a probe's
+    # config holds its rel_tol and the limits that size it, and the search
+    # sets no other integration setting (no max_step)
     calls = counted_probes(monkeypatch)
     eigen_table(PAINLEVE_I, ModeKind.SLOPE, 3)
     toy_eigen_table(3)
     rel_tols = {args[3].rel_tol for args in calls}
     assert {eigensolver._COARSE, 1e-10, 1e-9} <= rel_tols
     for args in calls:
-        assert args[3].abs_tol == args[3].rel_tol * 1e-2
+        cfg = args[3]
+        assert cfg == IntegrationConfig(cfg.rel_tol, t_horizon=cfg.t_horizon, max_poles=cfg.max_poles)
 
 
 def test_eigen_table_probes_no_datum_twice_at_scan_tolerance(monkeypatch):
@@ -457,7 +458,7 @@ def test_toy_table_against_grid_oracle(toy_table):
 
 def test_toy_oracle_rerun_around_first_jump(toy_table):
     # live brute-force oracle on a small window around a_1
-    cfg = IntegrationConfig(rel_tol=1e-9, abs_tol=1e-11)
+    cfg = IntegrationConfig(rel_tol=1e-9)
     a1 = toy_table[0].value
     grid = np.arange(a1 - 0.002, a1 + 0.002, 1e-4)
     counts = [toy_count(float(a), cfg) for a in grid]
@@ -470,7 +471,7 @@ def test_toy_oracle_rerun_around_first_jump(toy_table):
 
 def test_toy_jump_matches_table_at_n5(toy_table):
     # cross-module consistency: the count jump sits where the solver put a_5
-    cfg = IntegrationConfig(rel_tol=1e-9, abs_tol=1e-11)
+    cfg = IntegrationConfig(rel_tol=1e-9)
     a5 = toy_table[4].value
     below = toy_count(a5 - 2e-6, cfg)
     above = toy_count(a5 + 2e-6, cfg)
@@ -482,7 +483,7 @@ def test_toy_records_against_tight_reference(toy_table):
     # rel_tol 1e-12 on a +-2e-6 window locates a_n far inside the record's
     # bracket width. At a_32 a count bisection at the table's rel_tol of
     # 1e-9 misses by twice that width.
-    cfg = IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14)
+    cfg = IntegrationConfig(rel_tol=1e-12)
     for n in (1, 3, 32):
         rec = toy_table[n - 1]
         lo, hi = rec.value - 2e-6, rec.value + 2e-6

@@ -23,8 +23,6 @@ from painleve.integrator import _advance, _run_arc, _step
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegrationConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegrationConfig(detour_start=1.0)
     cfg = IntegrationConfig()
     assert cfg.resolved_horizon(PAINLEVE_I, Direction.NEGATIVE_T) == -60.0
     assert cfg.resolved_horizon(PAINLEVE_II, Direction.POSITIVE_T) == 40.0
@@ -122,12 +120,13 @@ def test_estimate_pole_degenerate():
         estimate_pole(TOY_MODEL, State(0.0 + 0j, 1.0 + 0j, 1.0 + 0j))
 
 
-def test_estimator_location_converges_with_threshold():
+def test_estimator_location_converges_with_threshold(monkeypatch):
     # shrinking the engagement threshold tenfold moves the estimated first
     # pole location by far less than one percent of the detour radius
     locs = {}
+    cfg = IntegrationConfig(t_horizon=-4.0)
     for ds in (15.0, 150.0):
-        cfg = IntegrationConfig(t_horizon=-4.0, detour_start=ds)
+        monkeypatch.setattr(integrator, "_DETOUR_START", ds)
         traj = integrate(PAINLEVE_I, InitialData(0.0, 2.504031103), Direction.NEGATIVE_T, cfg)
         locs[ds] = (traj.poles[0].location, traj.poles[0].detour_radius)
     drift = abs(locs[15.0][0] - locs[150.0][0])
@@ -142,13 +141,15 @@ _CASCADES = [
 
 
 @pytest.mark.parametrize("eq,init", _CASCADES, ids=["p1", "p2"])
-def test_crossing_independent_of_trigger_depth(eq, init):
+def test_crossing_independent_of_trigger_depth(eq, init, monkeypatch):
     # the sweep walks to each detour circle from the last sample before it,
     # so how deep the trigger sits changes the pole estimate only, and the
     # continuation past the poles not at all
-    ends = [integrate(eq, init, Direction.NEGATIVE_T,
-                      IntegrationConfig(t_horizon=-20.0, detour_start=ds)).real_y()[-1]
-            for ds in (15.0, 50.0, 150.0)]
+    ends = []
+    for ds in (15.0, 50.0, 150.0):
+        monkeypatch.setattr(integrator, "_DETOUR_START", ds)
+        traj = integrate(eq, init, Direction.NEGATIVE_T, IntegrationConfig(t_horizon=-20.0))
+        ends.append(traj.real_y()[-1])
     assert max(ends) - min(ends) <= 1e-8
 
 
@@ -157,7 +158,7 @@ def test_crossing_accuracy_through_cascade(eq, init):
     # y(-40) at the default tolerance lies within 2e-6 of a run at 1e-13
     run = integrate(eq, init, Direction.NEGATIVE_T, IntegrationConfig(t_horizon=-40.0))
     ref = integrate(eq, init, Direction.NEGATIVE_T,
-                    IntegrationConfig(t_horizon=-40.0, rel_tol=1e-13, abs_tol=1e-15))
+                    IntegrationConfig(t_horizon=-40.0, rel_tol=1e-13))
     assert len(run.poles) == len(ref.poles) > 20
     assert abs(run.real_y()[-1] - ref.real_y()[-1]) <= 2e-6
 
@@ -177,55 +178,55 @@ def test_detour_pure_double_pole_mirror():
     # solution and the half circle maps the entry to its mirror image
     f = lambda t, y, yp: (yp, 6.0 * y * y, 0.0)
     r = 0.05
-    entry = State(complex(5.0 + r), complex(r**-2), complex(-2.0 * r**-3))
-    out, _, _, _ = _run_arc(f, entry, 0j, complex(5.0), r, IntegrationConfig(), 0.0, math.pi)
-    assert out.t.real == pytest.approx(5.0 - r, abs=1e-12)
-    assert out.y.real == pytest.approx(r**-2, rel=1e-9)
-    assert out.yp.real == pytest.approx(2.0 * r**-3, rel=1e-9)
-    assert out.y.imag == 0.0 and out.yp.imag == 0.0
+    entry = (5.0 + r, r**-2, -2.0 * r**-3, 0.0)
+    (t, y, yp, _), _, _ = _run_arc(f, entry, complex(5.0), r, IntegrationConfig(), 0.0, math.pi)
+    assert t == pytest.approx(5.0 - r, abs=1e-12)
+    assert y == pytest.approx(r**-2, rel=1e-9)
+    assert yp == pytest.approx(2.0 * r**-3, rel=1e-9)
+    assert y.imag == 0.0 and yp.imag == 0.0
 
 
 def test_detour_pure_simple_pole_mirror():
     f = lambda t, y, yp: (yp, 2.0 * y * y * y, 0.0)
     r = 0.05
-    entry = State(complex(3.0 + r), complex(1.0 / r), complex(-1.0 / r**2))
-    out, _, _, _ = _run_arc(f, entry, 0j, complex(3.0), r, IntegrationConfig(), 0.0, math.pi)
-    assert out.y.real == pytest.approx(-1.0 / r, rel=1e-9)
-    assert out.yp.real == pytest.approx(-1.0 / r**2, rel=1e-9)
+    entry = (3.0 + r, 1.0 / r, -1.0 / r**2, 0.0)
+    (_, y, yp, _), _, _ = _run_arc(f, entry, complex(3.0), r, IntegrationConfig(), 0.0, math.pi)
+    assert y == pytest.approx(-1.0 / r, rel=1e-9)
+    assert yp == pytest.approx(-1.0 / r**2, rel=1e-9)
 
 
 def _first_pole_entry(radius):
-    """True state on the detour circle of the first cascade pole of the
-    slope-2.504031103 trajectory."""
+    """True sample (t, y, y', I = 0) on the detour circle of the first
+    cascade pole of the slope-2.504031103 trajectory."""
     ref = integrate(PAINLEVE_I, InitialData(0.0, 2.504031103), Direction.NEGATIVE_T,
-                    IntegrationConfig(t_horizon=-4.0, rel_tol=1e-12, abs_tol=1e-14))
+                    IntegrationConfig(t_horizon=-4.0, rel_tol=1e-12))
     t0 = ref.poles[0].location
     # suppress pole handling for the prefix: it ends before the pole
-    pre = integrate(PAINLEVE_I, InitialData(0.0, 2.504031103), Direction.NEGATIVE_T,
-                    IntegrationConfig(t_horizon=t0 + radius, rel_tol=1e-12, abs_tol=1e-14,
-                                      detour_start=1e6))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_DETOUR_START", 1e6)
+        pre = integrate(PAINLEVE_I, InitialData(0.0, 2.504031103), Direction.NEGATIVE_T,
+                        IntegrationConfig(t_horizon=t0 + radius, rel_tol=1e-12))
     assert not pre.poles
-    return t0, State(complex(t0 + radius), complex(pre.real_y()[-1]), complex(pre.real_yp()[-1]))
+    return t0, (t0 + radius, pre.real_y()[-1], pre.real_yp()[-1], 0.0)
 
 
 def test_detour_radius_robustness():
     # halving the radius (and walking the difference on the real axis)
     # reproduces the exit state to a few parts in 1e9
-    cfg = IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13)
+    cfg = IntegrationConfig(rel_tol=1e-11)
     r = 0.2
     t0, entry = _first_pole_entry(r)
-    exit_full, fluct, _, _ = _run_arc(PAINLEVE_I.rhs, entry, 0j, complex(t0), r, cfg, 0.0, math.pi)
+    exit_full, _, _ = _run_arc(PAINLEVE_I.rhs, entry, complex(t0), r, cfg, 0.0, math.pi)
     # the quadrature carried around the arc is the energy change across it
-    h_in, h_out = (PAINLEVE_I.hamiltonian(s.y.real, s.yp.real) for s in (entry, exit_full))
-    assert abs(fluct - (h_out - h_in)) <= 1e-9 * abs(h_in)
+    h_in, h_out = (PAINLEVE_I.hamiltonian(y, yp) for _, y, yp, _ in (entry, exit_full))
+    assert abs(exit_full[3] - (h_out - h_in)) <= 1e-9 * abs(h_in)
 
     t0h, entry_h = _first_pole_entry(r / 2)
-    exit_half, _, _, _ = _run_arc(PAINLEVE_I.rhs, entry_h, 0j, complex(t0h), r / 2, cfg, 0.0, math.pi)
-    s, u, v, _, _, _, tok = _advance(PAINLEVE_I.rhs, exit_half.t.real, exit_half.y, exit_half.yp, 0.0,
-                                  t0 - r, cfg, lambda *a: None)
+    exit_half, _, _ = _run_arc(PAINLEVE_I.rhs, entry_h, complex(t0h), r / 2, cfg, 0.0, math.pi)
+    s, u, v, _, _, _, tok = _advance(PAINLEVE_I.rhs, *exit_half, t0 - r, cfg, lambda *a: None)
     assert tok is None
-    assert abs(u.real - exit_full.y.real) <= 1e-8 * abs(exit_full.y.real)
-    assert abs(v.real - exit_full.yp.real) <= 1e-8 * abs(exit_full.yp.real)
+    assert abs(u - exit_full[1]) <= 1e-8 * abs(exit_full[1])
+    assert abs(v - exit_full[2]) <= 1e-8 * abs(exit_full[2])
 
 
 def test_detour_half_plane_conjugation():
@@ -277,7 +278,7 @@ def test_until_stops_without_truncating():
     # until ends a run at the first accepted real-axis step at which it
     # holds; the run up to there is the full run's, and it is not truncated
     cases = [
-        (TOY_MODEL, InitialData(2.0), Direction.POSITIVE_T, IntegrationConfig(rel_tol=1e-9, abs_tol=1e-11),
+        (TOY_MODEL, InitialData(2.0), Direction.POSITIVE_T, IntegrationConfig(rel_tol=1e-9),
          TOY_MODEL.settled),
         (PAINLEVE_I, InitialData(0.0, 2.504031103), Direction.NEGATIVE_T, IntegrationConfig(t_horizon=-20.0),
          lambda t, y, yp: t < -8.0),
@@ -327,8 +328,8 @@ def test_determinism():
 
 def test_tolerance_convergence_pole_free():
     # tightening rel_tol by 1e2 moves the terminal value by < 1e3 * rel_tol
-    tight = IntegrationConfig(t_horizon=-20.0, rel_tol=1e-10, abs_tol=1e-13)
-    loose = IntegrationConfig(t_horizon=-20.0, rel_tol=1e-8, abs_tol=1e-11)
+    tight = IntegrationConfig(t_horizon=-20.0, rel_tol=1e-10)
+    loose = IntegrationConfig(t_horizon=-20.0, rel_tol=1e-8)
     a = integrate(PAINLEVE_I, InitialData(0.0, 1.0), Direction.NEGATIVE_T, loose)
     b = integrate(PAINLEVE_I, InitialData(0.0, 1.0), Direction.NEGATIVE_T, tight)
     assert not a.poles and not b.poles
@@ -350,7 +351,7 @@ def test_known_trajectories():
     # to ~2e-6 by the turning point, so the demonstrable shadow ends near
     # t = -7; the check stays inside it.
     traj = integrate(PAINLEVE_I, InitialData(0.0, 1.851854034), Direction.NEGATIVE_T,
-                     IntegrationConfig(t_horizon=-7.0, rel_tol=1e-12, abs_tol=1e-14))
+                     IntegrationConfig(t_horizon=-7.0, rel_tol=1e-12))
     assert len(traj.poles) == 0
     rt, ry = traj.real_t(), traj.real_y()
     m = rt <= -6.4
