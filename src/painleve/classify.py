@@ -104,7 +104,7 @@ def _classify_negative(eq, traj, window):
     if any(lo <= p.location <= hi for p in traj.poles):
         return SolutionClass(ClassTag.POLE_CASCADE, len(traj.poles), (lo, hi))
 
-    rt, ry = traj.real_t(), traj.real_y()
+    rt, ry = traj.t, traj.y
     m = (rt >= lo) & (rt <= hi)
     if m.sum() < 4:
         raise ClassificationError(
@@ -133,7 +133,7 @@ def _classify_negative(eq, traj, window):
 def _classify_positive(eq, traj, window):
     if Direction.POSITIVE_T not in eq.directions:
         raise ValueError("positive-direction classification applies to Painleve II")
-    rt, ry = traj.real_t(), traj.real_y()
+    rt, ry = traj.t, traj.y
     ay = np.abs(ry)
 
     # Decay certificate: |y| dips below DECAY_DIP and stays inside the
@@ -179,7 +179,7 @@ def toy_maxima(traj: Trajectory) -> np.ndarray:
     """
     if not traj.equation.first_order:
         raise ValueError("maxima are located on toy-model trajectories only")
-    rt, ry = traj.real_t(), traj.real_y()
+    rt, ry = traj.t, traj.y
     level = np.maximum.accumulate(np.floor((rt * ry - 0.5) / 2.0))
     return np.repeat(rt[:-1], np.diff(level).astype(int))
 

@@ -75,8 +75,7 @@ def cmd_trajectory(args) -> int:
     manifest = _manifest(args, "trajectory",
                          {"config": dataclasses.asdict(cfg), "stopped_by": traj.stopped_by})
 
-    rt, ry = traj.real_t(), traj.real_y()
-    rows = [(float(t), float(y), 0.0) for t, y in zip(rt, ry)]
+    rows = [(float(t), float(y), 0.0) for t, y in zip(traj.t, traj.y)]
     rows += [(p.location, float("nan"), 1.0) for p in traj.poles]
     rows.sort(key=lambda r: r[0], reverse=direction is Direction.NEGATIVE_T)
 

@@ -290,7 +290,7 @@ def _fine_bisection(probe, lo, hi, tol):
 
 
 class _Unmatched(Exception):
-    """A short probe ended early, off the axis or behind other poles or maxima."""
+    """A short probe ended early or behind other poles or maxima."""
 
 
 def _illinois(g, a, ga, b, gb, stop):
@@ -339,28 +339,30 @@ def _projection(at, direction, y, yp):
 
 def _axis_states(traj, u, times, n_behind):
     """y, y' (None for a first-order equation) at the times sigma * u,
-    interpolated between neighbouring real samples; NaN off the axis or where
-    other than n_behind of the event ``times`` lie behind."""
-    idx, sigma = traj.real_indices(), traj.direction.sign
-    s = sigma * traj.t[idx].real
+    interpolated between neighbouring samples; NaN across a pole (from a
+    detour's entry to its exit) or where other than n_behind of the event
+    ``times`` lie behind."""
+    sigma = traj.direction.sign
+    s = sigma * traj.t
     i = np.clip(np.searchsorted(s, u, side="right") - 1, 0, len(s) - 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = (u - s[i]) / (s[i + 1] - s[i])
     behind = np.searchsorted(sigma * times, u)
-    f[(idx[i + 1] != idx[i] + 1) | (f < 0.0) | (f > 1.0) | (behind != n_behind)] = np.nan
+    entries = [p.entry_index for p in traj.poles]
+    f[np.isin(i, entries) | (f < 0.0) | (f > 1.0) | (behind != n_behind)] = np.nan
     lerp = lambda v: v[i] + f * (v[i + 1] - v[i])  # noqa: E731
-    return lerp(traj.y[idx].real), None if traj.yp is None else lerp(traj.yp[idx].real)
+    return lerp(traj.y), None if traj.yp is None else lerp(traj.yp)
 
 
 def _matching_start(eq, ends):
     """((T, y), events behind, g at each end) at the last T at which both
-    bracket ends sit on the real axis behind the events they share, with
-    opposite signs of g on the separatrix nearest (T, y), y their mean.
-    Raises _Unmatched if there is none."""
+    bracket ends have states (not across a pole) behind the events they
+    share, with opposite signs of g on the separatrix nearest (T, y), y
+    their mean. Raises _Unmatched if there is none."""
     direction = ends[0].direction
     events = [_events(tr) for tr in ends]
     shared = _shared_events(*(sig for _, sig in events))
-    u = np.sort(direction.sign * np.concatenate([tr.real_t() for tr in ends]))[::-1]
+    u = np.sort(direction.sign * np.concatenate([tr.t for tr in ends]))[::-1]
     states = [_axis_states(tr, u, times, shared) for tr, (times, _) in zip(ends, events)]
     y_mid = 0.5 * (states[0][0] + states[1][0])
     for k in np.nonzero((u > 0.0) & np.isfinite(y_mid))[0]:
@@ -403,10 +405,10 @@ def _matched_root(eq, mode, rel_tol, fine_rel_tol, bracket, ends, tol):
         def g_t(x):
             traj = integrate(eq, _initial_data(mode, x), direction, cfg)
             if (traj.stopped_by != "horizon" or traj.terminal_t != t
-                    or traj.t[-1].imag != 0.0 or len(_events(traj)[1]) != n_before):
+                    or len(_events(traj)[1]) != n_before):
                 raise _Unmatched
-            yp = None if traj.yp is None else traj.yp[-1].real
-            return _projection(at, direction, traj.y[-1].real, yp)[0]
+            yp = None if traj.yp is None else traj.yp[-1]
+            return _projection(at, direction, traj.y[-1], yp)[0]
         return g_t
 
     yp0 = None if eq.first_order else 0.0
@@ -523,9 +525,8 @@ def separatrix_check(
 
 def _branch_window(eq, traj):
     """Longest contiguous stretch where the trajectory hugs a branch curve."""
-    rt, ry = traj.real_t(), traj.real_y()
-    m = rt < -0.5
-    rt, ry = rt[m], ry[m]
+    m = traj.t < -0.5
+    rt, ry = traj.t[m], traj.y[m]
     if len(rt) < 4:
         return None
     bw = branch_curve(eq, rt)

@@ -308,8 +308,8 @@ def energy(eq: Equation, y, yp):
 
     H = y'^2/2 - 2 y^3 for Painleve I and H = y'^2/2 - y^4/2 for Painleve II.
     Along a trajectory H(x) = H(0) + I(x) holds exactly, with I given by
-    :func:`fluctuation_integral`. Accepts scalars or numpy arrays; meant for
-    real states only (it is not evaluated on detours).
+    :func:`fluctuation_integral`. Accepts scalars or numpy arrays, such as a
+    trajectory's ``y`` and ``yp``.
     """
     if eq.hamiltonian is None:
         raise ValueError("energy is defined for the Painleve equations only")
@@ -324,8 +324,8 @@ def fluctuation_integral(eq: Equation, traj: "Trajectory") -> np.ndarray:
     integrator carries it as a state beside (y, y') along the path it takes
     (detour arcs included, where it is integrated in the angle; the integrand
     is analytic there, so the path is equivalent), at the stepper's own
-    order; this reads it at the trajectory's real-axis samples.
+    order; this returns it at the trajectory's samples, ``traj.fluct``.
     """
     if eq.hamiltonian is None:
         raise ValueError("the fluctuation integral is defined for the Painleve equations only")
-    return traj.fluct[traj.real_indices()].real
+    return traj.fluct

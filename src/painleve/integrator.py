@@ -10,8 +10,9 @@ forward to the entry from the last sample before it, so no state carried
 inside the circle reaches the crossing. It then integrates along a half
 circle t = t0 + r e^{i phi} in the upper half plane and resumes on the far
 side. Exit states must be real to within ``_PURITY_TOL``; their residual
-imaginary parts are zeroed so drift cannot accumulate. After an exit the
-detour re-arms once |y| rises again.
+imaginary parts are zeroed so drift cannot accumulate. The arc keeps no
+samples: a trajectory holds the real axis only, the circle's entry and exit
+included. After an exit the detour re-arms once |y| rises again.
 
 Step sizes carry across a crossing: each arc starts from the angle step the
 previous arc proposed, the walk tries the whole distance to the circle in
@@ -130,26 +131,26 @@ class State:
 class PoleEvent:
     """A traversed (or cap-terminating) movable pole.
 
-    ``approach_sign`` is the sign of Re y at the trigger crossing, i.e. the
-    direction of the blow-up on the approach side. ``entry_index`` and
-    ``exit_index`` locate the detour's real-axis endpoints in the sample
-    arrays; a cap-terminating event that was not traversed has neither.
-    The pole's order is the equation's ``pole_order``.
+    ``approach_sign`` is the sign of y at the trigger crossing, i.e. the
+    direction of the blow-up on the approach side. ``entry_index`` locates
+    the detour's entry in the sample arrays; the exit is the next sample. A
+    cap-terminating event that was not traversed has no entry. The pole's
+    order is the equation's ``pole_order``.
     """
 
     location: float
     detour_radius: float
     approach_sign: int
     entry_index: int | None = None
-    exit_index: int | None = None
 
 
 @dataclass
 class Trajectory:
     """Sampled solution path with recorded pole events.
 
-    Samples are ordered by Re t in the integration direction. The arrays are
-    complex; only detour samples have t off the real axis. ``fluct`` is the
+    Samples lie on the real axis, strictly ordered by t in the integration
+    direction, and the arrays are float. A detour's arc keeps no samples:
+    its entry and exit are consecutive samples. ``fluct`` is the
     fluctuation integral I = int_0^t dH/dt dt the stepper carried along the
     same path (see :func:`~painleve.equations.fluctuation_integral`); it and
     ``yp`` are None for the first-order toy model. ``stopped_by`` is
@@ -168,19 +169,14 @@ class Trajectory:
     stopped_by: str
     config: IntegrationConfig
 
-    def real_indices(self) -> np.ndarray:
-        return np.nonzero(self.t.imag == 0.0)[0]
-
     def real_t(self) -> np.ndarray:
-        return self.t[self.real_indices()].real
+        return self.t
 
     def real_y(self) -> np.ndarray:
-        return self.y[self.real_indices()].real
+        return self.y
 
     def real_yp(self) -> np.ndarray | None:
-        if self.yp is None:
-            return None
-        return self.yp[self.real_indices()].real
+        return self.yp
 
     @property
     def truncated(self) -> bool:
@@ -461,17 +457,11 @@ def _run_arc(f, entry, t0: complex, radius: float, cfg, phi0, phi1, h=None):
     """Carry the entry sample (t, y, y', I) around t0 along the arc
     t = t0 + radius e^{i phi}, phi from phi0 to phi1, all in the angle
     variable, starting from the angle step ``h`` (see :func:`_advance`).
-    Returns the real exit sample, the complex samples accepted on the way and
-    the angle step the arc proposed at its end."""
-    arc_f = _arc_rhs(f, t0, radius)
-    samples = []
-
-    def on_accept(phi, u, v, w):
-        samples.append((t0 + cmath.rect(radius, phi), u, v, w))
-
+    Returns the real exit sample and the angle step the arc proposed at its
+    end; the complex states on the way are not kept."""
     _, y, yp, fluct = entry
-    phi, u, v, w, _, h, token = _advance(arc_f, phi0, complex(y), complex(yp), complex(fluct), phi1, cfg,
-                                         on_accept, h=h)
+    phi, u, v, w, _, h, token = _advance(_arc_rhs(f, t0, radius), phi0, complex(y), complex(yp),
+                                         complex(fluct), phi1, cfg, lambda *_: None, h=h)
     if token == "step-underflow":
         raise StepUnderflowError(f"detour arc around t0 = {t0} stalled at phi = {phi}")
     exit_t = (t0 + cmath.rect(radius, phi1)).real
@@ -482,7 +472,7 @@ def _run_arc(f, entry, t0: complex, radius: float, cfg, phi0, phi1, h=None):
             f"detour exit at t = {exit_t:.6g} is not real: "
             f"Im y = {u.imag:.3e}, Im y' = {v.imag:.3e} (purity tolerance {_PURITY_TOL})"
         )
-    return (exit_t, u.real, v.real, w.real), samples, h
+    return (exit_t, u.real, v.real, w.real), h
 
 
 _RADIUS_MIN = 1e-3
@@ -550,7 +540,7 @@ def integrate(
     y = float(init.y0)
     v = 0.0 if eq.first_order else float(init.slope0)
     w = 0.0
-    samples: list[tuple] = [(t, y, v, w)]  # (t, y, y', I), real or on an arc
+    samples: list[tuple] = [(t, y, v, w)]  # (t, y, y', I) on the real axis
     poles: list[PoleEvent] = []
     armed = abs(y) < trigger
     last_mag = abs(y)
@@ -602,14 +592,14 @@ def integrate(
         radius = _pick_radius(eq, t0, poles[-1].location if poles else None)
         entry_t = t0 - dirsign * radius
         # The samples at or past the circle entry served the trigger and the
-        # pole estimate; drop them, and walk to the circle from the last
-        # sample before it, so no state from inside the circle is carried
-        # back out.
+        # pole estimate; drop them, back to the last exit at most, and walk
+        # to the circle from the last sample before it, so no state from
+        # inside the circle is carried back out.
         if dirsign * (t - entry_t) >= 0.0:
-            while (len(samples) > 1 and samples[-1][0].imag == 0.0
-                   and dirsign * (samples[-1][0].real - entry_t) >= 0.0):
+            last_exit = poles[-1].entry_index + 1 if poles else 0
+            while len(samples) > last_exit + 1 and dirsign * (samples[-1][0] - entry_t) >= 0.0:
                 samples.pop()
-            if samples[-1][0].imag != 0.0:
+            if poles and dirsign * (samples[-1][0] - entry_t) >= 0.0:
                 raise IntegrationError(
                     f"detour circle of the pole at {t0:.6g} overlaps the previous detour"
                 )
@@ -626,17 +616,14 @@ def integrate(
             phi0, phi1 = 0.0, half_plane * math.pi
         else:
             phi0, phi1 = half_plane * math.pi, 0.0
-        exit_sample, arc, h_arc = _run_arc(f, samples[-1], t0, radius, cfg, phi0, phi1, h_arc)
-        samples += arc
+        exit_sample, h_arc = _run_arc(f, samples[-1], t0, radius, cfg, phi0, phi1, h_arc)
         samples.append(exit_sample)
-        exit_index = len(samples) - 1
         poles.append(
             PoleEvent(
                 location=t0,
                 detour_radius=radius,
                 approach_sign=approach_sign,
                 entry_index=entry_index,
-                exit_index=exit_index,
             )
         )
         t, y, v, w = exit_sample
@@ -646,7 +633,7 @@ def integrate(
         if dirsign * (t - horizon) >= 0.0:
             break
 
-    t_arr, y_arr, v_arr, w_arr = (np.array(col, dtype=complex) for col in zip(*samples))
+    t_arr, y_arr, v_arr, w_arr = (np.array(col, dtype=float) for col in zip(*samples))
     return Trajectory(
         equation=eq,
         direction=direction,

@@ -44,6 +44,19 @@ def test_trajectory_p2_positive(tmp_path):
     assert min(decay) < 1e-3
 
 
+def test_trajectory_rows_strictly_increase_in_t(tmp_path):
+    # each pole's detour exit is written once: the sample rows of a
+    # positive-direction run through six poles never repeat a time
+    out = tmp_path / "t.csv"
+    rc = main(["trajectory", "--eq", "p2", "--direction", "pos", "--y0", "2", "--horizon", "10",
+               "--out", str(out)])
+    assert rc == 0
+    manifest, rows = _read_csv(out)
+    assert manifest["pole_count"] == 6
+    ts = [float(r["t"]) for r in rows if r["pole_marker"] == "0"]
+    assert all(b > a for a, b in zip(ts, ts[1:]))
+
+
 def test_trajectory_toy(tmp_path):
     out = tmp_path / "t.csv"
     rc = main(["trajectory", "--eq", "toy", "--y0", "0.25", "--out", str(out)])

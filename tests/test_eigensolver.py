@@ -156,6 +156,23 @@ def test_end_game_falls_back_to_bisection(monkeypatch):
     assert forced.pole_count == unforced.pole_count == 0
 
 
+def test_fine_bisection_rescues_p2_slope_b1(monkeypatch):
+    # on this natural scan bracket of P-II slope b1 the matched end game
+    # fails and the fallback, fine bisection, runs and finds the value
+    real_fallback = eigensolver._fine_bisection
+    fallbacks = []
+
+    def fallback(*args):
+        fallbacks.append(args)
+        return real_fallback(*args)
+
+    monkeypatch.setattr(eigensolver, "_fine_bisection", fallback)
+    rec = bisect(PAINLEVE_II, "slope", (0.5502734701768284, 0.6903018533268568), tol=1e-9)
+    assert len(fallbacks) == 1
+    assert abs(rec.value - P2_SLOPE_REF[1]) < 1e-7
+    assert rec.pole_count == 0
+
+
 _NO_TOY_MODE = "p1 has no toy mode; its modes are: slope, value"
 
 
@@ -212,6 +229,14 @@ def test_benchmark_names_exist():
     inspect.signature(scan_brackets).bind(PAINLEVE_I, "slope", (1.8, 1.9), 0.025)
     inspect.signature(bisect).bind(PAINLEVE_I, "slope", (1.8, 1.9), tol=1e-9, index=1)
     inspect.signature(toy_eigen_table).bind(3, tol=1e-6)
+    # the traj op and its energy check
+    traj = painleve.integrate(PAINLEVE_I, painleve.InitialData(0.0, 2.504031103), painleve.Direction.NEGATIVE_T,
+                              IntegrationConfig(t_horizon=-4.0))
+    assert traj.poles and traj.config.rel_tol > 0.0
+    h = painleve.energy(PAINLEVE_I, traj.real_y(), traj.real_yp())
+    assert len(h) == len(painleve.fluctuation_integral(PAINLEVE_I, traj))
+    for a in (np.abs(traj.y), np.abs(traj.yp)):
+        assert isinstance(a, np.ndarray) and np.isfinite(a).all()
 
 
 def test_benchmark_copies_scan_tolerance():

@@ -17,7 +17,7 @@ from painleve import (
     integrate,
 )
 from painleve import integrator
-from painleve.integrator import _advance, _run_arc, _step
+from painleve.integrator import _advance, _arc_rhs, _run_arc, _step
 
 
 def test_config_validation():
@@ -173,26 +173,39 @@ def test_p2_cascades_reach_default_horizon():
         assert traj.stopped_by == "horizon" and traj.terminal_t <= -60.0, x
 
 
+def _arc_exit_impurity(f, entry, t0, r):
+    """|Im y| / max(1, |Re y|) and the same for y' at the end of the half
+    circle, before _run_arc zeroes the imaginary parts."""
+    _, y, yp, _ = entry
+    _, u, v, _, _, _, tok = _advance(_arc_rhs(f, complex(t0), r), 0.0, complex(y), complex(yp), 0j,
+                                     math.pi, IntegrationConfig(), lambda *_: None)
+    assert tok is None
+    return abs(u.imag) / max(1.0, abs(u.real)), abs(v.imag) / max(1.0, abs(v.real))
+
+
 def test_detour_pure_double_pole_mirror():
     # on the scale-free model y'' = 6 y^2 the pure double pole is an exact
     # solution and the half circle maps the entry to its mirror image
     f = lambda t, y, yp: (yp, 6.0 * y * y, 0.0)
     r = 0.05
     entry = (5.0 + r, r**-2, -2.0 * r**-3, 0.0)
-    (t, y, yp, _), _, _ = _run_arc(f, entry, complex(5.0), r, IntegrationConfig(), 0.0, math.pi)
+    (t, y, yp, _), _ = _run_arc(f, entry, complex(5.0), r, IntegrationConfig(), 0.0, math.pi)
     assert t == pytest.approx(5.0 - r, abs=1e-12)
     assert y == pytest.approx(r**-2, rel=1e-9)
     assert yp == pytest.approx(2.0 * r**-3, rel=1e-9)
-    assert y.imag == 0.0 and yp.imag == 0.0
+    # before _run_arc zeroes it, the exit's imaginary part is far inside
+    # the purity tolerance
+    assert max(_arc_exit_impurity(f, entry, 5.0, r)) <= 1e-10
 
 
 def test_detour_pure_simple_pole_mirror():
     f = lambda t, y, yp: (yp, 2.0 * y * y * y, 0.0)
     r = 0.05
     entry = (3.0 + r, 1.0 / r, -1.0 / r**2, 0.0)
-    (_, y, yp, _), _, _ = _run_arc(f, entry, complex(3.0), r, IntegrationConfig(), 0.0, math.pi)
+    (_, y, yp, _), _ = _run_arc(f, entry, complex(3.0), r, IntegrationConfig(), 0.0, math.pi)
     assert y == pytest.approx(-1.0 / r, rel=1e-9)
     assert yp == pytest.approx(-1.0 / r**2, rel=1e-9)
+    assert max(_arc_exit_impurity(f, entry, 3.0, r)) <= 1e-10
 
 
 def _first_pole_entry(radius):
@@ -207,7 +220,7 @@ def _first_pole_entry(radius):
         pre = integrate(PAINLEVE_I, InitialData(0.0, 2.504031103), Direction.NEGATIVE_T,
                         IntegrationConfig(t_horizon=t0 + radius, rel_tol=1e-12))
     assert not pre.poles
-    return t0, (t0 + radius, pre.real_y()[-1], pre.real_yp()[-1], 0.0)
+    return t0, (t0 + radius, pre.y[-1], pre.yp[-1], 0.0)
 
 
 def test_detour_radius_robustness():
@@ -216,13 +229,13 @@ def test_detour_radius_robustness():
     cfg = IntegrationConfig(rel_tol=1e-11)
     r = 0.2
     t0, entry = _first_pole_entry(r)
-    exit_full, _, _ = _run_arc(PAINLEVE_I.rhs, entry, complex(t0), r, cfg, 0.0, math.pi)
+    exit_full, _ = _run_arc(PAINLEVE_I.rhs, entry, complex(t0), r, cfg, 0.0, math.pi)
     # the quadrature carried around the arc is the energy change across it
     h_in, h_out = (PAINLEVE_I.hamiltonian(y, yp) for _, y, yp, _ in (entry, exit_full))
     assert abs(exit_full[3] - (h_out - h_in)) <= 1e-9 * abs(h_in)
 
     t0h, entry_h = _first_pole_entry(r / 2)
-    exit_half, _, _ = _run_arc(PAINLEVE_I.rhs, entry_h, complex(t0h), r / 2, cfg, 0.0, math.pi)
+    exit_half, _ = _run_arc(PAINLEVE_I.rhs, entry_h, complex(t0h), r / 2, cfg, 0.0, math.pi)
     s, u, v, _, _, _, tok = _advance(PAINLEVE_I.rhs, *exit_half, t0 - r, cfg, lambda *a: None)
     assert tok is None
     assert abs(u - exit_full[1]) <= 1e-8 * abs(exit_full[1])
@@ -237,9 +250,7 @@ def test_detour_half_plane_conjugation():
     assert len(up.poles) == len(dn.poles)
     for pu, pd in zip(up.poles, dn.poles):
         assert pu.location == pytest.approx(pd.location, abs=1e-8)
-    assert up.real_y()[-1] == pytest.approx(dn.real_y()[-1], rel=1e-6, abs=1e-8)
-    # arc samples are mirror images: their imaginary parts have opposite sign
-    assert (up.t.imag >= 0.0).all() and (dn.t.imag <= 0.0).all()
+    assert up.y[-1] == pytest.approx(dn.y[-1], rel=1e-6, abs=1e-8)
     with pytest.raises(ValueError):
         integrate(PAINLEVE_I, InitialData(0.0, 2.504031103), Direction.NEGATIVE_T, cfg, half_plane=0)
 
@@ -251,18 +262,22 @@ def test_trajectory_structure_cascade():
     locs = [p.location for p in traj.poles]
     assert all(b < a for a, b in zip(locs, locs[1:]))  # strictly advancing
     assert traj.equation.pole_order == 2
-    assert all(p.entry_index < p.exit_index for p in traj.poles)
-    # real-axis sample between consecutive poles
-    rt = traj.real_t()
+    # the arrays hold real-axis samples only
+    assert traj.t.dtype == traj.y.dtype == traj.yp.dtype == traj.fluct.dtype == np.float64
+    # a sample between consecutive poles
     for a, b in zip(locs, locs[1:]):
-        assert ((rt < a) & (rt > b)).any()
-    # samples ordered by Re t in the sweep direction
-    assert (np.diff(traj.t.real) <= 1e-12).all()
-    # reality away from detours
-    ri = traj.real_indices()
-    assert np.abs(traj.y[ri].imag).max() == 0.0
-    # the sweep runs in floats, but the public arrays stay complex
-    assert traj.t.dtype == traj.y.dtype == traj.yp.dtype == np.complex128
+        assert ((traj.t < a) & (traj.t > b)).any()
+    # a detour's entry and exit are consecutive samples, one radius either
+    # side of the pole
+    for p in traj.poles:
+        assert traj.t[p.entry_index] == pytest.approx(p.location + p.detour_radius, abs=1e-12)
+        assert traj.t[p.entry_index + 1] == pytest.approx(p.location - p.detour_radius, abs=1e-12)
+    # t strictly monotone in the sweep direction, in both directions: a
+    # positive-direction exit is stored once
+    pos = integrate(PAINLEVE_II, InitialData(2.0, 0.0), Direction.POSITIVE_T, IntegrationConfig(t_horizon=10.0))
+    assert len(pos.poles) == 6
+    for run in (traj, pos):
+        assert (run.direction.sign * np.diff(run.t) > 0.0).all()
 
 
 def test_pole_cap_truncates():
@@ -292,7 +307,7 @@ def test_until_stops_without_truncating():
         assert n < len(full.t)
         assert np.array_equal(stopped.t, full.t[:n]) and np.array_equal(stopped.y, full.y[:n])
         assert [p.location for p in stopped.poles] == [p.location for p in full.poles[:len(stopped.poles)]]
-        last, prev = ((stopped.t[i].real, stopped.y[i].real, None if stopped.yp is None else stopped.yp[i].real)
+        last, prev = ((stopped.t[i], stopped.y[i], None if stopped.yp is None else stopped.yp[i])
                       for i in (-1, -2))
         assert stopped.terminal_t == last[0] and until(*last) and not until(*prev)
 
