@@ -1,6 +1,6 @@
 """Nonlinear eigenvalue analysis of the first and second Painleve
-transcendents: adaptive integration through movable poles via complex
-detours, separatrix shooting by bisection and asymptotic matching,
+transcendents: adaptive integration through movable poles on their Laurent
+series, separatrix shooting by bisection and asymptotic matching,
 Richardson extrapolation of the critical-value tables, and closed-form WKB
 cross-checks.
 """
@@ -42,14 +42,13 @@ from .eigensolver import (
     toy_eigen_table,
 )
 from .integrator import (
+    CrossingError,
     DegenerateDerivativeError,
     Direction,
     IntegrationConfig,
     IntegrationError,
     PoleEvent,
-    PurityError,
     State,
-    StepUnderflowError,
     Trajectory,
     estimate_pole,
     integrate,
@@ -59,6 +58,7 @@ __all__ = [
     "BisectionError",
     "ClassTag",
     "ClassificationError",
+    "CrossingError",
     "DegenerateDerivativeError",
     "Direction",
     "EigenvalueRecord",
@@ -71,12 +71,10 @@ __all__ = [
     "PAINLEVE_II",
     "PartialTableError",
     "PoleEvent",
-    "PurityError",
     "RichardsonResult",
     "SearchMode",
     "SolutionClass",
     "State",
-    "StepUnderflowError",
     "TOY_MODEL",
     "Trajectory",
     "WkbConstants",

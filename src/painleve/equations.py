@@ -8,12 +8,12 @@ Three systems are supported:
 
 Every fact the pipeline needs about one of them - its right-hand side and
 fluctuation integrand dH/dt, the energy H, the branch curves and the stable
-attractor, the pole order and Laurent correction, the pole-spacing model,
-the turning point, the separatrix asymptotics the eigenvalue search
-matches to, the rule that ends a probe once its class is final, the
-allowed directions and default horizon, and the search facts of each mode
-(direction, scan seed, growth exponent, Richardson order, WKB constant) -
-lives in its :class:`Equation` below. The integrator, classifier,
+attractor, the pole order, Laurent family and Laurent correction, the
+pole-spacing model, the turning point, the separatrix asymptotics the
+eigenvalue search matches to, the rule that ends a probe once its class is
+final, the allowed directions and default horizon, and the search facts of
+each mode (direction, scan seed, growth exponent, Richardson order, WKB
+constant) - lives in its :class:`Equation` below. The integrator, classifier,
 eigensolver and CLI read those facts and never ask which equation they
 hold.
 """
@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
@@ -106,6 +107,14 @@ class Equation:
     * ``laurent_correction(t_hat, d)`` is the error of the leading pole
       estimate t_hat at signed distance d, ``pole_spacing(|t|)`` the local
       pole-spacing model;
+    * ``laurent(t0, h, sign, n)`` builds the pole's two-parameter Laurent
+      family, y = d^-p sum_k a_k d^k with d = t - t0, a_0 = ``sign`` (the
+      sign of the leading term, +1 for a double pole) and the free
+      coefficient a_(2p+2) = h. For n > 2p + 2 it returns four lists of n
+      coefficients: a_k, their partial derivatives in t0 and in h, and the
+      q_k of Q = d^-2 sum_k q_k d^k, the function of y with dH/dt =
+      t dQ/dt (Q = y for Painleve I, y^2/2 for Painleve II); q_1 = 0, so
+      Q integrates termwise without a logarithm;
     * ``turning_point(E)`` is |t| where the branch curve's energy reaches E;
     * ``separatrix[direction](t, t_near, y_near)`` is (y, y', V, V_t) at t
       on the separatrix nearest (t_near, y_near) in that direction: the
@@ -132,6 +141,7 @@ class Equation:
     branch_denom: float | None = None
     attractor: float = 0.0
     laurent_correction: Callable | None = None
+    laurent: Callable | None = None
     pole_spacing: Callable | None = None
     turning_point: Callable | None = None
     separatrix: Mapping[Direction, Callable] = field(default_factory=dict)
@@ -146,6 +156,22 @@ class Equation:
 
 def _p1_rhs(t, y, yp):
     return yp, 6.0 * y * y + t, t * yp
+
+
+def _p1_laurent(t0, h, _sign, n):
+    # y = sum a_k d^(k-2): (k - 6)(k + 1) a_k = 6 sum_{i=1}^{k-1} a_i a_{k-i}
+    # + t0 [k = 4] + [k = 5], so a = 1, 0, 0, 0, -t0/10, -1/6, then a_6 = h
+    # free. The t0 and h derivatives follow the recurrence, differentiated.
+    a = [1.0, 0.0, 0.0, 0.0, t0 / -10.0, 1.0 / -6.0, h]
+    at = [0.0, 0.0, 0.0, 0.0, 1.0 / -10.0, 0.0, 0.0]
+    ah = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+    for k in range(7, n):
+        rev = a[k - 1:0:-1]
+        den = (k - 6) * (k + 1)
+        a.append(6.0 * sum(map(mul, a[1:k], rev)) / den)
+        at.append(12.0 * sum(map(mul, at[1:k], rev)) / den)
+        ah.append(12.0 * sum(map(mul, ah[1:k], rev)) / den)
+    return a, at, ah, a
 
 
 # P-I separatrix: y ~ sqrt(x/6) - x^-2/48 - (49 sqrt6/4608) x^(-9/2), x = -t
@@ -163,6 +189,27 @@ def _p1_separatrix(t, _t_near, y_near):
 
 def _p2_rhs(t, y, yp):
     return yp, 2.0 * y * y * y + t * y, t * y * yp
+
+
+def _p2_laurent(t0, h, sign, n):
+    # y = sum a_k d^(k-1): (k - 4)(k + 1) a_k = 2 [(a*a*a)_k - 3 a_k]
+    # + t0 a_{k-2} + a_{k-3}, so a = sign, 0, -sign t0/6, -sign/4, then
+    # a_4 = h free. With s = a*a, (a*a*a)_k - 3 a_k = sign sum_{i=1}^{k-1}
+    # a_i a_{k-i} + sum_{m=1}^{k-1} s_m a_{k-m}, and its derivative is
+    # 3 sum_{m=1}^{k-1} a'_m s_{k-m}.
+    a = [sign, 0.0, sign * t0 / -6.0, sign / -4.0, h]
+    at = [0.0, 0.0, sign / -6.0, 0.0, 0.0]
+    ah = [0.0, 0.0, 0.0, 0.0, 1.0]
+    s = [1.0, 0.0, 2.0 * sign * a[2], 2.0 * sign * a[3], 2.0 * sign * h + a[2] * a[2]]
+    for k in range(5, n):
+        rev, rev_s = a[k - 1:0:-1], s[k - 1:0:-1]
+        conv = sum(map(mul, a[1:k], rev))
+        den = (k - 4) * (k + 1)
+        a.append((2.0 * (sign * conv + sum(map(mul, s[1:k], rev))) + t0 * a[k - 2] + a[k - 3]) / den)
+        at.append((6.0 * sum(map(mul, at[1:k], rev_s)) + a[k - 2] + t0 * at[k - 2] + at[k - 3]) / den)
+        ah.append((6.0 * sum(map(mul, ah[1:k], rev_s)) + t0 * ah[k - 2] + ah[k - 3]) / den)
+        s.append(2.0 * sign * a[k] + conv)
+    return a, at, ah, [0.5 * x for x in s]
 
 
 # P-II separatrix in the negative direction: y ~ sqrt(x/2) - x^(-5/2)/(8 sqrt2), x = -t
@@ -227,6 +274,7 @@ PAINLEVE_I = Equation(
     branch_denom=6.0,
     attractor=-1.0,
     laurent_correction=lambda t_hat, d: (t_hat / 5.0) * d**5 + (5.0 / 12.0) * d**6,
+    laurent=_p1_laurent,
     # linearized frequency about -sqrt(-t/6) is sqrt(12)*( -t/6 )^(1/4)
     pole_spacing=lambda mag: 2.0 * math.pi / (math.sqrt(12.0) * max(0.3, mag / 6.0) ** 0.25),
     turning_point=lambda e: 6.0 * (0.5 * e) ** (2.0 / 3.0),
@@ -246,6 +294,7 @@ PAINLEVE_II = Equation(
     hamiltonian=lambda y, yp: 0.5 * yp * yp - 0.5 * y * y * y * y,
     branch_denom=2.0,
     laurent_correction=lambda t_hat, d: (t_hat / 3.0) * d**3 + 0.75 * d**4,
+    laurent=_p2_laurent,
     # cascade swings are faster than the Airy frequency sqrt(-t); the
     # 1.7 prefactor matches measured pole gaps with ~2x margin
     pole_spacing=lambda mag: 1.7 / math.sqrt(max(mag, 0.5)),
@@ -321,10 +370,12 @@ def fluctuation_integral(eq: Equation, traj: "Trajectory") -> np.ndarray:
 
     I(x) = int_0^x t y'(t) dt for Painleve I and int_0^x t y y' dt for
     Painleve II, the integral of the third component of ``eq.rhs``. The
-    integrator carries it as a state beside (y, y') along the path it takes
-    (detour arcs included, where it is integrated in the angle; the integrand
-    is analytic there, so the path is equivalent), at the stepper's own
-    order; this returns it at the trajectory's samples, ``traj.fluct``.
+    integrator carries it as a state beside (y, y') at the stepper's own
+    order, and across each pole adds [t Q] - int Q dt from the pole's
+    Laurent series, with dH/dt = t dQ/dt (see ``Equation.laurent``); the
+    integrand is analytic off the pole and Q has no 1/(t - t0) term, so the
+    integral past the pole is path independent. This returns it at the
+    trajectory's samples, ``traj.fluct``.
     """
     if eq.hamiltonian is None:
         raise ValueError("the fluctuation integral is defined for the Painleve equations only")

@@ -1,5 +1,5 @@
-"""Adaptive Runge-Kutta integration with semicircular detours around movable
-poles in the complex time plane.
+"""Adaptive Runge-Kutta integration along the real axis, with movable poles
+crossed on their Laurent series.
 
 The sweep follows the real axis in the requested direction. When |y| crosses
 ``_DETOUR_START``, the pole location t0 is estimated by :func:`estimate_pole`
@@ -7,40 +7,39 @@ from the leading Laurent behavior (y ~ (t - t0)^{-p}  =>  t0 = t + p y/y'),
 less the equation's Laurent correction. The samples at or past the entry
 point, at the detour radius from t0, are dropped, and the sweep walks
 forward to the entry from the last sample before it, so no state carried
-inside the circle reaches the crossing. It then integrates along a half
-circle t = t0 + r e^{i phi} in the upper half plane and resumes on the far
-side. Exit states must be real to within ``_PURITY_TOL``; their residual
-imaginary parts are zeroed so drift cannot accumulate. The arc keeps no
-samples: a trajectory holds the real axis only, the circle's entry and exit
-included. After an exit the detour re-arms once |y| rises again.
+inside the circle reaches the crossing. There the solution is a member of
+the pole's two-parameter Laurent family (the location t0 and a free
+coefficient h; see ``Equation.laurent``). Newton's method fits both to the
+entry sample, and the series gives y, y' and the fluctuation integral at
+the entry's mirror point about the fitted t0, where the sweep resumes. All
+of it runs in float arithmetic; a trajectory holds the real axis only, the
+crossing's entry and exit included. After an exit the detour re-arms once
+|y| rises again.
 
-Step sizes carry across a crossing: each arc starts from the angle step the
-previous arc proposed, the walk tries the whole distance to the circle in
-one step, and the sweep past the exit starts from the step the walk proposed
-at the entry, the exit's mirror point.
+Step sizes carry across a crossing: the walk tries the whole distance to the
+circle in one step, and the sweep past the exit starts from the step the
+walk proposed at the entry, the exit's mirror point.
 
-The right-hand side, pole order, Laurent correction and pole-spacing model
-come from the :class:`~painleve.equations.Equation` spec; the stepper gets the
-right-hand side as a plain callable.
+The right-hand side, pole order, Laurent family and correction and the
+pole-spacing model come from the :class:`~painleve.equations.Equation`
+spec; the stepper gets the right-hand side as a plain callable.
 
 The stepper is the explicit 8th-order Runge-Kutta pair DOP853 of Hairer,
 Norsett and Wanner (FSAL: the evaluation at the end of an accepted step is
 the next step's first stage), with their combined 5th/3rd-order error
-estimate and a plain err^(-1/8) step-size controller. It is shared by the
-real-axis sweep, which runs in float arithmetic, and the arcs, the only part
-that runs in complex, where it steps in the angle. Beside (y, y') it carries
-the fluctuation integral I = int dH/dt dt, the third component of the
-equation's right-hand side, as a quadrature-only state: I never feeds back
-into the right-hand side and stays out of the error norm, so it changes no
-step, and it is integrated at the stepper's own order along the same path.
+estimate and a plain err^(-1/8) step-size controller. Beside (y, y') it
+carries the fluctuation integral I = int dH/dt dt, the third component of
+the equation's right-hand side, as a quadrature-only state: I never feeds
+back into the right-hand side and stays out of the error norm, so it changes
+no step, and it is integrated at the stepper's own order.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -48,14 +47,13 @@ import numpy as np
 from .equations import Direction, Equation, InitialData
 
 __all__ = [
+    "CrossingError",
     "DegenerateDerivativeError",
     "Direction",
     "IntegrationConfig",
     "IntegrationError",
     "PoleEvent",
-    "PurityError",
     "State",
-    "StepUnderflowError",
     "Trajectory",
     "estimate_pole",
     "integrate",
@@ -70,12 +68,9 @@ class DegenerateDerivativeError(IntegrationError):
     """Pole location cannot be estimated because |y'| is vanishingly small."""
 
 
-class PurityError(IntegrationError):
-    """State failed to return to the real axis after a detour."""
-
-
-class StepUnderflowError(IntegrationError):
-    """Adaptive stepping stalled below the minimum step size."""
+class CrossingError(IntegrationError):
+    """A pole's Laurent series did not converge on its circle, or its fit
+    to the entry sample did not."""
 
 
 @dataclass(frozen=True)
@@ -119,23 +114,26 @@ class IntegrationConfig:
 
 @dataclass(frozen=True)
 class State:
-    """Point on a trajectory: floats on the real axis, complex on a detour
-    arc. ``yp`` is None for the first-order toy model."""
+    """Point on a trajectory. ``yp`` is None for the first-order toy
+    model."""
 
-    t: complex
-    y: complex
-    yp: complex | None = None
+    t: float
+    y: float
+    yp: float | None = None
 
 
 @dataclass
 class PoleEvent:
     """A traversed (or cap-terminating) movable pole.
 
-    ``approach_sign`` is the sign of y at the trigger crossing, i.e. the
-    direction of the blow-up on the approach side. ``entry_index`` locates
-    the detour's entry in the sample arrays; the exit is the next sample. A
-    cap-terminating event that was not traversed has no entry. The pole's
-    order is the equation's ``pole_order``.
+    ``location`` is the pole's t0 as the Laurent fit found it, and
+    ``detour_radius`` the distance from it to the crossing's entry and exit;
+    a cap-terminating event that was not traversed keeps the estimate and a
+    zero radius. ``approach_sign`` is the sign of y at the trigger crossing,
+    i.e. the direction of the blow-up on the approach side. ``entry_index``
+    locates the crossing's entry in the sample arrays; the exit is the next
+    sample. A cap-terminating event has no entry. The pole's order is the
+    equation's ``pole_order``.
     """
 
     location: float
@@ -149,10 +147,11 @@ class Trajectory:
     """Sampled solution path with recorded pole events.
 
     Samples lie on the real axis, strictly ordered by t in the integration
-    direction, and the arrays are float. A detour's arc keeps no samples:
-    its entry and exit are consecutive samples. ``fluct`` is the
-    fluctuation integral I = int_0^t dH/dt dt the stepper carried along the
-    same path (see :func:`~painleve.equations.fluctuation_integral`); it and
+    direction, and the arrays are float. A pole crossing's entry and exit
+    are consecutive samples. ``fluct`` is the fluctuation integral
+    I = int_0^t dH/dt dt, carried by the stepper and, across each pole, by
+    the Laurent series (see
+    :func:`~painleve.equations.fluctuation_integral`); it and
     ``yp`` are None for the first-order toy model. ``stopped_by`` is
     one of 'horizon', 'settled' (the caller's ``until`` predicate fired),
     'pole-cap', 'step-underflow'; only the last two truncate the run.
@@ -279,11 +278,10 @@ _MAX_FACTOR = 10.0
 _ERR_SCALE = 4.0
 _MIN_RATIO = 1e-12  # |y'/y| below which estimate_pole calls the state degenerate
 _MIN_STEP = 1e-12  # a step below this underflows
-_PURITY_TOL = 1e-6  # bound on |Im y|, |Im y'| relative to max(1, |Re|) at a detour exit
 # |y| at which pole handling engages: the trigger that estimates the pole. The
 # crossing itself starts from the last sample before the detour circle, so a
 # deeper trigger sharpens the estimate but leaves the continuation past the
-# pole as it is (y(-20) of the README runs moves by at most 1.2e-9 between 15
+# pole as it is (y(-20) of the README runs moves by at most 6.2e-10 between 15
 # and 150).
 _DETOUR_START = 15.0
 
@@ -370,9 +368,9 @@ def _advance(f, s0, u0, v0, w0, s1, cfg: IntegrationConfig, on_accept, k1=None, 
     """March the first-order pair (u, v)' = f(s, u, v)[:2] from s0 to s1,
     with the quadrature w' = f(s, u, v)[2] carried alongside.
 
-    ``s`` is the real integration parameter (t on the axis, the angle on an
-    arc); u, v, w are floats on the axis, complex on an arc. w never feeds
-    back into f and stays out of the error norm, so it changes no step.
+    ``s`` is the real integration parameter, t on the real axis. w never
+    feeds back into f and stays out of the error norm, so it changes no
+    step.
     ``on_accept(s, u, v, w)`` runs after every accepted step and may return
     a truthy stop token. ``k1`` is f at the start, when the caller has it.
     ``h`` is the size of the first step to try, a step an earlier march
@@ -414,7 +412,7 @@ def _advance(f, s0, u0, v0, w0, s1, cfg: IntegrationConfig, on_accept, k1=None, 
             h *= max(_MIN_FACTOR, _SAFETY * err ** -0.125)
 
 
-def estimate_pole(eq: Equation, s: State) -> complex:
+def estimate_pole(eq: Equation, s: State) -> float:
     """Estimated pole location from the leading Laurent term.
 
     For y ~ (t - t0)^{-p}, y'/y = -p/(t - t0), so t0 = t + p y/y'. Exact for
@@ -436,43 +434,87 @@ def _refined_pole_location(eq: Equation, t: float, y: float, yp: float) -> float
     The leading estimate of :func:`estimate_pole` errs by the equation's
     ``laurent_correction``: (t0/3) d^3 + (3/4) d^4 for the second equation
     and (t0/5) d^5 + (5/12) d^6 for the first (d the signed distance to the
-    pole), from the known series terms below the free coefficient.
-    Subtracting them matters for deep simple poles, where the raw estimate
-    can miss by a visible fraction of the detour radius.
+    pole), from the known series terms below the free coefficient. The
+    result centres the crossing's circle and starts its Laurent fit;
+    subtracting the terms matters for deep simple poles, where the raw
+    estimate can miss by a visible fraction of the radius.
     """
     t_hat = estimate_pole(eq, State(t, y, yp))
     return t_hat - eq.laurent_correction(t_hat, t - t_hat)
 
 
-def _arc_rhs(f, t0: complex, radius: float):
-    def g(phi, y, yp):
-        d = cmath.rect(radius, phi)
-        du, dv, dw = f(t0 + d, y, yp)
-        tau = 1j * d
-        return du * tau, dv * tau, dw * tau
-    return g
+_MAX_TERMS = 80  # a Laurent series that needs more terms does not converge on the circle
+_MAX_BUILDS = 40  # series builds one crossing may take, term growth included
+_FIT_TOL = 1e-8  # bound on the last Newton step: the step it leaves is at the rounding level
 
 
-def _run_arc(f, entry, t0: complex, radius: float, cfg, phi0, phi1, h=None):
-    """Carry the entry sample (t, y, y', I) around t0 along the arc
-    t = t0 + radius e^{i phi}, phi from phi0 to phi1, all in the angle
-    variable, starting from the angle step ``h`` (see :func:`_advance`).
-    Returns the real exit sample and the angle step the arc proposed at its
-    end; the complex states on the way are not kept."""
-    _, y, yp, fluct = entry
-    phi, u, v, w, _, h, token = _advance(_arc_rhs(f, t0, radius), phi0, complex(y), complex(yp),
-                                         complex(fluct), phi1, cfg, lambda *_: None, h=h)
-    if token == "step-underflow":
-        raise StepUnderflowError(f"detour arc around t0 = {t0} stalled at phi = {phi}")
-    exit_t = (t0 + cmath.rect(radius, phi1)).real
-    scale_y = max(1.0, abs(u.real))
-    scale_v = max(1.0, abs(v.real))
-    if abs(u.imag) > _PURITY_TOL * scale_y or abs(v.imag) > _PURITY_TOL * scale_v:
-        raise PurityError(
-            f"detour exit at t = {exit_t:.6g} is not real: "
-            f"Im y = {u.imag:.3e}, Im y' = {v.imag:.3e} (purity tolerance {_PURITY_TOL})"
-        )
-    return (exit_t, u.real, v.real, w.real), h
+def _laurent_cross(eq: Equation, entry, t0: float, cfg: IntegrationConfig):
+    """Carry the entry sample (t_e, y_e, y'_e, I) across the pole near t0 on
+    the pole's Laurent family (see ``Equation.laurent``).
+
+    Newton's method, started from the estimate ``t0`` and h = 0, solves
+    y(t_e) = y_e, y'(t_e) = y'_e for the location t0 and the free
+    coefficient h. Its Jacobian comes from the differentiated recurrence;
+    the t0 column also carries -y' and -y'', since d = t - t0. Once a step
+    moves t0 by at most ``_FIT_TOL`` |d| and h d^(2p+2) (h's share of
+    y d^p) by at most ``_FIT_TOL``, that step is taken and the series built
+    once more: by quadratic convergence it then fits to rounding. The series
+    starts from 2 log10(1/rel_tol) - 1 terms and grows by 4 while either of
+    its last two terms |a_k| |d|^k exceeds 1e-2 rel_tol. The exit is the
+    entry's mirror image t_x = 2 t0 - t_e, where the series gives y and y';
+    I grows by int t dQ = [t Q] - int Q dt, termwise. Returns the exit
+    sample, the fitted t0 and h. Raises :class:`CrossingError` when the
+    series needs more than ``_MAX_TERMS`` terms, as it does once the circle
+    reaches another singularity, or when Newton does not converge.
+    """
+    t_e, y_e, v_e, w_e = entry
+    p = eq.pole_order
+    m = 2 * p + 2  # index of the free coefficient
+    tail_tol = 1e-2 * cfg.rel_tol
+    sign = math.copysign(1.0, y_e * (t_e - t0) ** p)
+    n = max(m + 2, int(2.0 * math.log10(1.0 / cfg.rel_tol)) - 1)
+    h = 0.0
+    fitted = False
+    for _ in range(_MAX_BUILDS):
+        a, at, ah, q = eq.laurent(t0, h, sign, n)
+        d = t_e - t0
+        if fitted:
+            break
+        pw = [d ** (k - p) for k in range(n)]
+        dpw = [(k - p) * x / d for k, x in enumerate(pw)]
+        y = sum(map(mul, a, pw))
+        v = sum(map(mul, a, dpw))
+        # Jacobian of (y, y') in (t0, h)
+        j11 = sum(map(mul, at, pw)) - v
+        j21 = sum(map(mul, at, dpw)) - eq.rhs(t_e, y, v)[1]
+        j12 = sum(map(mul, ah, pw))
+        j22 = sum(map(mul, ah, dpw))
+        det = j11 * j22 - j12 * j21
+        dt0 = ((v - v_e) * j12 - (y - y_e) * j22) / det
+        dh = ((y - y_e) * j21 - (v - v_e) * j11) / det
+        if max(abs(a[-1]) * abs(d) ** (n - 1), abs(a[-2]) * abs(d) ** (n - 2)) > tail_tol:
+            n += 4
+            if n > _MAX_TERMS:
+                raise CrossingError(
+                    f"Laurent series of the pole near t = {t0:.6g} does not converge at "
+                    f"|t - t0| = {abs(d):.3g}: it needs more than {_MAX_TERMS} terms"
+                )
+        else:
+            fitted = abs(dt0) <= _FIT_TOL * abs(d) and abs(dh) * abs(d) ** m <= _FIT_TOL
+        t0 += dt0
+        h += dh
+    if not fitted:
+        raise CrossingError(f"Laurent fit of the pole near t = {t0:.6g} did not converge")
+    t_x, d_x = 2.0 * t0 - t_e, -d
+    y_x = sum(a[k] * d_x ** (k - p) for k in range(n))
+    v_x = sum((k - p) * a[k] * d_x ** (k - p - 1) for k in range(n))
+
+    def q_and_int(dd):  # Q = sum_k q_k d^(k-2) and its antiderivative; q_1 = 0
+        return (sum(q[k] * dd ** (k - 2) for k in range(n)),
+                sum(q[k] * dd ** (k - 1) / (k - 1) for k in range(n) if k != 1))
+
+    (q_e, int_e), (q_x, int_x) = q_and_int(d), q_and_int(d_x)
+    return (t_x, y_x, v_x, w_e + t_x * q_x - t_e * q_e - (int_x - int_e)), t0, h
 
 
 _RADIUS_MIN = 1e-3
@@ -482,15 +524,16 @@ _RADIUS_MAX = 0.3
 def _pick_radius(eq: Equation, t0: float, prev_pole: float | None) -> float:
     """Detour radius for the pole at t0.
 
-    The semicircle must enclose only this pole, so the radius is capped by a
-    conservative fraction of the local pole spacing (the equation's
-    ``pole_spacing`` model, and the measured gap to the previous pole when
-    available). It must not shrink far below that: carrying the state
-    close to the pole is catastrophically ill-conditioned, because at
-    distance d the free subleading Laurent coefficient is buried ~ d^(2p+1)
-    below the leading terms and double precision cannot retain it. A
-    moderate radius keeps the traversal well conditioned. The trigger depth
-    plays no part: the sweep reaches the circle from outside it.
+    The circle must hold only this pole: the pole's Laurent series converges
+    only out to the nearest other singularity, in the complex t plane, so
+    the radius is capped by a conservative fraction of the local pole
+    spacing (the equation's ``pole_spacing`` model, and the measured gap to
+    the previous pole when available). It must not shrink far below that:
+    close to the pole the fit is ill-conditioned, because at distance d the
+    free Laurent coefficient is buried ~ d^(2p+2) below the leading term
+    and double precision cannot retain it. A moderate radius keeps the
+    crossing well conditioned. The trigger depth plays no part: the sweep
+    reaches the circle from outside it.
     """
     r = 0.3 * eq.pole_spacing(abs(t0))
     if prev_pole is not None:
@@ -503,27 +546,23 @@ def integrate(
     init: InitialData,
     direction: Direction,
     cfg: IntegrationConfig | None = None,
-    half_plane: int = 1,
     until: Callable | None = None,
 ) -> Trajectory:
     """Integrate the initial-value problem from t = 0 to the horizon,
-    traversing movable poles via semicircular detours.
+    crossing movable poles on their Laurent series.
 
     Each equation runs in its ``directions`` only: Painleve I in the
     negative direction, the toy model in the positive one, Painleve II in
     both. Every pole crossing is recorded as a :class:`PoleEvent`. Hitting
     the pole cap or a step underflow truncates the trajectory (see
     ``Trajectory.stopped_by``) rather than raising, so callers can classify
-    truncated runs. ``half_plane`` +1 detours through the upper half plane,
-    -1 through the lower; by Schwarz reflection the two give conjugate arcs
-    and the same real exits. ``until(t, y, y')``, if given, is checked after
-    every accepted real-axis step; once it holds, the run ends there with
-    ``stopped_by`` 'settled'.
+    truncated runs; a crossing that fails raises :class:`CrossingError`.
+    ``until(t, y, y')``, if given, is checked after every accepted
+    real-axis step; once it holds, the run ends there with ``stopped_by``
+    'settled'.
     """
     if cfg is None:
         cfg = IntegrationConfig()
-    if half_plane not in (1, -1):
-        raise ValueError("half_plane must be +1 or -1")
     if direction not in eq.directions:
         allowed = " and ".join(d.name.split("_")[0].lower() for d in eq.directions)
         raise ValueError(f"{eq.name} is integrated in the {allowed} direction only")
@@ -546,7 +585,7 @@ def integrate(
     last_mag = abs(y)
     stopped_by = "horizon"
     k1 = None
-    h = h_arc = None
+    h = None
 
     def on_accept(s, u, yp, fluct):
         samples.append((s, u, yp, fluct))
@@ -612,16 +651,12 @@ def integrate(
                 break
         samples.append((entry_t, y, v, w))
         entry_index = len(samples) - 1
-        if direction is Direction.NEGATIVE_T:
-            phi0, phi1 = 0.0, half_plane * math.pi
-        else:
-            phi0, phi1 = half_plane * math.pi, 0.0
-        exit_sample, h_arc = _run_arc(f, samples[-1], t0, radius, cfg, phi0, phi1, h_arc)
+        exit_sample, t0, _ = _laurent_cross(eq, samples[-1], t0, cfg)
         samples.append(exit_sample)
         poles.append(
             PoleEvent(
                 location=t0,
-                detour_radius=radius,
+                detour_radius=abs(entry_t - t0),
                 approach_sign=approach_sign,
                 entry_index=entry_index,
             )

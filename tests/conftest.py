@@ -2,11 +2,15 @@
 each), so they are computed once per session and shared by the unit,
 property, and acceptance tests."""
 
+import cmath
+import math
+
 import pytest
 
 import painleve.eigensolver as eigensolver
-from painleve import (Direction, InitialData, ModeKind, PAINLEVE_I, PAINLEVE_II, PurityError, TOY_MODEL,
-                      count_toy_maxima, eigen_table, integrate, toy_eigen_table)
+from painleve import (CrossingError, Direction, InitialData, IntegrationConfig, ModeKind, PAINLEVE_I,
+                      PAINLEVE_II, TOY_MODEL, count_toy_maxima, eigen_table, integrate, toy_eigen_table)
+from painleve.integrator import _advance
 
 # Reference critical values (reference digits for these systems).
 P1_SLOPE_REF = {
@@ -63,18 +67,41 @@ def toy_count(a, cfg):
 
 def counted_probes(monkeypatch, fail_at=None):
     """Count the probes made through painleve.eigensolver.integrate, the name
-    every probe goes through; the ``fail_at``-th one raises PurityError."""
+    every probe goes through; the ``fail_at``-th one raises CrossingError."""
     calls = []
     real = eigensolver.integrate
 
     def integrate(*args, **kwargs):
         calls.append(args)
         if len(calls) == fail_at:
-            raise PurityError("injected impure detour exit")
+            raise CrossingError("injected failed pole crossing")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(eigensolver, "integrate", integrate)
     return calls
+
+
+def arc_exit(eq, entry, t0, half_plane):
+    """Complex-path reference for a pole crossing, independent of the
+    Laurent series: carry the entry sample (t, y, y', I) around t0 on the
+    half circle through the upper (+1) or lower (-1) half plane (any other
+    value raises ValueError), with the
+    DOP853 stepper in the angle at rel_tol 1e-13. Returns the complex exit
+    (y, y', I) at the entry's mirror point 2 t0 - t."""
+    if half_plane not in (1, -1):
+        raise ValueError(f"half_plane must be +1 or -1, got {half_plane!r}")
+    t, y, yp, fluct = entry
+    radius = abs(t - t0)
+    phi0, phi1 = (0.0, half_plane * math.pi) if t > t0 else (half_plane * math.pi, 0.0)
+
+    def g(phi, u, v):
+        d = cmath.rect(radius, phi)
+        return tuple(1j * d * x for x in eq.rhs(t0 + d, u, v))
+
+    _, u, v, w, _, _, token = _advance(g, phi0, complex(y), complex(yp), complex(fluct), phi1,
+                                       IntegrationConfig(rel_tol=1e-13), lambda *_: None)
+    assert token is None
+    return u, v, w
 
 
 @pytest.fixture(scope="session")

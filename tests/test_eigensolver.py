@@ -9,12 +9,12 @@ import pytest
 from painleve import (
     BisectionError,
     ClassTag,
+    CrossingError,
     IntegrationConfig,
     ModeKind,
     PAINLEVE_I,
     PAINLEVE_II,
     PartialTableError,
-    PurityError,
     SearchMode,
     TOY_MODEL,
     bisect,
@@ -465,7 +465,7 @@ def test_table_keeps_records_on_integration_error(monkeypatch, build, fail_at, r
     with pytest.raises(PartialTableError) as info:
         build()
     exc = info.value
-    assert isinstance(exc.__cause__, PurityError)
+    assert isinstance(exc.__cause__, CrossingError)
     assert len(exc.records) >= 1
     assert exc.failed_index == len(exc.records) + 1
     for rec in exc.records:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from painleve import (
+    CrossingError,
     DegenerateDerivativeError,
     Direction,
     InitialData,
@@ -17,7 +18,9 @@ from painleve import (
     integrate,
 )
 from painleve import integrator
-from painleve.integrator import _advance, _arc_rhs, _run_arc, _step
+from painleve.integrator import _advance, _laurent_cross, _step
+
+from conftest import arc_exit
 
 
 def test_config_validation():
@@ -163,6 +166,18 @@ def test_crossing_accuracy_through_cascade(eq, init):
     assert abs(run.real_y()[-1] - ref.real_y()[-1]) <= 2e-6
 
 
+@pytest.mark.parametrize("eq,init", _CASCADES, ids=["p1", "p2"])
+def test_energy_identity_through_cascade(eq, init):
+    # the series carries I across each pole independently of H, so
+    # H(t) - H(0) = I(t) checks every crossing as well as the sweep
+    cfg = IntegrationConfig(t_horizon=-40.0)
+    traj = integrate(eq, init, Direction.NEGATIVE_T, cfg)
+    assert len(traj.poles) > 20
+    H = eq.hamiltonian(traj.y, traj.yp)
+    scale = max(1.0, np.abs(H).max())
+    assert np.abs(H - H[0] - traj.fluct).max() <= 10.0 * cfg.rel_tol * scale
+
+
 def test_p2_cascades_reach_default_horizon():
     # between the poles of deep P-II cascades |y| stays above half the
     # trigger; the detour re-arms once |y| rises again after an exit, so
@@ -173,39 +188,59 @@ def test_p2_cascades_reach_default_horizon():
         assert traj.stopped_by == "horizon" and traj.terminal_t <= -60.0, x
 
 
-def _arc_exit_impurity(f, entry, t0, r):
-    """|Im y| / max(1, |Re y|) and the same for y' at the end of the half
-    circle, before _run_arc zeroes the imaginary parts."""
-    _, y, yp, _ = entry
-    _, u, v, _, _, _, tok = _advance(_arc_rhs(f, complex(t0), r), 0.0, complex(y), complex(yp), 0j,
-                                     math.pi, IntegrationConfig(), lambda *_: None)
-    assert tok is None
-    return abs(u.imag) / max(1.0, abs(u.real)), abs(v.imag) / max(1.0, abs(v.real))
+def _series(eq, t0, h, sign, n, d):
+    """y, y' and y'' of the first n terms of the Laurent family at d = t - t0."""
+    p = eq.pole_order
+    a = eq.laurent(t0, h, sign, n)[0]
+    return tuple(sum(a[k] * math.prod(range(k - p - j + 1, k - p + 1)) * d ** (k - p - j) for k in range(n))
+                 for j in range(3))
 
 
-def test_detour_pure_double_pole_mirror():
-    # on the scale-free model y'' = 6 y^2 the pure double pole is an exact
-    # solution and the half circle maps the entry to its mirror image
-    f = lambda t, y, yp: (yp, 6.0 * y * y, 0.0)
-    r = 0.05
-    entry = (5.0 + r, r**-2, -2.0 * r**-3, 0.0)
-    (t, y, yp, _), _ = _run_arc(f, entry, complex(5.0), r, IntegrationConfig(), 0.0, math.pi)
-    assert t == pytest.approx(5.0 - r, abs=1e-12)
-    assert y == pytest.approx(r**-2, rel=1e-9)
-    assert yp == pytest.approx(2.0 * r**-3, rel=1e-9)
-    # before _run_arc zeroes it, the exit's imaginary part is far inside
-    # the purity tolerance
-    assert max(_arc_exit_impurity(f, entry, 5.0, r)) <= 1e-10
+_FAMILIES = [(PAINLEVE_I, 1.0), (PAINLEVE_II, 1.0), (PAINLEVE_II, -1.0)]
 
 
-def test_detour_pure_simple_pole_mirror():
-    f = lambda t, y, yp: (yp, 2.0 * y * y * y, 0.0)
-    r = 0.05
-    entry = (3.0 + r, 1.0 / r, -1.0 / r**2, 0.0)
-    (_, y, yp, _), _ = _run_arc(f, entry, complex(3.0), r, IntegrationConfig(), 0.0, math.pi)
-    assert y == pytest.approx(-1.0 / r, rel=1e-9)
-    assert yp == pytest.approx(-1.0 / r**2, rel=1e-9)
-    assert max(_arc_exit_impurity(f, entry, 3.0, r)) <= 1e-10
+@pytest.mark.parametrize("eq,sign", _FAMILIES, ids=["p1", "p2+", "p2-"])
+def test_laurent_series_solves_the_equation(eq, sign):
+    # on a circle of complex d, |d| = 0.1, the 30-term series satisfies
+    # y'' = rhs to rounding, and q holds the series of Q with dH/dt = t Q'
+    t0, h, n = -4.3, 0.37, 30
+    _, _, _, q = eq.laurent(t0, h, sign, n)
+    assert q[1] == 0.0
+    for phi in np.linspace(0.1, 2.0 * math.pi, 7):
+        d = 0.1 * complex(math.cos(phi), math.sin(phi))
+        y, yp, ypp = _series(eq, t0, h, sign, n, d)
+        rhs = eq.rhs(t0 + d, y, yp)
+        assert abs(ypp - rhs[1]) <= 1e-12 * abs(ypp)
+        # dQ/dt = dH/dt / t, with Q = sum_k q_k d^(k-2)
+        dq = sum((k - 2) * q[k] * d ** (k - 3) for k in range(n))
+        assert abs(dq * (t0 + d) - rhs[2]) <= 1e-12 * abs(rhs[2])
+
+
+def _family_entry(eq, t0, h, sign, d):
+    """Entry sample (t0 + d, y, y', I = 0) on a known member of the family."""
+    y, yp, _ = _series(eq, t0, h, sign, 40, d)
+    return (t0 + d, y, yp, 0.0)
+
+
+@pytest.mark.parametrize("eq,sign", _FAMILIES, ids=["p1", "p2+", "p2-"])
+@pytest.mark.parametrize("d", [0.2, -0.2], ids=["neg", "pos"])
+def test_laurent_fit_recovers_the_pole(eq, sign, d):
+    # from an entry built on a known (t0, h), started 1e-3 off, the fit
+    # finds t0 and h again; crossing back from the exit returns the entry
+    t0, h = -4.3, 0.37
+    entry = _family_entry(eq, t0, h, sign, d)
+    cfg = IntegrationConfig(rel_tol=1e-13)
+    exit_, t0_fit, h_fit = _laurent_cross(eq, entry, t0 + 1e-3, cfg)
+    assert abs(t0_fit - t0) <= 1e-13
+    assert abs(h_fit - h) <= 1e-9
+    assert exit_[0] == pytest.approx(t0 - d, abs=1e-14)
+    back, t0_back, _ = _laurent_cross(eq, exit_, t0, cfg)
+    assert abs(t0_back - t0) <= 1e-13
+    assert back[0] == pytest.approx(entry[0], abs=1e-14)
+    for u, v in zip(back[1:3], entry[1:3]):
+        assert abs(u - v) <= 1e-12 * abs(v)
+    # I returns to 0 against the energy change across the crossing
+    assert abs(back[3]) <= 1e-12 * abs(exit_[3])
 
 
 def _first_pole_entry(radius):
@@ -224,35 +259,53 @@ def _first_pole_entry(radius):
 
 
 def test_detour_radius_robustness():
-    # halving the radius (and walking the difference on the real axis)
-    # reproduces the exit state to a few parts in 1e9
+    # crossing from half the radius (and walking the difference on the real
+    # axis) reproduces the exit state to a few parts in 1e9
     cfg = IntegrationConfig(rel_tol=1e-11)
     r = 0.2
     t0, entry = _first_pole_entry(r)
-    exit_full, _ = _run_arc(PAINLEVE_I.rhs, entry, complex(t0), r, cfg, 0.0, math.pi)
-    # the quadrature carried around the arc is the energy change across it
+    exit_full, _, _ = _laurent_cross(PAINLEVE_I, entry, t0, cfg)
+    # the series' fluctuation integral is the energy change across the pole
     h_in, h_out = (PAINLEVE_I.hamiltonian(y, yp) for _, y, yp, _ in (entry, exit_full))
     assert abs(exit_full[3] - (h_out - h_in)) <= 1e-9 * abs(h_in)
 
     t0h, entry_h = _first_pole_entry(r / 2)
-    exit_half, _ = _run_arc(PAINLEVE_I.rhs, entry_h, complex(t0h), r / 2, cfg, 0.0, math.pi)
-    s, u, v, _, _, _, tok = _advance(PAINLEVE_I.rhs, *exit_half, t0 - r, cfg, lambda *a: None)
+    exit_half, _, _ = _laurent_cross(PAINLEVE_I, entry_h, t0h, cfg)
+    s, u, v, _, _, _, tok = _advance(PAINLEVE_I.rhs, *exit_half, exit_full[0], cfg, lambda *a: None)
     assert tok is None
     assert abs(u - exit_full[1]) <= 1e-8 * abs(exit_full[1])
     assert abs(v - exit_full[2]) <= 1e-8 * abs(exit_full[2])
 
 
+def test_circle_past_the_next_pole_raises(monkeypatch):
+    # a circle that reaches past the next pole leaves the series' disc of
+    # convergence: its terms stop decaying, and the crossing fails typed
+    # instead of crossing two poles as one. The README run's first two
+    # poles lie 2.3 apart.
+    monkeypatch.setattr(integrator, "_pick_radius", lambda eq, t0, prev: 2.6)
+    with pytest.raises(CrossingError, match="does not converge"):
+        integrate(PAINLEVE_I, InitialData(0.0, 2.504031103), Direction.NEGATIVE_T,
+                  IntegrationConfig(t_horizon=-12.0))
+
+
 def test_detour_half_plane_conjugation():
-    # upper and lower detours give identical real exits
+    # arcs through the upper and the lower half plane, run from each detour
+    # entry of the cascade, give identical real exits, and the Laurent
+    # crossing's exit sample is that real exit
     cfg = IntegrationConfig(t_horizon=-12.0)
-    up = integrate(PAINLEVE_I, InitialData(0.0, 2.504031103), Direction.NEGATIVE_T, cfg, half_plane=1)
-    dn = integrate(PAINLEVE_I, InitialData(0.0, 2.504031103), Direction.NEGATIVE_T, cfg, half_plane=-1)
-    assert len(up.poles) == len(dn.poles)
-    for pu, pd in zip(up.poles, dn.poles):
-        assert pu.location == pytest.approx(pd.location, abs=1e-8)
-    assert up.y[-1] == pytest.approx(dn.y[-1], rel=1e-6, abs=1e-8)
+    traj = integrate(PAINLEVE_I, InitialData(0.0, 2.504031103), Direction.NEGATIVE_T, cfg)
+    assert traj.poles
+    for pole in traj.poles:
+        i = pole.entry_index
+        entry = (traj.t[i], traj.y[i], traj.yp[i], traj.fluct[i])
+        up = arc_exit(PAINLEVE_I, entry, pole.location, 1)
+        dn = arc_exit(PAINLEVE_I, entry, pole.location, -1)
+        for u, d, x in zip(up, dn, (traj.y[i + 1], traj.yp[i + 1], traj.fluct[i + 1])):
+            assert u.real == pytest.approx(d.real, rel=1e-6, abs=1e-8)
+            assert u.imag == pytest.approx(-d.imag, abs=1e-8)
+            assert u.real == pytest.approx(x, rel=1e-6, abs=1e-8)
     with pytest.raises(ValueError):
-        integrate(PAINLEVE_I, InitialData(0.0, 2.504031103), Direction.NEGATIVE_T, cfg, half_plane=0)
+        arc_exit(PAINLEVE_I, entry, traj.poles[0].location, 0)
 
 
 def test_trajectory_structure_cascade():
