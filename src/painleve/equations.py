@@ -115,6 +115,8 @@ class Equation:
       q_k of Q = d^-2 sum_k q_k d^k, the function of y with dH/dt =
       t dQ/dt (Q = y for Painleve I, y^2/2 for Painleve II); q_1 = 0, so
       Q integrates termwise without a logarithm;
+    * ``laurent_q(a)`` is those q_k for any list of coefficients a_k, such
+      as a_k the caller has moved off a build;
     * ``turning_point(E)`` is |t| where the branch curve's energy reaches E;
     * ``separatrix[direction](t, t_near, y_near)`` is (y, y', V, V_t) at t
       on the separatrix nearest (t_near, y_near) in that direction: the
@@ -142,6 +144,7 @@ class Equation:
     attractor: float = 0.0
     laurent_correction: Callable | None = None
     laurent: Callable | None = None
+    laurent_q: Callable | None = None
     pole_spacing: Callable | None = None
     turning_point: Callable | None = None
     separatrix: Mapping[Direction, Callable] = field(default_factory=dict)
@@ -275,6 +278,7 @@ PAINLEVE_I = Equation(
     attractor=-1.0,
     laurent_correction=lambda t_hat, d: (t_hat / 5.0) * d**5 + (5.0 / 12.0) * d**6,
     laurent=_p1_laurent,
+    laurent_q=lambda a: a,  # Q = y
     # linearized frequency about -sqrt(-t/6) is sqrt(12)*( -t/6 )^(1/4)
     pole_spacing=lambda mag: 2.0 * math.pi / (math.sqrt(12.0) * max(0.3, mag / 6.0) ** 0.25),
     turning_point=lambda e: 6.0 * (0.5 * e) ** (2.0 / 3.0),
@@ -295,6 +299,7 @@ PAINLEVE_II = Equation(
     branch_denom=2.0,
     laurent_correction=lambda t_hat, d: (t_hat / 3.0) * d**3 + 0.75 * d**4,
     laurent=_p2_laurent,
+    laurent_q=lambda a: (0.5 * np.convolve(a, a)[:len(a)]).tolist(),  # Q = y^2/2
     # cascade swings are faster than the Airy frequency sqrt(-t); the
     # 1.7 prefactor matches measured pole gaps with ~2x margin
     pole_spacing=lambda mag: 1.7 / math.sqrt(max(mag, 0.5)),

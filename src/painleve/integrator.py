@@ -10,8 +10,10 @@ forward to the entry from the last sample before it, so no state carried
 inside the circle reaches the crossing. There the solution is a member of
 the pole's two-parameter Laurent family (the location t0 and a free
 coefficient h; see ``Equation.laurent``). Newton's method fits both to the
-entry sample, and the series gives y, y' and the fluctuation integral at
-the entry's mirror point about the fitted t0, where the sweep resumes. All
+entry sample: two steps on a short series, then steps on the full one, whose
+last step is applied to the coefficients linearly, so a crossing builds the
+full series about once. The series gives y, y' and the fluctuation integral
+at the entry's mirror point about the fitted t0, where the sweep resumes. All
 of it runs in float arithmetic; a trajectory holds the real axis only, the
 crossing's entry and exit included. After an exit the detour re-arms once
 |y| rises again.
@@ -39,6 +41,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from operator import mul
 from typing import Callable
 
@@ -444,8 +447,44 @@ def _refined_pole_location(eq: Equation, t: float, y: float, yp: float) -> float
 
 
 _MAX_TERMS = 80  # a Laurent series that needs more terms does not converge on the circle
-_MAX_BUILDS = 40  # series builds one crossing may take, term growth included
+_MAX_BUILDS = 40  # full-length series builds one crossing may take, term growth included
 _FIT_TOL = 1e-8  # bound on the last Newton step: the step it leaves is at the rounding level
+_PREFIT_TERMS = 8  # terms past the free coefficient in the pre-fit's short series
+
+
+def _powers(d: float, e0: int, count: int) -> list:
+    """d^e0, d^(e0 + 1), ..., count powers."""
+    return list(accumulate(repeat(d, count - 1), mul, initial=d ** e0))
+
+
+def _at_both(c, pw, e0: int):
+    """sum_k c_k d^(e0 + k) at d and at -d, from pw = the powers d^(e0 + k):
+    the even and the odd powers add at d and subtract at -d."""
+    terms = list(map(mul, c, pw))
+    even, odd = sum(terms[e0 % 2::2]), sum(terms[1 - e0 % 2::2])
+    return even + odd, even - odd
+
+
+def _newton_step(eq: Equation, t_e, y_e, v_e, d, a, at, ah):
+    """Newton step (dt0, dh) that fits the series (a, at, ah), built at
+    d = t_e - t0, to the entry's (y, y'), and the powers d^(k-p) it used."""
+    p = eq.pole_order
+    low = _powers(d, -p - 1, len(a) + 1)  # d^(k-p-1), k = 0..n
+    pw = low[1:]
+    dpw = [(k - p) * x for k, x in enumerate(low[:-1])]
+    y = sum(map(mul, a, pw))
+    v = sum(map(mul, a, dpw))
+    # Jacobian of (y, y') in (t0, h)
+    j11 = sum(map(mul, at, pw)) - v
+    j21 = sum(map(mul, at, dpw)) - eq.rhs(t_e, y, v)[1]
+    j12 = sum(map(mul, ah, pw))
+    j22 = sum(map(mul, ah, dpw))
+    det = j11 * j22 - j12 * j21
+    dt0 = ((v - v_e) * j12 - (y - y_e) * j22) / det
+    dh = ((y - y_e) * j21 - (v - v_e) * j11) / det
+    if not (math.isfinite(dt0) and math.isfinite(dh)):
+        raise CrossingError(f"Laurent fit at |t - t0| = {abs(d):.3g} took a non-finite step")
+    return dt0, dh, pw
 
 
 def _laurent_cross(eq: Equation, entry, t0: float, cfg: IntegrationConfig):
@@ -455,18 +494,29 @@ def _laurent_cross(eq: Equation, entry, t0: float, cfg: IntegrationConfig):
     Newton's method, started from the estimate ``t0`` and h = 0, solves
     y(t_e) = y_e, y'(t_e) = y'_e for the location t0 and the free
     coefficient h. Its Jacobian comes from the differentiated recurrence;
-    the t0 column also carries -y' and -y'', since d = t - t0. Once a step
-    moves t0 by at most ``_FIT_TOL`` |d| and h d^(2p+2) (h's share of
-    y d^p) by at most ``_FIT_TOL``, that step is taken and the series built
-    once more: by quadratic convergence it then fits to rounding. The series
+    the t0 column also carries -y' and -y'', since d = t - t0. Two steps on
+    a short series, ``_PREFIT_TERMS`` terms past h, remove most of the
+    start error; the steps that follow use the full series. That series
     starts from 2 log10(1/rel_tol) - 1 terms and grows by 4 while either of
-    its last two terms |a_k| |d|^k exceeds 1e-2 rel_tol. The exit is the
-    entry's mirror image t_x = 2 t0 - t_e, where the series gives y and y';
-    I grows by int t dQ = [t Q] - int Q dt, termwise. Returns the exit
-    sample, the fitted t0 and h. Raises :class:`CrossingError` when the
-    series needs more than ``_MAX_TERMS`` terms, as it does once the circle
-    reaches another singularity, or when Newton does not converge.
+    its last two terms |a_k| |d|^k exceeds 1e-2 rel_tol. Once a step moves
+    t0 by at most ``_FIT_TOL`` |d| and h d^(2p+2) (h's share of y d^p) by
+    at most ``_FIT_TOL``, it is applied to the coefficients along their t0
+    and h derivatives instead of building the series again: what that
+    leaves out is second order in the step, at the rounding level. The exit
+    is the entry's mirror image t_x = 2 t0 - t_e, where the series gives y
+    and y' from the entry's powers of d with alternating signs; I grows by
+    int t dQ = [t Q] - int Q dt, termwise. Returns the exit sample, the
+    fitted t0 and h. Raises :class:`CrossingError` when the series needs
+    more than ``_MAX_TERMS`` terms, as it does once the circle reaches
+    another singularity, or when Newton does not converge or breaks down.
     """
+    try:
+        return _laurent_fit_and_exit(eq, entry, t0, cfg)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise CrossingError(f"Laurent fit of the pole near t = {t0:.6g} broke down: {exc}") from exc
+
+
+def _laurent_fit_and_exit(eq: Equation, entry, t0: float, cfg: IntegrationConfig):
     t_e, y_e, v_e, w_e = entry
     p = eq.pole_order
     m = 2 * p + 2  # index of the free coefficient
@@ -474,46 +524,38 @@ def _laurent_cross(eq: Equation, entry, t0: float, cfg: IntegrationConfig):
     sign = math.copysign(1.0, y_e * (t_e - t0) ** p)
     n = max(m + 2, int(2.0 * math.log10(1.0 / cfg.rel_tol)) - 1)
     h = 0.0
-    fitted = False
+    for _ in range(2):
+        a, at, ah, _ = eq.laurent(t0, h, sign, min(n, m + _PREFIT_TERMS))
+        dt0, dh, _ = _newton_step(eq, t_e, y_e, v_e, t_e - t0, a, at, ah)
+        t0 += dt0
+        h += dh
     for _ in range(_MAX_BUILDS):
-        a, at, ah, q = eq.laurent(t0, h, sign, n)
+        a, at, ah, _ = eq.laurent(t0, h, sign, n)
         d = t_e - t0
-        if fitted:
-            break
-        pw = [d ** (k - p) for k in range(n)]
-        dpw = [(k - p) * x / d for k, x in enumerate(pw)]
-        y = sum(map(mul, a, pw))
-        v = sum(map(mul, a, dpw))
-        # Jacobian of (y, y') in (t0, h)
-        j11 = sum(map(mul, at, pw)) - v
-        j21 = sum(map(mul, at, dpw)) - eq.rhs(t_e, y, v)[1]
-        j12 = sum(map(mul, ah, pw))
-        j22 = sum(map(mul, ah, dpw))
-        det = j11 * j22 - j12 * j21
-        dt0 = ((v - v_e) * j12 - (y - y_e) * j22) / det
-        dh = ((y - y_e) * j21 - (v - v_e) * j11) / det
-        if max(abs(a[-1]) * abs(d) ** (n - 1), abs(a[-2]) * abs(d) ** (n - 2)) > tail_tol:
+        dt0, dh, pw = _newton_step(eq, t_e, y_e, v_e, d, a, at, ah)
+        t0 += dt0
+        h += dh
+        if abs(d) ** p * max(abs(a[-1] * pw[-1]), abs(a[-2] * pw[-2])) > tail_tol:
             n += 4
             if n > _MAX_TERMS:
                 raise CrossingError(
                     f"Laurent series of the pole near t = {t0:.6g} does not converge at "
                     f"|t - t0| = {abs(d):.3g}: it needs more than {_MAX_TERMS} terms"
                 )
-        else:
-            fitted = abs(dt0) <= _FIT_TOL * abs(d) and abs(dh) * abs(d) ** m <= _FIT_TOL
-        t0 += dt0
-        h += dh
-    if not fitted:
+        elif abs(dt0) <= _FIT_TOL * abs(d) and abs(dh) * abs(d) ** m <= _FIT_TOL:
+            break
+    else:
         raise CrossingError(f"Laurent fit of the pole near t = {t0:.6g} did not converge")
-    t_x, d_x = 2.0 * t0 - t_e, -d
-    y_x = sum(a[k] * d_x ** (k - p) for k in range(n))
-    v_x = sum((k - p) * a[k] * d_x ** (k - p - 1) for k in range(n))
-
-    def q_and_int(dd):  # Q = sum_k q_k d^(k-2) and its antiderivative; q_1 = 0
-        return (sum(q[k] * dd ** (k - 2) for k in range(n)),
-                sum(q[k] * dd ** (k - 1) / (k - 1) for k in range(n) if k != 1))
-
-    (q_e, int_e), (q_x, int_x) = q_and_int(d), q_and_int(d_x)
+    a = [x + xt * dt0 + xh * dh for x, xt, xh in zip(a, at, ah)]
+    q = eq.laurent_q(a)
+    d = t_e - t0
+    t_x = 2.0 * t0 - t_e
+    pw = _powers(d, -p - 1, n + p)  # d^(j-p-1): y' from j = 0, y from 1, Q from p - 1, int Q from p
+    _, y_x = _at_both(a, pw[1:], -p)
+    _, v_x = _at_both([(k - p) * x for k, x in enumerate(a)], pw, -p - 1)
+    # Q = sum_k q_k d^(k-2) and its antiderivative; q_1 = 0
+    q_e, q_x = _at_both(q, pw[p - 1:], -2)
+    int_e, int_x = _at_both([x / (k - 1) if k != 1 else 0.0 for k, x in enumerate(q)], pw[p:], -1)
     return (t_x, y_x, v_x, w_e + t_x * q_x - t_e * q_e - (int_x - int_e)), t0, h
 
 

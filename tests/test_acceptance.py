@@ -169,15 +169,22 @@ def test_criterion_9b_pole_estimator_machine_precision():
 
 
 def test_criterion_9c_energy_identity():
+    # a pole-free run, and two that cross poles: the README P-I cascade and
+    # P-II from slope 1.5
     cfg = IntegrationConfig(t_horizon=-20.0)
-    traj = integrate(PAINLEVE_I, InitialData(0.0, 1.0), Direction.NEGATIVE_T, cfg)
-    I = fluctuation_integral(PAINLEVE_I, traj)
-    H = energy(PAINLEVE_I, traj.real_y(), traj.real_yp())
-    defect = np.abs(H - H[0] - I).max()
-    scale = max(1.0, np.abs(H).max())
-    assert defect <= 10.0 * cfg.rel_tol * scale
-    print(f"\ncriterion 9c PASS: |H(x) - H(0) - I(x)| <= {defect:.2e} "
-          f"(bound {10 * cfg.rel_tol * scale:.2e} at 10*rel_tol)")
+    runs = []
+    for eq, slope, cascade in ((PAINLEVE_I, 1.0, False), (PAINLEVE_I, 2.504031103, True),
+                               (PAINLEVE_II, 1.5, True)):
+        traj = integrate(eq, InitialData(0.0, slope), Direction.NEGATIVE_T, cfg)
+        assert bool(traj.poles) == cascade
+        I = fluctuation_integral(eq, traj)
+        H = energy(eq, traj.real_y(), traj.real_yp())
+        defect = np.abs(H - H[0] - I).max()
+        scale = max(1.0, np.abs(H).max())
+        assert defect <= 10.0 * cfg.rel_tol * scale
+        runs.append(f"{defect:.2e} = {defect / (cfg.rel_tol * scale):.2f} rel_tol*scale "
+                    f"({len(traj.poles)} poles)")
+    print(f"\ncriterion 9c PASS: |H(x) - H(0) - I(x)| <= {'; '.join(runs)} (bound 10 rel_tol*scale)")
 
 
 def test_criterion_9d_detour_conjugation():

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -241,6 +243,69 @@ def test_laurent_fit_recovers_the_pole(eq, sign, d):
         assert abs(u - v) <= 1e-12 * abs(v)
     # I returns to 0 against the energy change across the crossing
     assert abs(back[3]) <= 1e-12 * abs(exit_[3])
+
+
+@pytest.mark.parametrize("eq,sign", _FAMILIES, ids=["p1", "p2+", "p2-"])
+@pytest.mark.parametrize("d", [0.2, -0.2], ids=["neg", "pos"])
+def test_laurent_exit_equals_a_fresh_build(eq, sign, d):
+    # the crossing applies its last Newton step to the coefficients instead
+    # of building the series again; its exit equals the exit of a series
+    # built afresh, at the same length, at the fitted (t0, h)
+    lengths = []
+
+    def recording(t0, h, sign, n):
+        lengths.append(n)
+        return eq.laurent(t0, h, sign, n)
+
+    entry = _family_entry(eq, -4.3, 0.37, sign, d)
+    t_e, _, _, w_e = entry
+    exit_, t0, h = _laurent_cross(dataclasses.replace(eq, laurent=recording), entry, -4.3 + 1e-3,
+                                  IntegrationConfig(rel_tol=1e-13))
+    n = lengths[-1]
+    q = eq.laurent(t0, h, sign, n)[3]
+    d_x = -(t_e - t0)
+    y, yp, _ = _series(eq, t0, h, sign, n, d_x)
+
+    def q_and_int(dd):  # Q = sum_k q_k d^(k-2) and its antiderivative
+        return (sum(q[k] * dd ** (k - 2) for k in range(n)),
+                sum(q[k] * dd ** (k - 1) / (k - 1) for k in range(n) if k != 1))
+
+    (q_e, int_e), (q_x, int_x) = q_and_int(t_e - t0), q_and_int(d_x)
+    w = w_e + (t0 + d_x) * q_x - t_e * q_e - (int_x - int_e)
+    assert exit_[0] == t0 + d_x
+    for u, v in zip(exit_[1:], (y, yp, w)):
+        assert abs(u - v) <= 1e-14 * abs(v)
+
+
+def test_crossings_take_about_one_full_length_build():
+    # two Newton steps on a short series (8 terms past h) start each fit, so
+    # the full-length series is built 1.5 times per crossing at most, on
+    # average over the README cascades; P-I's series also grows its length
+    # on most of them, one build per growth
+    crossings = full = 0
+    for eq, init in _CASCADES:
+        short = 2 * eq.pole_order + 2 + integrator._PREFIT_TERMS
+        builds = collections.Counter()
+
+        def counting(t0, h, sign, n, eq=eq, builds=builds):
+            builds["short" if n == short else "full"] += 1
+            return eq.laurent(t0, h, sign, n)
+
+        traj = integrate(dataclasses.replace(eq, laurent=counting), init, Direction.NEGATIVE_T,
+                         IntegrationConfig(t_horizon=-40.0))
+        assert len(traj.poles) > 20
+        assert builds["short"] == 2 * len(traj.poles)
+        crossings += len(traj.poles)
+        full += builds["full"]
+    assert full <= 1.5 * crossings
+
+
+def test_crossing_failures_are_typed():
+    # a start on the entry itself (d = 0) fails as a CrossingError, not as
+    # the ZeroDivisionError of d^(-p)
+    entry = _family_entry(PAINLEVE_I, -4.3, 0.37, 1.0, 0.2)
+    with pytest.raises(CrossingError, match="broke down"):
+        _laurent_cross(PAINLEVE_I, entry, -4.3 + 0.2, IntegrationConfig())
 
 
 def _first_pole_entry(radius):
