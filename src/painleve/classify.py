@@ -1,6 +1,6 @@
 """Terminal-behavior classification of trajectories.
 
-The classifier supplies the discriminant the eigenvalue search bisects on:
+The classifier supplies the discriminant the eigenvalue search brackets on:
 in the negative direction every trajectory eventually either keeps running
 through movable poles (cascade) or settles into stable oscillation about the
 attractor (-sqrt(-t/6) for Painleve I, the axis y = 0 for Painleve II).

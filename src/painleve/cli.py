@@ -12,9 +12,10 @@ Subcommands:
 Every artifact embeds a manifest (command echo, version, wall time, input
 hash); a trajectory manifest also holds the integration config snapshot,
 and an eigen manifest the relative tolerance the search ran at. Exit
-codes: 0 success, 2 partial table, 1 failure. Defaults that depend on the
-equation (direction, search mode, extraction rule) come from the
-equation's spec.
+codes: 0 success, 1 failure, 2 partial table (``eigen``), 3 truncated run
+(``trajectory``: the pole cap or a step underflow stopped it). Defaults
+that depend on the equation (direction, search mode, extraction rule) come
+from the equation's spec.
 """
 
 from __future__ import annotations
@@ -99,16 +100,20 @@ def cmd_trajectory(args) -> int:
                      for t, y, marker in rows],
         }
         _write(args.out, json.dumps(payload, indent=1, sort_keys=True) + "\n")
-        return 0
-    lines = ["# manifest: " + json.dumps(manifest, sort_keys=True)]
-    lines.append("t,y,branch_plus,branch_minus,pole_marker")
-    for t, y, marker in rows:
-        bp, bm = branches(t)
-        bps = "" if bp is None else f"{bp:.12g}"
-        bms = "" if bm is None else f"{bm:.12g}"
-        ystr = "" if not np.isfinite(y) else f"{y:.12g}"
-        lines.append(f"{t:.12g},{ystr},{bps},{bms},{int(marker)}")
-    _write(args.out, "\n".join(lines) + "\n")
+    else:
+        lines = ["# manifest: " + json.dumps(manifest, sort_keys=True)]
+        lines.append("t,y,branch_plus,branch_minus,pole_marker")
+        for t, y, marker in rows:
+            bp, bm = branches(t)
+            bps = "" if bp is None else f"{bp:.12g}"
+            bms = "" if bm is None else f"{bm:.12g}"
+            ystr = "" if not np.isfinite(y) else f"{y:.12g}"
+            lines.append(f"{t:.12g},{ystr},{bps},{bms},{int(marker)}")
+        _write(args.out, "\n".join(lines) + "\n")
+    if traj.truncated:
+        print(f"trajectory truncated: stopped by {traj.stopped_by} at t = {traj.terminal_t:.6g} "
+              f"after {len(traj.poles)} poles", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -19,12 +19,11 @@ bracketing Illinois search finds its root in passes at later and later T,
 with probes that stop at T instead of running through the whole pole
 cascade or through the toy model's maxima. The binary discriminant stays
 the ground truth: two full-horizon probes a bracket width apart must still
-be one flip apart around the root (the certificate). If they are not, the
-end game bisects the scan bracket at the fine tolerance, and its last
-bracket is the certificate. One rule, :func:`_flip_poles`, reads off the
-flip and the pole count for the bracket ends, the certificate and the
-fallback. A toy-model probe that runs for its class key ends as soon as its
-maxima count is final (``Equation.settled``), not at the horizon.
+be one flip apart around the root (the certificate). A failed match or
+certificate raises :class:`BisectionError`. One rule, :func:`_flip_poles`,
+reads off the flip and the pole count for the bracket ends and the
+certificate. A toy-model probe that runs for its class key ends as soon as
+its maxima count is final (``Equation.settled``), not at the horizon.
 
 The direction, scan seed and growth law of each search mode, and the
 turning point and separatrix asymptotics of each equation, come from the
@@ -68,7 +67,8 @@ __all__ = [
 
 
 class BisectionError(RuntimeError):
-    """A probe produced a class that matches neither bracket endpoint."""
+    """A bracket could not be resolved: its ends or the certificate are not
+    one flip apart, a probe's class is neither side's, or matching failed."""
 
     def __init__(self, message: str, probe: float | None = None):
         super().__init__(message)
@@ -187,9 +187,12 @@ _Record = namedtuple("_Record", "x traj key poles")  # a probe of the trial datu
 
 
 def _prober(eq, mode, rel_tol):
-    """probe(x): the record of x, probed at rel_tol."""
+    """probe(x): the record of x, probed at rel_tol. A probe that stopped by
+    step underflow is not classified: it raises IntegrationError."""
     def probe(x):
         traj = _probe(eq, mode, x, rel_tol)
+        if traj.stopped_by == "step-underflow":
+            raise IntegrationError(f"probe x = {x!r} stopped by step underflow at t = {traj.terminal_t:.6g}")
         return _Record(x, traj, *_class_key(eq, x, traj))
     return probe
 
@@ -267,35 +270,13 @@ def scan_brackets(
     return brackets
 
 
-def _fine_bisection(probe, lo, hi, tol):
-    """Fallback end game: halve the scan bracket with the fine prober; the
-    records at the ends of the last bracket."""
-    lo, hi = probe(lo), probe(hi)
-    k_lo, k_hi = lo.key, hi.key
-    if not _keys_differ(k_lo, k_hi):
-        raise BisectionError(f"fine probes at both ends of ({lo.x!r}, {hi.x!r}) share the class {k_lo!r}")
-    while hi.x - lo.x > tol:
-        x = 0.5 * (lo.x + hi.x)
-        if x == lo.x or x == hi.x:
-            break
-        mid = probe(x)
-        if not _keys_differ(mid.key, k_lo):
-            lo = mid
-        elif not _keys_differ(mid.key, k_hi):
-            hi = mid
-        else:
-            raise BisectionError(f"probe {x!r} produced class {mid.key!r}, matching neither "
-                                 f"{k_lo!r} nor {k_hi!r}", probe=x)
-    return lo, hi
-
-
 class _Unmatched(Exception):
-    """A short probe ended early or behind other poles or maxima."""
+    """The matched end game cannot go on; the message says why."""
 
 
 def _illinois(g, a, ga, b, gb, stop):
     """Root of g between a and b (ga = g(a), gb = g(b) of opposite signs) by Illinois
-    regula falsi, once a step or the bracket is below ``stop``; None after 40 steps."""
+    regula falsi, once a step or the bracket is below ``stop``; raises _Unmatched after 40 steps."""
     x_old, side = math.inf, 0
     for _ in range(40):
         x = b - gb * (b - a) / (gb - ga)
@@ -307,7 +288,7 @@ def _illinois(g, a, ga, b, gb, stop):
         if gx == 0.0 or abs(x - x_old) < stop or abs(b - a) < stop:
             return x
         x_old = x
-    return None
+    raise _Unmatched(f"Illinois did not converge in ({a:.12g}, {b:.12g}) in 40 steps")
 
 
 def _shared_events(sig_a, sig_b) -> int:
@@ -331,7 +312,7 @@ def _projection(at, direction, y, yp):
     for d' = V d (yp None) g = d grows at V. Raises _Unmatched where V <= 0."""
     y_sep, yp_sep, v, v_t = at
     if v <= 0.0:
-        raise _Unmatched
+        raise _Unmatched(f"V = {v:.3g} <= 0 on the separatrix: no growing mode")
     if yp is None:
         return y - y_sep, v
     return (yp - yp_sep) + (direction.sign * math.sqrt(v) + v_t / (4.0 * v)) * (y - y_sep), math.sqrt(v)
@@ -375,24 +356,24 @@ def _matching_start(eq, ends):
             continue
         if g_a * g_b < 0.0:
             return (t, float(y_mid[k])), shared, float(g_a), float(g_b)
-    raise _Unmatched
+    raise _Unmatched("no matching time: the bracket ends never lie on opposite sides of the separatrix")
 
 
 _SHRINK = 1e4  # each later matched bracket is this much narrower than the last
 _MARGIN = 3.0  # its ends deviate this much less than the last bracket's nearer end did
-_WIDEN = 3  # times it widens by 4 while its ends share a sign
 _STOP = 0.1  # the first pass stops below this share of the next bracket
 
 
 def _matched_root(eq, mode, rel_tol, fine_rel_tol, bracket, ends, tol):
     """Separatrix datum in the scan bracket by root-finding on g
-    (:func:`_projection`) at a matching time T, with probes that stop at T;
-    None where that cannot be trusted (the caller then bisects). The first
-    pass only places the next bracket, so it runs at the caller's tolerance.
-    Each later pass centres a narrower bracket on the last root, matches at
-    a later T and runs at the fine tolerance down to tol / 20. The matching
-    error shrinks at least as fast as deviations grow, so the passes end
-    once the root moves by less than that growth times tol / 4.
+    (:func:`_projection`) at a matching time T, with probes that stop at T.
+    The first pass only places the next bracket, so it runs at the caller's
+    tolerance. Each later pass centres a narrower bracket on the last root
+    (widened by 4 while the g of its ends share a sign, but never past the
+    last pass's bracket), matches at a later T and runs at the fine
+    tolerance down to tol / 20. The matching error shrinks at least as fast
+    as deviations grow, so the passes end once the root moves by less than
+    that growth times tol / 4. A failed match raises BisectionError.
     """
     direction, sigma = ends[0].direction, ends[0].direction.sign
 
@@ -404,9 +385,11 @@ def _matched_root(eq, mode, rel_tol, fine_rel_tol, bracket, ends, tol):
 
         def g_t(x):
             traj = integrate(eq, _initial_data(mode, x), direction, cfg)
-            if (traj.stopped_by != "horizon" or traj.terminal_t != t
-                    or len(_events(traj)[1]) != n_before):
-                raise _Unmatched
+            n = len(_events(traj)[1])
+            if traj.stopped_by != "horizon" or traj.terminal_t != t or n != n_before:
+                raise _Unmatched(f"the short probe of x = {x:.12g} ended by {traj.stopped_by} at t = "
+                                 f"{traj.terminal_t:.6g} behind {n} events, not at T = {t:.6g} "
+                                 f"behind {n_before}")
             yp = None if traj.yp is None else traj.yp[-1]
             return _projection(at, direction, traj.y[-1], yp)[0]
         return g_t
@@ -419,9 +402,9 @@ def _matched_root(eq, mode, rel_tol, fine_rel_tol, bracket, ends, tol):
         point, n_before, g_lo, g_hi = _matching_start(eq, ends)
         t_match = point[0]
         root = _illinois(g(t_match, rel_tol), lo, g_lo, hi, g_hi, _STOP * width)
-        while root is not None:
-            near, t_last = min(root - lo, hi - root), t_match
-            for _ in range(_WIDEN):
+        while True:
+            near, t_last, bound = min(root - lo, hi - root), t_match, hi - lo
+            while True:
                 step = math.log(max(2.0 * near / (_MARGIN * width), 1.0))
                 # sqrt(V) rises along the run: step with its value at the far end
                 t_match = t_last + sigma * step / rate(t_last + sigma * step / rate(t_last))
@@ -430,17 +413,17 @@ def _matched_root(eq, mode, rel_tol, fine_rel_tol, bracket, ends, tol):
                 g_lo, g_hi = g_t(lo), g_t(hi)
                 if g_lo * g_hi < 0.0:
                     break
+                if 4.0 * width > bound:
+                    raise _Unmatched(f"g at T = {t_match:.6g} has one sign on ({lo:.12g}, {hi:.12g}) at the "
+                                     "widening bound")
                 width *= 4.0
-            else:
-                return None
             last = root
             root = _illinois(g_t, lo, g_lo, hi, g_hi, tol / 20.0)
-            if root is None or abs(root - last) <= math.exp(step) * tol / 4.0:
+            if abs(root - last) <= math.exp(step) * tol / 4.0:
                 return root
             width /= _SHRINK
-        return None
-    except _Unmatched:
-        return None
+    except _Unmatched as exc:
+        raise BisectionError(f"matched end game in {bracket} failed: {exc}") from exc
 
 
 def bisect(
@@ -464,11 +447,11 @@ def bisect(
 def _end_game(eq, mode, lo, hi, tol, rel_tol, index):
     """Critical value between the scan-tolerance records lo < hi of a
     bracket's ends, one flip apart; their trajectories start the matched end
-    game (:func:`_matched_root`). Fine-tolerance probes at value -+ w/2, with
-    w the bracket width halved until it is at most ``tol``, must still be
-    one flip apart (the certificate). If not, or if matching fails, the
-    bracket is bisected at the fine tolerance, and its last bracket, w wide
-    too, is the certificate. The first matched pass runs at rel_tol."""
+    game (:func:`_matched_root`), whose first pass runs at rel_tol.
+    Fine-tolerance probes at value -+ w/2, with w the bracket width halved
+    until it is at most ``tol``, must still be one flip apart (the
+    certificate). A failed match or certificate raises
+    :class:`BisectionError`."""
     if _flip_poles(lo, hi) is None:
         raise BisectionError(f"bracket endpoints {(lo.x, hi.x)} have the classes {lo.key!r} and {hi.key!r}, "
                              "not one flip apart")
@@ -477,15 +460,12 @@ def _end_game(eq, mode, lo, hi, tol, rel_tol, index):
     while w > tol:
         w *= 0.5
     fine = _prober(eq, mode, fine_rel_tol)
-    value = _matched_root(eq, mode, rel_tol, fine_rel_tol, (lo.x, hi.x), (lo.traj, hi.traj), tol)
-    pole_count = None if value is None else _flip_poles(fine(value - 0.5 * w), fine(value + 0.5 * w))
+    value = float(_matched_root(eq, mode, rel_tol, fine_rel_tol, (lo.x, hi.x), (lo.traj, hi.traj), tol))
+    pole_count = _flip_poles(fine(value - 0.5 * w), fine(value + 0.5 * w))
     if pole_count is None:
-        lo, hi = _fine_bisection(fine, lo.x, hi.x, tol)
-        value = 0.5 * (lo.x + hi.x)
-        pole_count = _flip_poles(lo, hi)
-        if pole_count is None:
-            raise BisectionError(f"fine bisection around {value!r} failed its certificate")
-    return EigenvalueRecord(index, float(value), w, pole_count, mode)
+        raise BisectionError(f"matched root {value!r} failed its certificate: fine probes {w:.3g} "
+                             "apart are not one flip apart", probe=value)
+    return EigenvalueRecord(index, value, w, pole_count, mode)
 
 
 def separatrix_check(

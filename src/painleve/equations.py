@@ -110,13 +110,12 @@ class Equation:
     * ``laurent(t0, h, sign, n)`` builds the pole's two-parameter Laurent
       family, y = d^-p sum_k a_k d^k with d = t - t0, a_0 = ``sign`` (the
       sign of the leading term, +1 for a double pole) and the free
-      coefficient a_(2p+2) = h. For n > 2p + 2 it returns four lists of n
-      coefficients: a_k, their partial derivatives in t0 and in h, and the
-      q_k of Q = d^-2 sum_k q_k d^k, the function of y with dH/dt =
-      t dQ/dt (Q = y for Painleve I, y^2/2 for Painleve II); q_1 = 0, so
-      Q integrates termwise without a logarithm;
-    * ``laurent_q(a)`` is those q_k for any list of coefficients a_k, such
-      as a_k the caller has moved off a build;
+      coefficient a_(2p+2) = h. For n > 2p + 2 it returns three lists of n
+      coefficients: a_k and their partial derivatives in t0 and in h;
+    * ``laurent_q(a)`` is the q_k of Q = d^-2 sum_k q_k d^k for any list of
+      coefficients a_k, Q being the function of y with dH/dt = t dQ/dt
+      (Q = y for Painleve I, y^2/2 for Painleve II); q_1 = 0, so Q
+      integrates termwise without a logarithm;
     * ``turning_point(E)`` is |t| where the branch curve's energy reaches E;
     * ``separatrix[direction](t, t_near, y_near)`` is (y, y', V, V_t) at t
       on the separatrix nearest (t_near, y_near) in that direction: the
@@ -174,7 +173,7 @@ def _p1_laurent(t0, h, _sign, n):
         a.append(6.0 * sum(map(mul, a[1:k], rev)) / den)
         at.append(12.0 * sum(map(mul, at[1:k], rev)) / den)
         ah.append(12.0 * sum(map(mul, ah[1:k], rev)) / den)
-    return a, at, ah, a
+    return a, at, ah
 
 
 # P-I separatrix: y ~ sqrt(x/6) - x^-2/48 - (49 sqrt6/4608) x^(-9/2), x = -t
@@ -212,7 +211,7 @@ def _p2_laurent(t0, h, sign, n):
         at.append((6.0 * sum(map(mul, at[1:k], rev_s)) + a[k - 2] + t0 * at[k - 2] + at[k - 3]) / den)
         ah.append((6.0 * sum(map(mul, ah[1:k], rev_s)) + t0 * ah[k - 2] + ah[k - 3]) / den)
         s.append(2.0 * sign * a[k] + conv)
-    return a, at, ah, [0.5 * x for x in s]
+    return a, at, ah
 
 
 # P-II separatrix in the negative direction: y ~ sqrt(x/2) - x^(-5/2)/(8 sqrt2), x = -t

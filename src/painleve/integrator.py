@@ -525,12 +525,12 @@ def _laurent_fit_and_exit(eq: Equation, entry, t0: float, cfg: IntegrationConfig
     n = max(m + 2, int(2.0 * math.log10(1.0 / cfg.rel_tol)) - 1)
     h = 0.0
     for _ in range(2):
-        a, at, ah, _ = eq.laurent(t0, h, sign, min(n, m + _PREFIT_TERMS))
+        a, at, ah = eq.laurent(t0, h, sign, min(n, m + _PREFIT_TERMS))
         dt0, dh, _ = _newton_step(eq, t_e, y_e, v_e, t_e - t0, a, at, ah)
         t0 += dt0
         h += dh
     for _ in range(_MAX_BUILDS):
-        a, at, ah, _ = eq.laurent(t0, h, sign, n)
+        a, at, ah = eq.laurent(t0, h, sign, n)
         d = t_e - t0
         dt0, dh, pw = _newton_step(eq, t_e, y_e, v_e, d, a, at, ah)
         t0 += dt0
@@ -689,6 +689,8 @@ def integrate(
             t, y, v, w, _, h, tok2 = _advance(f, t, y, v, w, entry_t, cfg, lambda *_: None,
                                               k1=k1, h=abs(entry_t - t))
             if tok2 == "step-underflow":
+                if t != samples[-1][0]:  # keep terminal_t on the data
+                    samples.append((t, y, v, w))
                 stopped_by = "step-underflow"
                 break
         samples.append((entry_t, y, v, w))

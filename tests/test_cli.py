@@ -57,6 +57,20 @@ def test_trajectory_rows_strictly_increase_in_t(tmp_path):
     assert all(b > a for a, b in zip(ts, ts[1:]))
 
 
+def test_trajectory_truncated_run_exit_code(tmp_path, capsys):
+    # the pole cap stops this run at its 201st pole: the artifact is still
+    # written, the reason goes to stderr, and the exit code is 3
+    out = tmp_path / "t.csv"
+    rc = main(["trajectory", "--eq", "p2", "--direction", "pos", "--y0", "3", "--horizon", "400",
+               "--out", str(out)])
+    assert rc == 3
+    manifest, rows = _read_csv(out)
+    assert manifest["stopped_by"] == "pole-cap"
+    assert manifest["pole_count"] == 201
+    assert rows
+    assert "stopped by pole-cap" in capsys.readouterr().err
+
+
 def test_trajectory_toy(tmp_path):
     out = tmp_path / "t.csv"
     rc = main(["trajectory", "--eq", "toy", "--y0", "0.25", "--out", str(out)])

@@ -11,6 +11,7 @@ from painleve import (
     ClassTag,
     CrossingError,
     IntegrationConfig,
+    IntegrationError,
     ModeKind,
     PAINLEVE_I,
     PAINLEVE_II,
@@ -25,6 +26,7 @@ from painleve import (
 )
 import painleve
 import painleve.eigensolver as eigensolver
+import painleve.integrator as integrator
 from painleve.eigensolver import _fine_rel_tol, _flip_poles, _prober
 
 from conftest import (P1_SLOPE_REF, P1_VALUE_REF, P2_SLOPE_REF, P2_VALUE_REF, TOY_REF, counted_probes,
@@ -131,46 +133,54 @@ def test_end_game_probe_count(monkeypatch, eq, mode, bracket, ref):
     assert sum(spans) < 0.5 * 15 * 28.0
 
 
-def test_end_game_falls_back_to_bisection(monkeypatch):
-    # a matched root off by 1e-7 fails the certificate; fine bisection then
-    # lands where the matched end game does
-    bracket = (1.8, 1.9)
-    unforced = bisect(PAINLEVE_I, ModeKind.SLOPE, bracket, tol=1e-9)
-    real_illinois, real_fallback = eigensolver._illinois, eigensolver._fine_bisection
-    fallbacks = []
+def test_end_game_failure_raises_bisection_error(monkeypatch):
+    # a matched root off by 1e-7 cannot be trusted: the search raises a
+    # typed error, and a table that meets it stops there as a partial table
+    real_illinois = eigensolver._illinois
 
     def off_illinois(*args, **kwargs):
-        root = real_illinois(*args, **kwargs)
-        return None if root is None else root + 1e-7
-
-    def fallback(*args):
-        fallbacks.append(args)
-        return real_fallback(*args)
+        return real_illinois(*args, **kwargs) + 1e-7
 
     monkeypatch.setattr(eigensolver, "_illinois", off_illinois)
-    monkeypatch.setattr(eigensolver, "_fine_bisection", fallback)
-    forced = bisect(PAINLEVE_I, ModeKind.SLOPE, bracket, tol=1e-9)
-    assert len(fallbacks) == 1
-    assert abs(forced.value - unforced.value) < 1e-9
-    assert forced.bracket_width <= 1e-9
-    assert forced.pole_count == unforced.pole_count == 0
+    with pytest.raises(BisectionError):
+        bisect(PAINLEVE_I, ModeKind.SLOPE, (1.8, 1.9), tol=1e-9)
+    with pytest.raises(PartialTableError) as info:
+        eigen_table(PAINLEVE_I, "slope", 2)
+    assert info.value.failed_index == 1
+    assert info.value.records == []
 
 
-def test_fine_bisection_rescues_p2_slope_b1(monkeypatch):
-    # on this natural scan bracket of P-II slope b1 the matched end game
-    # fails and the fallback, fine bisection, runs and finds the value
-    real_fallback = eigensolver._fine_bisection
-    fallbacks = []
-
-    def fallback(*args):
-        fallbacks.append(args)
-        return real_fallback(*args)
-
-    monkeypatch.setattr(eigensolver, "_fine_bisection", fallback)
-    rec = bisect(PAINLEVE_II, "slope", (0.5502734701768284, 0.6903018533268568), tol=1e-9)
-    assert len(fallbacks) == 1
-    assert abs(rec.value - P2_SLOPE_REF[1]) < 1e-7
+@pytest.mark.parametrize(
+    "bracket",
+    [(0.5502734701768284, 0.6903018533268568), (0.5670768761380284, 0.7071052592880568)],
+    ids=["natural", "shifted"],
+)
+def test_matched_end_game_converges_on_p2_slope_b1(monkeypatch, bracket):
+    # on these scan brackets of P-II slope b1 the third matched pass lands
+    # several tol off; the fourth widens its bracket until it holds the value
+    # and converges, with no bisection: two scan-tolerance and two
+    # full-horizon probes only
+    calls = counted_probes(monkeypatch)
+    rec = bisect(PAINLEVE_II, "slope", bracket, tol=1e-9)
+    assert abs(rec.value - P2_SLOPE_REF[1]) < 3e-9
     assert rec.pole_count == 0
+    coarse = [args for args in calls if _is_coarse(args[3])]
+    full = [args for args in calls if not _is_coarse(args[3])
+            and abs(args[3].resolved_horizon(args[0], args[2])) >= 28.0]
+    assert len(coarse) <= 2
+    assert len(full) <= 2
+
+
+def test_search_refuses_probes_stopped_by_step_underflow(monkeypatch):
+    # with a step floor of 0.5 every run underflows at its first step; the
+    # probe raises instead of classifying the stub it reached
+    monkeypatch.setattr(integrator, "_MIN_STEP", 0.5)
+    for eq, mode, bracket in [(PAINLEVE_I, "slope", (1.8, 1.9)), (PAINLEVE_II, "value", (1.2, 1.25))]:
+        with pytest.raises(IntegrationError, match=f"probe x = {bracket[0]} stopped by step underflow"):
+            bisect(eq, mode, bracket)
+    with pytest.raises(PartialTableError, match="stopped by step underflow") as info:
+        toy_eigen_table(2)
+    assert isinstance(info.value.__cause__, IntegrationError)
 
 
 _NO_TOY_MODE = "p1 has no toy mode; its modes are: slope, value"

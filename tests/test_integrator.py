@@ -206,7 +206,7 @@ def test_laurent_series_solves_the_equation(eq, sign):
     # on a circle of complex d, |d| = 0.1, the 30-term series satisfies
     # y'' = rhs to rounding, and q holds the series of Q with dH/dt = t Q'
     t0, h, n = -4.3, 0.37, 30
-    _, _, _, q = eq.laurent(t0, h, sign, n)
+    q = eq.laurent_q(eq.laurent(t0, h, sign, n)[0])
     assert q[1] == 0.0
     for phi in np.linspace(0.1, 2.0 * math.pi, 7):
         d = 0.1 * complex(math.cos(phi), math.sin(phi))
@@ -262,7 +262,7 @@ def test_laurent_exit_equals_a_fresh_build(eq, sign, d):
     exit_, t0, h = _laurent_cross(dataclasses.replace(eq, laurent=recording), entry, -4.3 + 1e-3,
                                   IntegrationConfig(rel_tol=1e-13))
     n = lengths[-1]
-    q = eq.laurent(t0, h, sign, n)[3]
+    q = eq.laurent_q(eq.laurent(t0, h, sign, n)[0])
     d_x = -(t_e - t0)
     y, yp, _ = _series(eq, t0, h, sign, n, d_x)
 
@@ -405,6 +405,25 @@ def test_pole_cap_truncates():
     assert traj.truncated
     assert len(traj.poles) == 4 and traj.poles[-1].entry_index is None
     assert all(p.entry_index is not None for p in traj.poles[:-1])
+
+
+def test_walk_underflow_keeps_terminal_t_on_the_data(monkeypatch):
+    # a step underflow on the walk to the first circle entry ends the run
+    # where the walk stopped, and that state is the last sample
+    real = integrator._advance
+    horizon = -40.0
+
+    def walk_underflows(f, s0, u0, v0, w0, s1, *args, **kwargs):
+        out = real(f, s0, u0, v0, w0, s1, *args, **kwargs)
+        return out if s1 == horizon else (*out[:6], "step-underflow")
+
+    monkeypatch.setattr(integrator, "_advance", walk_underflows)
+    traj = integrate(PAINLEVE_I, InitialData(0.0, 2.504031103), Direction.NEGATIVE_T,
+                     IntegrationConfig(t_horizon=horizon))
+    assert traj.stopped_by == "step-underflow" and traj.truncated
+    assert not traj.poles
+    assert traj.terminal_t == traj.t[-1]
+    assert np.all(np.diff(traj.t) < 0.0)
 
 
 def test_until_stops_without_truncating():
