@@ -14,7 +14,8 @@ generic behaviors, so it is bracketed by a binary discriminant:
 A scan at a coarse integration tolerance finds the brackets. The end game
 then switches to a continuous discriminant: the deviation from the
 separatrix at a matching time T, projected onto the growing mode. The
-scan's own records of the two bracket ends pick the first T, and a
+scan's own records of the two bracket ends pick the first T (a bracket of
+:func:`scan_brackets` carries them into :func:`bisect`), and a
 bracketing Illinois search finds its root in passes at later and later T,
 with probes that stop at T instead of running through the whole pole
 cascade or through the toy model's maxima. The binary discriminant stays
@@ -131,6 +132,7 @@ def _negative_horizon(eq: Equation, mode: SearchMode, x: float) -> float:
     turn = eq.turning_point(_trial_energy(eq, mode, x))
     return -max(28.0, 1.35 * turn + 16.0)
 
+
 # rel_tol of the scan and of its bracket-end probes; perfbench/workloads.py
 # keeps a copy of it.
 _COARSE = 1e-8
@@ -238,6 +240,20 @@ def _walk(probe, x, end, step):
         x, prev = nxt, cur
 
 
+class _Bracket(tuple):
+    """(lo, hi) of a scan, with the scan's records of its two ends (``ends``)
+    and the (eq, mode) it was scanned for (``search``). A copy or pickle is
+    the plain tuple (lo, hi)."""
+
+    def __new__(cls, eq, mode, lo, hi):
+        self = super().__new__(cls, (lo.x, hi.x))
+        self.search, self.ends = (eq, mode), (lo, hi)
+        return self
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
 def scan_brackets(
     eq: Equation,
     mode: SearchMode | ModeKind | str,
@@ -250,6 +266,11 @@ def scan_brackets(
     Two eigenvalues closer than the step cannot be separated (the class
     returns to itself); a warning is emitted when detected brackets crowd
     within two steps of each other, which signals that risk.
+
+    Each bracket is a (lo, hi) tuple that also holds the scan's records of
+    its two ends, which :func:`bisect` reuses instead of probing them again.
+    So each bracket keeps two full-horizon trajectories alive, tens of kB
+    each; a copy or pickle of it is a plain tuple and drops them.
     """
     mode = SearchMode.coerce(mode)
     if step <= 0.0:
@@ -258,7 +279,7 @@ def scan_brackets(
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise ValueError("search range must be a finite nonempty interval")
     probe = _prober(eq, mode, _COARSE)
-    brackets = [(a.x, b.x) for a, b in _walk(probe, lo, hi, lambda: step)]
+    brackets = [_Bracket(eq, mode, a, b) for a, b in _walk(probe, lo, hi, lambda: step)]
     for (a0, _), (b0, _) in zip(brackets, brackets[1:]):
         if b0 - a0 < 2.0 * step:
             warnings.warn(
@@ -435,13 +456,20 @@ def bisect(
     index: int = 1,
 ) -> EigenvalueRecord:
     """Locate the critical value inside one bracket to the requested width:
-    probe its two ends at the scan tolerance and run :func:`_end_game`.
-    Every probe is sized from its datum, so ``index`` only labels the record.
+    take the records of its two ends at the scan tolerance and run
+    :func:`_end_game`. A bracket of :func:`scan_brackets` for this same
+    equation and mode brings its scan's records along; any other bracket
+    has its ends probed here. Every probe is sized from its datum, so
+    ``index`` only labels the record.
     """
     mode = SearchMode.coerce(mode)
     _check_tol(tol, rel_tol)
-    probe = _prober(eq, mode, _COARSE)
-    return _end_game(eq, mode, probe(bracket[0]), probe(bracket[1]), tol, rel_tol, index)
+    if isinstance(bracket, _Bracket) and bracket.search[0] is eq and bracket.search[1] == mode:
+        lo, hi = bracket.ends
+    else:
+        probe = _prober(eq, mode, _COARSE)
+        lo, hi = probe(bracket[0]), probe(bracket[1])
+    return _end_game(eq, mode, lo, hi, tol, rel_tol, index)
 
 
 def _end_game(eq, mode, lo, hi, tol, rel_tol, index):

@@ -1,6 +1,9 @@
 import ast
+import copy
 import inspect
+import json
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +299,61 @@ def test_eigen_table_probes_no_datum_twice_at_scan_tolerance(monkeypatch):
     scan = [(args[1], args[3].rel_tol) for args in calls if _is_coarse(args[3])]
     assert len(scan) > 3
     assert len(set(scan)) == len(scan)
+
+
+def _record_bits(search):
+    """What a search returns, exactly: its record with floats in hex, or the
+    type and message of what it raised."""
+    try:
+        rec = search()
+    except Exception as exc:  # any failure: its type and message are compared
+        return type(exc), str(exc)
+    return rec.index, rec.value.hex(), rec.bracket_width.hex(), rec.pole_count, rec.mode
+
+
+def _scan_then_bisect_probes(monkeypatch, eq, mode, window, ref, **search):
+    # the public flow: bisect starts from the scan's records of the bracket
+    # ends, so it probes neither end again, and the record is the one the
+    # plain tuple gives bit for bit
+    calls = counted_probes(monkeypatch)
+    lo, hi = window
+    brackets = scan_brackets(eq, mode, window, (hi - lo) / 4 * (1.0 + 1e-9))
+    scanned = len(calls)
+    assert brackets and brackets[0][0] < ref < brackets[0][1]
+    rec = bisect(eq, mode, brackets[0], **search)
+    assert not [args for args in calls[scanned:] if _is_coarse(args[3])]
+    data = [(args[1], args[3]) for args in calls]
+    assert len(set(data)) == len(data)
+    assert _record_bits(lambda: rec) == _record_bits(lambda: bisect(eq, mode, tuple(brackets[0]), **search))
+
+
+@END_GAME_CASES
+def test_scan_then_bisect_probes_no_datum_twice(monkeypatch, eq, mode, bracket, ref):
+    _scan_then_bisect_probes(monkeypatch, eq, mode, bracket, ref)
+
+
+def test_toy_scan_then_bisect_probes_no_datum_twice(monkeypatch):
+    _scan_then_bisect_probes(monkeypatch, TOY_MODEL, "toy", (2.3, 2.5), TOY_REF[2], tol=1e-6, rel_tol=1e-9)
+
+
+def test_scan_bracket_copies_pickles_and_json_are_plain_tuples():
+    (bracket,) = scan_brackets(PAINLEVE_I, "slope", (1.8, 1.9), 0.05)
+    expected = _record_bits(lambda: bisect(PAINLEVE_I, "slope", bracket))
+    for trip in (copy.copy, copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b)),
+                 lambda b: tuple(json.loads(json.dumps(b)))):
+        plain = trip(bracket)
+        assert type(plain) is tuple and plain == bracket == (bracket[0], bracket[1])
+        assert _record_bits(lambda: bisect(PAINLEVE_I, "slope", plain)) == expected
+
+
+def test_bisect_reuses_bracket_ends_only_for_their_own_search():
+    # a P-I slope bracket handed to another mode or equation behaves as its
+    # plain tuple does: the (eq, mode) it was scanned for decides, not the
+    # records it carries
+    (bracket,) = scan_brackets(PAINLEVE_I, "slope", (1.8, 1.9), 0.05)
+    for eq, mode in [(PAINLEVE_I, "value"), (PAINLEVE_II, "slope")]:
+        outcome = _record_bits(lambda: bisect(eq, mode, bracket))
+        assert outcome == _record_bits(lambda: bisect(eq, mode, tuple(bracket)))
 
 
 def test_eigen_table_checks_tolerance_before_scanning(monkeypatch):
