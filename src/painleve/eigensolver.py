@@ -141,6 +141,8 @@ _COARSE = 1e-8
 def _check_tol(tol: float, rel_tol: float) -> None:
     if not rel_tol > 0.0:
         raise ValueError(f"rel_tol = {rel_tol} must be positive")
+    if not math.isfinite(tol):
+        raise ValueError(f"tol = {tol} must be finite")
     if tol < 10.0 * rel_tol:
         raise ValueError(f"tol = {tol} is below 10 * rel_tol = {10 * rel_tol}")
 

@@ -7,15 +7,15 @@ Three systems are supported:
 * a first-order toy model, y' = cos(pi t y), which is pole free.
 
 Every fact the pipeline needs about one of them - its right-hand side and
-fluctuation integrand dH/dt, the energy H, the branch curves and the stable
-attractor, the pole order, Laurent family and Laurent correction, the
-pole-spacing model, the turning point, the separatrix asymptotics the
-eigenvalue search matches to, the rule that ends a probe once its class is
-final, the allowed directions and default horizon, and the search facts of
-each mode (direction, scan seed, growth exponent, Richardson order, WKB
-constant) - lives in its :class:`Equation` below. The integrator, classifier,
-eigensolver and CLI read those facts and never ask which equation they
-hold.
+fluctuation integrand dH/dt, written once as source, the energy H, the
+branch curves and the stable attractor, the pole order, Laurent family and
+Laurent correction, the pole-spacing model, the turning point, the
+separatrix asymptotics the eigenvalue search matches to, the rule that ends
+a probe once its class is final, the allowed directions and default horizon,
+and the search facts of each mode (direction, scan seed, growth exponent,
+Richardson order, WKB constant) - lives in its :class:`Equation` below. The
+integrator, classifier, eigensolver and CLI read those facts and never ask
+which equation they hold.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Mapping
 
@@ -87,15 +88,28 @@ class ModeSpec:
     max_index: int = 30
 
 
+def _compiled(source: str, name: str):
+    """The object named ``name`` that ``source`` defines, run with the math
+    module's public names as its globals. The sources are the package's own
+    templates and ``Equation.rhs_source`` strings."""
+    namespace = {k: v for k, v in vars(math).items() if not k.startswith("_")}
+    exec(source, namespace)
+    return namespace[name]
+
+
 @dataclass(frozen=True, eq=False)
 class Equation:
     """One supported system and every fact the pipeline needs about it.
 
-    ``rhs(t, y, y')`` returns the triple (y', y'', dH/dt): the system the
-    integrator steps, and the rate of the energy along a solution (t y' for
-    Painleve I, t y y' for Painleve II), whose integral the integrator
-    carries beside the state as the fluctuation integral. The first-order
-    toy model returns (y', 0, 0) and ignores y'.
+    ``rhs_source`` writes the right-hand side once, as Python expressions in
+    t, y and yp that may use the math module's names: (y', y'', dH/dt), the
+    system the integrator steps and the rate of the energy along a solution
+    (t y' for Painleve I, t y y' for Painleve II), whose integral the
+    integrator carries beside the state as the fluctuation integral. The
+    first-order toy model gives y' alone. The integrator writes the
+    expressions into a DOP853 step of their own, and ``rhs`` compiles them
+    into the callable ``rhs(t, y, y')``, which returns the triple ((y', 0, 0)
+    for the toy model, which ignores y').
     ``pole_order`` is the order of the movable poles (2, 1, or 0 for the
     pole-free toy model). The toy model has no energy, branch curves or
     poles, so of the callables below it has only ``separatrix`` and
@@ -134,7 +148,7 @@ class Equation:
 
     name: str
     pole_order: int
-    rhs: Callable
+    rhs_source: tuple[str, ...]
     directions: tuple[Direction, ...]
     modes: Mapping[ModeKind, ModeSpec]
     positive_horizon: float = 30.0
@@ -150,14 +164,17 @@ class Equation:
     settled: Callable | None = None
     fine_tol_divisor: float = 100.0
 
+    @cached_property
+    def rhs(self) -> Callable:
+        """``rhs(t, y, y')``, the triple (y', y'', dH/dt) compiled from
+        ``rhs_source``; (y', 0, 0) for the toy model."""
+        exprs = (*self.rhs_source, "0.0", "0.0")[:3]
+        return _compiled(f"def rhs(t, y, yp):\n    return {', '.join(exprs)}\n", "rhs")
+
     @property
     def first_order(self) -> bool:
         """True for the toy model, the one first-order (and pole-free) system."""
         return not self.pole_order
-
-
-def _p1_rhs(t, y, yp):
-    return yp, 6.0 * y * y + t, t * yp
 
 
 def _p1_laurent(t0, h, _sign, n):
@@ -187,10 +204,6 @@ def _p1_separatrix(t, _t_near, y_near):
     dy_dx = 0.5 / math.sqrt(6.0 * x) + x**-3 / 24.0 + 4.5 * _P1_C * x**-5.5
     y, yp = s * y, -s * dy_dx
     return y, yp, 12.0 * y, 12.0 * yp
-
-
-def _p2_rhs(t, y, yp):
-    return yp, 2.0 * y * y * y + t * y, t * y * yp
 
 
 def _p2_laurent(t0, h, sign, n):
@@ -225,10 +238,6 @@ def _p2_separatrix(t, _t_near, y_near):
     dy_dx = 0.5 / math.sqrt(2.0 * x) + 2.5 * _P2_C * x**-3.5
     y, yp = s * y, -s * dy_dx
     return y, yp, 6.0 * y * y + t, 12.0 * y * yp + 1.0
-
-
-def _toy_rhs(t, y, _yp):
-    return math.cos(math.pi * t * y), 0.0, 0.0
 
 
 def _toy_separatrix(t, t_near, y_near):
@@ -266,7 +275,7 @@ _NEG, _POS = Direction.NEGATIVE_T, Direction.POSITIVE_T
 PAINLEVE_I = Equation(
     name="p1",
     pole_order=2,
-    rhs=_p1_rhs,
+    rhs_source=("yp", "6.0 * y * y + t", "t * yp"),
     directions=(_NEG,),
     modes={
         ModeKind.SLOPE: ModeSpec(_NEG, 0.2, 0.3, 3.0 / 5.0, 2.1, 5, False, "p1_slope"),
@@ -287,7 +296,7 @@ PAINLEVE_I = Equation(
 PAINLEVE_II = Equation(
     name="p2",
     pole_order=1,
-    rhs=_p2_rhs,
+    rhs_source=("yp", "2.0 * y * y * y + t * y", "t * y * yp"),
     directions=(_NEG, _POS),
     modes={
         ModeKind.SLOPE: ModeSpec(_NEG, 0.1, 0.1, 2.0 / 3.0, 1.9, 4, True, "p2_slope"),
@@ -314,7 +323,7 @@ PAINLEVE_II = Equation(
 TOY_MODEL = Equation(
     name="toy",
     pole_order=0,
-    rhs=_toy_rhs,
+    rhs_source=("cos(pi * t * y)",),
     directions=(_POS,),
     modes={ModeKind.TOY: ModeSpec(_POS, 0.05, 0.4, 1.0 / 2.0, 2.0 ** (5.0 / 6.0), max_index=60)},
     positive_horizon=50.0,

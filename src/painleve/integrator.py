@@ -24,7 +24,7 @@ walk proposed at the entry, the exit's mirror point.
 
 The right-hand side, pole order, Laurent family and correction and the
 pole-spacing model come from the :class:`~painleve.equations.Equation`
-spec; the stepper gets the right-hand side as a plain callable.
+spec.
 
 The stepper is the explicit 8th-order Runge-Kutta pair DOP853 of Hairer,
 Norsett and Wanner (FSAL: the evaluation at the end of an accepted step is
@@ -34,6 +34,17 @@ carries the fluctuation integral I = int dH/dt dt, the third component of
 the equation's right-hand side, as a quadrature-only state: I never feeds
 back into the right-hand side and stays out of the error norm, so it changes
 no step, and it is integrated at the stepper's own order.
+
+Each equation's step is Python source generated from one template, the
+tableau below and the equation's ``rhs_source``, and compiled on the
+equation's first :func:`integrate`: every stage evaluates the right-hand
+side's expressions in place, with the tableau's nonzero weights as float
+literals, and computes dH/dt only at the stages the 8th-order weights use.
+The first-order toy model's step carries y alone. The same template, with a
+call f(t, y, y') at each stage, gives the call-based step for any callable,
+complex ones included. Every generated step evaluates the same expressions
+in the same order as the call-based step does with ``eq.rhs``, so both give
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -41,13 +52,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import accumulate, repeat
 from operator import mul
 from typing import Callable
 
 import numpy as np
 
-from .equations import Direction, Equation, InitialData
+from .equations import Direction, Equation, InitialData, _compiled
 
 __all__ = [
     "CrossingError",
@@ -96,12 +108,15 @@ class IntegrationConfig:
     max_step: float = sys.float_info.max
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
+        # a NaN passes every comparison check, so finiteness is asked first
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
+            raise ValueError(f"rel_tol = {self.rel_tol} must be positive and finite")
+        if self.t_horizon is not None and not math.isfinite(self.t_horizon):
+            raise ValueError(f"t_horizon = {self.t_horizon} must be finite")
         if self.max_poles < 0:
             raise ValueError("max_poles must be non-negative")
-        if self.max_step <= 0.0:
-            raise ValueError("max_step must be positive")
+        if not (math.isfinite(self.max_step) and self.max_step > 0.0):
+            raise ValueError(f"max_step = {self.max_step} must be positive and finite")
 
     @property
     def abs_tol(self) -> float:
@@ -186,89 +201,80 @@ class Trajectory:
 
 
 # DOP853 tableau (Hairer, Norsett & Wanner, Solving Ordinary Differential
-# Equations I, 2nd ed., sec. II.10), named as in their dop853.f: _Cj is the
-# node of stage j, _Aij the weight of stage j in stage i (the zero weights are
-# left out), _Bj the 8th-order weights, _BHHj the 3rd-order weights and _ERj
+# Equations I, 2nd ed., sec. II.10), with the digits of their dop853.f, over
+# stages 1..12: _C holds the nodes, _A[i] the weights of the earlier stages in
+# stage i + 1, _B the 8th-order weights, _BHH the 3rd-order weights and _ER
 # the 5th-order error weights. Stage 12 sits at the end of the step (c = 1).
-_C2 = 0.526001519587677318785587544488e-01
-_C3 = 0.789002279381515978178381316732e-01
-_C4 = 0.118350341907227396726757197510
-_C5 = 0.281649658092772603273242802490
-_C6 = 0.333333333333333333333333333333
-_C7 = 0.25
-_C8 = 0.307692307692307692307692307692
-_C9 = 0.651282051282051282051282051282
-_C10 = 0.6
-_C11 = 0.857142857142857142857142857142
-_A21 = 5.26001519587677318785587544488e-2
-_A31 = 1.97250569845378994544595329183e-2
-_A32 = 5.91751709536136983633785987549e-2
-_A41 = 2.95875854768068491816892993775e-2
-_A43 = 8.87627564304205475450678981324e-2
-_A51 = 2.41365134159266685502369798665e-1
-_A53 = -8.84549479328286085344864962717e-1
-_A54 = 9.24834003261792003115737966543e-1
-_A61 = 3.7037037037037037037037037037e-2
-_A64 = 1.70828608729473871279604482173e-1
-_A65 = 1.25467687566822425016691814123e-1
-_A71 = 3.7109375e-2
-_A74 = 1.70252211019544039314978060272e-1
-_A75 = 6.02165389804559606850219397283e-2
-_A76 = -1.7578125e-2
-_A81 = 3.70920001185047927108779319836e-2
-_A84 = 1.70383925712239993810214054705e-1
-_A85 = 1.07262030446373284651809199168e-1
-_A86 = -1.53194377486244017527936158236e-2
-_A87 = 8.27378916381402288758473766002e-3
-_A91 = 6.24110958716075717114429577812e-1
-_A94 = -3.36089262944694129406857109825
-_A95 = -8.68219346841726006818189891453e-1
-_A96 = 2.75920996994467083049415600797e1
-_A97 = 2.01540675504778934086186788979e1
-_A98 = -4.34898841810699588477366255144e1
-_A101 = 4.77662536438264365890433908527e-1
-_A104 = -2.48811461997166764192642586468
-_A105 = -5.90290826836842996371446475743e-1
-_A106 = 2.12300514481811942347288949897e1
-_A107 = 1.52792336328824235832596922938e1
-_A108 = -3.32882109689848629194453265587e1
-_A109 = -2.03312017085086261358222928593e-2
-_A111 = -9.3714243008598732571704021658e-1
-_A114 = 5.18637242884406370830023853209
-_A115 = 1.09143734899672957818500254654
-_A116 = -8.14978701074692612513997267357
-_A117 = -1.85200656599969598641566180701e1
-_A118 = 2.27394870993505042818970056734e1
-_A119 = 2.49360555267965238987089396762
-_A1110 = -3.0467644718982195003823669022
-_A121 = 2.27331014751653820792359768449
-_A124 = -1.05344954667372501984066689879e1
-_A125 = -2.00087205822486249909675718444
-_A126 = -1.79589318631187989172765950534e1
-_A127 = 2.79488845294199600508499808837e1
-_A128 = -2.85899827713502369474065508674
-_A129 = -8.87285693353062954433549289258
-_A1210 = 1.23605671757943030647266201528e1
-_A1211 = 6.43392746015763530355970484046e-1
-_B1 = 5.42937341165687622380535766363e-2
-_B6 = 4.45031289275240888144113950566
-_B7 = 1.89151789931450038304281599044
-_B8 = -5.8012039600105847814672114227
-_B9 = 3.1116436695781989440891606237e-1
-_B10 = -1.52160949662516078556178806805e-1
-_B11 = 2.01365400804030348374776537501e-1
-_B12 = 4.47106157277725905176885569043e-2
-_BHH1 = 0.244094488188976377952755905512
-_BHH9 = 0.733846688281611857341361741547
-_BHH12 = 0.220588235294117647058823529412e-1
-_ER1 = 0.1312004499419488073250102996e-1
-_ER6 = -0.1225156446376204440720569753e+1
-_ER7 = -0.4957589496572501915214079952
-_ER8 = 0.1664377182454986536961530415e+1
-_ER9 = -0.3503288487499736816886487290
-_ER10 = 0.3341791187130174790297318841
-_ER11 = 0.8192320648511571246570742613e-1
-_ER12 = -0.2235530786388629525884427845e-1
+# The generated steps below leave the zero weights out.
+_C = (
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490, 0.333333333333333333333333333333,
+    0.25, 0.307692307692307692307692307692, 0.651282051282051282051282051282,
+    0.6, 0.857142857142857142857142857142, 1.0,
+)
+_A = (
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (
+        2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+        9.24834003261792003115737966543e-1,
+    ),
+    (
+        3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+        1.25467687566822425016691814123e-1,
+    ),
+    (
+        3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+        6.02165389804559606850219397283e-2, -1.7578125e-2,
+    ),
+    (
+        3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+        1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+        8.27378916381402288758473766002e-3,
+    ),
+    (
+        6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+        -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+        2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1,
+    ),
+    (
+        4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+        -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+        1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+        -2.03312017085086261358222928593e-2,
+    ),
+    (
+        -9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+        1.09143734899672957818500254654, -8.14978701074692612513997267357,
+        -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+        2.49360555267965238987089396762, -3.0467644718982195003823669022,
+    ),
+    (
+        2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+        -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+        2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+        -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+        6.43392746015763530355970484046e-1,
+    ),
+)
+_B = (
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2,
+)
+_BHH = (
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1,
+)
+_ER = (
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
+)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -289,87 +295,76 @@ _MIN_STEP = 1e-12  # a step below this underflows
 _DETOUR_START = 15.0
 
 
-def _step(f, s, u, v, h, k1, rtol, atol):
-    """One DOP853 step of size h from (s, u, v), where k1 = f(s, u, v).
+def _step_source(rhs_source) -> str:
+    """Source of the DOP853 step ``step(s, u, v, h, k1, rtol, atol)`` of one
+    right-hand-side source (see ``Equation.rhs_source``), where k1 is the
+    right-hand side's triple at (s, u, v).
 
-    Returns the new (u, v), the slope of the quadrature component w over the
-    step (w grows by h times it) and the scaled error norm of (u, v), which
-    accepts the step when it is at most 1. w stays out of the norm.
+    Each stage binds t, y and yp and evaluates the source's expressions in
+    place. A source of one expression, the first-order toy model's, steps u
+    alone and leaves v and the quadrature w at rest. A source of None gives
+    the call-based step ``step(f, s, u, v, h, k1, rtol, atol)``, whose stages
+    call f(t, y, yp) for the triple, so it steps any callable, complex ones
+    too. The step returns the new (u, v), the slope of w over the step (w
+    grows by h times it) and the scaled error norm of the state, which
+    accepts the step when it is at most 1; w stays out of the norm.
     """
-    k1u, k1v, k1w = k1
-    k2u, k2v, _ = f(s + _C2 * h, u + h * (_A21 * k1u), v + h * (_A21 * k1v))
-    k3u, k3v, _ = f(s + _C3 * h, u + h * (_A31 * k1u + _A32 * k2u),
-                    v + h * (_A31 * k1v + _A32 * k2v))
-    k4u, k4v, _ = f(s + _C4 * h, u + h * (_A41 * k1u + _A43 * k3u),
-                    v + h * (_A41 * k1v + _A43 * k3v))
-    k5u, k5v, _ = f(s + _C5 * h, u + h * (_A51 * k1u + _A53 * k3u + _A54 * k4u),
-                    v + h * (_A51 * k1v + _A53 * k3v + _A54 * k4v))
-    k6u, k6v, k6w = f(s + _C6 * h, u + h * (_A61 * k1u + _A64 * k4u + _A65 * k5u),
-                      v + h * (_A61 * k1v + _A64 * k4v + _A65 * k5v))
-    k7u, k7v, k7w = f(
-        s + _C7 * h,
-        u + h * (_A71 * k1u + _A74 * k4u + _A75 * k5u + _A76 * k6u),
-        v + h * (_A71 * k1v + _A74 * k4v + _A75 * k5v + _A76 * k6v),
-    )
-    k8u, k8v, k8w = f(
-        s + _C8 * h,
-        u + h * (_A81 * k1u + _A84 * k4u + _A85 * k5u + _A86 * k6u + _A87 * k7u),
-        v + h * (_A81 * k1v + _A84 * k4v + _A85 * k5v + _A86 * k6v + _A87 * k7v),
-    )
-    k9u, k9v, k9w = f(
-        s + _C9 * h,
-        u + h * (_A91 * k1u + _A94 * k4u + _A95 * k5u + _A96 * k6u + _A97 * k7u + _A98 * k8u),
-        v + h * (_A91 * k1v + _A94 * k4v + _A95 * k5v + _A96 * k6v + _A97 * k7v + _A98 * k8v),
-    )
-    k10u, k10v, k10w = f(
-        s + _C10 * h,
-        u + h * (_A101 * k1u + _A104 * k4u + _A105 * k5u + _A106 * k6u + _A107 * k7u
-                 + _A108 * k8u + _A109 * k9u),
-        v + h * (_A101 * k1v + _A104 * k4v + _A105 * k5v + _A106 * k6v + _A107 * k7v
-                 + _A108 * k8v + _A109 * k9v),
-    )
-    k11u, k11v, k11w = f(
-        s + _C11 * h,
-        u + h * (_A111 * k1u + _A114 * k4u + _A115 * k5u + _A116 * k6u + _A117 * k7u
-                 + _A118 * k8u + _A119 * k9u + _A1110 * k10u),
-        v + h * (_A111 * k1v + _A114 * k4v + _A115 * k5v + _A116 * k6v + _A117 * k7v
-                 + _A118 * k8v + _A119 * k9v + _A1110 * k10v),
-    )
-    k12u, k12v, k12w = f(
-        s + h,
-        u + h * (_A121 * k1u + _A124 * k4u + _A125 * k5u + _A126 * k6u + _A127 * k7u
-                 + _A128 * k8u + _A129 * k9u + _A1210 * k10u + _A1211 * k11u),
-        v + h * (_A121 * k1v + _A124 * k4v + _A125 * k5v + _A126 * k6v + _A127 * k7v
-                 + _A128 * k8v + _A129 * k9v + _A1210 * k10v + _A1211 * k11v),
-    )
-    du = (_B1 * k1u + _B6 * k6u + _B7 * k7u + _B8 * k8u + _B9 * k9u + _B10 * k10u
-          + _B11 * k11u + _B12 * k12u)
-    dv = (_B1 * k1v + _B6 * k6v + _B7 * k7v + _B8 * k8v + _B9 * k9v + _B10 * k10v
-          + _B11 * k11v + _B12 * k12v)
-    dw = (_B1 * k1w + _B6 * k6w + _B7 * k7w + _B8 * k8w + _B9 * k9w + _B10 * k10w
-          + _B11 * k11w + _B12 * k12w)
-    un = u + h * du
-    vn = v + h * dv
+    call = rhs_source is None
+    comps = "uvw"[:3 if call else len(rhs_source)]
+    state = comps[:2]
+
+    def weighted(weights, c):
+        return " + ".join(f"{x!r} * k{j}{c}" for j, x in enumerate(weights, 1) if x)
+
+    lines = [f"def step({'f, ' if call else ''}s, u, v, h, k1, rtol, atol):"]
+    lines += [f"    k1{c} = k1[{j}]" for j, c in enumerate(comps)]
+    for i in range(1, 12):  # stages 2..12
+        lines.append(f"    t = s + {_C[i]!r} * h")
+        lines += [f"    {name} = {c} + h * ({weighted(_A[i], c)})" for c, name in zip(state, ("y", "yp"))]
+        if call:
+            lines.append(f"    k{i + 1}u, k{i + 1}v, k{i + 1}w = f(t, y, yp)")
+        else:
+            # dH/dt only where the 8th-order weights use it
+            lines += [f"    k{i + 1}{c} = {expr}" for c, expr in zip(comps, rhs_source) if c != "w" or _B[i]]
+    lines += [f"    d{c} = {weighted(_B, c)}" for c in comps]
+    for c in state:
+        bhh = "".join(f" - {x!r} * k{j}{c}" for j, x in enumerate(_BHH, 1) if x)
+        lines += [
+            f"    {c}n = {c} + h * d{c}",
+            f"    sc_{c} = atol + rtol * max(abs({c}), abs({c}n))",
+            f"    e5{c} = ({weighted(_ER, c)}) / sc_{c}",
+            f"    e3{c} = (d{c}{bhh}) / sc_{c}",
+        ]
     # Hairer's error estimate: the 5th-order estimate, damped where it is
     # small against the 3rd-order one, |h| r5 / sqrt(2 (r5 + 0.01 r3)) with
-    # r5, r3 the sums of squares over (u, v) of each estimate's scaled error.
-    sc_u = atol + rtol * max(abs(u), abs(un))
-    sc_v = atol + rtol * max(abs(v), abs(vn))
-    e5u = (_ER1 * k1u + _ER6 * k6u + _ER7 * k7u + _ER8 * k8u + _ER9 * k9u + _ER10 * k10u
-           + _ER11 * k11u + _ER12 * k12u) / sc_u
-    e5v = (_ER1 * k1v + _ER6 * k6v + _ER7 * k7v + _ER8 * k8v + _ER9 * k9v + _ER10 * k10v
-           + _ER11 * k11v + _ER12 * k12v) / sc_v
-    e3u = (du - _BHH1 * k1u - _BHH9 * k9u - _BHH12 * k12u) / sc_u
-    e3v = (dv - _BHH1 * k1v - _BHH9 * k9v - _BHH12 * k12v) / sc_v
-    r5 = abs(e5u) ** 2 + abs(e5v) ** 2
-    den = r5 + 0.01 * (abs(e3u) ** 2 + abs(e3v) ** 2)
-    err = _ERR_SCALE * abs(h) * r5 / math.sqrt(2.0 * den) if den > 0.0 else 0.0
-    return un, vn, dw, err
+    # r5, r3 the sums of squares over the state of each estimate's scaled
+    # error.
+    lines += [
+        "    r5 = " + " + ".join(f"abs(e5{c}) ** 2" for c in state),
+        "    den = r5 + 0.01 * (" + " + ".join(f"abs(e3{c}) ** 2" for c in state) + ")",
+        f"    err = {_ERR_SCALE!r} * abs(h) * r5 / sqrt(2.0 * den) if den > 0.0 else 0.0",
+        f"    return un, {'vn' if 'v' in state else 'v'}, {'dw' if 'w' in comps else '0.0'}, err",
+    ]
+    return "\n".join(lines) + "\n"
 
 
-def _advance(f, s0, u0, v0, w0, s1, cfg: IntegrationConfig, on_accept, k1=None, h=None):
+@cache
+def _step_for(rhs_source):
+    """The DOP853 step generated from ``rhs_source`` (see
+    :func:`_step_source`), built on first use."""
+    return _compiled(_step_source(rhs_source), "step")
+
+
+def _call_step(f):
+    """The call-based DOP853 step bound to the callable f(t, y, y'), which
+    returns the triple (y', y'', dH/dt)."""
+    return partial(_step_for(None), f)
+
+
+def _advance(step, f, s0, u0, v0, w0, s1, cfg: IntegrationConfig, on_accept, k1=None, h=None):
     """March the first-order pair (u, v)' = f(s, u, v)[:2] from s0 to s1,
-    with the quadrature w' = f(s, u, v)[2] carried alongside.
+    with the quadrature w' = f(s, u, v)[2] carried alongside, by ``step``,
+    a DOP853 step of f (see :func:`_step_source`).
 
     ``s`` is the real integration parameter, t on the real axis. w never
     feeds back into f and stays out of the error norm, so it changes no
@@ -399,7 +394,7 @@ def _advance(f, s0, u0, v0, w0, s1, cfg: IntegrationConfig, on_accept, k1=None, 
             h = s1 - s
         if abs(h) < _MIN_STEP:
             return s, u, v, w, k1, abs(h), "step-underflow"
-        un, vn, dw, err = _step(f, s, u, v, h, k1, rtol, atol)
+        un, vn, dw, err = step(s, u, v, h, k1, rtol, atol)
         if err <= 1.0:
             s = s1 if (s + h == s1 or direction * (s + h - s1) >= 0.0) else s + h
             u, v, w = un, vn, w + h * dw
@@ -614,6 +609,7 @@ def integrate(
         raise ValueError(f"horizon {horizon} is on the wrong side of t = 0 for direction {direction.value}")
 
     f = eq.rhs
+    step = _step_for(eq.rhs_source)
     pole_free = not eq.pole_order
     trigger = _DETOUR_START
 
@@ -647,7 +643,7 @@ def integrate(
         return None
 
     while True:
-        t, y, v, w, k1, h, token = _advance(f, t, y, v, w, horizon, cfg, on_accept, k1=k1, h=h)
+        t, y, v, w, k1, h, token = _advance(step, f, t, y, v, w, horizon, cfg, on_accept, k1=k1, h=h)
         if token is None:
             break
         if token != "pole":
@@ -686,7 +682,7 @@ def integrate(
                 )
             (t, y, v, w), k1 = samples[-1], None
         if abs(entry_t - t) > 1e-14 * max(1.0, abs(t)):
-            t, y, v, w, _, h, tok2 = _advance(f, t, y, v, w, entry_t, cfg, lambda *_: None,
+            t, y, v, w, _, h, tok2 = _advance(step, f, t, y, v, w, entry_t, cfg, lambda *_: None,
                                               k1=k1, h=abs(entry_t - t))
             if tok2 == "step-underflow":
                 if t != samples[-1][0]:  # keep terminal_t on the data

@@ -10,7 +10,7 @@ import pytest
 import painleve.eigensolver as eigensolver
 from painleve import (CrossingError, Direction, InitialData, IntegrationConfig, ModeKind, PAINLEVE_I,
                       PAINLEVE_II, TOY_MODEL, count_toy_maxima, eigen_table, integrate, toy_eigen_table)
-from painleve.integrator import _advance
+from painleve.integrator import _advance, _call_step
 
 # Reference critical values (reference digits for these systems).
 P1_SLOPE_REF = {
@@ -98,8 +98,8 @@ def arc_exit(eq, entry, t0, half_plane):
         d = cmath.rect(radius, phi)
         return tuple(1j * d * x for x in eq.rhs(t0 + d, u, v))
 
-    _, u, v, w, _, _, token = _advance(g, phi0, complex(y), complex(yp), complex(fluct), phi1,
-                                       IntegrationConfig(rel_tol=1e-13), lambda *_: None)
+    _, u, v, w, _, _, token = _advance(_call_step(g), g, phi0, complex(y), complex(yp), complex(fluct),
+                                       phi1, IntegrationConfig(rel_tol=1e-13), lambda *_: None)
     assert token is None
     return u, v, w
 

@@ -146,6 +146,28 @@ def test_trajectory_rejects_bad_direction(capsys):
     assert "negative direction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--eq", "p2", "--direction", "pos", "--y0", "1.0", "--horizon", "nan"],
+    ["--eq", "p1", "--slope", "2.0", "--horizon", "-2", "--rel-tol", "nan"],
+], ids=["horizon", "rel-tol"])
+def test_trajectory_rejects_non_finite_settings(tmp_path, capsys, argv):
+    # a NaN horizon would send P-II's positive run toward negative t and
+    # never end a toy run, so the config refuses it before any step
+    out = tmp_path / "traj.csv"
+    assert main(["trajectory", *argv, "--out", str(out)]) == 1
+    assert "must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eigen_rejects_non_finite_tol(tmp_path, capsys, monkeypatch):
+    calls = counted_probes(monkeypatch)
+    out = tmp_path / "eig.csv"
+    assert main(["eigen", "--eq", "p1", "--mode", "slope", "--n", "2", "--tol", "nan",
+                 "--out", str(out)]) == 1
+    assert "tol = nan must be finite" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_eigen_roundtrip_constants(tmp_path):
     table = tmp_path / "eigs.json"
     rc = main(["eigen", "--eq", "p2", "--mode", "value", "--n", "5",

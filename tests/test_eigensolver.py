@@ -364,6 +364,9 @@ def test_eigen_table_checks_tolerance_before_scanning(monkeypatch):
                    lambda **kw: bisect(PAINLEVE_I, ModeKind.SLOPE, (1.8, 1.9), **kw)):
         with pytest.raises(ValueError, match="rel_tol = 0.0 must be positive"):
             search(rel_tol=0.0)
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"tol = {tol} must be finite"):
+                search(tol=tol)
     assert calls == []
 
 

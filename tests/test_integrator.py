@@ -20,7 +20,7 @@ from painleve import (
     integrate,
 )
 from painleve import integrator
-from painleve.integrator import _advance, _laurent_cross, _step
+from painleve.integrator import _advance, _call_step, _laurent_cross, _step_for
 
 from conftest import arc_exit
 
@@ -34,20 +34,25 @@ def test_config_validation():
     assert cfg.resolved_horizon(TOY_MODEL, Direction.POSITIVE_T) == 50.0
 
 
-def _tableau():
-    """The integrator's DOP853 constants as arrays over stages 1..12: nodes
-    c, stage matrix a, weights b, 5th-order error weights e5 and 3rd-order
-    error weights e3 = b - bhh. Constants the integrator does not name are
-    zero; the last node is 1."""
-    def get(name):
-        return getattr(integrator, name, 0.0)
+@pytest.mark.parametrize("field", ["rel_tol", "t_horizon", "max_step"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_settings(field, bad):
+    # a NaN passes every comparison, so without the finiteness check a NaN
+    # horizon never ends the toy run and sends P-II's positive run toward
+    # negative t
+    with pytest.raises(ValueError, match=f"{field} = .* must be"):
+        IntegrationConfig(**{field: bad})
 
-    c = np.array([0.0] + [get(f"_C{i}") for i in range(2, 12)] + [1.0])
-    a = np.array([[get(f"_A{i}{j}") if j < i else 0.0 for j in range(1, 13)] for i in range(1, 13)])
-    b = np.array([get(f"_B{j}") for j in range(1, 13)])
-    e5 = np.array([get(f"_ER{j}") for j in range(1, 13)])
-    e3 = b - np.array([get(f"_BHH{j}") for j in range(1, 13)])
-    return c, a, b, e5, e3
+
+def _tableau():
+    """The integrator's DOP853 tableau as arrays over stages 1..12: nodes c,
+    stage matrix a, weights b, 5th-order error weights e5 and 3rd-order
+    error weights e3 = b - bhh."""
+    a = np.zeros((12, 12))
+    for i, row in enumerate(integrator._A):
+        a[i, :len(row)] = row
+    b = np.array(integrator._B)
+    return np.array(integrator._C), a, b, np.array(integrator._ER), b - np.array(integrator._BHH)
 
 
 def test_dop853_tableau_matches_scipy():
@@ -63,7 +68,7 @@ def test_dop853_tableau_matches_scipy():
 
 
 def test_step_follows_the_tableau():
-    # the unrolled step is the generic explicit Runge-Kutta step of the
+    # the call-based step is the generic explicit Runge-Kutta step of the
     # tableau, for the state and the carried quadrature alike
     c, a, b, _, _ = _tableau()
     f = PAINLEVE_II.rhs
@@ -74,27 +79,64 @@ def test_step_follows_the_tableau():
         vi = v + h * sum(a[i, j] * k[j][1] for j in range(i))
         k.append(f(s + c[i] * h, ui, vi))
     ref = [sum(b[j] * k[j][m] for j in range(12)) for m in range(3)]
-    un, vn, dw, _ = _step(f, s, u, v, h, k[0], 1e-10, 1e-12)
+    un, vn, dw, _ = _call_step(f)(s, u, v, h, k[0], 1e-10, 1e-12)
     assert un == pytest.approx(u + h * ref[0], rel=1e-14)
     assert vn == pytest.approx(v + h * ref[1], rel=1e-14)
     assert dw == pytest.approx(ref[2], rel=1e-14)
+    # and each equation's generated step, its right-hand side written into
+    # the stages, returns exactly what the call-based step returns with
+    # eq.rhs, error norm included; the toy model's steps u alone
+    rng = np.random.default_rng(23)
+    for eq in (PAINLEVE_I, PAINLEVE_II, TOY_MODEL):
+        generated, called = _step_for(eq.rhs_source), _call_step(eq.rhs)
+        for _ in range(50):
+            s, u = rng.uniform(-20.0, 20.0), rng.uniform(-3.0, 3.0)
+            v = 0.0 if eq.first_order else rng.uniform(-5.0, 5.0)
+            k1 = eq.rhs(s, u, v)
+            for h in (rng.uniform(1e-3, 0.5), -rng.uniform(1e-3, 0.5)):
+                for rtol in (1e-8, 1e-12):
+                    out = generated(s, u, v, h, k1, rtol, 1e-2 * rtol)
+                    assert out == called(s, u, v, h, k1, rtol, 1e-2 * rtol)
+                    assert all(map(math.isfinite, out))
 
 
 def test_step_is_eighth_order():
     # fixed steps on y'' = -y with the quadrature w' = y^2 carried: halving
     # h cuts the error at t = 4 about 2^8-fold, in the state and in w
     f = lambda t, y, yp: (yp, -y, y * y)
+    step = _call_step(f)
 
     def errors(n):
         h, s, u, v, w = 4.0 / n, 0.0, 1.0, 0.0, 0.0
         for _ in range(n):
-            u, v, dw, _ = _step(f, s, u, v, h, f(s, u, v), 1.0, 1.0)
+            u, v, dw, _ = step(s, u, v, h, f(s, u, v), 1.0, 1.0)
             s, w = s + h, w + h * dw
         return abs(u - math.cos(4.0)), abs(w - (2.0 + math.sin(8.0) / 4.0))
 
     coarse, fine = errors(8), errors(16)
     for e_coarse, e_fine in zip(coarse, fine):
         assert 7.5 <= math.log2(e_coarse / e_fine) <= 8.5
+
+
+@pytest.mark.parametrize("eq, init, direction, horizon", [
+    (PAINLEVE_I, InitialData(0.0, 2.504031103), Direction.NEGATIVE_T, -20.0),
+    (PAINLEVE_II, InitialData(2.0, 0.0), Direction.POSITIVE_T, 10.0),
+    (TOY_MODEL, InitialData(1.7), Direction.POSITIVE_T, 20.0),
+], ids=["p1-cascade", "p2-pos", "toy"])
+def test_generated_step_integrates_as_the_call_based_step(monkeypatch, eq, init, direction, horizon):
+    # integrate with each equation's generated step, then with the
+    # call-based step patched in: the runs are identical, sample for sample
+    cfg = IntegrationConfig(t_horizon=horizon)
+    generated = integrate(eq, init, direction, cfg)
+    called = _call_step(eq.rhs)
+    monkeypatch.setattr(integrator, "_step_for", lambda _source: called)
+    ref = integrate(eq, init, direction, cfg)
+    for name in ("t", "y", "yp", "fluct"):
+        got, want = getattr(generated, name), getattr(ref, name)
+        assert (got is None and want is None) or np.array_equal(got, want), name
+    assert generated.poles == ref.poles
+    assert (generated.terminal_t, generated.stopped_by) == (ref.terminal_t, ref.stopped_by)
+    assert len(generated.poles) > 3 or eq is TOY_MODEL
 
 
 def test_direction_restrictions():
@@ -336,7 +378,8 @@ def test_detour_radius_robustness():
 
     t0h, entry_h = _first_pole_entry(r / 2)
     exit_half, _, _ = _laurent_cross(PAINLEVE_I, entry_h, t0h, cfg)
-    s, u, v, _, _, _, tok = _advance(PAINLEVE_I.rhs, *exit_half, exit_full[0], cfg, lambda *a: None)
+    s, u, v, _, _, _, tok = _advance(_step_for(PAINLEVE_I.rhs_source), PAINLEVE_I.rhs, *exit_half,
+                                     exit_full[0], cfg, lambda *a: None)
     assert tok is None
     assert abs(u - exit_full[1]) <= 1e-8 * abs(exit_full[1])
     assert abs(v - exit_full[2]) <= 1e-8 * abs(exit_full[2])
@@ -413,8 +456,8 @@ def test_walk_underflow_keeps_terminal_t_on_the_data(monkeypatch):
     real = integrator._advance
     horizon = -40.0
 
-    def walk_underflows(f, s0, u0, v0, w0, s1, *args, **kwargs):
-        out = real(f, s0, u0, v0, w0, s1, *args, **kwargs)
+    def walk_underflows(step, f, s0, u0, v0, w0, s1, *args, **kwargs):
+        out = real(step, f, s0, u0, v0, w0, s1, *args, **kwargs)
         return out if s1 == horizon else (*out[:6], "step-underflow")
 
     monkeypatch.setattr(integrator, "_advance", walk_underflows)
