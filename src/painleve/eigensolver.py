@@ -147,6 +147,12 @@ def _check_tol(tol: float, rel_tol: float) -> None:
         raise ValueError(f"tol = {tol} is below 10 * rel_tol = {10 * rel_tol}")
 
 
+def _check_interval(name: str, interval) -> None:
+    lo, hi = interval
+    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
+        raise ValueError(f"{name} {tuple(interval)} must be a finite nonempty interval")
+
+
 def _fine_rel_tol(eq: Equation, rel_tol: float, tol: float) -> float:
     # Flip points move by ~3e3 * rel_tol for the second equation and ~1e2 *
     # rel_tol for the first, so the end game runs tight enough for tol to
@@ -277,9 +283,8 @@ def scan_brackets(
     mode = SearchMode.coerce(mode)
     if step <= 0.0:
         raise ValueError("step must be positive")
+    _check_interval("search range", search_range)
     lo, hi = search_range
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
-        raise ValueError("search range must be a finite nonempty interval")
     probe = _prober(eq, mode, _COARSE)
     brackets = [_Bracket(eq, mode, a, b) for a, b in _walk(probe, lo, hi, lambda: step)]
     for (a0, _), (b0, _) in zip(brackets, brackets[1:]):
@@ -359,14 +364,15 @@ def _axis_states(traj, u, times, n_behind):
 
 
 def _matching_start(eq, ends):
-    """((T, y), events behind, g at each end) at the last T at which both
+    """((T, y), at, events behind, g at each end) at the last T at which both
     bracket ends have states (not across a pole) behind the events they
     share, with opposite signs of g on the separatrix nearest (T, y), y
-    their mean. Raises _Unmatched if there is none."""
+    their mean; ``at`` is that separatrix's evaluation at T, which the end
+    game reuses. Each T is tried once. Raises _Unmatched if there is none."""
     direction = ends[0].direction
     events = [_events(tr) for tr in ends]
     shared = _shared_events(*(sig for _, sig in events))
-    u = np.sort(direction.sign * np.concatenate([tr.t for tr in ends]))[::-1]
+    u = np.unique(direction.sign * np.concatenate([tr.t for tr in ends]))[::-1]
     states = [_axis_states(tr, u, times, shared) for tr, (times, _) in zip(ends, events)]
     y_mid = 0.5 * (states[0][0] + states[1][0])
     for k in np.nonzero((u > 0.0) & np.isfinite(y_mid))[0]:
@@ -378,7 +384,7 @@ def _matching_start(eq, ends):
         except _Unmatched:
             continue
         if g_a * g_b < 0.0:
-            return (t, float(y_mid[k])), shared, float(g_a), float(g_b)
+            return (t, float(y_mid[k])), at, shared, float(g_a), float(g_b)
     raise _Unmatched("no matching time: the bracket ends never lie on opposite sides of the separatrix")
 
 
@@ -397,13 +403,27 @@ def _matched_root(eq, mode, rel_tol, fine_rel_tol, bracket, ends, tol):
     tolerance down to tol / 20. The matching error shrinks at least as fast
     as deviations grow, so the passes end once the root moves by less than
     that growth times tol / 4. A failed match raises BisectionError.
+
+    Each distinct T's separatrix is evaluated once within the call: the one
+    :func:`_matching_start` matched with serves the first pass's g and the
+    next T's predictor, and each later pass's g serves the predictor after
+    it. Only the predictor's midpoint, where no probe matches, is evaluated
+    on its own.
     """
     direction, sigma = ends[0].direction, ends[0].direction.sign
+    seps = {}  # this call's separatrix evaluations, by T
+
+    def sep(t):
+        """The separatrix at T = t, evaluated once per T within the call:
+        the toy model's is a backward run."""
+        if t not in seps:
+            seps[t] = eq.separatrix[direction](t, *point)
+        return seps[t]
 
     def g(t, rtol):
-        """g at T = t of a trial datum, probed at rtol. The separatrix is
-        evaluated once per T: the toy model's is a backward run."""
-        at = eq.separatrix[direction](t, *point)
+        """g at T = t of a trial datum, probed at rtol, against the
+        separatrix's one evaluation at t."""
+        at = sep(t)
         cfg = IntegrationConfig(rtol, t_horizon=t)
 
         def g_t(x):
@@ -418,12 +438,13 @@ def _matched_root(eq, mode, rel_tol, fine_rel_tol, bracket, ends, tol):
         return g_t
 
     yp0 = None if eq.first_order else 0.0
-    rate = lambda t: _projection(eq.separatrix[direction](t, *point), direction, 0.0, yp0)[1]  # noqa: E731
+    rate = lambda t: _projection(sep(t), direction, 0.0, yp0)[1]  # noqa: E731
     lo, hi = bracket
     width = (hi - lo) / _SHRINK
     try:
-        point, n_before, g_lo, g_hi = _matching_start(eq, ends)
+        point, at, n_before, g_lo, g_hi = _matching_start(eq, ends)
         t_match = point[0]
+        seps[t_match] = at
         root = _illinois(g(t_match, rel_tol), lo, g_lo, hi, g_hi, _STOP * width)
         while True:
             near, t_last, bound = min(root - lo, hi - root), t_match, hi - lo
@@ -462,9 +483,11 @@ def bisect(
     :func:`_end_game`. A bracket of :func:`scan_brackets` for this same
     equation and mode brings its scan's records along; any other bracket
     has its ends probed here. Every probe is sized from its datum, so
-    ``index`` only labels the record.
+    ``index`` only labels the record. A bracket that is not a finite
+    interval with lo < hi raises ValueError.
     """
     mode = SearchMode.coerce(mode)
+    _check_interval("bracket", bracket)
     _check_tol(tol, rel_tol)
     if isinstance(bracket, _Bracket) and bracket.search[0] is eq and bracket.search[1] == mode:
         lo, hi = bracket.ends

@@ -307,7 +307,8 @@ def _step_source(rhs_source) -> str:
     call f(t, y, yp) for the triple, so it steps any callable, complex ones
     too. The step returns the new (u, v), the slope of w over the step (w
     grows by h times it) and the scaled error norm of the state, which
-    accepts the step when it is at most 1; w stays out of the norm.
+    accepts the step when it is at most 1 (a NaN norm, from a non-finite
+    state, never does); w stays out of the norm.
     """
     call = rhs_source is None
     comps = "uvw"[:3 if call else len(rhs_source)]
@@ -342,7 +343,9 @@ def _step_source(rhs_source) -> str:
     lines += [
         "    r5 = " + " + ".join(f"abs(e5{c}) ** 2" for c in state),
         "    den = r5 + 0.01 * (" + " + ".join(f"abs(e3{c}) ** 2" for c in state) + ")",
-        f"    err = {_ERR_SCALE!r} * abs(h) * r5 / sqrt(2.0 * den) if den > 0.0 else 0.0",
+        # den is a sum of squares: 0 only on an exact step, NaN on a non-finite
+        # state, whose NaN error then rejects the step
+        f"    err = {_ERR_SCALE!r} * abs(h) * r5 / sqrt(2.0 * den) if den else 0.0",
         f"    return un, {'vn' if 'v' in state else 'v'}, {'dw' if 'w' in comps else '0.0'}, err",
     ]
     return "\n".join(lines) + "\n"
@@ -596,13 +599,15 @@ def integrate(
     truncated runs; a crossing that fails raises :class:`CrossingError`.
     ``until(t, y, y')``, if given, is checked after every accepted
     real-axis step; once it holds, the run ends there with ``stopped_by``
-    'settled'.
+    'settled'. Non-finite initial data raise ValueError.
     """
     if cfg is None:
         cfg = IntegrationConfig()
     if direction not in eq.directions:
         allowed = " and ".join(d.name.split("_")[0].lower() for d in eq.directions)
         raise ValueError(f"{eq.name} is integrated in the {allowed} direction only")
+    if not (math.isfinite(init.y0) and (eq.first_order or math.isfinite(init.slope0))):
+        raise ValueError(f"initial data {init} must be finite")
     horizon = cfg.resolved_horizon(eq, direction)
     dirsign = direction.sign
     if dirsign * horizon <= 0.0:

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +161,29 @@ def test_trajectory_rejects_non_finite_settings(tmp_path, capsys, argv):
     assert main(["trajectory", *argv, "--out", str(out)]) == 1
     assert "must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--eq", "p1", "--slope", "nan"],
+    ["--eq", "p2", "--y0", "nan", "--direction", "pos"],
+    ["--eq", "toy", "--y0", "inf"],
+], ids=["p1-slope", "p2-y0", "toy-y0"])
+def test_trajectory_rejects_non_finite_initial_data(tmp_path, capsys, argv):
+    # unchecked, these would exit 0 with empty y columns, or die inside classify
+    out = tmp_path / "traj.csv"
+    assert main(["trajectory", *argv, "--out", str(out)]) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_python_m_painleve_runs_the_cli_uninstalled():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-m", "painleve", "--help"], env=env, cwd=src.parent,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage: painleve")
+    assert "trajectory" in run.stdout and "eigen" in run.stdout
 
 
 def test_eigen_rejects_non_finite_tol(tmp_path, capsys, monkeypatch):

@@ -13,6 +13,7 @@ from painleve import (
     BisectionError,
     ClassTag,
     CrossingError,
+    Direction,
     IntegrationConfig,
     IntegrationError,
     ModeKind,
@@ -78,6 +79,17 @@ def test_scan_brackets_validation():
         scan_brackets(PAINLEVE_I, ModeKind.SLOPE, (0.5, 5.0), -0.1)
     with pytest.raises(ValueError):
         scan_brackets(PAINLEVE_I, ModeKind.SLOPE, (5.0, 0.5), 0.1)
+
+
+@pytest.mark.parametrize("bracket", [(0.7, 0.5), (0.6, 0.6), (math.nan, 0.7), (0.5, math.inf)],
+                         ids=["reversed", "empty", "nan", "inf"])
+def test_bisect_rejects_bad_brackets(monkeypatch, bracket):
+    # unchecked, a reversed bracket would run the whole end game before
+    # Illinois gives up, and a NaN end would end in the classifier
+    calls = counted_probes(monkeypatch)
+    with pytest.raises(ValueError, match="bracket .* must be a finite nonempty interval"):
+        bisect(PAINLEVE_II, ModeKind.SLOPE, bracket)
+    assert calls == []
 
 
 def test_bisect_first_critical_slope():
@@ -480,6 +492,38 @@ def test_slope_growth_insensitive_to_fixed_value(p1_slope_table):
     # 1/n tail converges slower here; 0.2% still pins the same constant
     res = extract_constant(table, 3.0 / 5.0, 4)
     assert abs(res.estimate - closed_form_constants().p1_slope) < 4e-3
+
+
+def _recorded_separatrix(monkeypatch, eq, direction):
+    """Wrap eq's separatrix in ``direction`` to record the arguments of
+    each evaluation."""
+    calls = []
+    real = eq.separatrix[direction]
+
+    def separatrix(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setitem(eq.separatrix, direction, separatrix)
+    return calls
+
+
+def test_toy_table_evaluates_each_separatrix_once(monkeypatch):
+    # three evaluations per eigenvalue: the first matching time (shared by
+    # the first pass's g and the next T's predictor), the predictor's
+    # midpoint, and the second matching time
+    calls = _recorded_separatrix(monkeypatch, TOY_MODEL, Direction.POSITIVE_T)
+    table = toy_eigen_table(3)
+    assert len(table) == 3
+    assert len(calls) == 9
+    assert len(set(calls)) == len(calls)
+
+
+def test_p1_bisect_evaluates_each_separatrix_once(monkeypatch):
+    calls = _recorded_separatrix(monkeypatch, PAINLEVE_I, Direction.NEGATIVE_T)
+    rec = bisect(PAINLEVE_I, ModeKind.SLOPE, (2.95, 3.05), tol=1e-9)
+    assert abs(rec.value - P1_SLOPE_REF[2]) < 3e-9
+    assert calls and len(set(calls)) == len(calls)
 
 
 def test_toy_probe_count(monkeypatch):

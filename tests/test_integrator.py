@@ -139,6 +139,39 @@ def test_generated_step_integrates_as_the_call_based_step(monkeypatch, eq, init,
     assert len(generated.poles) > 3 or eq is TOY_MODEL
 
 
+@pytest.mark.parametrize("eq, init, direction", [
+    (PAINLEVE_I, InitialData(0.0, math.nan), Direction.NEGATIVE_T),
+    (PAINLEVE_I, InitialData(math.inf, 1.0), Direction.NEGATIVE_T),
+    (PAINLEVE_II, InitialData(math.nan, 0.0), Direction.POSITIVE_T),
+    (PAINLEVE_II, InitialData(0.0, -math.inf), Direction.NEGATIVE_T),
+    (TOY_MODEL, InitialData(math.inf), Direction.POSITIVE_T),
+    (TOY_MODEL, InitialData(math.nan), Direction.POSITIVE_T),
+], ids=["p1-slope-nan", "p1-y0-inf", "p2-y0-nan", "p2-slope-inf", "toy-inf", "toy-nan"])
+def test_integrate_rejects_non_finite_initial_data(eq, init, direction):
+    with pytest.raises(ValueError, match="must be finite"):
+        integrate(eq, init, direction, IntegrationConfig(t_horizon=direction.sign))
+
+
+def test_toy_ignores_its_slope():
+    # the first-order toy model has no slope, so a NaN there is not data
+    traj = integrate(TOY_MODEL, InitialData(1.0, math.nan), Direction.POSITIVE_T,
+                     IntegrationConfig(t_horizon=1.0))
+    assert traj.stopped_by == "horizon" and np.isfinite(traj.y).all()
+
+
+@pytest.mark.parametrize("eq", [PAINLEVE_I, PAINLEVE_II, TOY_MODEL], ids=["p1", "p2", "toy"])
+def test_step_rejects_a_nan_state(eq):
+    # a NaN error norm must reject the step, not read as 0 and accept it
+    # with h grown tenfold, so a march from a NaN state underflows in place
+    step = _step_for(eq.rhs_source)
+    u, v = math.nan, 0.0 if eq.first_order else 1.0
+    err = step(1.0, u, v, 1e-3, eq.rhs(1.0, u, v), 1e-10, 1e-12)[-1]
+    assert not err <= 1.0
+    s, _, _, _, _, _, token = _advance(step, eq.rhs, 1.0, u, v, 0.0, 2.0, IntegrationConfig(),
+                                       lambda *_: pytest.fail("accepted a step from a NaN state"))
+    assert (s, token) == (1.0, "step-underflow")
+
+
 def test_direction_restrictions():
     with pytest.raises(ValueError):
         integrate(PAINLEVE_I, InitialData(0.0, 1.0), Direction.POSITIVE_T)
