@@ -281,8 +281,8 @@ def scan_brackets(
     each; a copy or pickle of it is a plain tuple and drops them.
     """
     mode = SearchMode.coerce(mode)
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step = {step} must be positive and finite")
     _check_interval("search range", search_range)
     lo, hi = search_range
     probe = _prober(eq, mode, _COARSE)
@@ -533,6 +533,8 @@ def separatrix_check(
     stretch past the turning point (log(band/uncertainty) e-foldings of the
     local instability rate), so the run stops inside that stretch and the
     classification window is the longest branch-tracking run found there.
+    Its samples are the step controller's own, so the window's ends follow
+    the stepper's step sizes.
     Returns the :class:`SolutionClass`, which callers assert to be a
     separatrix (negative direction) or decay (positive direction).
     """
@@ -540,14 +542,14 @@ def separatrix_check(
     direction = _spec(eq, mode).direction
     init = _initial_data(mode, value)
     if direction is Direction.POSITIVE_T:
-        traj = integrate(eq, init, direction, IntegrationConfig(1e-11, t_horizon=25.0, max_step=0.05))
+        traj = integrate(eq, init, direction, IntegrationConfig(1e-11, t_horizon=25.0))
         return classify(eq, traj)
 
     turn = eq.turning_point(_trial_energy(eq, mode, value))
     rate = math.sqrt(eq.separatrix[direction](-turn, -turn, 1.0)[2])
     split = math.log(SEPARATRIX_BAND / max(uncertainty, 1e-13)) / rate
     horizon = -(turn + max(2.0, 0.8 * split) + 2.0)
-    traj = integrate(eq, init, direction, IntegrationConfig(1e-11, t_horizon=horizon, max_step=0.1))
+    traj = integrate(eq, init, direction, IntegrationConfig(1e-11, t_horizon=horizon))
     win = _branch_window(eq, traj)
     if win is None:
         raise ClassificationError(
@@ -592,8 +594,8 @@ def eigen_table(
     """
     mode = SearchMode.coerce(mode)
     spec = _spec(eq, mode)
-    if n_max < 1 or n_max > spec.max_index:
-        raise ValueError(f"n_max must be between 1 and {spec.max_index}")
+    if not isinstance(n_max, int) or isinstance(n_max, bool) or not 1 <= n_max <= spec.max_index:
+        raise ValueError(f"n_max = {n_max!r} must be an int between 1 and {spec.max_index}")
     _check_tol(tol, rel_tol)
     p = spec.exponent
     sign = -1.0 if spec.origin < 0 else 1.0

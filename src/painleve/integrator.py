@@ -50,7 +50,6 @@ bit-identical results.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import accumulate, repeat
@@ -96,16 +95,14 @@ class IntegrationConfig:
     direction, the equation's ``positive_horizon`` (+40 for Painleve II,
     +50 for the toy model) for the positive one. The eigensolver's toy-model
     probes stop once their maxima count is final (``Equation.settled``), so
-    for them the horizon is only a cap on runs that never settle. The
-    default ``max_step`` is the largest finite float, which never binds and
-    keeps the config strict JSON. ``abs_tol`` follows ``rel_tol`` as
-    ``rel_tol * 1e-2``.
+    for them the horizon is only a cap on runs that never settle. A run
+    crosses at most ``max_poles`` poles. ``abs_tol`` follows ``rel_tol`` as
+    ``rel_tol * 1e-2``; the step controller alone sizes every step.
     """
 
     rel_tol: float = 1e-10
     t_horizon: float | None = None
     max_poles: int = 200
-    max_step: float = sys.float_info.max
 
     def __post_init__(self) -> None:
         # a NaN passes every comparison check, so finiteness is asked first
@@ -113,10 +110,9 @@ class IntegrationConfig:
             raise ValueError(f"rel_tol = {self.rel_tol} must be positive and finite")
         if self.t_horizon is not None and not math.isfinite(self.t_horizon):
             raise ValueError(f"t_horizon = {self.t_horizon} must be finite")
-        if self.max_poles < 0:
-            raise ValueError("max_poles must be non-negative")
-        if not (math.isfinite(self.max_step) and self.max_step > 0.0):
-            raise ValueError(f"max_step = {self.max_step} must be positive and finite")
+        # a NaN cap never stops a run; bool is an int subclass, but not a count
+        if not isinstance(self.max_poles, int) or isinstance(self.max_poles, bool) or self.max_poles < 0:
+            raise ValueError(f"max_poles = {self.max_poles!r} must be a non-negative int")
 
     @property
     def abs_tol(self) -> float:
@@ -376,10 +372,11 @@ def _advance(step, f, s0, u0, v0, w0, s1, cfg: IntegrationConfig, on_accept, k1=
     a truthy stop token. ``k1`` is f at the start, when the caller has it.
     ``h`` is the size of the first step to try, a step an earlier march
     proposed; without it the march starts at min(1e-3, |s1 - s0|/10).
+    From there the error controller alone sizes every step.
     Returns (s, u, v, w, k1, h, stop_token): h is the size of the step the
     march would take next, stop_token None when s1 was reached.
     """
-    rtol, atol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
+    rtol, atol = cfg.rel_tol, cfg.abs_tol
     s, u, v, w = s0, u0, v0, w0
     span = s1 - s0
     if h is None:
@@ -389,7 +386,7 @@ def _advance(step, f, s0, u0, v0, w0, s1, cfg: IntegrationConfig, on_accept, k1=
     direction = 1.0 if span > 0.0 else -1.0
     if k1 is None:
         k1 = f(s, u, v)
-    h = direction * min(abs(h), max_step)
+    h = direction * abs(h)
     while True:
         if direction * (s + h - s1) > 0.0:
             if abs(s1 - s) <= _MIN_STEP:
@@ -403,7 +400,7 @@ def _advance(step, f, s0, u0, v0, w0, s1, cfg: IntegrationConfig, on_accept, k1=
             u, v, w = un, vn, w + h * dw
             k1 = f(s, u, v)
             factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.125)
-            h = direction * min(abs(h) * factor, max_step)
+            h *= factor
             token = on_accept(s, u, v, w)
             if token:
                 return s, u, v, w, k1, abs(h), token

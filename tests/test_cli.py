@@ -131,7 +131,7 @@ def test_eigen_rel_tol_sets_the_first_matched_pass(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["manifest"]["rel_tol"] == 1e-9
 
 
-def test_trajectory_manifest_config_holds_four_settings(tmp_path):
+def test_trajectory_manifest_config_holds_three_settings(tmp_path):
     # abs_tol follows rel_tol inside IntegrationConfig, so the snapshot holds
     # the four settings a config has and nothing else
     out = tmp_path / "t.csv"
@@ -139,7 +139,7 @@ def test_trajectory_manifest_config_holds_four_settings(tmp_path):
                "--out", str(out)])
     assert rc == 0
     config = _read_csv(out)[0]["config"]
-    assert set(config) == {"rel_tol", "t_horizon", "max_poles", "max_step"}
+    assert set(config) == {"rel_tol", "t_horizon", "max_poles"}
     assert config["rel_tol"] == 1e-12
 
 

@@ -77,6 +77,10 @@ def test_scan_brackets_p2_value_mirror_range():
 def test_scan_brackets_validation():
     with pytest.raises(ValueError):
         scan_brackets(PAINLEVE_I, ModeKind.SLOPE, (0.5, 5.0), -0.1)
+    # unchecked, a NaN or infinite step walked past b1-b4 and returned []
+    for step in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"step = {step} must be positive and finite"):
+            scan_brackets(PAINLEVE_I, ModeKind.SLOPE, (0.5, 5.0), step)
     with pytest.raises(ValueError):
         scan_brackets(PAINLEVE_I, ModeKind.SLOPE, (5.0, 0.5), 0.1)
 
@@ -216,6 +220,16 @@ def test_mode_missing_from_equation(call, message):
         call()
 
 
+@pytest.mark.parametrize("n_max", [1.5, math.nan, True, 0, 61], ids=["fraction", "nan", "bool", "zero", "past-max"])
+def test_eigen_table_rejects_a_bad_record_count(monkeypatch, n_max):
+    # unchecked, n_max = 1.5 computed 19 toy records before it raised
+    # PartialTableError("... only 19 of 1.5 eigenvalues found")
+    calls = counted_probes(monkeypatch)
+    with pytest.raises(ValueError, match="n_max = .* must be an int between 1 and 60"):
+        eigen_table(TOY_MODEL, "toy", n_max)
+    assert calls == []
+
+
 def _benchmark_copy(name):
     """The value perfbench/workloads.py assigns to ``name``, read without
     importing the benchmark."""
@@ -292,16 +306,16 @@ def test_fine_cfg_keeps_a_tighter_caller_tolerance():
 
 def test_every_probe_config_follows_one_rule(monkeypatch):
     # scan, bracket ends, matched passes and certificates alike: a probe's
-    # config holds its rel_tol and the limits that size it, and the search
-    # sets no other integration setting (no max_step)
+    # config holds its rel_tol and the horizon that sizes it. Only the
+    # positive direction caps poles, so neither search here sets the cap.
     calls = counted_probes(monkeypatch)
     eigen_table(PAINLEVE_I, ModeKind.SLOPE, 3)
     toy_eigen_table(3)
     rel_tols = {args[3].rel_tol for args in calls}
     assert {eigensolver._COARSE, 1e-10, 1e-9} <= rel_tols
+    default = IntegrationConfig()
     for args in calls:
-        cfg = args[3]
-        assert cfg == IntegrationConfig(cfg.rel_tol, t_horizon=cfg.t_horizon, max_poles=cfg.max_poles)
+        assert args[3].max_poles == default.max_poles
 
 
 def test_eigen_table_probes_no_datum_twice_at_scan_tolerance(monkeypatch):
@@ -451,19 +465,25 @@ def test_p2_value_table(p2_value_table):
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
-def test_converged_records_validate_as_separatrices(p1_slope_table, p2_slope_table):
-    for rec in p1_slope_table[:4]:
-        cls = separatrix_check(PAINLEVE_I, rec.mode, rec.value, uncertainty=rec.bracket_width)
-        assert cls.tag is ClassTag.SEPARATRIX_PLUS
-        assert cls.pole_count == rec.index // 2
-    # the second equation's separatrices alternate between the two branches
-    tags = []
-    for rec in p2_slope_table[:4]:
-        cls = separatrix_check(PAINLEVE_II, rec.mode, rec.value, uncertainty=rec.bracket_width)
-        assert cls.tag in (ClassTag.SEPARATRIX_PLUS, ClassTag.SEPARATRIX_MINUS)
-        assert cls.pole_count == rec.index // 2
-        tags.append(cls.tag)
-    assert tags[0] is not tags[1] and tags[1] is not tags[2] and tags[2] is not tags[3]
+def test_converged_records_validate_as_separatrices(request):
+    # every record of the four session tables: in the negative direction a
+    # separatrix with floor(n/2) poles, on the positive branch for the first
+    # equation, alternating between the branches for the second; in the
+    # positive direction decay to zero after n poles
+    sep = {ClassTag.SEPARATRIX_PLUS, ClassTag.SEPARATRIX_MINUS}
+    for eq, table, tags in [(PAINLEVE_I, "p1_slope_table", {ClassTag.SEPARATRIX_PLUS}),
+                            (PAINLEVE_I, "p1_value_table", {ClassTag.SEPARATRIX_PLUS}),
+                            (PAINLEVE_II, "p2_slope_table", sep),
+                            (PAINLEVE_II, "p2_value_table", {ClassTag.DECAY_TO_ZERO})]:
+        found = []
+        for rec in request.getfixturevalue(table):
+            cls = separatrix_check(eq, rec.mode, rec.value, uncertainty=rec.bracket_width)
+            assert cls.tag in tags, (table, rec.index, cls)
+            poles = rec.index if cls.tag is ClassTag.DECAY_TO_ZERO else rec.index // 2
+            assert cls.pole_count == poles, (table, rec.index, cls)
+            found.append(cls.tag)
+        if tags == sep:
+            assert all(a is not b for a, b in zip(found, found[1:])), found
 
 
 def test_p2_slope_parity_pairs(p2_slope_table):

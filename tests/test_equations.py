@@ -242,7 +242,7 @@ def test_fluctuation_smooth_at_critical_slope():
     # turning point (the integrand t y' keeps one sign on the branch, so
     # sampled toward -infinity the increments are all negative), while a
     # mid-interval slope keeps oscillating.
-    cfg = IntegrationConfig(t_horizon=-7.8, max_step=0.1, rel_tol=1e-12)
+    cfg = IntegrationConfig(t_horizon=-7.8, rel_tol=1e-12)
     traj = integrate(PAINLEVE_I, InitialData(0.0, 1.851854034), Direction.NEGATIVE_T, cfg)
     assert not traj.poles
     I = fluctuation_integral(PAINLEVE_I, traj)
@@ -251,7 +251,7 @@ def test_fluctuation_smooth_at_critical_slope():
     dI = np.diff(I[sel])
     assert (dI < 0).all()
 
-    cfg = IntegrationConfig(t_horizon=-9.0, max_step=0.1)
+    cfg = IntegrationConfig(t_horizon=-9.0)
     traj = integrate(PAINLEVE_I, InitialData(0.0, 2.504031103), Direction.NEGATIVE_T, cfg)
     I = fluctuation_integral(PAINLEVE_I, traj)
     rt = traj.real_t()

@@ -34,7 +34,7 @@ def test_config_validation():
     assert cfg.resolved_horizon(TOY_MODEL, Direction.POSITIVE_T) == 50.0
 
 
-@pytest.mark.parametrize("field", ["rel_tol", "t_horizon", "max_step"])
+@pytest.mark.parametrize("field", ["rel_tol", "t_horizon"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_settings(field, bad):
     # a NaN passes every comparison, so without the finiteness check a NaN
@@ -42,6 +42,14 @@ def test_config_rejects_non_finite_settings(field, bad):
     # negative t
     with pytest.raises(ValueError, match=f"{field} = .* must be"):
         IntegrationConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, 2.5, -1, True, "3"], ids=["nan", "fraction", "negative", "bool", "str"])
+def test_config_rejects_a_non_integer_pole_cap(bad):
+    # unchecked, a NaN cap never stops the run (P-II from y0 = 3 crossed 38
+    # poles to the horizon) and a cap of 2.5 stops it after 3 poles
+    with pytest.raises(ValueError, match="max_poles = .* must be a non-negative int"):
+        IntegrationConfig(max_poles=bad)
 
 
 def _tableau():
@@ -587,7 +595,7 @@ def test_known_trajectories():
 
     # positive-direction critical value: one simple pole, then decay
     traj = integrate(PAINLEVE_II, InitialData(1.222873339, 0.0), Direction.POSITIVE_T,
-                     IntegrationConfig(t_horizon=8.0, max_step=0.05))
+                     IntegrationConfig(t_horizon=8.0))
     assert len(traj.poles) == 1
     rt, ry = traj.real_t(), traj.real_y()
     assert np.abs(ry[rt > 6.0]).min() < 1e-3
