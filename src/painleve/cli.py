@@ -174,9 +174,11 @@ def cmd_constants(args) -> int:
         try:
             with open(args.table) as fh:
                 payload = json.load(fh)
+            if not isinstance(payload, dict):
+                raise TypeError(f"its top level is {json.dumps(payload)[:40]}, not a JSON object")
             records = payload["records"]
             eq_name, mode_name = payload["equation"], payload["mode"]
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
             print(f"cannot read table: {exc}", file=sys.stderr)
             return 1
         if not records:

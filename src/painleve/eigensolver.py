@@ -162,17 +162,22 @@ def _fine_rel_tol(eq: Equation, rel_tol: float, tol: float) -> float:
 
 def _probe(eq, mode, x, rel_tol: float):
     """Full-horizon trajectory of the trial datum x at rel_tol, sized from x
-    alone: the horizon follows from the trial energy in the negative
-    direction; the positive direction caps the poles at
-    (|x| / coeff)^(1/p) + 2, past the n + 1 blow-ups that tell the sides of
-    any c_n <= |x|; a toy-model run ends once ``settled``."""
+    alone. N = (|x| / coeff)^(1/p) + 1, rounded down, bounds the number of
+    critical values at or below |x|, and the pole-count law caps the poles
+    from it. In the negative direction the horizon follows from the trial
+    energy and the cap is N // 2 + 2: the n-th separatrix crosses n // 2
+    poles and stable data no more (measured, not proven), so a cascade
+    outruns them. In the positive direction the cap is N + 1, past the n + 1
+    blow-ups that tell the sides of any c_n <= |x|. A toy-model run ends
+    once ``settled``."""
     spec = _spec(eq, mode)
-    if spec.direction is Direction.NEGATIVE_T:
-        cfg = IntegrationConfig(rel_tol, t_horizon=_negative_horizon(eq, mode, x))
-    elif eq.pole_order:
-        cfg = IntegrationConfig(rel_tol, max_poles=int((abs(x) / spec.coeff) ** (1.0 / spec.exponent)) + 2)
-    else:
-        cfg = IntegrationConfig(rel_tol)
+    cfg = IntegrationConfig(rel_tol)
+    if eq.pole_order:
+        n = int(min(abs(x) / spec.coeff, 1e6) ** (1.0 / spec.exponent)) + 1  # 1e6 keeps the power finite
+        if spec.direction is Direction.NEGATIVE_T:
+            cfg = IntegrationConfig(rel_tol, _negative_horizon(eq, mode, x), n // 2 + 2)
+        else:
+            cfg = IntegrationConfig(rel_tol, max_poles=n + 1)
     return integrate(eq, _initial_data(mode, x), spec.direction, cfg, until=eq.settled)
 
 
@@ -277,8 +282,9 @@ def scan_brackets(
 
     Each bracket is a (lo, hi) tuple that also holds the scan's records of
     its two ends, which :func:`bisect` reuses instead of probing them again.
-    So each bracket keeps two full-horizon trajectories alive, tens of kB
-    each; a copy or pickle of it is a plain tuple and drops them.
+    So each bracket keeps two trajectories alive: up to tens of kB for an
+    end that runs to the horizon, a few kB for a cascade end stopped by its
+    pole cap; a copy or pickle of it is a plain tuple and drops them.
     """
     mode = SearchMode.coerce(mode)
     if not (math.isfinite(step) and step > 0.0):

@@ -67,13 +67,14 @@ class ModeKind(enum.Enum):
 class ModeSpec:
     """Facts about one search mode of one equation.
 
-    The search integrates in ``direction``, and its critical values grow
-    like ``coeff * n**exponent``. The scan starts at ``origin`` with
-    ``step``. ``coeff`` bounds the scan and, in the positive direction, sizes
-    each probe's pole cap from the n poles c_n passes, so there it must be a
-    lower bound on c_n / n**exponent. ``order``, ``split_even_odd`` and
-    ``constant`` (a :class:`~painleve.asymptotics.WkbConstants` field) drive
-    the Richardson extraction; a mode without a closed form has none.
+    The search integrates in ``direction``, and its critical values x_n
+    grow like n**exponent. The scan starts at ``origin`` with ``step``.
+    In every mode ``coeff`` is a lower bound on |x_n| / n**exponent for
+    n >= 2: it bounds the scan, and it sizes each probe's pole cap from
+    the number of critical values at or below the probe's |x|. ``order``,
+    ``split_even_odd`` and ``constant`` (a
+    :class:`~painleve.asymptotics.WkbConstants` field) drive the Richardson
+    extraction; a mode without a closed form has none.
     A table of the mode holds at most ``max_index`` critical values.
     """
 
@@ -278,8 +279,8 @@ PAINLEVE_I = Equation(
     rhs_source=("yp", "6.0 * y * y + t", "t * yp"),
     directions=(_NEG,),
     modes={
-        ModeKind.SLOPE: ModeSpec(_NEG, 0.2, 0.3, 3.0 / 5.0, 2.1, 5, False, "p1_slope"),
-        ModeKind.VALUE: ModeSpec(_NEG, -0.1, 0.12, 2.0 / 5.0, 1.1, 4, False, "p1_value"),
+        ModeKind.SLOPE: ModeSpec(_NEG, 0.2, 0.3, 3.0 / 5.0, 1.95, 5, False, "p1_slope"),
+        ModeKind.VALUE: ModeSpec(_NEG, -0.1, 0.12, 2.0 / 5.0, 0.9, 4, False, "p1_value"),
     },
     hamiltonian=lambda y, yp: 0.5 * yp * yp - 2.0 * y * y * y,
     branch_denom=6.0,
@@ -299,7 +300,7 @@ PAINLEVE_II = Equation(
     rhs_source=("yp", "2.0 * y * y * y + t * y", "t * y * yp"),
     directions=(_NEG, _POS),
     modes={
-        ModeKind.SLOPE: ModeSpec(_NEG, 0.1, 0.1, 2.0 / 3.0, 1.9, 4, True, "p2_slope"),
+        ModeKind.SLOPE: ModeSpec(_NEG, 0.1, 0.1, 2.0 / 3.0, 0.95, 4, True, "p2_slope"),
         # (c_n / 1.2)^3 - n runs from 0.058 (n = 1) to 1.202 (n = 30)
         ModeKind.VALUE: ModeSpec(_POS, 0.3, 0.08, 1.0 / 3.0, 1.2, 4, False, "p2_value"),
     },
@@ -325,7 +326,7 @@ TOY_MODEL = Equation(
     pole_order=0,
     rhs_source=("cos(pi * t * y)",),
     directions=(_POS,),
-    modes={ModeKind.TOY: ModeSpec(_POS, 0.05, 0.4, 1.0 / 2.0, 2.0 ** (5.0 / 6.0), max_index=60)},
+    modes={ModeKind.TOY: ModeSpec(_POS, 0.05, 0.4, 1.0 / 2.0, 1.65, max_index=60)},
     positive_horizon=50.0,
     separatrix={_POS: _toy_separatrix},
     settled=_toy_settled,

@@ -1,6 +1,6 @@
-"""Shared fixtures: the eigenvalue tables are expensive (about a minute
-each), so they are computed once per session and shared by the unit,
-property, and acceptance tests."""
+"""Shared fixtures: the five session tables take seconds each (about 1.5
+to 5 s of CPU), so they are computed once per session and shared by the
+unit, property, and acceptance tests."""
 
 import cmath
 import math

@@ -294,6 +294,17 @@ def test_constants_rejects_unreadable_records(tmp_path, capsys, bad):
     assert "cannot read table" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("top", [[1, 2], "records", 3.5, None], ids=["list", "str", "number", "null"])
+def test_constants_rejects_a_table_that_is_not_an_object(tmp_path, capsys, top):
+    # a JSON file whose top level is not an object is a read error with
+    # exit 1, not a traceback
+    table = tmp_path / "bad.json"
+    table.write_text(json.dumps(top))
+    rc = main(["constants", "--table", str(table)])
+    assert rc == 1
+    assert "cannot read table: its top level is" in capsys.readouterr().err
+
+
 def test_constants_rejects_empty_table(tmp_path, capsys):
     table = tmp_path / "bad.json"
     table.write_text(json.dumps({"equation": "p1", "mode": "slope", "records": []}))

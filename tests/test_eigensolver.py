@@ -24,6 +24,7 @@ from painleve import (
     TOY_MODEL,
     bisect,
     eigen_table,
+    integrate,
     scan_brackets,
     separatrix_check,
     toy_eigen_table,
@@ -304,18 +305,77 @@ def test_fine_cfg_keeps_a_tighter_caller_tolerance():
     assert _fine_rel_tol(PAINLEVE_I, 1e-12, 1e-9) <= 1e-12
 
 
+def _law_cap(eq, mode, x):
+    """The pole cap the pole-count law gives a full-horizon probe of x:
+    with N = (|x| / coeff)^(1/p) + 1 rounded down, N // 2 + 2 in the
+    negative direction and N + 1 in the positive one."""
+    spec = eq.modes[mode]
+    n = int((abs(x) / spec.coeff) ** (1.0 / spec.exponent)) + 1
+    return n // 2 + 2 if spec.direction is Direction.NEGATIVE_T else n + 1
+
+
 def test_every_probe_config_follows_one_rule(monkeypatch):
     # scan, bracket ends, matched passes and certificates alike: a probe's
-    # config holds its rel_tol and the horizon that sizes it. Only the
-    # positive direction caps poles, so neither search here sets the cap.
-    calls = counted_probes(monkeypatch)
-    eigen_table(PAINLEVE_I, ModeKind.SLOPE, 3)
-    toy_eigen_table(3)
-    rel_tols = {args[3].rel_tol for args in calls}
-    assert {eigensolver._COARSE, 1e-10, 1e-9} <= rel_tols
+    # config holds its rel_tol and what sizes it. A full-horizon probe (the
+    # negative direction's trial-energy horizon, or no horizon) caps its
+    # poles by the pole-count law for its datum, the toy model's by none; a
+    # matched probe stops at T and keeps the default cap.
     default = IntegrationConfig()
-    for args in calls:
-        assert args[3].max_poles == default.max_poles
+    searches = [
+        (PAINLEVE_I, ModeKind.SLOPE, lambda: eigen_table(PAINLEVE_I, ModeKind.SLOPE, 3), 1e-10),
+        (PAINLEVE_II, ModeKind.VALUE, lambda: bisect(PAINLEVE_II, ModeKind.VALUE, (1.2, 1.25)), 1e-10),
+        (TOY_MODEL, ModeKind.TOY, lambda: toy_eigen_table(3), 1e-9),
+    ]
+    for eq, mode, search, rel_tol in searches:
+        calls = counted_probes(monkeypatch)
+        search()
+        monkeypatch.undo()
+        assert {eigensolver._COARSE, rel_tol} <= {args[3].rel_tol for args in calls}
+        kinds = set()
+        for _, init, direction, cfg in calls:
+            x = init.slope0 if mode is ModeKind.SLOPE else init.y0
+            if direction is Direction.NEGATIVE_T:
+                full = cfg.t_horizon == eigensolver._negative_horizon(eq, SearchMode(mode), x)
+            else:
+                full = cfg.t_horizon is None
+            kinds.add(full)
+            if full and eq.pole_order:
+                assert cfg.max_poles == _law_cap(eq, mode, x)
+            else:
+                assert cfg.max_poles == default.max_poles
+        assert kinds == {True, False}
+
+
+@pytest.mark.parametrize(
+    "eq,mode,reach",
+    [(PAINLEVE_I, ModeKind.SLOPE, 16.05), (PAINLEVE_I, ModeKind.VALUE, 3.99), (PAINLEVE_II, ModeKind.SLOPE, 11.2)],
+    ids=["p1-slope", "p1-value", "p2-slope"],
+)
+def test_negative_pole_cap_keeps_every_class(eq, mode, reach):
+    # the negative-direction cap rests on the pole-count law for stable data,
+    # which is measured, not proven: on a sparse grid of both signs out to
+    # |x_30|, a capped scan probe has the class key of a run to the horizon
+    # under the default cap (and a stable one its pole count), and every
+    # stable probe stays two poles below its cap, so the cap never decides
+    # a class
+    search = SearchMode(mode)
+    probe = _prober(eq, search, eigensolver._COARSE)
+    stable = 0
+    for x in (np.linspace(-reach, reach, 15) + 0.0123 * reach).tolist():
+        capped = probe(x)
+        cfg = IntegrationConfig(eigensolver._COARSE, t_horizon=eigensolver._negative_horizon(eq, search, x))
+        full = integrate(eq, eigensolver._initial_data(search, x), Direction.NEGATIVE_T, cfg)
+        key, poles = eigensolver._class_key(eq, x, full)
+        assert capped.key == key
+        if key == "stable":
+            assert capped.poles == poles
+            stable += 1
+            assert capped.poles <= _law_cap(eq, mode, x) - 2
+        else:
+            # it crossed the cap's poles and stopped at the next one
+            assert capped.traj.stopped_by == "pole-cap"
+            assert len(capped.traj.poles) == _law_cap(eq, mode, x) + 1
+    assert stable >= 3
 
 
 def test_eigen_table_probes_no_datum_twice_at_scan_tolerance(monkeypatch):
@@ -402,6 +462,26 @@ def test_p2_value_growth_coefficient_bounds_references():
     spec = PAINLEVE_II.modes[ModeKind.VALUE]
     for n, c in P2_VALUE_REF.items():
         assert (c / spec.coeff) ** (1.0 / spec.exponent) >= n
+    # in every mode coeff is a lower bound on |x_n| / n^p for n >= 2, so
+    # N(x) = (|x| / coeff)^(1/p) + 1, rounded down, counts at least the n
+    # critical values at or below |x_n|: each probe's pole cap (N // 2 + 2
+    # in the negative direction) is sized from N
+    for eq, mode, refs in [(PAINLEVE_I, ModeKind.SLOPE, P1_SLOPE_REF), (PAINLEVE_I, ModeKind.VALUE, P1_VALUE_REF),
+                           (PAINLEVE_II, ModeKind.SLOPE, P2_SLOPE_REF), (PAINLEVE_II, ModeKind.VALUE, P2_VALUE_REF),
+                           (TOY_MODEL, ModeKind.TOY, TOY_REF)]:
+        spec = eq.modes[mode]
+        for n, x in refs.items():
+            assert int((abs(x) / spec.coeff) ** (1.0 / spec.exponent)) + 1 >= n
+            assert n == 1 or abs(x) / n ** spec.exponent >= spec.coeff
+
+
+def test_probes_of_huge_data_fail_with_typed_errors():
+    # the pole cap is counted without float overflow, so a bracket far past
+    # any table fails as its config or integration does (an unbounded
+    # horizon, a step underflow), not with OverflowError
+    for eq, mode, bracket in [(PAINLEVE_I, "slope", (1e300, 2e300)), (PAINLEVE_II, "value", (1e300, 2e300))]:
+        with pytest.raises((ValueError, IntegrationError)):
+            bisect(eq, mode, bracket)
 
 
 def test_bisect_index_only_labels_the_record():
