@@ -28,8 +28,9 @@ its maxima count is final (``Equation.settled``), not at the horizon.
 
 The direction, scan seed and growth law of each search mode, and the
 turning point and separatrix asymptotics of each equation, come from the
-equation's spec; the instability rate is sqrt(V) of the separatrix. Each
-probe is sized from its own datum (:func:`_probe`), so ``bisect``'s
+equation's spec; the instability rate is sqrt(V) of the separatrix. Every
+integration, :func:`separatrix_check`'s too, runs through :func:`_run`,
+which sizes a full-horizon probe from its own datum, so ``bisect``'s
 ``index`` is only a label, and its relative tolerance is the one
 integration setting a caller of the search chooses.
 
@@ -160,25 +161,30 @@ def _fine_rel_tol(eq: Equation, rel_tol: float, tol: float) -> float:
     return max(min(1e-10, rel_tol, tol / eq.fine_tol_divisor), 1e-13)
 
 
-def _probe(eq, mode, x, rel_tol: float):
-    """Full-horizon trajectory of the trial datum x at rel_tol, sized from x
-    alone. N = (|x| / coeff)^(1/p) + 1, rounded down, bounds the number of
-    critical values at or below |x|, and the pole-count law caps the poles
-    from it. In the negative direction the horizon follows from the trial
-    energy and the cap is N // 2 + 2: the n-th separatrix crosses n // 2
-    poles and stable data no more (measured, not proven), so a cascade
-    outruns them. In the positive direction the cap is N + 1, past the n + 1
-    blow-ups that tell the sides of any c_n <= |x|. A toy-model run ends
-    once ``settled``."""
+def _run(eq, mode, x, rel_tol: float, t_stop: float | None = None):
+    """Trajectory of the trial datum x at rel_tol; a run stopped by step
+    underflow raises IntegrationError. With ``t_stop`` the run stops there
+    under the default pole cap; without it it goes to the full horizon,
+    sized from x alone. N = (|x| / coeff)^(1/p) + 1, rounded down, bounds
+    the number of critical values at or below |x|, and the pole-count law
+    caps the poles from it. In the negative direction the horizon follows
+    from the trial energy and the cap is N // 2 + 2: the n-th separatrix
+    crosses n // 2 poles and stable data no more (measured, not proven), so
+    a cascade outruns them. In the positive direction the cap is N + 1, past
+    the n + 1 blow-ups that tell the sides of any c_n <= |x|. A toy-model
+    run ends once ``settled``."""
     spec = _spec(eq, mode)
-    cfg = IntegrationConfig(rel_tol)
-    if eq.pole_order:
+    cfg = IntegrationConfig(rel_tol, t_stop)
+    if t_stop is None and eq.pole_order:
         n = int(min(abs(x) / spec.coeff, 1e6) ** (1.0 / spec.exponent)) + 1  # 1e6 keeps the power finite
         if spec.direction is Direction.NEGATIVE_T:
             cfg = IntegrationConfig(rel_tol, _negative_horizon(eq, mode, x), n // 2 + 2)
         else:
             cfg = IntegrationConfig(rel_tol, max_poles=n + 1)
-    return integrate(eq, _initial_data(mode, x), spec.direction, cfg, until=eq.settled)
+    traj = integrate(eq, _initial_data(mode, x), spec.direction, cfg, until=eq.settled if t_stop is None else None)
+    if traj.stopped_by == "step-underflow":
+        raise IntegrationError(f"probe x = {x!r} stopped by step underflow at t = {traj.terminal_t:.6g}")
+    return traj
 
 
 _NEGATIVE_KEYS = {ClassTag.POLE_CASCADE: "cascade", ClassTag.STABLE_OSCILLATION: "stable"}
@@ -201,15 +207,10 @@ def _class_key(eq, x, traj):
 _Record = namedtuple("_Record", "x traj key poles")  # a probe of the trial datum x
 
 
-def _prober(eq, mode, rel_tol):
-    """probe(x): the record of x, probed at rel_tol. A probe that stopped by
-    step underflow is not classified: it raises IntegrationError."""
-    def probe(x):
-        traj = _probe(eq, mode, x, rel_tol)
-        if traj.stopped_by == "step-underflow":
-            raise IntegrationError(f"probe x = {x!r} stopped by step underflow at t = {traj.terminal_t:.6g}")
-        return _Record(x, traj, *_class_key(eq, x, traj))
-    return probe
+def _record(eq, mode, x, rel_tol):
+    """The record of x: its full-horizon run at rel_tol and its class key."""
+    traj = _run(eq, mode, x, rel_tol)
+    return _Record(x, traj, *_class_key(eq, x, traj))
 
 
 def _keys_differ(a, b) -> bool:
@@ -233,21 +234,21 @@ def _flip_poles(lo, hi) -> int | None:
     return lo.poles if lo.key == "stable" else hi.poles
 
 
-def _walk(probe, x, end, step):
-    """Probe x, x + step(), ... up to ``end`` (either side of x) and yield
-    each pair of neighbouring records whose keys differ, lower datum first.
+def _walk(eq, mode, x, end, step):
+    """Record x, x + step(), ... up to ``end`` (either side of x) at _COARSE
+    and yield each pair of neighbouring records whose keys differ, lower first.
 
     ``step`` is called before every step, so the consumer can change it
     between flips.
     """
-    prev = probe(x)
+    prev = _record(eq, mode, x, _COARSE)
     while (end - x) * (h := step()) > 0.0:
         nxt = x + h
         if (nxt - end) * h > 0.0:
             nxt = end
         if nxt == x:
             break
-        cur = probe(nxt)
+        cur = _record(eq, mode, nxt, _COARSE)
         if _keys_differ(prev.key, cur.key):
             yield (prev, cur) if h > 0.0 else (cur, prev)
         x, prev = nxt, cur
@@ -291,8 +292,7 @@ def scan_brackets(
         raise ValueError(f"step = {step} must be positive and finite")
     _check_interval("search range", search_range)
     lo, hi = search_range
-    probe = _prober(eq, mode, _COARSE)
-    brackets = [_Bracket(eq, mode, a, b) for a, b in _walk(probe, lo, hi, lambda: step)]
+    brackets = [_Bracket(eq, mode, a, b) for a, b in _walk(eq, mode, lo, hi, lambda: step)]
     for (a0, _), (b0, _) in zip(brackets, brackets[1:]):
         if b0 - a0 < 2.0 * step:
             warnings.warn(
@@ -430,10 +430,9 @@ def _matched_root(eq, mode, rel_tol, fine_rel_tol, bracket, ends, tol):
         """g at T = t of a trial datum, probed at rtol, against the
         separatrix's one evaluation at t."""
         at = sep(t)
-        cfg = IntegrationConfig(rtol, t_horizon=t)
 
         def g_t(x):
-            traj = integrate(eq, _initial_data(mode, x), direction, cfg)
+            traj = _run(eq, mode, x, rtol, t)
             n = len(_events(traj)[1])
             if traj.stopped_by != "horizon" or traj.terminal_t != t or n != n_before:
                 raise _Unmatched(f"the short probe of x = {x:.12g} ended by {traj.stopped_by} at t = "
@@ -498,8 +497,7 @@ def bisect(
     if isinstance(bracket, _Bracket) and bracket.search[0] is eq and bracket.search[1] == mode:
         lo, hi = bracket.ends
     else:
-        probe = _prober(eq, mode, _COARSE)
-        lo, hi = probe(bracket[0]), probe(bracket[1])
+        lo, hi = (_record(eq, mode, x, _COARSE) for x in bracket)
     return _end_game(eq, mode, lo, hi, tol, rel_tol, index)
 
 
@@ -518,9 +516,9 @@ def _end_game(eq, mode, lo, hi, tol, rel_tol, index):
     w = hi.x - lo.x
     while w > tol:
         w *= 0.5
-    fine = _prober(eq, mode, fine_rel_tol)
     value = float(_matched_root(eq, mode, rel_tol, fine_rel_tol, (lo.x, hi.x), (lo.traj, hi.traj), tol))
-    pole_count = _flip_poles(fine(value - 0.5 * w), fine(value + 0.5 * w))
+    pole_count = _flip_poles(_record(eq, mode, value - 0.5 * w, fine_rel_tol),
+                             _record(eq, mode, value + 0.5 * w, fine_rel_tol))
     if pole_count is None:
         raise BisectionError(f"matched root {value!r} failed its certificate: fine probes {w:.3g} "
                              "apart are not one flip apart", probe=value)
@@ -542,20 +540,23 @@ def separatrix_check(
     Its samples are the step controller's own, so the window's ends follow
     the stepper's step sizes.
     Returns the :class:`SolutionClass`, which callers assert to be a
-    separatrix (negative direction) or decay (positive direction).
+    separatrix (negative direction) or decay (positive direction). A run
+    stopped by step underflow raises IntegrationError, bad arguments ValueError.
     """
     mode = SearchMode.coerce(mode)
     direction = _spec(eq, mode).direction
-    init = _initial_data(mode, value)
+    if not math.isfinite(value):
+        raise ValueError(f"value = {value} must be finite")
+    if not (math.isfinite(uncertainty) and uncertainty > 0.0):
+        raise ValueError(f"uncertainty = {uncertainty} must be positive and finite")
     if direction is Direction.POSITIVE_T:
-        traj = integrate(eq, init, direction, IntegrationConfig(1e-11, t_horizon=25.0))
-        return classify(eq, traj)
+        return classify(eq, _run(eq, mode, value, 1e-11, 25.0))
 
     turn = eq.turning_point(_trial_energy(eq, mode, value))
     rate = math.sqrt(eq.separatrix[direction](-turn, -turn, 1.0)[2])
     split = math.log(SEPARATRIX_BAND / max(uncertainty, 1e-13)) / rate
     horizon = -(turn + max(2.0, 0.8 * split) + 2.0)
-    traj = integrate(eq, init, direction, IntegrationConfig(1e-11, t_horizon=horizon))
+    traj = _run(eq, mode, value, 1e-11, horizon)
     win = _branch_window(eq, traj)
     if win is None:
         raise ClassificationError(
@@ -607,11 +608,10 @@ def eigen_table(
     sign = -1.0 if spec.origin < 0 else 1.0
     limit = 1.7 * spec.coeff * (n_max + 1) ** p + 3.0
 
-    probe = _prober(eq, mode, _COARSE)
     records: list[EigenvalueRecord] = []
     step = spec.step
     try:
-        for lo, hi in _walk(probe, spec.origin, sign * limit, lambda: sign * step):
+        for lo, hi in _walk(eq, mode, spec.origin, sign * limit, lambda: sign * step):
             records.append(_end_game(eq, mode, lo, hi, tol, rel_tol, len(records) + 1))
             n = len(records)
             if n == n_max:

@@ -66,8 +66,9 @@ def toy_count(a, cfg):
 
 
 def counted_probes(monkeypatch, fail_at=None):
-    """Count the probes made through painleve.eigensolver.integrate, the name
-    every probe goes through; the ``fail_at``-th one raises CrossingError."""
+    """Count the probes made through painleve.eigensolver.integrate, which
+    the eigensolver calls only from ``_run``, its one probe path; the
+    ``fail_at``-th one raises CrossingError."""
     calls = []
     real = eigensolver.integrate
 

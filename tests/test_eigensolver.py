@@ -32,7 +32,7 @@ from painleve import (
 import painleve
 import painleve.eigensolver as eigensolver
 import painleve.integrator as integrator
-from painleve.eigensolver import _fine_rel_tol, _flip_poles, _prober
+from painleve.eigensolver import _fine_rel_tol, _flip_poles, _record
 
 from conftest import (P1_SLOPE_REF, P1_VALUE_REF, P2_SLOPE_REF, P2_VALUE_REF, TOY_REF, counted_probes,
                       toy_count)
@@ -126,9 +126,10 @@ def test_end_game_record_flips_at_fine_tolerance(eq, mode, bracket, ref):
     rec = bisect(eq, mode, bracket, tol=1e-9)
     assert abs(rec.value - ref) < 3e-9
     assert rec.bracket_width <= 1e-9
-    probe = _prober(eq, SearchMode(mode), _fine_rel_tol(eq, 1e-10, 1e-9))
+    fine = _fine_rel_tol(eq, 1e-10, 1e-9)
     half = 0.5 * rec.bracket_width
-    assert _flip_poles(probe(rec.value - half), probe(rec.value + half)) == rec.pole_count
+    ends = (_record(eq, SearchMode(mode), x, fine) for x in (rec.value - half, rec.value + half))
+    assert _flip_poles(*ends) == rec.pole_count
 
 
 def _is_coarse(cfg):
@@ -193,14 +194,65 @@ def test_matched_end_game_converges_on_p2_slope_b1(monkeypatch, bracket):
 
 def test_search_refuses_probes_stopped_by_step_underflow(monkeypatch):
     # with a step floor of 0.5 every run underflows at its first step; the
-    # probe raises instead of classifying the stub it reached
+    # probe raises instead of classifying the stub it reached, and so does
+    # separatrix_check's run, whose stub would read divergent+ (P-II value)
+    # or as never tracking a branch curve (P-I and P-II slope)
     monkeypatch.setattr(integrator, "_MIN_STEP", 0.5)
     for eq, mode, bracket in [(PAINLEVE_I, "slope", (1.8, 1.9)), (PAINLEVE_II, "value", (1.2, 1.25))]:
         with pytest.raises(IntegrationError, match=f"probe x = {bracket[0]} stopped by step underflow"):
             bisect(eq, mode, bracket)
+    for eq, mode, value in [(PAINLEVE_I, "slope", P1_SLOPE_REF[1]), (PAINLEVE_II, "slope", P2_SLOPE_REF[1]),
+                            (PAINLEVE_II, "value", P2_VALUE_REF[1])]:
+        with pytest.raises(IntegrationError, match=f"probe x = {value} stopped by step underflow"):
+            separatrix_check(eq, mode, value)
     with pytest.raises(PartialTableError, match="stopped by step underflow") as info:
         toy_eigen_table(2)
     assert isinstance(info.value.__cause__, IntegrationError)
+
+
+def test_matched_probes_stopped_by_step_underflow_raise_integration_error(monkeypatch):
+    # only the probes that stop at a matching time T underflow (in the
+    # positive direction they alone carry a horizon): a matched pass refuses
+    # them as the scan does its own, rather than failing the match with a
+    # BisectionError, and a table stops there as a partial table
+    real = eigensolver.integrate
+
+    def integrate(eq, init, direction, cfg, until=None):
+        with monkeypatch.context() as m:
+            if cfg.t_horizon is not None:
+                m.setattr(integrator, "_MIN_STEP", 0.5)
+            return real(eq, init, direction, cfg, until=until)
+
+    monkeypatch.setattr(eigensolver, "integrate", integrate)
+    with pytest.raises(IntegrationError, match="stopped by step underflow at t = 0"):
+        bisect(PAINLEVE_II, "value", (1.2, 1.25))
+    for build in (lambda: eigen_table(PAINLEVE_II, "value", 1), lambda: toy_eigen_table(1)):
+        with pytest.raises(PartialTableError, match="stopped by step underflow") as info:
+            build()
+        assert isinstance(info.value.__cause__, IntegrationError)
+        assert info.value.failed_index == 1
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [({"value": math.nan}, "value = nan must be finite"),
+     ({"value": math.inf}, "value = inf must be finite"),
+     ({"uncertainty": math.nan}, "uncertainty = nan must be positive and finite"),
+     ({"uncertainty": -1.0}, "uncertainty = -1.0 must be positive and finite"),
+     ({"uncertainty": 0.0}, "uncertainty = 0.0 must be positive and finite"),
+     ({"uncertainty": math.inf}, "uncertainty = inf must be positive and finite")],
+    ids=["value-nan", "value-inf", "uncertainty-nan", "uncertainty-negative", "uncertainty-zero",
+         "uncertainty-inf"],
+)
+@pytest.mark.parametrize("mode", ["slope", "value"])
+def test_separatrix_check_rejects_bad_arguments(monkeypatch, kwargs, mode, message):
+    # checked before any run: unchecked, uncertainty = nan or -1.0 returned a
+    # full result and value = nan blamed the horizon it made
+    calls = counted_probes(monkeypatch)
+    args = {"value": P2_SLOPE_REF[1] if mode == "slope" else P2_VALUE_REF[1], **kwargs}
+    with pytest.raises(ValueError, match=message):
+        separatrix_check(PAINLEVE_II, mode, **args)
+    assert calls == []
 
 
 _NO_TOY_MODE = "p1 has no toy mode; its modes are: slope, value"
@@ -315,22 +367,40 @@ def _law_cap(eq, mode, x):
 
 
 def test_every_probe_config_follows_one_rule(monkeypatch):
-    # scan, bracket ends, matched passes and certificates alike: a probe's
-    # config holds its rel_tol and what sizes it. A full-horizon probe (the
-    # negative direction's trial-energy horizon, or no horizon) caps its
-    # poles by the pole-count law for its datum, the toy model's by none; a
-    # matched probe stops at T and keeps the default cap.
+    # scan, bracket ends, matched passes, certificates and separatrix_check
+    # alike: every integration is one call of the one probe path, _run, and
+    # a probe's config holds its rel_tol and what sizes it. A full-horizon
+    # probe (the negative direction's trial-energy horizon, or no horizon)
+    # caps its poles by the pole-count law for its datum, the toy model's by
+    # none; a matched probe or separatrix_check's run stops at its own t and
+    # keeps the default cap.
     default = IntegrationConfig()
     searches = [
-        (PAINLEVE_I, ModeKind.SLOPE, lambda: eigen_table(PAINLEVE_I, ModeKind.SLOPE, 3), 1e-10),
-        (PAINLEVE_II, ModeKind.VALUE, lambda: bisect(PAINLEVE_II, ModeKind.VALUE, (1.2, 1.25)), 1e-10),
-        (TOY_MODEL, ModeKind.TOY, lambda: toy_eigen_table(3), 1e-9),
+        (PAINLEVE_I, ModeKind.SLOPE,
+         lambda: separatrix_check(PAINLEVE_I, "slope", eigen_table(PAINLEVE_I, ModeKind.SLOPE, 3)[-1].value),
+         {1e-10, 1e-11}),
+        (PAINLEVE_II, ModeKind.VALUE,
+         lambda: separatrix_check(PAINLEVE_II, "value", bisect(PAINLEVE_II, ModeKind.VALUE, (1.2, 1.25)).value),
+         {1e-10, 1e-11}),
+        (TOY_MODEL, ModeKind.TOY, lambda: toy_eigen_table(3), {1e-9}),
     ]
-    for eq, mode, search, rel_tol in searches:
+    for eq, mode, search, rel_tols in searches:
         calls = counted_probes(monkeypatch)
+        runs = []  # the integrate calls each _run made
+        real_run = eigensolver._run
+
+        def run(*args, **kwargs):
+            before = len(calls)
+            try:
+                return real_run(*args, **kwargs)
+            finally:
+                runs.append(len(calls) - before)
+
+        monkeypatch.setattr(eigensolver, "_run", run)
         search()
         monkeypatch.undo()
-        assert {eigensolver._COARSE, rel_tol} <= {args[3].rel_tol for args in calls}
+        assert runs and runs.count(1) == len(runs) == len(calls)
+        assert {eigensolver._COARSE, *rel_tols} <= {args[3].rel_tol for args in calls}
         kinds = set()
         for _, init, direction, cfg in calls:
             x = init.slope0 if mode is ModeKind.SLOPE else init.y0
@@ -359,10 +429,9 @@ def test_negative_pole_cap_keeps_every_class(eq, mode, reach):
     # stable probe stays two poles below its cap, so the cap never decides
     # a class
     search = SearchMode(mode)
-    probe = _prober(eq, search, eigensolver._COARSE)
     stable = 0
     for x in (np.linspace(-reach, reach, 15) + 0.0123 * reach).tolist():
-        capped = probe(x)
+        capped = _record(eq, search, x, eigensolver._COARSE)
         cfg = IntegrationConfig(eigensolver._COARSE, t_horizon=eigensolver._negative_horizon(eq, search, x))
         full = integrate(eq, eigensolver._initial_data(search, x), Direction.NEGATIVE_T, cfg)
         key, poles = eigensolver._class_key(eq, x, full)
