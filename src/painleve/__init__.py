@@ -48,7 +48,6 @@ from .integrator import (
     IntegrationConfig,
     IntegrationError,
     PoleEvent,
-    State,
     Trajectory,
     estimate_pole,
     integrate,
@@ -74,7 +73,6 @@ __all__ = [
     "RichardsonResult",
     "SearchMode",
     "SolutionClass",
-    "State",
     "TOY_MODEL",
     "Trajectory",
     "WkbConstants",

@@ -80,12 +80,13 @@ def classify(
     The decision is made on the trailing window (default: the last 10 time
     units before the horizon; pass ``window`` to inspect a different
     stretch, e.g. when validating a separatrix whose trackable extent is
-    shorter). Criteria, in order: a pole inside the window (or a pole-cap
-    truncation) means PoleCascade; tight tracking of a branch curve means
-    Separatrix; a windowed mean near the stable attractor means
-    StableOscillation. Positive direction: a certified dip of |y| below
-    ``DECAY_DIP`` means DecayToZero, otherwise the sign of the final
-    blow-up decides DivergentPositive/Negative.
+    shorter). Criteria, in order: a pole inside the window (or, in the
+    default window only, a pole-cap truncation: an explicit window lies
+    before the cap, and its contents decide) means PoleCascade; tight
+    tracking of a branch curve means Separatrix; a windowed mean near the
+    stable attractor means StableOscillation. Positive direction: a
+    certified dip of |y| below ``DECAY_DIP`` means DecayToZero, otherwise
+    the sign of the final blow-up decides DivergentPositive/Negative.
 
     Raises :class:`ClassificationError` when nothing fires; the caller sees
     the ambiguity rather than a guess.
@@ -99,7 +100,7 @@ def classify(
 
 def _classify_negative(eq, traj, window):
     lo, hi = window if window is not None else _window_default(traj)
-    if traj.stopped_by == "pole-cap":
+    if window is None and traj.stopped_by == "pole-cap":
         return SolutionClass(ClassTag.POLE_CASCADE, len(traj.poles), (lo, hi))
     if any(lo <= p.location <= hi for p in traj.poles):
         return SolutionClass(ClassTag.POLE_CASCADE, len(traj.poles), (lo, hi))
@@ -155,9 +156,7 @@ def _classify_positive(eq, traj, window):
             return SolutionClass(ClassTag.DECAY_TO_ZERO, n_before, (rt[j0], rt[j1]))
 
     if traj.poles:
-        last = traj.poles[-1]
-        before = rt < last.location
-        sign = last.approach_sign if not before.any() else (1 if ry[before][-1] >= 0 else -1)
+        sign = traj.poles[-1].approach_sign
     elif len(ry) > 0:
         sign = 1 if ry[-1] >= 0 else -1
     else:

@@ -525,38 +525,27 @@ def _end_game(eq, mode, lo, hi, tol, rel_tol, index):
     return EigenvalueRecord(index, value, w, pole_count, mode)
 
 
-def separatrix_check(
-    eq: Equation,
-    mode: SearchMode | ModeKind | str,
-    value: float,
-    uncertainty: float = 1e-9,
-):
+def separatrix_check(eq: Equation, mode: SearchMode | ModeKind | str, value: float):
     """Classify the trajectory at a converged critical value.
 
-    A double-precision trajectory shadows the separatrix only over a finite
-    stretch past the turning point (log(band/uncertainty) e-foldings of the
-    local instability rate), so the run stops inside that stretch and the
-    classification window is the longest branch-tracking run found there.
-    Its samples are the step controller's own, so the window's ends follow
-    the stepper's step sizes.
+    The run is the search's own full-horizon probe of ``value`` (see
+    :func:`_run`) at rel_tol 1e-11. A double-precision trajectory shadows
+    the separatrix only over a finite stretch past the turning point, so in
+    the negative direction the classification window is the longest
+    branch-tracking run found before the trajectory leaves the branch; its
+    samples are the step controller's own, so the window's ends follow the
+    stepper's step sizes. In the positive direction the whole run is
+    classified.
     Returns the :class:`SolutionClass`, which callers assert to be a
     separatrix (negative direction) or decay (positive direction). A run
     stopped by step underflow raises IntegrationError, bad arguments ValueError.
     """
     mode = SearchMode.coerce(mode)
-    direction = _spec(eq, mode).direction
     if not math.isfinite(value):
         raise ValueError(f"value = {value} must be finite")
-    if not (math.isfinite(uncertainty) and uncertainty > 0.0):
-        raise ValueError(f"uncertainty = {uncertainty} must be positive and finite")
-    if direction is Direction.POSITIVE_T:
-        return classify(eq, _run(eq, mode, value, 1e-11, 25.0))
-
-    turn = eq.turning_point(_trial_energy(eq, mode, value))
-    rate = math.sqrt(eq.separatrix[direction](-turn, -turn, 1.0)[2])
-    split = math.log(SEPARATRIX_BAND / max(uncertainty, 1e-13)) / rate
-    horizon = -(turn + max(2.0, 0.8 * split) + 2.0)
-    traj = _run(eq, mode, value, 1e-11, horizon)
+    traj = _run(eq, mode, value, 1e-11)
+    if traj.direction is Direction.POSITIVE_T:
+        return classify(eq, traj)
     win = _branch_window(eq, traj)
     if win is None:
         raise ClassificationError(

@@ -67,7 +67,6 @@ __all__ = [
     "IntegrationConfig",
     "IntegrationError",
     "PoleEvent",
-    "State",
     "Trajectory",
     "estimate_pole",
     "integrate",
@@ -126,16 +125,6 @@ class IntegrationConfig:
         return eq.positive_horizon
 
 
-@dataclass(frozen=True)
-class State:
-    """Point on a trajectory. ``yp`` is None for the first-order toy
-    model."""
-
-    t: float
-    y: float
-    yp: float | None = None
-
-
 @dataclass
 class PoleEvent:
     """A traversed (or cap-terminating) movable pole.
@@ -181,9 +170,6 @@ class Trajectory:
     terminal_t: float
     stopped_by: str
     config: IntegrationConfig
-
-    def real_t(self) -> np.ndarray:
-        return self.t
 
     def real_y(self) -> np.ndarray:
         return self.y
@@ -410,20 +396,20 @@ def _advance(step, f, s0, u0, v0, w0, s1, cfg: IntegrationConfig, on_accept, k1=
             h *= max(_MIN_FACTOR, _SAFETY * err ** -0.125)
 
 
-def estimate_pole(eq: Equation, s: State) -> float:
-    """Estimated pole location from the leading Laurent term.
+def estimate_pole(eq: Equation, t: float, y: float, yp: float) -> float:
+    """Estimated pole location from the leading Laurent term at the state
+    (t, y, y').
 
     For y ~ (t - t0)^{-p}, y'/y = -p/(t - t0), so t0 = t + p y/y'. Exact for
     a pure p-th order pole and increasingly accurate as |y| grows.
     """
     if not eq.pole_order:
         raise ValueError("the toy model admits no poles")
-    if s.yp is None or abs(s.yp) < _MIN_RATIO * abs(s.y):
+    if abs(yp) < _MIN_RATIO * abs(y):
         raise DegenerateDerivativeError(
-            f"cannot estimate pole at t = {s.t}: |y'| = {0.0 if s.yp is None else abs(s.yp)} "
-            f"is degenerate against |y| = {abs(s.y)}"
+            f"cannot estimate pole at t = {t}: |y'| = {abs(yp)} is degenerate against |y| = {abs(y)}"
         )
-    return s.t + eq.pole_order * s.y / s.yp
+    return t + eq.pole_order * y / yp
 
 
 def _refined_pole_location(eq: Equation, t: float, y: float, yp: float) -> float:
@@ -437,7 +423,7 @@ def _refined_pole_location(eq: Equation, t: float, y: float, yp: float) -> float
     subtracting the terms matters for deep simple poles, where the raw
     estimate can miss by a visible fraction of the radius.
     """
-    t_hat = estimate_pole(eq, State(t, y, yp))
+    t_hat = estimate_pole(eq, t, y, yp)
     return t_hat - eq.laurent_correction(t_hat, t - t_hat)
 
 

@@ -15,7 +15,6 @@ from painleve import (
     ModeKind,
     PAINLEVE_I,
     PAINLEVE_II,
-    State,
     classify,
     closed_form_constants,
     energy,
@@ -123,8 +122,7 @@ def test_criterion_7_pole_count_law(
     # independent re-measurement of the positive-direction counts from the
     # decay certificate of the converged trajectories
     for rec in p2_value_table[:6]:
-        cls = separatrix_check(PAINLEVE_II, rec.mode, rec.value,
-                               uncertainty=max(rec.bracket_width, 1e-10))
+        cls = separatrix_check(PAINLEVE_II, rec.mode, rec.value)
         assert cls.tag is ClassTag.DECAY_TO_ZERO
         assert cls.pole_count == rec.index
     print("\ncriterion 7 PASS: pole counts are floor(n/2) (negative direction, "
@@ -161,10 +159,8 @@ def test_criterion_9a_richardson_exactness():
 
 def test_criterion_9b_pole_estimator_machine_precision():
     for t in (0.0, 3.0):
-        s = State(complex(t), complex((t - 5.0) ** -2), complex(-2.0 * (t - 5.0) ** -3))
-        assert abs(estimate_pole(PAINLEVE_I, s) - 5.0) <= 1e-12 * 5.0
-        s = State(complex(t), complex(1.0 / (t - 6.0)), complex(-1.0 / (t - 6.0) ** 2))
-        assert abs(estimate_pole(PAINLEVE_II, s) - 6.0) <= 1e-12 * 6.0
+        assert abs(estimate_pole(PAINLEVE_I, t, (t - 5.0) ** -2, -2.0 * (t - 5.0) ** -3) - 5.0) <= 1e-12 * 5.0
+        assert abs(estimate_pole(PAINLEVE_II, t, 1.0 / (t - 6.0), -1.0 / (t - 6.0) ** 2) - 6.0) <= 1e-12 * 6.0
     print("\ncriterion 9b PASS: pole estimator exact on Laurent data")
 
 

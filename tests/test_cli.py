@@ -11,7 +11,7 @@ from painleve import IntegrationConfig
 from painleve.cli import main
 from painleve.eigensolver import EigenvalueRecord, PartialTableError, SearchMode
 
-from conftest import P1_SLOPE_REF, P2_SLOPE_REF, P2_VALUE_REF, counted_probes
+from conftest import P1_SLOPE_REF, P2_SLOPE_REF, P2_VALUE_REF, TOY_REF, counted_probes
 
 
 def _read_csv(path):
@@ -310,6 +310,16 @@ def test_constants_rejects_empty_table(tmp_path, capsys):
     table.write_text(json.dumps({"equation": "p1", "mode": "slope", "records": []}))
     rc = main(["constants", "--table", str(table)])
     assert rc == 1
+
+
+def test_constants_rejects_a_table_without_an_extraction_rule(tmp_path, capsys):
+    # the toy model has no growth constant to extract: exit 1, named
+    table = tmp_path / "toy.json"
+    table.write_text(json.dumps({"equation": "toy", "mode": "toy",
+                                 "records": [{"index": n, "value": TOY_REF[n]} for n in (1, 2, 3)]}))
+    rc = main(["constants", "--table", str(table)])
+    assert rc == 1
+    assert "no extraction rule for equation/mode ('toy', 'toy')" in capsys.readouterr().err
 
 
 def test_constants_rejects_malformed_table(tmp_path):

@@ -86,6 +86,14 @@ def test_scan_brackets_validation():
         scan_brackets(PAINLEVE_I, ModeKind.SLOPE, (5.0, 0.5), 0.1)
 
 
+def test_scan_brackets_warns_when_brackets_crowd():
+    # b2 and b3 of the second equation lie one step apart on this grid,
+    # whose points are exact in binary
+    with pytest.warns(UserWarning, match="brackets at 1.25 and 1.75 are within two scan steps"):
+        brackets = scan_brackets(PAINLEVE_II, "slope", (0.25, 2.25), 0.5)
+    assert brackets == [(0.25, 0.75), (1.25, 1.75), (1.75, 2.25)]
+
+
 @pytest.mark.parametrize("bracket", [(0.7, 0.5), (0.6, 0.6), (math.nan, 0.7), (0.5, math.inf)],
                          ids=["reversed", "empty", "nan", "inf"])
 def test_bisect_rejects_bad_brackets(monkeypatch, bracket):
@@ -236,23 +244,26 @@ def test_matched_probes_stopped_by_step_underflow_raise_integration_error(monkey
 @pytest.mark.parametrize(
     "kwargs,message",
     [({"value": math.nan}, "value = nan must be finite"),
-     ({"value": math.inf}, "value = inf must be finite"),
-     ({"uncertainty": math.nan}, "uncertainty = nan must be positive and finite"),
-     ({"uncertainty": -1.0}, "uncertainty = -1.0 must be positive and finite"),
-     ({"uncertainty": 0.0}, "uncertainty = 0.0 must be positive and finite"),
-     ({"uncertainty": math.inf}, "uncertainty = inf must be positive and finite")],
-    ids=["value-nan", "value-inf", "uncertainty-nan", "uncertainty-negative", "uncertainty-zero",
-         "uncertainty-inf"],
+     ({"value": math.inf}, "value = inf must be finite")],
+    ids=["value-nan", "value-inf"],
 )
 @pytest.mark.parametrize("mode", ["slope", "value"])
 def test_separatrix_check_rejects_bad_arguments(monkeypatch, kwargs, mode, message):
-    # checked before any run: unchecked, uncertainty = nan or -1.0 returned a
-    # full result and value = nan blamed the horizon it made
+    # checked before any run: unchecked, value = nan blamed the horizon it made
     calls = counted_probes(monkeypatch)
-    args = {"value": P2_SLOPE_REF[1] if mode == "slope" else P2_VALUE_REF[1], **kwargs}
     with pytest.raises(ValueError, match=message):
-        separatrix_check(PAINLEVE_II, mode, **args)
+        separatrix_check(PAINLEVE_II, mode, **kwargs)
     assert calls == []
+
+
+def test_separatrix_check_validates_a_deep_positive_direction_record():
+    # c_25 crosses 25 poles before it decays, past t = 25; its check runs
+    # the search's own full-horizon probe, so it reads decay, not the
+    # divergence a run stopped at t = 25 showed
+    rec = bisect(PAINLEVE_II, "value", (3.54, 3.57), index=25)
+    cls = separatrix_check(PAINLEVE_II, "value", rec.value)
+    assert cls.tag is ClassTag.DECAY_TO_ZERO
+    assert cls.pole_count == rec.pole_count == 25
 
 
 _NO_TOY_MODE = "p1 has no toy mode; its modes are: slope, value"
@@ -264,9 +275,10 @@ _NO_TOY_MODE = "p1 has no toy mode; its modes are: slope, value"
         (lambda: scan_brackets(PAINLEVE_I, "toy", (0.5, 1.0), 0.1), _NO_TOY_MODE),
         (lambda: bisect(PAINLEVE_I, ModeKind.TOY, (1.8, 1.9)), _NO_TOY_MODE),
         (lambda: eigen_table(PAINLEVE_I, "toy", 2), _NO_TOY_MODE),
+        (lambda: separatrix_check(PAINLEVE_I, "toy", 1.0), _NO_TOY_MODE),
         (lambda: scan_brackets(TOY_MODEL, "slope", (0.5, 1.0), 0.1), "toy has no slope mode; its modes are: toy"),
     ],
-    ids=["scan_brackets", "bisect", "eigen_table", "toy-scan_brackets"],
+    ids=["scan_brackets", "bisect", "eigen_table", "separatrix_check", "toy-scan_brackets"],
 )
 def test_mode_missing_from_equation(call, message):
     with pytest.raises(ValueError, match=message):
@@ -372,8 +384,8 @@ def test_every_probe_config_follows_one_rule(monkeypatch):
     # a probe's config holds its rel_tol and what sizes it. A full-horizon
     # probe (the negative direction's trial-energy horizon, or no horizon)
     # caps its poles by the pole-count law for its datum, the toy model's by
-    # none; a matched probe or separatrix_check's run stops at its own t and
-    # keeps the default cap.
+    # none; a matched probe stops at its own t and keeps the default cap.
+    # separatrix_check's run, the last, is a full-horizon probe at 1e-11.
     default = IntegrationConfig()
     searches = [
         (PAINLEVE_I, ModeKind.SLOPE,
@@ -401,19 +413,21 @@ def test_every_probe_config_follows_one_rule(monkeypatch):
         monkeypatch.undo()
         assert runs and runs.count(1) == len(runs) == len(calls)
         assert {eigensolver._COARSE, *rel_tols} <= {args[3].rel_tol for args in calls}
-        kinds = set()
+        kinds = []
         for _, init, direction, cfg in calls:
             x = init.slope0 if mode is ModeKind.SLOPE else init.y0
             if direction is Direction.NEGATIVE_T:
                 full = cfg.t_horizon == eigensolver._negative_horizon(eq, SearchMode(mode), x)
             else:
                 full = cfg.t_horizon is None
-            kinds.add(full)
+            kinds.append(full)
             if full and eq.pole_order:
                 assert cfg.max_poles == _law_cap(eq, mode, x)
             else:
                 assert cfg.max_poles == default.max_poles
-        assert kinds == {True, False}
+        assert set(kinds) == {True, False}
+        if eq.pole_order:
+            assert kinds[-1] and calls[-1][3].rel_tol == 1e-11
 
 
 @pytest.mark.parametrize(
@@ -626,7 +640,7 @@ def test_converged_records_validate_as_separatrices(request):
                             (PAINLEVE_II, "p2_value_table", {ClassTag.DECAY_TO_ZERO})]:
         found = []
         for rec in request.getfixturevalue(table):
-            cls = separatrix_check(eq, rec.mode, rec.value, uncertainty=rec.bracket_width)
+            cls = separatrix_check(eq, rec.mode, rec.value)
             assert cls.tag in tags, (table, rec.index, cls)
             poles = rec.index if cls.tag is ClassTag.DECAY_TO_ZERO else rec.index // 2
             assert cls.pole_count == poles, (table, rec.index, cls)

@@ -170,7 +170,7 @@ def test_fluctuation_rejects_toy():
 
 def _defect(eq, traj):
     I = fluctuation_integral(eq, traj)
-    rt = traj.real_t()
+    rt = traj.t
     ry, ryp = traj.real_y(), traj.real_yp()
     H = energy(eq, ry, ryp)
     return rt, ry, ryp, H - H[0] - I
@@ -246,7 +246,7 @@ def test_fluctuation_smooth_at_critical_slope():
     traj = integrate(PAINLEVE_I, InitialData(0.0, 1.851854034), Direction.NEGATIVE_T, cfg)
     assert not traj.poles
     I = fluctuation_integral(PAINLEVE_I, traj)
-    rt = traj.real_t()
+    rt = traj.t
     sel = (rt <= -6.2) & (rt >= -7.7)
     dI = np.diff(I[sel])
     assert (dI < 0).all()
@@ -254,7 +254,7 @@ def test_fluctuation_smooth_at_critical_slope():
     cfg = IntegrationConfig(t_horizon=-9.0)
     traj = integrate(PAINLEVE_I, InitialData(0.0, 2.504031103), Direction.NEGATIVE_T, cfg)
     I = fluctuation_integral(PAINLEVE_I, traj)
-    rt = traj.real_t()
+    rt = traj.t
     sel = (rt <= -3.0) & (rt >= -8.7)
     flips = np.count_nonzero(np.diff(np.sign(np.diff(I[sel]))))
     assert flips >= 3

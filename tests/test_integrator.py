@@ -14,7 +14,6 @@ from painleve import (
     PAINLEVE_I,
     PAINLEVE_II,
     TOY_MODEL,
-    State,
     branch_curve,
     estimate_pole,
     integrate,
@@ -185,27 +184,30 @@ def test_direction_restrictions():
         integrate(PAINLEVE_I, InitialData(0.0, 1.0), Direction.POSITIVE_T)
     with pytest.raises(ValueError):
         integrate(TOY_MODEL, InitialData(0.5), Direction.NEGATIVE_T)
+    # a horizon on the wrong side of t = 0 for the direction is refused too
+    for eq, direction, horizon in [(PAINLEVE_I, Direction.NEGATIVE_T, 5.0),
+                                   (PAINLEVE_II, Direction.POSITIVE_T, -5.0)]:
+        with pytest.raises(ValueError, match=f"horizon {horizon} is on the wrong side of t = 0"):
+            integrate(eq, InitialData(0.0, 1.0), direction, IntegrationConfig(t_horizon=horizon))
 
 
 def test_estimate_pole_exact_on_laurent_data():
     # synthetic states sampled from exact leading Laurent terms
     for t in (0.0, 2.0, 4.9):
         d = t - 5.0
-        s = State(complex(t), complex(d**-2), complex(-2.0 * d**-3))
-        t0 = estimate_pole(PAINLEVE_I, s)
+        t0 = estimate_pole(PAINLEVE_I, t, d**-2, -2.0 * d**-3)
         assert abs(t0 - 5.0) <= 1e-12 * 5.0
     for t in (0.0, 2.5):
         d = t - 3.0
-        s = State(complex(t), complex(1.0 / d), complex(-1.0 / d**2))
-        t0 = estimate_pole(PAINLEVE_II, s)
+        t0 = estimate_pole(PAINLEVE_II, t, 1.0 / d, -1.0 / d**2)
         assert abs(t0 - 3.0) <= 1e-12 * 3.0
 
 
 def test_estimate_pole_degenerate():
     with pytest.raises(DegenerateDerivativeError):
-        estimate_pole(PAINLEVE_I, State(0.0 + 0j, 1e6 + 0j, 0.0 + 0j))
+        estimate_pole(PAINLEVE_I, 0.0, 1e6, 0.0)
     with pytest.raises(ValueError):
-        estimate_pole(TOY_MODEL, State(0.0 + 0j, 1.0 + 0j, 1.0 + 0j))
+        estimate_pole(TOY_MODEL, 0.0, 1.0, 1.0)
 
 
 def test_estimator_location_converges_with_threshold(monkeypatch):
@@ -578,7 +580,7 @@ def test_known_trajectories():
     # negative branch
     traj = integrate(PAINLEVE_I, InitialData(0.0, 3.504031103), Direction.NEGATIVE_T)
     assert len(traj.poles) == 1
-    rt, ry = traj.real_t(), traj.real_y()
+    rt, ry = traj.t, traj.real_y()
     m = rt <= -50.0
     assert abs(ry[m].mean() + branch_curve(PAINLEVE_I, rt[m]).mean()) < 0.2
 
@@ -589,7 +591,7 @@ def test_known_trajectories():
     traj = integrate(PAINLEVE_I, InitialData(0.0, 1.851854034), Direction.NEGATIVE_T,
                      IntegrationConfig(t_horizon=-7.0, rel_tol=1e-12))
     assert len(traj.poles) == 0
-    rt, ry = traj.real_t(), traj.real_y()
+    rt, ry = traj.t, traj.real_y()
     m = rt <= -6.4
     assert np.max(np.abs(ry[m] / branch_curve(PAINLEVE_I, rt[m]) - 1.0)) < 1e-3
 
@@ -597,7 +599,7 @@ def test_known_trajectories():
     traj = integrate(PAINLEVE_II, InitialData(1.222873339, 0.0), Direction.POSITIVE_T,
                      IntegrationConfig(t_horizon=8.0))
     assert len(traj.poles) == 1
-    rt, ry = traj.real_t(), traj.real_y()
+    rt, ry = traj.t, traj.real_y()
     assert np.abs(ry[rt > 6.0]).min() < 1e-3
 
 
@@ -608,5 +610,5 @@ def test_toy_trajectory_bounded():
     ry = traj.real_y()
     assert np.abs(ry).max() < 2.0
     # late-time amplitude decays roughly like 1/t
-    rt = traj.real_t()
+    rt = traj.t
     assert abs(ry[-1]) < 0.1
