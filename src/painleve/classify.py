@@ -80,13 +80,15 @@ def classify(
     The decision is made on the trailing window (default: the last 10 time
     units before the horizon; pass ``window`` to inspect a different
     stretch, e.g. when validating a separatrix whose trackable extent is
-    shorter). Criteria, in order: a pole inside the window (or, in the
-    default window only, a pole-cap truncation: an explicit window lies
-    before the cap, and its contents decide) means PoleCascade; tight
-    tracking of a branch curve means Separatrix; a windowed mean near the
-    stable attractor means StableOscillation. Positive direction: a
-    certified dip of |y| below ``DECAY_DIP`` means DecayToZero, otherwise
-    the sign of the final blow-up decides DivergentPositive/Negative.
+    shorter). In the default window only, how the run stopped decides
+    first, with all its poles: a pole-cap truncation means PoleCascade, and
+    a stop by ``until`` ('settled', as ``Equation.trapped`` ends it)
+    StableOscillation; an explicit window lies before the stop. Criteria, in
+    order: a pole inside the window means PoleCascade; tight tracking of a
+    branch curve means Separatrix; a windowed mean near the stable attractor
+    means StableOscillation. Positive direction: a certified dip of |y|
+    below ``DECAY_DIP`` means DecayToZero, otherwise the sign of the final
+    blow-up decides DivergentPositive/Negative.
 
     Raises :class:`ClassificationError` when nothing fires; the caller sees
     the ambiguity rather than a guess.
@@ -100,8 +102,9 @@ def classify(
 
 def _classify_negative(eq, traj, window):
     lo, hi = window if window is not None else _window_default(traj)
-    if window is None and traj.stopped_by == "pole-cap":
-        return SolutionClass(ClassTag.POLE_CASCADE, len(traj.poles), (lo, hi))
+    stop_tag = {"pole-cap": ClassTag.POLE_CASCADE, "settled": ClassTag.STABLE_OSCILLATION}.get(traj.stopped_by)
+    if window is None and stop_tag:
+        return SolutionClass(stop_tag, len(traj.poles), (lo, hi))
     if any(lo <= p.location <= hi for p in traj.poles):
         return SolutionClass(ClassTag.POLE_CASCADE, len(traj.poles), (lo, hi))
 

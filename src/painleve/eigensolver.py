@@ -23,8 +23,8 @@ the ground truth: two full-horizon probes a bracket width apart must still
 be one flip apart around the root (the certificate). A failed match or
 certificate raises :class:`BisectionError`. One rule, :func:`_flip_poles`,
 reads off the flip and the pole count for the bracket ends and the
-certificate. A toy-model probe that runs for its class key ends as soon as
-its maxima count is final (``Equation.settled``), not at the horizon.
+certificate. Toy-model probes end once their maxima count is final
+(``Equation.settled``), Painleve certificates once trapped (``trapped``).
 
 The direction, scan seed and growth law of each search mode, and the
 turning point and separatrix asymptotics of each equation, come from the
@@ -161,7 +161,7 @@ def _fine_rel_tol(eq: Equation, rel_tol: float, tol: float) -> float:
     return max(min(1e-10, rel_tol, tol / eq.fine_tol_divisor), 1e-13)
 
 
-def _run(eq, mode, x, rel_tol: float, t_stop: float | None = None):
+def _run(eq, mode, x, rel_tol: float, t_stop: float | None = None, certify: bool = False):
     """Trajectory of the trial datum x at rel_tol; a run stopped by step
     underflow raises IntegrationError. With ``t_stop`` the run stops there
     under the default pole cap; without it it goes to the full horizon,
@@ -171,8 +171,9 @@ def _run(eq, mode, x, rel_tol: float, t_stop: float | None = None):
     from the trial energy and the cap is N // 2 + 2: the n-th separatrix
     crosses n // 2 poles and stable data no more (measured, not proven), so
     a cascade outruns them. In the positive direction the cap is N + 1, past
-    the n + 1 blow-ups that tell the sides of any c_n <= |x|. A toy-model
-    run ends once ``settled``."""
+    the n + 1 blow-ups that tell the sides of any c_n <= |x|. A run ends once
+    ``settled``, a ``certify`` run also once ``trapped``: the matched end
+    game starts from the tails of the scan's records, never a certificate's."""
     spec = _spec(eq, mode)
     cfg = IntegrationConfig(rel_tol, t_stop)
     if t_stop is None and eq.pole_order:
@@ -181,7 +182,8 @@ def _run(eq, mode, x, rel_tol: float, t_stop: float | None = None):
             cfg = IntegrationConfig(rel_tol, _negative_horizon(eq, mode, x), n // 2 + 2)
         else:
             cfg = IntegrationConfig(rel_tol, max_poles=n + 1)
-    traj = integrate(eq, _initial_data(mode, x), spec.direction, cfg, until=eq.settled if t_stop is None else None)
+    until = None if t_stop is not None else (eq.trapped if certify else None) or eq.settled
+    traj = integrate(eq, _initial_data(mode, x), spec.direction, cfg, until=until)
     if traj.stopped_by == "step-underflow":
         raise IntegrationError(f"probe x = {x!r} stopped by step underflow at t = {traj.terminal_t:.6g}")
     return traj
@@ -193,7 +195,8 @@ _NEGATIVE_KEYS = {ClassTag.POLE_CASCADE: "cascade", ClassTag.STABLE_OSCILLATION:
 def _class_key(eq, x, traj):
     """Class key of a probe and its pole count: the toy model's maxima count
     (no poles), the blow-up signature in the positive direction (its pole
-    count needs the other bracket end, :func:`_flip_poles`), or cascade / stable."""
+    count needs the other bracket end, :func:`_flip_poles`), or cascade /
+    stable: :func:`classify` reads a capped or trapped run from its stop."""
     if eq.first_order:
         return count_toy_maxima(traj), 0
     if traj.direction is Direction.POSITIVE_T:
@@ -207,9 +210,9 @@ def _class_key(eq, x, traj):
 _Record = namedtuple("_Record", "x traj key poles")  # a probe of the trial datum x
 
 
-def _record(eq, mode, x, rel_tol):
+def _record(eq, mode, x, rel_tol, certify=False):
     """The record of x: its full-horizon run at rel_tol and its class key."""
-    traj = _run(eq, mode, x, rel_tol)
+    traj = _run(eq, mode, x, rel_tol, certify=certify)
     return _Record(x, traj, *_class_key(eq, x, traj))
 
 
@@ -517,8 +520,8 @@ def _end_game(eq, mode, lo, hi, tol, rel_tol, index):
     while w > tol:
         w *= 0.5
     value = float(_matched_root(eq, mode, rel_tol, fine_rel_tol, (lo.x, hi.x), (lo.traj, hi.traj), tol))
-    pole_count = _flip_poles(_record(eq, mode, value - 0.5 * w, fine_rel_tol),
-                             _record(eq, mode, value + 0.5 * w, fine_rel_tol))
+    pole_count = _flip_poles(_record(eq, mode, value - 0.5 * w, fine_rel_tol, certify=True),
+                             _record(eq, mode, value + 0.5 * w, fine_rel_tol, certify=True))
     if pole_count is None:
         raise BisectionError(f"matched root {value!r} failed its certificate: fine probes {w:.3g} "
                              "apart are not one flip apart", probe=value)
@@ -528,7 +531,7 @@ def _end_game(eq, mode, lo, hi, tol, rel_tol, index):
 def separatrix_check(eq: Equation, mode: SearchMode | ModeKind | str, value: float):
     """Classify the trajectory at a converged critical value.
 
-    The run is the search's own full-horizon probe of ``value`` (see
+    The run is the search's own certificate probe of ``value`` (see
     :func:`_run`) at rel_tol 1e-11. A double-precision trajectory shadows
     the separatrix only over a finite stretch past the turning point, so in
     the negative direction the classification window is the longest
@@ -543,7 +546,7 @@ def separatrix_check(eq: Equation, mode: SearchMode | ModeKind | str, value: flo
     mode = SearchMode.coerce(mode)
     if not math.isfinite(value):
         raise ValueError(f"value = {value} must be finite")
-    traj = _run(eq, mode, value, 1e-11)
+    traj = _run(eq, mode, value, 1e-11, certify=True)
     if traj.direction is Direction.POSITIVE_T:
         return classify(eq, traj)
     win = _branch_window(eq, traj)

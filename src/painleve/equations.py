@@ -10,7 +10,7 @@ Every fact the pipeline needs about one of them - its right-hand side and
 fluctuation integrand dH/dt, written once as source, the energy H, the
 branch curves and the stable attractor, the pole order, Laurent family and
 Laurent correction, the pole-spacing model, the turning point, the
-separatrix asymptotics the eigenvalue search matches to, the rule that ends
+separatrix asymptotics the eigenvalue search matches to, the rules that end
 a probe once its class is final, the allowed directions and default horizon,
 and the search facts of each mode (direction, scan seed, growth exponent,
 Richardson order, WKB constant) - lives in its :class:`Equation` below. The
@@ -139,8 +139,9 @@ class Equation:
       deviations d obey d'' = V d (V = dy''/dy), so they e-fold at
       sqrt(V), or d' = V d (V = dy'/dy) for the toy model;
     * ``settled(t, y, y')`` is true once the class key of the run can no
-      longer change, so an eigenvalue probe may stop there; None runs every
-      probe to its horizon.
+      longer change, so every full-horizon probe may stop there; None runs
+      them to their horizon. ``trapped`` is the same for the certificate
+      probes alone: the stable well's exact rule (Painleve I and II).
 
     ``fine_tol_divisor`` ties the end-game integration tolerance of a
     bisection to its width, and ``modes`` holds the facts of each search
@@ -163,6 +164,7 @@ class Equation:
     turning_point: Callable | None = None
     separatrix: Mapping[Direction, Callable] = field(default_factory=dict)
     settled: Callable | None = None
+    trapped: Callable | None = None
     fine_tol_divisor: float = 100.0
 
     @cached_property
@@ -241,6 +243,26 @@ def _p2_separatrix(t, _t_near, y_near):
     return y, yp, 6.0 * y * y + t, 12.0 * y * yp + 1.0
 
 
+# The certificates' stop rule (``trapped``): with x = -t, E = y'^2/2 + V has
+# E_x = V_x. Inside the well, below the barrier top y_m, B = V(y_m) rises
+# faster than E and the far wall is closed, so a run there with E < B stays
+# trapped: stable, with no more poles. P-I: V = -2y^3 + xy, y_m = sqrt(x/6),
+# B_x = y_m > y = E_x; P-II: V = -y^4/2 + xy^2/2, y_m = +-sqrt(x/2), B_x = x/4
+# > y^2/2 = E_x. E must lie a share _WELL_MARGIN below B; false for t >= 0.
+_WELL_MARGIN = 1e-4
+
+
+def _p1_trapped(t, y, yp):
+    x = -t
+    return x > 0.0 and y < (top := math.sqrt(x / 6.0)) and (
+        0.5 * yp * yp + y * (x - 2.0 * y * y) < (1.0 - _WELL_MARGIN) * (2.0 * x / 3.0) * top)
+
+
+def _p2_trapped(t, y, yp):
+    x = -t
+    return 2.0 * y * y < x and 0.5 * yp * yp + 0.5 * y * y * (x - y * y) < (1.0 - _WELL_MARGIN) * 0.125 * x * x
+
+
 def _toy_separatrix(t, t_near, y_near):
     # y' = cos(pi t y) repels from the levels t y = c = 2k - 1/2 at the rate
     # V = dy'/dy = -pi t sin(pi t y) ~ pi t, so backward in t they attract: a
@@ -292,6 +314,7 @@ PAINLEVE_I = Equation(
     pole_spacing=lambda mag: 2.0 * math.pi / (math.sqrt(12.0) * max(0.3, mag / 6.0) ** 0.25),
     turning_point=lambda e: 6.0 * (0.5 * e) ** (2.0 / 3.0),
     separatrix={_NEG: _p1_separatrix},
+    trapped=_p1_trapped,
 )
 
 PAINLEVE_II = Equation(
@@ -315,6 +338,7 @@ PAINLEVE_II = Equation(
     turning_point=lambda e: math.sqrt(8.0 * e),
     # positive direction: the separatrix decays to 0 and deviations obey Airy's d'' = t d
     separatrix={_NEG: _p2_separatrix, _POS: lambda t, _t_near, _y_near: (0.0, 0.0, t, 1.0)},
+    trapped=_p2_trapped,
     # the certificate of c_29 reads its 30th blow-up, past t = 30
     positive_horizon=40.0,
     # simple poles amplify traversal noise harder

@@ -93,9 +93,9 @@ class IntegrationConfig:
     ``t_horizon`` of None selects the default: -60 for the negative
     direction, the equation's ``positive_horizon`` (+40 for Painleve II,
     +50 for the toy model) for the positive one. The eigensolver's toy-model
-    probes stop once their maxima count is final (``Equation.settled``), so
-    for them the horizon is only a cap on runs that never settle. A run
-    crosses at most ``max_poles`` poles. ``abs_tol`` follows ``rel_tol`` as
+    probes and Painleve certificates stop once ``Equation.settled`` or
+    ``Equation.trapped`` holds, so for them the horizon only caps runs that
+    never settle. A run crosses at most ``max_poles`` poles. ``abs_tol`` is
     ``rel_tol * 1e-2``; the step controller alone sizes every step.
     """
 

@@ -174,7 +174,7 @@ def test_criterion_9c_energy_identity():
         traj = integrate(eq, InitialData(0.0, slope), Direction.NEGATIVE_T, cfg)
         assert bool(traj.poles) == cascade
         I = fluctuation_integral(eq, traj)
-        H = energy(eq, traj.real_y(), traj.real_yp())
+        H = energy(eq, traj.y, traj.yp)
         defect = np.abs(H - H[0] - I).max()
         scale = max(1.0, np.abs(H).max())
         assert defect <= 10.0 * cfg.rel_tol * scale

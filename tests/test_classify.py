@@ -123,6 +123,54 @@ def test_toy_settle_rule_is_exact():
         assert stopped.terminal_t > maxima[-1], a
 
 
+def test_well_trap_rule_is_exact():
+    # A run stopped by Equation.trapped is stable for good. On random
+    # negative-direction starts over the scan ranges of the session tables
+    # (P-I slope n = 11, P-I value n = 15, P-II slope n = 21), a run that is
+    # trapped classifies as stable on its full run to t = -40, with the same
+    # poles, and every full run that classifies as stable was trapped. A run
+    # that is never trapped is its own full run.
+    cfg = IntegrationConfig(rel_tol=1e-8, t_horizon=-40.0)
+    rng = np.random.default_rng(29)
+    trapped = 0
+    for eq, mode, lo, hi in [(PAINLEVE_I, ModeKind.SLOPE, 0.2, 8.74), (PAINLEVE_I, ModeKind.VALUE, -2.7, -0.1),
+                             (PAINLEVE_II, ModeKind.SLOPE, 0.1, 8.79)]:
+        for x in rng.uniform(lo, hi, 60).tolist():
+            init = InitialData(0.0, x) if mode is ModeKind.SLOPE else InitialData(x, 0.0)
+            stopped = integrate(eq, init, Direction.NEGATIVE_T, cfg, until=eq.trapped)
+            full = stopped if stopped.stopped_by != "settled" else integrate(eq, init, Direction.NEGATIVE_T, cfg)
+            try:
+                cls = classify(eq, full)
+            except ClassificationError:
+                cls = None
+            stable = cls is not None and cls.tag is ClassTag.STABLE_OSCILLATION
+            assert (stopped.stopped_by == "settled") == stable, (eq.name, mode, x)
+            if stable:
+                trapped += 1
+                assert cls.pole_count == len(stopped.poles), (eq.name, mode, x)
+                assert [p.location for p in stopped.poles] == [p.location for p in full.poles]
+    assert trapped >= 60
+    # the rule is false where the search runs forward (P-II value mode)
+    grid = np.linspace(-4.0, 4.0, 17).tolist()
+    for eq in (PAINLEVE_I, PAINLEVE_II):
+        assert not any(eq.trapped(t, y, yp) for t in (0.0, 1e-12, 0.5, 3.0, 40.0) for y in grid for yp in grid)
+
+
+def test_trapped_run_classifies_as_stable_with_all_its_poles():
+    # the run stops 2.3 after its one pole, so the default window (10 long)
+    # holds that pole, and the contents of the window would read a cascade;
+    # the stop decides, as a pole-cap stop decides a cascade
+    cfg = IntegrationConfig(rel_tol=1e-8, t_horizon=-40.0)
+    stopped = integrate(PAINLEVE_I, InitialData(0.0, 3.504031103), Direction.NEGATIVE_T, cfg,
+                        until=PAINLEVE_I.trapped)
+    assert stopped.stopped_by == "settled" and not stopped.truncated
+    assert len(stopped.poles) == 1 and stopped.poles[-1].location - stopped.terminal_t < 10.0
+    cls = classify(PAINLEVE_I, stopped)
+    assert cls.tag is ClassTag.STABLE_OSCILLATION and cls.pole_count == 1
+    assert cls.confidence_window == (stopped.terminal_t, stopped.terminal_t + 10.0)
+    assert classify(PAINLEVE_I, stopped, window=cls.confidence_window).tag is ClassTag.POLE_CASCADE
+
+
 def test_count_toy_maxima_counts_level_crossings():
     # A maximum of y is an upward crossing of u = t y through a level
     # 2k + 1/2, and u crosses those levels upward only, starting from u = 0.
@@ -137,7 +185,7 @@ def test_count_toy_maxima_counts_level_crossings():
     for a, horizon, rel_tol in cases:
         cfg = IntegrationConfig(rel_tol=rel_tol, t_horizon=horizon)
         traj = integrate(TOY_MODEL, InitialData(a), Direction.POSITIVE_T, cfg)
-        u = traj.t[-1] * traj.real_y()[-1]
+        u = traj.t[-1] * traj.y[-1]
         crossed = max(0, math.floor((u - 0.5) / 2.0) + 1)
         assert count_toy_maxima(traj) == crossed, (a, horizon, rel_tol)
 

@@ -337,7 +337,7 @@ def test_benchmark_names_exist():
     traj = painleve.integrate(PAINLEVE_I, painleve.InitialData(0.0, 2.504031103), painleve.Direction.NEGATIVE_T,
                               IntegrationConfig(t_horizon=-4.0))
     assert traj.poles and traj.config.rel_tol > 0.0
-    h = painleve.energy(PAINLEVE_I, traj.real_y(), traj.real_yp())
+    h = painleve.energy(PAINLEVE_I, traj.y, traj.yp)
     assert len(h) == len(painleve.fluctuation_integral(PAINLEVE_I, traj))
     for a in (np.abs(traj.y), np.abs(traj.yp)):
         assert isinstance(a, np.ndarray) and np.isfinite(a).all()
@@ -450,6 +450,9 @@ def test_negative_pole_cap_keeps_every_class(eq, mode, reach):
         full = integrate(eq, eigensolver._initial_data(search, x), Direction.NEGATIVE_T, cfg)
         key, poles = eigensolver._class_key(eq, x, full)
         assert capped.key == key
+        # a certificate probe, which also stops once trapped in the well, reads the same
+        certified = _record(eq, search, x, eigensolver._COARSE, certify=True)
+        assert (certified.key, certified.poles) == (capped.key, capped.poles)
         if key == "stable":
             assert capped.poles == poles
             stable += 1
@@ -503,6 +506,36 @@ def test_scan_then_bisect_probes_no_datum_twice(monkeypatch, eq, mode, bracket, 
 
 def test_toy_scan_then_bisect_probes_no_datum_twice(monkeypatch):
     _scan_then_bisect_probes(monkeypatch, TOY_MODEL, "toy", (2.3, 2.5), TOY_REF[2], tol=1e-6, rel_tol=1e-9)
+
+
+@END_GAME_CASES
+def test_only_the_certificates_stop_in_the_well(monkeypatch, eq, mode, bracket, ref):
+    # The matched end game starts from the tails of the bracket ends, so the
+    # scan's records and bisect's own bracket-end records run to the horizon
+    # and only the certificates (bisect's last two probes, one on each side)
+    # may stop once trapped in the well: in the negative direction the stable
+    # one does, in the positive one neither. The record is the one the search
+    # gives with the rule withheld, bit for bit.
+    stops = []
+    real_integrate, real_run = eigensolver.integrate, eigensolver._run
+
+    def integrate(*args, **kwargs):
+        traj = real_integrate(*args, **kwargs)
+        stops.append(traj.stopped_by)
+        return traj
+
+    monkeypatch.setattr(eigensolver, "integrate", integrate)
+    lo, hi = bracket
+    assert len(scan_brackets(eq, mode, bracket, (hi - lo) / 4 * (1.0 + 1e-9))) == 1
+    assert len(stops) == 5
+    rec = bisect(eq, mode, bracket)
+    assert abs(rec.value - ref) < 3e-9
+    negative = eq.modes[mode].direction is Direction.NEGATIVE_T
+    assert "settled" not in stops[:-2] and stops[-2:].count("settled") == negative
+    monkeypatch.setattr(eigensolver, "_run", lambda *args, certify=False, **kwargs: real_run(*args, **kwargs))
+    del stops[:]
+    assert _record_bits(lambda: bisect(eq, mode, bracket)) == _record_bits(lambda: rec)
+    assert "settled" not in stops
 
 
 def test_scan_bracket_copies_pickles_and_json_are_plain_tuples():

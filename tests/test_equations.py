@@ -171,7 +171,7 @@ def test_fluctuation_rejects_toy():
 def _defect(eq, traj):
     I = fluctuation_integral(eq, traj)
     rt = traj.t
-    ry, ryp = traj.real_y(), traj.real_yp()
+    ry, ryp = traj.y, traj.yp
     H = energy(eq, ry, ryp)
     return rt, ry, ryp, H - H[0] - I
 
@@ -182,7 +182,7 @@ def test_energy_identity_smooth():
     traj = integrate(PAINLEVE_I, InitialData(0.0, 1.0), Direction.NEGATIVE_T, cfg)
     assert not traj.poles
     _, ry, _, defect = _defect(PAINLEVE_I, traj)
-    H_scale = max(1.0, np.abs(energy(PAINLEVE_I, ry, traj.real_yp())).max())
+    H_scale = max(1.0, np.abs(energy(PAINLEVE_I, ry, traj.yp)).max())
     assert np.abs(defect).max() <= 10.0 * cfg.rel_tol * H_scale
 
 

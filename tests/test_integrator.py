@@ -239,7 +239,7 @@ def test_crossing_independent_of_trigger_depth(eq, init, monkeypatch):
     for ds in (15.0, 50.0, 150.0):
         monkeypatch.setattr(integrator, "_DETOUR_START", ds)
         traj = integrate(eq, init, Direction.NEGATIVE_T, IntegrationConfig(t_horizon=-20.0))
-        ends.append(traj.real_y()[-1])
+        ends.append(traj.y[-1])
     assert max(ends) - min(ends) <= 1e-8
 
 
@@ -250,7 +250,7 @@ def test_crossing_accuracy_through_cascade(eq, init):
     ref = integrate(eq, init, Direction.NEGATIVE_T,
                     IntegrationConfig(t_horizon=-40.0, rel_tol=1e-13))
     assert len(run.poles) == len(ref.poles) > 20
-    assert abs(run.real_y()[-1] - ref.real_y()[-1]) <= 2e-6
+    assert abs(run.y[-1] - ref.y[-1]) <= 2e-6
 
 
 @pytest.mark.parametrize("eq,init", _CASCADES, ids=["p1", "p2"])
@@ -571,7 +571,7 @@ def test_tolerance_convergence_pole_free():
     a = integrate(PAINLEVE_I, InitialData(0.0, 1.0), Direction.NEGATIVE_T, loose)
     b = integrate(PAINLEVE_I, InitialData(0.0, 1.0), Direction.NEGATIVE_T, tight)
     assert not a.poles and not b.poles
-    ya, yb = a.real_y()[-1], b.real_y()[-1]
+    ya, yb = a.y[-1], b.y[-1]
     assert abs(ya - yb) / abs(yb) < 1e3 * tight.rel_tol
 
 
@@ -580,7 +580,7 @@ def test_known_trajectories():
     # negative branch
     traj = integrate(PAINLEVE_I, InitialData(0.0, 3.504031103), Direction.NEGATIVE_T)
     assert len(traj.poles) == 1
-    rt, ry = traj.t, traj.real_y()
+    rt, ry = traj.t, traj.y
     m = rt <= -50.0
     assert abs(ry[m].mean() + branch_curve(PAINLEVE_I, rt[m]).mean()) < 0.2
 
@@ -591,7 +591,7 @@ def test_known_trajectories():
     traj = integrate(PAINLEVE_I, InitialData(0.0, 1.851854034), Direction.NEGATIVE_T,
                      IntegrationConfig(t_horizon=-7.0, rel_tol=1e-12))
     assert len(traj.poles) == 0
-    rt, ry = traj.t, traj.real_y()
+    rt, ry = traj.t, traj.y
     m = rt <= -6.4
     assert np.max(np.abs(ry[m] / branch_curve(PAINLEVE_I, rt[m]) - 1.0)) < 1e-3
 
@@ -599,7 +599,7 @@ def test_known_trajectories():
     traj = integrate(PAINLEVE_II, InitialData(1.222873339, 0.0), Direction.POSITIVE_T,
                      IntegrationConfig(t_horizon=8.0))
     assert len(traj.poles) == 1
-    rt, ry = traj.t, traj.real_y()
+    rt, ry = traj.t, traj.y
     assert np.abs(ry[rt > 6.0]).min() < 1e-3
 
 
@@ -607,7 +607,7 @@ def test_toy_trajectory_bounded():
     traj = integrate(TOY_MODEL, InitialData(0.25), Direction.POSITIVE_T)
     assert traj.yp is None
     assert not traj.poles
-    ry = traj.real_y()
+    ry = traj.y
     assert np.abs(ry).max() < 2.0
     # late-time amplitude decays roughly like 1/t
     rt = traj.t
