@@ -2,18 +2,18 @@
 
 The classifier supplies the discriminant the eigenvalue search brackets on:
 in the negative direction every trajectory eventually either keeps running
-through movable poles (cascade) or settles into stable oscillation about the
-attractor (-sqrt(-t/6) for Painleve I, the axis y = 0 for Painleve II).
-Separatrix tags identify trajectories that track one of the unstable branch
-curves +-sqrt(-t/6) or +-sqrt(-t/2); they validate converged eigenfunctions
-and are never produced by generic initial data.
+through movable poles (cascade) or is trapped in the stable potential well
+(about -sqrt(-t/6) for Painleve I, the axis y = 0 for Painleve II), where it
+oscillates with no further pole. ``Equation.trapped`` is the exact rule for
+the well, read at the run's last sample. Separatrix tags, for trajectories
+that track one of the unstable branch curves +-sqrt(-t/6) or +-sqrt(-t/2),
+are given by :func:`~painleve.eigensolver.separatrix_check` alone; they
+validate converged eigenfunctions and are never produced by generic initial
+data.
 
 In the positive direction (Painleve II) the decaying separatrix is flanked
 by solutions that blow up through the next pole with opposite signs, so the
 classes there are DecayToZero and DivergentPositive/Negative.
-
-The branch curves and the attractor come from the equation's spec
-(``branch_denom`` and ``attractor``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import Direction, Equation, branch_curve
+from .equations import Direction, Equation
 from .integrator import Trajectory
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "toy_maxima",
 ]
 
-SEPARATRIX_BAND = 1e-3     # relative band around a branch curve
-OSCILLATION_BAND = 0.25    # windowed-mean band, in units of the branch scale
 DECAY_DIP = 2.5e-4         # |y| depth certifying the decaying separatrix
 DECAY_NEIGHBORHOOD = 1e-2  # |y| must stay below this for >= DECAY_SPAN around the dip
 DECAY_SPAN = 0.5
@@ -63,80 +61,46 @@ class SolutionClass:
     confidence_window: tuple[float, float]
 
 
-def _window_default(traj: Trajectory) -> tuple[float, float]:
-    h = traj.terminal_t
-    if traj.direction is Direction.NEGATIVE_T:
-        return (h, h + 10.0)
-    return (h - 10.0, h)
+def classify(eq: Equation, traj: Trajectory) -> SolutionClass:
+    """Assign the trajectory of ``eq`` its terminal behavior class.
 
-
-def classify(
-    eq: Equation,
-    traj: Trajectory,
-    window: tuple[float, float] | None = None,
-) -> SolutionClass:
-    """Assign the trajectory its terminal behavior class.
-
-    The decision is made on the trailing window (default: the last 10 time
-    units before the horizon; pass ``window`` to inspect a different
-    stretch, e.g. when validating a separatrix whose trackable extent is
-    shorter). In the default window only, how the run stopped decides
-    first, with all its poles: a pole-cap truncation means PoleCascade, and
-    a stop by ``until`` ('settled', as ``Equation.trapped`` ends it)
-    StableOscillation; an explicit window lies before the stop. Criteria, in
-    order: a pole inside the window means PoleCascade; tight tracking of a
-    branch curve means Separatrix; a windowed mean near the stable attractor
-    means StableOscillation. Positive direction: a certified dip of |y|
-    below ``DECAY_DIP`` means DecayToZero, otherwise the sign of the final
-    blow-up decides DivergentPositive/Negative.
+    Negative direction, with all the run's poles and the window of the last
+    10 time units before its end: a run stopped by its pole cap is a
+    PoleCascade; a run trapped in the stable well at its last sample
+    (``eq.trapped``, which also ends a run stopped as 'settled') is a
+    StableOscillation; a pole inside the window makes any other run a
+    PoleCascade. Positive direction: a certified dip of |y| below
+    ``DECAY_DIP`` means DecayToZero, otherwise the sign of the final blow-up
+    decides DivergentPositive/Negative.
 
     Raises :class:`ClassificationError` when nothing fires; the caller sees
-    the ambiguity rather than a guess.
+    the ambiguity rather than a guess. A trajectory of another equation than
+    ``eq``, or of the toy model, raises ValueError.
     """
+    if eq is not traj.equation:
+        raise ValueError(f"the trajectory is of {traj.equation.name}, not {eq.name}")
     if eq.first_order:
         raise ValueError("toy-model trajectories are characterized by count_toy_maxima")
     if traj.direction is Direction.NEGATIVE_T:
-        return _classify_negative(eq, traj, window)
-    return _classify_positive(eq, traj, window)
+        return _classify_negative(eq, traj)
+    return _classify_positive(traj)
 
 
-def _classify_negative(eq, traj, window):
-    lo, hi = window if window is not None else _window_default(traj)
-    stop_tag = {"pole-cap": ClassTag.POLE_CASCADE, "settled": ClassTag.STABLE_OSCILLATION}.get(traj.stopped_by)
-    if window is None and stop_tag:
-        return SolutionClass(stop_tag, len(traj.poles), (lo, hi))
-    if any(lo <= p.location <= hi for p in traj.poles):
-        return SolutionClass(ClassTag.POLE_CASCADE, len(traj.poles), (lo, hi))
-
-    rt, ry = traj.t, traj.y
-    m = (rt >= lo) & (rt <= hi)
-    if m.sum() < 4:
-        raise ClassificationError(
-            f"window [{lo:.3g}, {hi:.3g}] holds only {int(m.sum())} real samples"
-        )
-    tw, yw = rt[m], ry[m]
-    bw = branch_curve(eq, tw)
-    n_before = sum(1 for p in traj.poles if p.location > hi)
-
-    plus_dev = np.max(np.abs(yw - bw) / bw)
-    minus_dev = np.max(np.abs(yw + bw) / bw)
-    if plus_dev <= SEPARATRIX_BAND:
-        return SolutionClass(ClassTag.SEPARATRIX_PLUS, n_before, (lo, hi))
-    if minus_dev <= SEPARATRIX_BAND:
-        return SolutionClass(ClassTag.SEPARATRIX_MINUS, n_before, (lo, hi))
-
-    center = eq.attractor * bw.mean()
-    if abs(yw.mean() - center) <= OSCILLATION_BAND * bw.mean():
-        return SolutionClass(ClassTag.STABLE_OSCILLATION, len(traj.poles), (lo, hi))
+def _classify_negative(eq, traj):
+    window = (traj.terminal_t, traj.terminal_t + 10.0)
+    if traj.stopped_by == "pole-cap":
+        return SolutionClass(ClassTag.POLE_CASCADE, len(traj.poles), window)
+    if eq.trapped(traj.t[-1], traj.y[-1], traj.yp[-1]):
+        return SolutionClass(ClassTag.STABLE_OSCILLATION, len(traj.poles), window)
+    if any(window[0] <= p.location <= window[1] for p in traj.poles):
+        return SolutionClass(ClassTag.POLE_CASCADE, len(traj.poles), window)
     raise ClassificationError(
-        f"no criterion fired on [{lo:.3g}, {hi:.3g}]: mean y = {yw.mean():.4g}, "
-        f"branch scale {bw.mean():.4g}, branch deviations {plus_dev:.3g}/{minus_dev:.3g}"
+        f"the run is not trapped in the stable well at its end, t = {traj.terminal_t:.6g}, "
+        f"and has no pole in [{window[0]:.3g}, {window[1]:.3g}]"
     )
 
 
-def _classify_positive(eq, traj, window):
-    if Direction.POSITIVE_T not in eq.directions:
-        raise ValueError("positive-direction classification applies to Painleve II")
+def _classify_positive(traj):
     rt, ry = traj.t, traj.y
     ay = np.abs(ry)
 
@@ -164,9 +128,8 @@ def _classify_positive(eq, traj, window):
         sign = 1 if ry[-1] >= 0 else -1
     else:
         raise ClassificationError("empty trajectory")
-    lo, hi = window if window is not None else _window_default(traj)
     tag = ClassTag.DIVERGENT_POSITIVE if sign > 0 else ClassTag.DIVERGENT_NEGATIVE
-    return SolutionClass(tag, len(traj.poles), (lo, hi))
+    return SolutionClass(tag, len(traj.poles), (traj.terminal_t - 10.0, traj.terminal_t))
 
 
 def toy_maxima(traj: Trajectory) -> np.ndarray:

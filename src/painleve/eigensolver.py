@@ -48,8 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import (SEPARATRIX_BAND, ClassificationError, ClassTag, classify,
-                       count_toy_maxima, toy_maxima)
+from .classify import ClassificationError, ClassTag, SolutionClass, classify, count_toy_maxima, toy_maxima
 from .equations import (TOY_MODEL, Direction, Equation, InitialData, ModeKind, ModeSpec, branch_curve,
                         energy)
 from .integrator import IntegrationConfig, IntegrationError, integrate
@@ -189,22 +188,17 @@ def _run(eq, mode, x, rel_tol: float, t_stop: float | None = None, certify: bool
     return traj
 
 
-_NEGATIVE_KEYS = {ClassTag.POLE_CASCADE: "cascade", ClassTag.STABLE_OSCILLATION: "stable"}
-
-
-def _class_key(eq, x, traj):
+def _class_key(eq, traj):
     """Class key of a probe and its pole count: the toy model's maxima count
     (no poles), the blow-up signature in the positive direction (its pole
     count needs the other bracket end, :func:`_flip_poles`), or cascade /
-    stable: :func:`classify` reads a capped or trapped run from its stop."""
+    stable as :func:`classify` reads them."""
     if eq.first_order:
         return count_toy_maxima(traj), 0
     if traj.direction is Direction.POSITIVE_T:
         return _events(traj)[1], None
     cls = classify(eq, traj)
-    if cls.tag not in _NEGATIVE_KEYS:
-        raise BisectionError(f"probe x = {x!r} classified as {cls.tag.value}", probe=x)
-    return _NEGATIVE_KEYS[cls.tag], cls.pole_count
+    return "stable" if cls.tag is ClassTag.STABLE_OSCILLATION else "cascade", cls.pole_count
 
 
 _Record = namedtuple("_Record", "x traj key poles")  # a probe of the trial datum x
@@ -213,7 +207,7 @@ _Record = namedtuple("_Record", "x traj key poles")  # a probe of the trial datu
 def _record(eq, mode, x, rel_tol, certify=False):
     """The record of x: its full-horizon run at rel_tol and its class key."""
     traj = _run(eq, mode, x, rel_tol, certify=certify)
-    return _Record(x, traj, *_class_key(eq, x, traj))
+    return _Record(x, traj, *_class_key(eq, traj))
 
 
 def _keys_differ(a, b) -> bool:
@@ -528,20 +522,26 @@ def _end_game(eq, mode, lo, hi, tol, rel_tol, index):
     return EigenvalueRecord(index, value, w, pole_count, mode)
 
 
-def separatrix_check(eq: Equation, mode: SearchMode | ModeKind | str, value: float):
+SEPARATRIX_BAND = 1e-3  # relative band around a branch curve, for separatrix_check
+
+
+def separatrix_check(eq: Equation, mode: SearchMode | ModeKind | str, value: float) -> SolutionClass:
     """Classify the trajectory at a converged critical value.
 
     The run is the search's own certificate probe of ``value`` (see
-    :func:`_run`) at rel_tol 1e-11. A double-precision trajectory shadows
-    the separatrix only over a finite stretch past the turning point, so in
-    the negative direction the classification window is the longest
-    branch-tracking run found before the trajectory leaves the branch; its
-    samples are the step controller's own, so the window's ends follow the
-    stepper's step sizes. In the positive direction the whole run is
-    classified.
+    :func:`_run`) at rel_tol 1e-11. In the positive direction
+    :func:`classify` reads the whole run. In the negative direction a
+    double-precision trajectory shadows the separatrix only over a finite
+    stretch past the turning point, so the window is the longest stretch on
+    which the run stays within ``SEPARATRIX_BAND`` of a branch curve,
+    trimmed by 5 % at each end. Its samples are the step controller's own,
+    so the window's ends follow the stepper's step sizes. The tag is the
+    branch the run hugs there (the sign of y), and the pole count that of
+    the poles the run crossed before the window.
     Returns the :class:`SolutionClass`, which callers assert to be a
     separatrix (negative direction) or decay (positive direction). A run
-    stopped by step underflow raises IntegrationError, bad arguments ValueError.
+    that never hugs a branch raises ClassificationError, a run stopped by
+    step underflow IntegrationError, bad arguments ValueError.
     """
     mode = SearchMode.coerce(mode)
     if not math.isfinite(value):
@@ -549,31 +549,19 @@ def separatrix_check(eq: Equation, mode: SearchMode | ModeKind | str, value: flo
     traj = _run(eq, mode, value, 1e-11, certify=True)
     if traj.direction is Direction.POSITIVE_T:
         return classify(eq, traj)
-    win = _branch_window(eq, traj)
-    if win is None:
-        raise ClassificationError(
-            f"trajectory at {value!r} never tracks a branch curve within the band"
-        )
-    return classify(eq, traj, window=win)
-
-
-def _branch_window(eq, traj):
-    """Longest contiguous stretch where the trajectory hugs a branch curve."""
     m = traj.t < -0.5
     rt, ry = traj.t[m], traj.y[m]
-    if len(rt) < 4:
-        return None
     bw = branch_curve(eq, rt)
-    ok = (np.abs(ry - bw) <= SEPARATRIX_BAND * bw) | (np.abs(ry + bw) <= SEPARATRIX_BAND * bw)
+    ok = np.abs(np.abs(ry) - bw) <= SEPARATRIX_BAND * bw
     # runs [i, j] of ok samples; the first with the longest time span wins
     runs = np.flatnonzero(np.diff(ok, prepend=False, append=False)).reshape(-1, 2) - (0, 1)
-    if not len(runs):
-        return None
-    i, j = runs[np.argmax(np.abs(rt[runs[:, 1]] - rt[runs[:, 0]]))]
+    i, j = runs[np.argmax(rt[runs[:, 0]] - rt[runs[:, 1]])] if len(runs) else (0, 0)
     if j - i < 3:
-        return None
-    span = rt[j] - rt[i]
-    return (rt[j] - 0.05 * span, rt[i] + 0.05 * span)
+        raise ClassificationError(f"trajectory at {value!r} never tracks a branch curve within the band")
+    span = rt[i] - rt[j]
+    lo, hi = rt[j] + 0.05 * span, rt[i] - 0.05 * span
+    tag = ClassTag.SEPARATRIX_PLUS if ry[i] > 0.0 else ClassTag.SEPARATRIX_MINUS
+    return SolutionClass(tag, sum(1 for p in traj.poles if p.location > hi), (lo, hi))
 
 
 def eigen_table(

@@ -8,14 +8,14 @@ Three systems are supported:
 
 Every fact the pipeline needs about one of them - its right-hand side and
 fluctuation integrand dH/dt, written once as source, the energy H, the
-branch curves and the stable attractor, the pole order, Laurent family and
-Laurent correction, the pole-spacing model, the turning point, the
-separatrix asymptotics the eigenvalue search matches to, the rules that end
-a probe once its class is final, the allowed directions and default horizon,
-and the search facts of each mode (direction, scan seed, growth exponent,
-Richardson order, WKB constant) - lives in its :class:`Equation` below. The
-integrator, classifier, eigensolver and CLI read those facts and never ask
-which equation they hold.
+branch curves, the pole order, Laurent family and Laurent correction, the
+pole-spacing model, the turning point, the separatrix asymptotics the
+eigenvalue search matches to, the stable well's exact rule, the rules that
+end a probe once its class is final, the allowed directions and default
+horizon, and the search facts of each mode (direction, scan seed, growth
+exponent, Richardson order, WKB constant) - lives in its :class:`Equation`
+below. The integrator, classifier, eigensolver and CLI read those facts and
+never ask which equation they hold.
 """
 
 from __future__ import annotations
@@ -117,8 +117,7 @@ class Equation:
     ``settled``:
 
     * ``hamiltonian(y, y')`` is H;
-    * the branch curves are +-sqrt(-t / ``branch_denom``) and the stable
-      attractor sits at ``attractor`` times the + branch;
+    * the branch curves are +-sqrt(-t / ``branch_denom``);
     * ``laurent_correction(t_hat, d)`` is the error of the leading pole
       estimate t_hat at signed distance d, ``pole_spacing(|t|)`` the local
       pole-spacing model;
@@ -140,8 +139,12 @@ class Equation:
       sqrt(V), or d' = V d (V = dy'/dy) for the toy model;
     * ``settled(t, y, y')`` is true once the class key of the run can no
       longer change, so every full-horizon probe may stop there; None runs
-      them to their horizon. ``trapped`` is the same for the certificate
-      probes alone: the stable well's exact rule (Painleve I and II).
+      them to their horizon;
+    * ``trapped(t, y, y')`` (Painleve I and II) is the stable well's exact
+      rule: once it holds, the run is stable for good and crosses no further
+      pole. :func:`~painleve.classify.classify` reads it at a run's last
+      sample, and it ends the certificate probes alone, since the end game
+      reads the tails of the scan's probes.
 
     ``fine_tol_divisor`` ties the end-game integration tolerance of a
     bisection to its width, and ``modes`` holds the facts of each search
@@ -156,7 +159,6 @@ class Equation:
     positive_horizon: float = 30.0
     hamiltonian: Callable | None = None
     branch_denom: float | None = None
-    attractor: float = 0.0
     laurent_correction: Callable | None = None
     laurent: Callable | None = None
     laurent_q: Callable | None = None
@@ -306,7 +308,6 @@ PAINLEVE_I = Equation(
     },
     hamiltonian=lambda y, yp: 0.5 * yp * yp - 2.0 * y * y * y,
     branch_denom=6.0,
-    attractor=-1.0,
     laurent_correction=lambda t_hat, d: (t_hat / 5.0) * d**5 + (5.0 / 12.0) * d**6,
     laurent=_p1_laurent,
     laurent_q=lambda a: a,  # Q = y

@@ -13,6 +13,7 @@ from painleve import (
     PAINLEVE_I,
     PAINLEVE_II,
     TOY_MODEL,
+    branch_curve,
     classify,
     count_toy_maxima,
     integrate,
@@ -91,11 +92,37 @@ def test_classify_rejects_toy():
         classify(TOY_MODEL, traj)
 
 
+def test_classify_rejects_a_trajectory_of_another_equation():
+    # the branch curves and the well rule are the equation's own
+    p1 = _neg(PAINLEVE_I, 0.0, 2.504031103)
+    p2 = _neg(PAINLEVE_II, 0.0, 1.028605106)
+    for eq, traj in ((PAINLEVE_II, p1), (PAINLEVE_I, p2)):
+        with pytest.raises(ValueError):
+            classify(eq, traj)
+    pos = integrate(PAINLEVE_II, InitialData(1.23, 0.0), Direction.POSITIVE_T, IntegrationConfig(t_horizon=5.0))
+    with pytest.raises(ValueError):
+        classify(PAINLEVE_I, pos)
+
+
 def test_ambiguous_window_reported():
-    # a pole-free window in the pre-asymptotic region fires no criterion
-    traj = _neg(PAINLEVE_I, 0.0, 3.504031103, horizon=-40.0)
+    # a run that ends in the pre-asymptotic region, pole free and not yet in
+    # the stable well, fires no criterion
+    traj = _neg(PAINLEVE_I, 0.0, 3.504031103, horizon=-1.0)
+    assert not traj.poles and traj.stopped_by == "horizon"
     with pytest.raises(ClassificationError):
-        classify(PAINLEVE_I, traj, window=(-2.0, -0.5))
+        classify(PAINLEVE_I, traj)
+
+
+@pytest.mark.parametrize("y0,slope,poles", [(0.0, 12.6915, 10), (0.0, 13.5440, 11), (-3.80673, 0.0, 13)])
+def test_stable_run_with_a_late_last_pole(y0, slope, poles):
+    # these stable runs cross their last pole between t = -25.5 and -31.2,
+    # too late for the mean of y over the last 10 of a run to t = -40 to
+    # settle near the well's centre; they read as stable with the poles of
+    # their run to t = -60
+    for horizon in (-40.0, -60.0):
+        traj = _neg(PAINLEVE_I, y0, slope, horizon=horizon, rel_tol=1e-8)
+        cls = classify(PAINLEVE_I, traj)
+        assert cls.tag is ClassTag.STABLE_OSCILLATION and cls.pole_count == poles, horizon
 
 
 def test_count_toy_maxima_monotone():
@@ -123,33 +150,46 @@ def test_toy_settle_rule_is_exact():
         assert stopped.terminal_t > maxima[-1], a
 
 
+def _stable_by_window_mean(eq, traj):
+    """Reference stable rule, independent of Equation.trapped, for a
+    negative-direction run with no pole in its last 10 time units: the mean
+    of y there lies within a quarter of the branch scale of the well's
+    centre, -sqrt(-t/6) for Painleve I and 0 for Painleve II."""
+    m = traj.t <= traj.terminal_t + 10.0
+    bw = branch_curve(eq, traj.t[m]).mean()
+    centre = -bw if eq is PAINLEVE_I else 0.0
+    return abs(traj.y[m].mean() - centre) <= 0.25 * bw
+
+
 def test_well_trap_rule_is_exact():
     # A run stopped by Equation.trapped is stable for good. On random
     # negative-direction starts over the scan ranges of the session tables
     # (P-I slope n = 11, P-I value n = 15, P-II slope n = 21), a run that is
     # trapped classifies as stable on its full run to t = -40, with the same
     # poles, and every full run that classifies as stable was trapped. A run
-    # that is never trapped is its own full run.
+    # that is never trapped is its own full run. Where the full run has no
+    # pole in its last 10 time units, the window mean of y agrees with the
+    # rule.
     cfg = IntegrationConfig(rel_tol=1e-8, t_horizon=-40.0)
     rng = np.random.default_rng(29)
-    trapped = 0
+    trapped = compared = 0
     for eq, mode, lo, hi in [(PAINLEVE_I, ModeKind.SLOPE, 0.2, 8.74), (PAINLEVE_I, ModeKind.VALUE, -2.7, -0.1),
                              (PAINLEVE_II, ModeKind.SLOPE, 0.1, 8.79)]:
         for x in rng.uniform(lo, hi, 60).tolist():
             init = InitialData(0.0, x) if mode is ModeKind.SLOPE else InitialData(x, 0.0)
             stopped = integrate(eq, init, Direction.NEGATIVE_T, cfg, until=eq.trapped)
             full = stopped if stopped.stopped_by != "settled" else integrate(eq, init, Direction.NEGATIVE_T, cfg)
-            try:
-                cls = classify(eq, full)
-            except ClassificationError:
-                cls = None
-            stable = cls is not None and cls.tag is ClassTag.STABLE_OSCILLATION
+            cls = classify(eq, full)
+            stable = cls.tag is ClassTag.STABLE_OSCILLATION
             assert (stopped.stopped_by == "settled") == stable, (eq.name, mode, x)
+            if not full.poles or full.poles[-1].location > full.terminal_t + 10.0:
+                compared += 1
+                assert _stable_by_window_mean(eq, full) == stable, (eq.name, mode, x)
             if stable:
                 trapped += 1
                 assert cls.pole_count == len(stopped.poles), (eq.name, mode, x)
                 assert [p.location for p in stopped.poles] == [p.location for p in full.poles]
-    assert trapped >= 60
+    assert trapped >= 60 and compared >= 60
     # the rule is false where the search runs forward (P-II value mode)
     grid = np.linspace(-4.0, 4.0, 17).tolist()
     for eq in (PAINLEVE_I, PAINLEVE_II):
@@ -157,9 +197,8 @@ def test_well_trap_rule_is_exact():
 
 
 def test_trapped_run_classifies_as_stable_with_all_its_poles():
-    # the run stops 2.3 after its one pole, so the default window (10 long)
-    # holds that pole, and the contents of the window would read a cascade;
-    # the stop decides, as a pole-cap stop decides a cascade
+    # the run stops 2.3 after its one pole, so its window (10 long) holds
+    # that pole; the trap at its last sample decides, before the pole
     cfg = IntegrationConfig(rel_tol=1e-8, t_horizon=-40.0)
     stopped = integrate(PAINLEVE_I, InitialData(0.0, 3.504031103), Direction.NEGATIVE_T, cfg,
                         until=PAINLEVE_I.trapped)
@@ -168,7 +207,6 @@ def test_trapped_run_classifies_as_stable_with_all_its_poles():
     cls = classify(PAINLEVE_I, stopped)
     assert cls.tag is ClassTag.STABLE_OSCILLATION and cls.pole_count == 1
     assert cls.confidence_window == (stopped.terminal_t, stopped.terminal_t + 10.0)
-    assert classify(PAINLEVE_I, stopped, window=cls.confidence_window).tag is ClassTag.POLE_CASCADE
 
 
 def test_count_toy_maxima_counts_level_crossings():

@@ -337,7 +337,8 @@ def test_benchmark_names_exist():
     traj = painleve.integrate(PAINLEVE_I, painleve.InitialData(0.0, 2.504031103), painleve.Direction.NEGATIVE_T,
                               IntegrationConfig(t_horizon=-4.0))
     assert traj.poles and traj.config.rel_tol > 0.0
-    h = painleve.energy(PAINLEVE_I, traj.y, traj.yp)
+    inspect.signature(painleve.classify).bind(PAINLEVE_I, traj)
+    h = painleve.energy(PAINLEVE_I, traj.real_y(), traj.real_yp())
     assert len(h) == len(painleve.fluctuation_integral(PAINLEVE_I, traj))
     for a in (np.abs(traj.y), np.abs(traj.yp)):
         assert isinstance(a, np.ndarray) and np.isfinite(a).all()
@@ -448,7 +449,7 @@ def test_negative_pole_cap_keeps_every_class(eq, mode, reach):
         capped = _record(eq, search, x, eigensolver._COARSE)
         cfg = IntegrationConfig(eigensolver._COARSE, t_horizon=eigensolver._negative_horizon(eq, search, x))
         full = integrate(eq, eigensolver._initial_data(search, x), Direction.NEGATIVE_T, cfg)
-        key, poles = eigensolver._class_key(eq, x, full)
+        key, poles = eigensolver._class_key(eq, full)
         assert capped.key == key
         # a certificate probe, which also stops once trapped in the well, reads the same
         certified = _record(eq, search, x, eigensolver._COARSE, certify=True)
