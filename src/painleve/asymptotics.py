@@ -35,10 +35,11 @@ class WkbSpec:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if self.g <= 0.0:
-            raise ValueError("coupling g must be positive")
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be non-negative")
+        # a NaN passes every comparison check, so finiteness is asked first
+        if not (math.isfinite(self.g) and self.g > 0.0):
+            raise ValueError(f"coupling g = {self.g} must be positive and finite")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ValueError(f"epsilon = {self.epsilon} must be non-negative and finite")
 
 
 def wkb_energy(spec: WkbSpec, n: int) -> float:
@@ -47,8 +48,8 @@ def wkb_energy(spec: WkbSpec, n: int) -> float:
     E_n = (1/2) (2g)^{2/(4+eps)} * [ G(3/2 + 1/(eps+2)) sqrt(pi) n /
           ( sin(pi/(eps+2)) G(1 + 1/(eps+2)) ) ]^{(2 eps + 4)/(eps + 4)}.
     """
-    if n < 1:
-        raise ValueError("level index n must be >= 1")
+    if not (math.isfinite(n) and n >= 1):
+        raise ValueError(f"level index n = {n} must be finite and >= 1")
     e = spec.epsilon
     num = math.gamma(1.5 + 1.0 / (e + 2.0)) * math.sqrt(math.pi) * n
     den = math.sin(math.pi / (e + 2.0)) * math.gamma(1.0 + 1.0 / (e + 2.0))
@@ -61,8 +62,8 @@ def hermitian_quartic_energy(n: int) -> float:
 
     This case sits outside the PT family covered by :func:`wkb_energy`.
     """
-    if n < 1:
-        raise ValueError("level index n must be >= 1")
+    if not (math.isfinite(n) and n >= 1):
+        raise ValueError(f"level index n = {n} must be finite and >= 1")
     return (3.0 * n * math.sqrt(math.pi) * math.gamma(0.75) / math.gamma(0.25)) ** (4.0 / 3.0)
 
 

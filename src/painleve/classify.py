@@ -1,19 +1,19 @@
 """Terminal-behavior classification of trajectories.
 
-The classifier supplies the discriminant the eigenvalue search brackets on:
-in the negative direction every trajectory eventually either keeps running
-through movable poles (cascade) or is trapped in the stable potential well
-(about -sqrt(-t/6) for Painleve I, the axis y = 0 for Painleve II), where it
-oscillates with no further pole. ``Equation.trapped`` is the exact rule for
-the well, read at the run's last sample. Separatrix tags, for trajectories
-that track one of the unstable branch curves +-sqrt(-t/6) or +-sqrt(-t/2),
-are given by :func:`~painleve.eigensolver.separatrix_check` alone; they
-validate converged eigenfunctions and are never produced by generic initial
-data.
+The classifier reads the generic classes of a trajectory, the open families
+that the critical initial data separate. In the negative direction every
+trajectory eventually either keeps running through movable poles (cascade)
+or is trapped in the stable potential well (about -sqrt(-t/6) for Painleve
+I, the axis y = 0 for Painleve II), where it oscillates with no further
+pole. ``Equation.trapped`` is the exact rule for the well, read at the run's
+last sample. In the positive direction (Painleve II) a run blows up through
+its last pole from above or from below (DivergentPositive/Negative).
 
-In the positive direction (Painleve II) the decaying separatrix is flanked
-by solutions that blow up through the next pole with opposite signs, so the
-classes there are DecayToZero and DivergentPositive/Negative.
+Separatrix tags, for the measure-zero runs between two families (tracking
+one of the unstable branch curves +-sqrt(-t/6) or +-sqrt(-t/2), or decaying
+to zero in the positive direction), are given by
+:func:`~painleve.eigensolver.separatrix_check` alone; they validate
+converged eigenfunctions and are never produced by generic initial data.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ __all__ = [
     "count_toy_maxima",
     "toy_maxima",
 ]
-
-DECAY_DIP = 2.5e-4         # |y| depth certifying the decaying separatrix
-DECAY_NEIGHBORHOOD = 1e-2  # |y| must stay below this for >= DECAY_SPAN around the dip
-DECAY_SPAN = 0.5
 
 
 class ClassificationError(RuntimeError):
@@ -62,20 +58,22 @@ class SolutionClass:
 
 
 def classify(eq: Equation, traj: Trajectory) -> SolutionClass:
-    """Assign the trajectory of ``eq`` its terminal behavior class.
+    """Assign the trajectory of ``eq`` its generic terminal class.
 
-    Negative direction, with all the run's poles and the window of the last
-    10 time units before its end: a run stopped by its pole cap is a
-    PoleCascade; a run trapped in the stable well at its last sample
-    (``eq.trapped``, which also ends a run stopped as 'settled') is a
+    Each class counts all the run's poles. Negative direction, with the
+    window of the last 10 time units before its end: a run stopped by its
+    pole cap is a PoleCascade; a run trapped in the stable well at its last
+    sample (``eq.trapped``, which also ends a run stopped as 'settled') is a
     StableOscillation; a pole inside the window makes any other run a
-    PoleCascade. Positive direction: a certified dip of |y| below
-    ``DECAY_DIP`` means DecayToZero, otherwise the sign of the final blow-up
-    decides DivergentPositive/Negative.
+    PoleCascade. Positive direction, with the window of the last 10 time
+    units up to its end: the sign from which the run approaches its last
+    pole (of y at its end if it has none) decides
+    DivergentPositive/Negative. Separatrix and decay tags come from
+    :func:`~painleve.eigensolver.separatrix_check` alone.
 
-    Raises :class:`ClassificationError` when nothing fires; the caller sees
-    the ambiguity rather than a guess. A trajectory of another equation than
-    ``eq``, or of the toy model, raises ValueError.
+    Raises :class:`ClassificationError` when no negative-direction rule
+    fires; the caller sees the ambiguity rather than a guess. A trajectory
+    of another equation than ``eq``, or of the toy model, raises ValueError.
     """
     if eq is not traj.equation:
         raise ValueError(f"the trajectory is of {traj.equation.name}, not {eq.name}")
@@ -101,33 +99,10 @@ def _classify_negative(eq, traj):
 
 
 def _classify_positive(traj):
-    rt, ry = traj.t, traj.y
-    ay = np.abs(ry)
-
-    # Decay certificate: |y| dips below DECAY_DIP and stays inside the
-    # DECAY_NEIGHBORHOOD for a finite span around the dip. A double-precision
-    # trajectory cannot hold the decaying branch forever (deviations grow like
-    # exp((2/3) t^(3/2))), so the certificate is a deep sustained dip, not a
-    # tail condition at the horizon.
-    dips = np.nonzero(ay <= DECAY_DIP)[0]
-    for i in dips:
-        j0 = i
-        while j0 > 0 and ay[j0 - 1] <= DECAY_NEIGHBORHOOD:
-            j0 -= 1
-        j1 = i
-        while j1 < len(ay) - 1 and ay[j1 + 1] <= DECAY_NEIGHBORHOOD:
-            j1 += 1
-        if rt[j1] - rt[j0] >= DECAY_SPAN:
-            t_dip = rt[i]
-            n_before = sum(1 for p in traj.poles if p.location < t_dip)
-            return SolutionClass(ClassTag.DECAY_TO_ZERO, n_before, (rt[j0], rt[j1]))
-
     if traj.poles:
         sign = traj.poles[-1].approach_sign
-    elif len(ry) > 0:
-        sign = 1 if ry[-1] >= 0 else -1
     else:
-        raise ClassificationError("empty trajectory")
+        sign = 1 if traj.y[-1] >= 0 else -1
     tag = ClassTag.DIVERGENT_POSITIVE if sign > 0 else ClassTag.DIVERGENT_NEGATIVE
     return SolutionClass(tag, len(traj.poles), (traj.terminal_t - 10.0, traj.terminal_t))
 

@@ -35,8 +35,9 @@ which sizes a full-horizon probe from its own datum, so ``bisect``'s
 integration setting a caller of the search chooses.
 
 The search never asks the classifier to *detect* a separatrix (a
-measure-zero event); separatrix tags are used only to validate converged
-records.
+measure-zero event): :func:`~painleve.classify.classify` reads generic
+classes only, and separatrix and decay tags come from
+:func:`separatrix_check` alone, which validates converged records.
 """
 
 from __future__ import annotations
@@ -522,39 +523,56 @@ def _end_game(eq, mode, lo, hi, tol, rel_tol, index):
     return EigenvalueRecord(index, value, w, pole_count, mode)
 
 
-SEPARATRIX_BAND = 1e-3  # relative band around a branch curve, for separatrix_check
+SEPARATRIX_BAND = 1e-3     # relative band around a branch curve, for separatrix_check
+DECAY_DIP = 2.5e-4         # |y| depth certifying the decaying separatrix
+DECAY_NEIGHBORHOOD = 1e-2  # |y| stays below this over the certified run
+DECAY_SPAN = 0.5           # the certified run's least time span
+
+
+def _runs(mask):
+    """Index pairs (i, j), both inclusive, of the runs of True in ``mask``."""
+    return np.flatnonzero(np.diff(mask, prepend=False, append=False)).reshape(-1, 2) - (0, 1)
 
 
 def separatrix_check(eq: Equation, mode: SearchMode | ModeKind | str, value: float) -> SolutionClass:
     """Classify the trajectory at a converged critical value.
 
     The run is the search's own certificate probe of ``value`` (see
-    :func:`_run`) at rel_tol 1e-11. In the positive direction
-    :func:`classify` reads the whole run. In the negative direction a
-    double-precision trajectory shadows the separatrix only over a finite
-    stretch past the turning point, so the window is the longest stretch on
-    which the run stays within ``SEPARATRIX_BAND`` of a branch curve,
-    trimmed by 5 % at each end. Its samples are the step controller's own,
-    so the window's ends follow the stepper's step sizes. The tag is the
-    branch the run hugs there (the sign of y), and the pole count that of
-    the poles the run crossed before the window.
-    Returns the :class:`SolutionClass`, which callers assert to be a
-    separatrix (negative direction) or decay (positive direction). A run
-    that never hugs a branch raises ClassificationError, a run stopped by
-    step underflow IntegrationError, bad arguments ValueError.
+    :func:`_run`) at rel_tol 1e-11. A double-precision trajectory shadows
+    the separatrix only over a finite stretch (deviations grow like
+    exp((2/3) t^(3/2)) in the positive direction), so the check reads a
+    window of the run, not its tail. Its samples are the step controller's
+    own, so the window's ends follow the stepper's step sizes.
+
+    Negative direction: the window is the longest stretch on which the run
+    stays within ``SEPARATRIX_BAND`` of a branch curve, trimmed by 5 % at
+    each end. The tag is the branch the run hugs there (the sign of y).
+    Positive direction: the window is the first stretch on which |y| stays
+    within ``DECAY_NEIGHBORHOOD`` for at least ``DECAY_SPAN`` and dips to
+    ``DECAY_DIP``, and the tag is DecayToZero. Either way the pole count is
+    that of the poles the run crossed before the window.
+    Returns the :class:`SolutionClass`. A run that never hugs a branch or
+    never decays raises ClassificationError, a run stopped by step
+    underflow IntegrationError, bad arguments and the toy model ValueError.
     """
     mode = SearchMode.coerce(mode)
     if not math.isfinite(value):
         raise ValueError(f"value = {value} must be finite")
+    if eq.first_order:
+        raise ValueError("toy-model critical values are characterized by count_toy_maxima")
     traj = _run(eq, mode, value, 1e-11, certify=True)
     if traj.direction is Direction.POSITIVE_T:
-        return classify(eq, traj)
+        rt, ay = traj.t, np.abs(traj.y)
+        for i, j in _runs(ay <= DECAY_NEIGHBORHOOD):
+            if rt[j] - rt[i] >= DECAY_SPAN and ay[i:j + 1].min() <= DECAY_DIP:
+                poles = sum(1 for p in traj.poles if p.location < rt[i])
+                return SolutionClass(ClassTag.DECAY_TO_ZERO, poles, (rt[i], rt[j]))
+        raise ClassificationError(f"trajectory at {value!r} never decays to zero")
     m = traj.t < -0.5
     rt, ry = traj.t[m], traj.y[m]
     bw = branch_curve(eq, rt)
-    ok = np.abs(np.abs(ry) - bw) <= SEPARATRIX_BAND * bw
-    # runs [i, j] of ok samples; the first with the longest time span wins
-    runs = np.flatnonzero(np.diff(ok, prepend=False, append=False)).reshape(-1, 2) - (0, 1)
+    # the first run of in-band samples with the longest time span wins
+    runs = _runs(np.abs(np.abs(ry) - bw) <= SEPARATRIX_BAND * bw)
     i, j = runs[np.argmax(rt[runs[:, 0]] - rt[runs[:, 1]])] if len(runs) else (0, 0)
     if j - i < 3:
         raise ClassificationError(f"trajectory at {value!r} never tracks a branch curve within the band")

@@ -142,8 +142,9 @@ class Equation:
       them to their horizon;
     * ``trapped(t, y, y')`` (Painleve I and II) is the stable well's exact
       rule: once it holds, the run is stable for good and crosses no further
-      pole. :func:`~painleve.classify.classify` reads it at a run's last
-      sample, and it ends the certificate probes alone, since the end game
+      pole. It is :func:`~painleve.classify.classify`'s one stable rule,
+      read at a negative-direction run's last sample (it is false for
+      t >= 0), and it ends the certificate probes alone, since the end game
       reads the tails of the scan's probes.
 
     ``fine_tol_divisor`` ties the end-game integration tolerance of a

@@ -1,5 +1,5 @@
-"""Shared fixtures: the five session tables take seconds each (about 1.5
-to 5 s of CPU), so they are computed once per session and shared by the
+"""Shared fixtures: the five session tables take seconds each (about 0.8
+to 3 s of CPU), so they are computed once per session and shared by the
 unit, property, and acceptance tests."""
 
 import cmath

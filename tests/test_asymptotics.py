@@ -46,6 +46,14 @@ def test_wkb_spec_validation():
         WkbSpec(1.0, -0.5)
     with pytest.raises(ValueError):
         wkb_energy(WkbSpec(1.0, 1.0), 0)
+    # a NaN passes every comparison check, so finiteness is asked first
+    for g, eps in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            WkbSpec(g, eps)
+    with pytest.raises(ValueError, match="finite"):
+        wkb_energy(WkbSpec(1.0, 1.0), math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        hermitian_quartic_energy(math.nan)
 
 
 def test_wkb_energy_cubic_reduction():

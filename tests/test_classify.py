@@ -21,6 +21,8 @@ from painleve import (
 )
 from painleve.classify import toy_maxima
 
+from conftest import P1_SLOPE_REF, P1_VALUE_REF, P2_SLOPE_REF
+
 
 def _neg(eq, y0, slope, horizon=-40.0, **kw):
     cfg = IntegrationConfig(t_horizon=horizon, **kw)
@@ -67,6 +69,18 @@ def test_divergent_classification_flanks():
     assert {cu.tag, cd.tag} == {ClassTag.DIVERGENT_POSITIVE, ClassTag.DIVERGENT_NEGATIVE}
 
 
+def test_positive_direction_reads_the_blow_up_sign_at_every_tolerance():
+    # 2.3e-6 below c_12, this run dips toward zero near t = 16 and blows up
+    # through 23 poles, the last approached from below, at every tolerance.
+    # A decay tag read from a sample that happened to land in the dip came
+    # and went with the tolerance; decay is checked by separatrix_check alone
+    for rel_tol in (1e-8, 1e-10, 1e-11, 1e-12, 1e-13):
+        cfg = IntegrationConfig(rel_tol=rel_tol, t_horizon=30.0)
+        traj = integrate(PAINLEVE_II, InitialData(2.783613149389797, 0.0), Direction.POSITIVE_T, cfg)
+        cls = classify(PAINLEVE_II, traj)
+        assert cls.tag is ClassTag.DIVERGENT_NEGATIVE and cls.pole_count == 23, rel_tol
+
+
 def test_classify_parity_mirror():
     # the second equation is odd in y: mirrored initial data give mirrored
     # tags and identical pole counts
@@ -111,6 +125,18 @@ def test_ambiguous_window_reported():
     assert not traj.poles and traj.stopped_by == "horizon"
     with pytest.raises(ClassificationError):
         classify(PAINLEVE_I, traj)
+    # nor do runs from the first critical data that end still on their
+    # branch curve: y lies below the barrier top there, so only the energy
+    # half of Equation.trapped keeps them out of the stable well
+    for eq, y0, slope in [(PAINLEVE_I, 0.0, P1_SLOPE_REF[1]), (PAINLEVE_I, P1_VALUE_REF[1], 0.0),
+                          (PAINLEVE_II, 0.0, P2_SLOPE_REF[1])]:
+        for horizon in (-6.0, -7.0):
+            traj = _neg(eq, y0, slope, horizon=horizon, rel_tol=1e-8)
+            t, y, yp = traj.t[-1], traj.y[-1], traj.yp[-1]
+            bw = branch_curve(eq, t)
+            assert not traj.poles and 0.99 * bw < abs(y) < bw and not eq.trapped(t, y, yp), (eq.name, horizon)
+            with pytest.raises(ClassificationError):
+                classify(eq, traj)
 
 
 @pytest.mark.parametrize("y0,slope,poles", [(0.0, 12.6915, 10), (0.0, 13.5440, 11), (-3.80673, 0.0, 13)])

@@ -12,6 +12,7 @@ import pytest
 from painleve import (
     BisectionError,
     ClassTag,
+    ClassificationError,
     CrossingError,
     Direction,
     IntegrationConfig,
@@ -253,6 +254,17 @@ def test_separatrix_check_rejects_bad_arguments(monkeypatch, kwargs, mode, messa
     calls = counted_probes(monkeypatch)
     with pytest.raises(ValueError, match=message):
         separatrix_check(PAINLEVE_II, mode, **kwargs)
+    assert calls == []
+
+
+def test_separatrix_check_rejects_generic_data_and_the_toy_model(monkeypatch):
+    # below c_1 the run blows up past one pole without decaying; the toy
+    # model has no separatrix run to read and is refused before any run
+    with pytest.raises(ClassificationError, match="never decays to zero"):
+        separatrix_check(PAINLEVE_II, "value", 1.21)
+    calls = counted_probes(monkeypatch)
+    with pytest.raises(ValueError, match="count_toy_maxima"):
+        separatrix_check(TOY_MODEL, "toy", TOY_REF[1])
     assert calls == []
 
 
