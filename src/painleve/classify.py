@@ -5,7 +5,7 @@ that the critical initial data separate. In the negative direction every
 trajectory eventually either keeps running through movable poles (cascade)
 or is trapped in the stable potential well (about -sqrt(-t/6) for Painleve
 I, the axis y = 0 for Painleve II), where it oscillates with no further
-pole. ``Equation.trapped`` is the exact rule for the well, read at the run's
+pole. ``Equation.settled`` is the exact rule for the well, read at the run's
 last sample. In the positive direction (Painleve II) a run blows up through
 its last pole from above or from below (DivergentPositive/Negative).
 
@@ -63,7 +63,7 @@ def classify(eq: Equation, traj: Trajectory) -> SolutionClass:
     Each class counts all the run's poles. Negative direction, with the
     window of the last 10 time units before its end: a run stopped by its
     pole cap is a PoleCascade; a run trapped in the stable well at its last
-    sample (``eq.trapped``, which also ends a run stopped as 'settled') is a
+    sample (``eq.settled``, which also ends a run stopped as 'settled') is a
     StableOscillation; a pole inside the window makes any other run a
     PoleCascade. Positive direction, with the window of the last 10 time
     units up to its end: the sign from which the run approaches its last
@@ -88,7 +88,7 @@ def _classify_negative(eq, traj):
     window = (traj.terminal_t, traj.terminal_t + 10.0)
     if traj.stopped_by == "pole-cap":
         return SolutionClass(ClassTag.POLE_CASCADE, len(traj.poles), window)
-    if eq.trapped(traj.t[-1], traj.y[-1], traj.yp[-1]):
+    if eq.settled(traj.t[-1], traj.y[-1], traj.yp[-1]):
         return SolutionClass(ClassTag.STABLE_OSCILLATION, len(traj.poles), window)
     if any(window[0] <= p.location <= window[1] for p in traj.poles):
         return SolutionClass(ClassTag.POLE_CASCADE, len(traj.poles), window)

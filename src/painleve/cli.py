@@ -24,7 +24,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 import time
 
@@ -195,8 +194,9 @@ def cmd_constants(args) -> int:
             if not isinstance(index, int) or isinstance(index, bool):
                 print(f"cannot read table: index {index!r} is not an integer", file=sys.stderr)
                 return 1
+            # a JSON integer may lie past the float range, where math.isfinite overflows
             if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                    or not math.isfinite(value)):
+                    or not abs(value) <= sys.float_info.max):
                 print(f"cannot read table: value {value!r} of index {index} is not a real number",
                       file=sys.stderr)
                 return 1

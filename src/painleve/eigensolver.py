@@ -23,8 +23,8 @@ the ground truth: two full-horizon probes a bracket width apart must still
 be one flip apart around the root (the certificate). A failed match or
 certificate raises :class:`BisectionError`. One rule, :func:`_flip_poles`,
 reads off the flip and the pole count for the bracket ends and the
-certificate. Toy-model probes end once their maxima count is final
-(``Equation.settled``), Painleve certificates once trapped (``trapped``).
+certificate. Every full-horizon probe ends once its class key is final
+(``Equation.settled``).
 
 The direction, scan seed and growth law of each search mode, and the
 turning point and separatrix asymptotics of each equation, come from the
@@ -161,7 +161,7 @@ def _fine_rel_tol(eq: Equation, rel_tol: float, tol: float) -> float:
     return max(min(1e-10, rel_tol, tol / eq.fine_tol_divisor), 1e-13)
 
 
-def _run(eq, mode, x, rel_tol: float, t_stop: float | None = None, certify: bool = False):
+def _run(eq, mode, x, rel_tol: float, t_stop: float | None = None):
     """Trajectory of the trial datum x at rel_tol; a run stopped by step
     underflow raises IntegrationError. With ``t_stop`` the run stops there
     under the default pole cap; without it it goes to the full horizon,
@@ -171,10 +171,9 @@ def _run(eq, mode, x, rel_tol: float, t_stop: float | None = None, certify: bool
     from the trial energy and the cap is N // 2 + 2: the n-th separatrix
     crosses n // 2 poles and stable data no more (measured, not proven), so
     a cascade outruns them. In the positive direction the cap is N + 1, past
-    the n + 1 blow-ups that tell the sides of any c_n <= |x|. A run ends once
-    ``settled``, a ``certify`` run also once ``trapped``: the matched end
-    game starts from the tails of the scan's records, never a certificate's."""
-    spec = _spec(eq, mode)
+    the n + 1 blow-ups that tell the sides of any c_n <= |x|. A full-horizon
+    run also ends once ``settled``."""
+    spec, until = _spec(eq, mode), eq.settled if t_stop is None else None
     cfg = IntegrationConfig(rel_tol, t_stop)
     if t_stop is None and eq.pole_order:
         n = int(min(abs(x) / spec.coeff, 1e6) ** (1.0 / spec.exponent)) + 1  # 1e6 keeps the power finite
@@ -182,7 +181,6 @@ def _run(eq, mode, x, rel_tol: float, t_stop: float | None = None, certify: bool
             cfg = IntegrationConfig(rel_tol, _negative_horizon(eq, mode, x), n // 2 + 2)
         else:
             cfg = IntegrationConfig(rel_tol, max_poles=n + 1)
-    until = None if t_stop is not None else (eq.trapped if certify else None) or eq.settled
     traj = integrate(eq, _initial_data(mode, x), spec.direction, cfg, until=until)
     if traj.stopped_by == "step-underflow":
         raise IntegrationError(f"probe x = {x!r} stopped by step underflow at t = {traj.terminal_t:.6g}")
@@ -205,9 +203,9 @@ def _class_key(eq, traj):
 _Record = namedtuple("_Record", "x traj key poles")  # a probe of the trial datum x
 
 
-def _record(eq, mode, x, rel_tol, certify=False):
+def _record(eq, mode, x, rel_tol):
     """The record of x: its full-horizon run at rel_tol and its class key."""
-    traj = _run(eq, mode, x, rel_tol, certify=certify)
+    traj = _run(eq, mode, x, rel_tol)
     return _Record(x, traj, *_class_key(eq, traj))
 
 
@@ -280,10 +278,9 @@ def scan_brackets(
     within two steps of each other, which signals that risk.
 
     Each bracket is a (lo, hi) tuple that also holds the scan's records of
-    its two ends, which :func:`bisect` reuses instead of probing them again.
-    So each bracket keeps two trajectories alive: up to tens of kB for an
-    end that runs to the horizon, a few kB for a cascade end stopped by its
-    pole cap; a copy or pickle of it is a plain tuple and drops them.
+    its two ends, which :func:`bisect` reuses instead of probing them again:
+    two trajectories of a few kB to tens of kB each (a stable end stops in
+    the well). A copy or pickle of it is a plain tuple and drops them.
     """
     mode = SearchMode.coerce(mode)
     if not (math.isfinite(step) and step > 0.0):
@@ -502,7 +499,10 @@ def bisect(
 def _end_game(eq, mode, lo, hi, tol, rel_tol, index):
     """Critical value between the scan-tolerance records lo < hi of a
     bracket's ends, one flip apart; their trajectories start the matched end
-    game (:func:`_matched_root`), whose first pass runs at rel_tol.
+    game (:func:`_matched_root`), whose first pass runs at rel_tol. Its first
+    T can lie past the stable end's stop in the well, so that end runs again
+    to a time unit past the other's first unshared pole (within its horizon);
+    only its last step is clipped, so every earlier sample is the full run's.
     Fine-tolerance probes at value -+ w/2, with w the bracket width halved
     until it is at most ``tol``, must still be one flip apart (the
     certificate). A failed match or certificate raises
@@ -514,9 +514,14 @@ def _end_game(eq, mode, lo, hi, tol, rel_tol, index):
     w = hi.x - lo.x
     while w > tol:
         w *= 0.5
-    value = float(_matched_root(eq, mode, rel_tol, fine_rel_tol, (lo.x, hi.x), (lo.traj, hi.traj), tol))
-    pole_count = _flip_poles(_record(eq, mode, value - 0.5 * w, fine_rel_tol, certify=True),
-                             _record(eq, mode, value + 0.5 * w, fine_rel_tol, certify=True))
+    ends = [lo.traj, hi.traj]
+    for i, (end, other) in enumerate([(lo, hi), (hi, lo)]):
+        if end.key == "stable":
+            stops = [end.traj.config.t_horizon] + [p.location - 1.0 for p in other.traj.poles[end.poles:][:1]]
+            ends[i] = _run(eq, mode, end.x, end.traj.config.rel_tol, max(stops))
+    value = float(_matched_root(eq, mode, rel_tol, fine_rel_tol, (lo.x, hi.x), ends, tol))
+    pole_count = _flip_poles(_record(eq, mode, value - 0.5 * w, fine_rel_tol),
+                             _record(eq, mode, value + 0.5 * w, fine_rel_tol))
     if pole_count is None:
         raise BisectionError(f"matched root {value!r} failed its certificate: fine probes {w:.3g} "
                              "apart are not one flip apart", probe=value)
@@ -560,7 +565,7 @@ def separatrix_check(eq: Equation, mode: SearchMode | ModeKind | str, value: flo
         raise ValueError(f"value = {value} must be finite")
     if eq.first_order:
         raise ValueError("toy-model critical values are characterized by count_toy_maxima")
-    traj = _run(eq, mode, value, 1e-11, certify=True)
+    traj = _run(eq, mode, value, 1e-11)
     if traj.direction is Direction.POSITIVE_T:
         rt, ay = traj.t, np.abs(traj.y)
         for i, j in _runs(ay <= DECAY_NEIGHBORHOOD):

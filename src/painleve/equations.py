@@ -10,12 +10,12 @@ Every fact the pipeline needs about one of them - its right-hand side and
 fluctuation integrand dH/dt, written once as source, the energy H, the
 branch curves, the pole order, Laurent family and Laurent correction, the
 pole-spacing model, the turning point, the separatrix asymptotics the
-eigenvalue search matches to, the stable well's exact rule, the rules that
-end a probe once its class is final, the allowed directions and default
-horizon, and the search facts of each mode (direction, scan seed, growth
-exponent, Richardson order, WKB constant) - lives in its :class:`Equation`
-below. The integrator, classifier, eigensolver and CLI read those facts and
-never ask which equation they hold.
+eigenvalue search matches to, the rule that ends a run once its class is
+final (the stable well's for Painleve I and II), the allowed directions and
+default horizon, and the search facts of each mode (direction, scan seed,
+growth exponent, Richardson order, WKB constant) - lives in its
+:class:`Equation` below. The integrator, classifier, eigensolver and CLI
+read those facts and never ask which equation they hold.
 """
 
 from __future__ import annotations
@@ -138,14 +138,11 @@ class Equation:
       deviations d obey d'' = V d (V = dy''/dy), so they e-fold at
       sqrt(V), or d' = V d (V = dy'/dy) for the toy model;
     * ``settled(t, y, y')`` is true once the class key of the run can no
-      longer change, so every full-horizon probe may stop there; None runs
-      them to their horizon;
-    * ``trapped(t, y, y')`` (Painleve I and II) is the stable well's exact
-      rule: once it holds, the run is stable for good and crosses no further
-      pole. It is :func:`~painleve.classify.classify`'s one stable rule,
-      read at a negative-direction run's last sample (it is false for
-      t >= 0), and it ends the certificate probes alone, since the end game
-      reads the tails of the scan's probes.
+      longer change, so every full-horizon probe stops there: the toy
+      model's maxima count is final, or a Painleve run is trapped in the
+      stable well, stable for good with no further pole. The well's rule is
+      false for t >= 0 and is :func:`~painleve.classify.classify`'s one
+      stable rule, read at a negative-direction run's last sample.
 
     ``fine_tol_divisor`` ties the end-game integration tolerance of a
     bisection to its width, and ``modes`` holds the facts of each search
@@ -157,6 +154,7 @@ class Equation:
     rhs_source: tuple[str, ...]
     directions: tuple[Direction, ...]
     modes: Mapping[ModeKind, ModeSpec]
+    settled: Callable
     positive_horizon: float = 30.0
     hamiltonian: Callable | None = None
     branch_denom: float | None = None
@@ -166,8 +164,6 @@ class Equation:
     pole_spacing: Callable | None = None
     turning_point: Callable | None = None
     separatrix: Mapping[Direction, Callable] = field(default_factory=dict)
-    settled: Callable | None = None
-    trapped: Callable | None = None
     fine_tol_divisor: float = 100.0
 
     @cached_property
@@ -246,12 +242,12 @@ def _p2_separatrix(t, _t_near, y_near):
     return y, yp, 6.0 * y * y + t, 12.0 * y * yp + 1.0
 
 
-# The certificates' stop rule (``trapped``): with x = -t, E = y'^2/2 + V has
-# E_x = V_x. Inside the well, below the barrier top y_m, B = V(y_m) rises
-# faster than E and the far wall is closed, so a run there with E < B stays
-# trapped: stable, with no more poles. P-I: V = -2y^3 + xy, y_m = sqrt(x/6),
-# B_x = y_m > y = E_x; P-II: V = -y^4/2 + xy^2/2, y_m = +-sqrt(x/2), B_x = x/4
-# > y^2/2 = E_x. E must lie a share _WELL_MARGIN below B; false for t >= 0.
+# ``settled`` of P-I and P-II: with x = -t, E = y'^2/2 + V has E_x = V_x.
+# Inside the well, below the barrier top y_m, B = V(y_m) rises faster than E
+# and the far wall is closed, so a run there with E < B stays trapped:
+# stable, with no more poles. P-I: V = -2y^3 + xy, y_m = sqrt(x/6), B_x = y_m
+# > y = E_x; P-II: V = -y^4/2 + xy^2/2, y_m = +-sqrt(x/2), B_x = x/4 > y^2/2
+# = E_x. E must lie a share _WELL_MARGIN below B; false for t >= 0.
 _WELL_MARGIN = 1e-4
 
 
@@ -316,7 +312,7 @@ PAINLEVE_I = Equation(
     pole_spacing=lambda mag: 2.0 * math.pi / (math.sqrt(12.0) * max(0.3, mag / 6.0) ** 0.25),
     turning_point=lambda e: 6.0 * (0.5 * e) ** (2.0 / 3.0),
     separatrix={_NEG: _p1_separatrix},
-    trapped=_p1_trapped,
+    settled=_p1_trapped,
 )
 
 PAINLEVE_II = Equation(
@@ -340,7 +336,7 @@ PAINLEVE_II = Equation(
     turning_point=lambda e: math.sqrt(8.0 * e),
     # positive direction: the separatrix decays to 0 and deviations obey Airy's d'' = t d
     separatrix={_NEG: _p2_separatrix, _POS: lambda t, _t_near, _y_near: (0.0, 0.0, t, 1.0)},
-    trapped=_p2_trapped,
+    settled=_p2_trapped,
     # the certificate of c_29 reads its 30th blow-up, past t = 30
     positive_horizon=40.0,
     # simple poles amplify traversal noise harder

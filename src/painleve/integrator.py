@@ -92,11 +92,10 @@ class IntegrationConfig:
 
     ``t_horizon`` of None selects the default: -60 for the negative
     direction, the equation's ``positive_horizon`` (+40 for Painleve II,
-    +50 for the toy model) for the positive one. The eigensolver's toy-model
-    probes and Painleve certificates stop once ``Equation.settled`` or
-    ``Equation.trapped`` holds, so for them the horizon only caps runs that
-    never settle. A run crosses at most ``max_poles`` poles. ``abs_tol`` is
-    ``rel_tol * 1e-2``; the step controller alone sizes every step.
+    +50 for the toy model) for the positive one; a full-horizon search
+    probe stops earlier once ``Equation.settled`` holds. A run crosses at
+    most ``max_poles`` poles. ``abs_tol`` is ``rel_tol * 1e-2``; the step
+    controller alone sizes every step.
     """
 
     rel_tol: float = 1e-10

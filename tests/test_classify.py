@@ -127,14 +127,14 @@ def test_ambiguous_window_reported():
         classify(PAINLEVE_I, traj)
     # nor do runs from the first critical data that end still on their
     # branch curve: y lies below the barrier top there, so only the energy
-    # half of Equation.trapped keeps them out of the stable well
+    # half of Equation.settled keeps them out of the stable well
     for eq, y0, slope in [(PAINLEVE_I, 0.0, P1_SLOPE_REF[1]), (PAINLEVE_I, P1_VALUE_REF[1], 0.0),
                           (PAINLEVE_II, 0.0, P2_SLOPE_REF[1])]:
         for horizon in (-6.0, -7.0):
             traj = _neg(eq, y0, slope, horizon=horizon, rel_tol=1e-8)
             t, y, yp = traj.t[-1], traj.y[-1], traj.yp[-1]
             bw = branch_curve(eq, t)
-            assert not traj.poles and 0.99 * bw < abs(y) < bw and not eq.trapped(t, y, yp), (eq.name, horizon)
+            assert not traj.poles and 0.99 * bw < abs(y) < bw and not eq.settled(t, y, yp), (eq.name, horizon)
             with pytest.raises(ClassificationError):
                 classify(eq, traj)
 
@@ -177,7 +177,7 @@ def test_toy_settle_rule_is_exact():
 
 
 def _stable_by_window_mean(eq, traj):
-    """Reference stable rule, independent of Equation.trapped, for a
+    """Reference stable rule, independent of Equation.settled, for a
     negative-direction run with no pole in its last 10 time units: the mean
     of y there lies within a quarter of the branch scale of the well's
     centre, -sqrt(-t/6) for Painleve I and 0 for Painleve II."""
@@ -188,7 +188,7 @@ def _stable_by_window_mean(eq, traj):
 
 
 def test_well_trap_rule_is_exact():
-    # A run stopped by Equation.trapped is stable for good. On random
+    # A run stopped by Equation.settled is stable for good. On random
     # negative-direction starts over the scan ranges of the session tables
     # (P-I slope n = 11, P-I value n = 15, P-II slope n = 21), a run that is
     # trapped classifies as stable on its full run to t = -40, with the same
@@ -203,7 +203,7 @@ def test_well_trap_rule_is_exact():
                              (PAINLEVE_II, ModeKind.SLOPE, 0.1, 8.79)]:
         for x in rng.uniform(lo, hi, 60).tolist():
             init = InitialData(0.0, x) if mode is ModeKind.SLOPE else InitialData(x, 0.0)
-            stopped = integrate(eq, init, Direction.NEGATIVE_T, cfg, until=eq.trapped)
+            stopped = integrate(eq, init, Direction.NEGATIVE_T, cfg, until=eq.settled)
             full = stopped if stopped.stopped_by != "settled" else integrate(eq, init, Direction.NEGATIVE_T, cfg)
             cls = classify(eq, full)
             stable = cls.tag is ClassTag.STABLE_OSCILLATION
@@ -219,7 +219,7 @@ def test_well_trap_rule_is_exact():
     # the rule is false where the search runs forward (P-II value mode)
     grid = np.linspace(-4.0, 4.0, 17).tolist()
     for eq in (PAINLEVE_I, PAINLEVE_II):
-        assert not any(eq.trapped(t, y, yp) for t in (0.0, 1e-12, 0.5, 3.0, 40.0) for y in grid for yp in grid)
+        assert not any(eq.settled(t, y, yp) for t in (0.0, 1e-12, 0.5, 3.0, 40.0) for y in grid for yp in grid)
 
 
 def test_trapped_run_classifies_as_stable_with_all_its_poles():
@@ -227,7 +227,7 @@ def test_trapped_run_classifies_as_stable_with_all_its_poles():
     # that pole; the trap at its last sample decides, before the pole
     cfg = IntegrationConfig(rel_tol=1e-8, t_horizon=-40.0)
     stopped = integrate(PAINLEVE_I, InitialData(0.0, 3.504031103), Direction.NEGATIVE_T, cfg,
-                        until=PAINLEVE_I.trapped)
+                        until=PAINLEVE_I.settled)
     assert stopped.stopped_by == "settled" and not stopped.truncated
     assert len(stopped.poles) == 1 and stopped.poles[-1].location - stopped.terminal_t < 10.0
     cls = classify(PAINLEVE_I, stopped)

@@ -279,8 +279,9 @@ def test_constants_rejects_table_with_index_gaps(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "bad",
-    [{"index": "2"}, {"value": "a"}, {"index": True}, {"value": False}, {"value": float("nan")}],
-    ids=["index-str", "value-str", "index-bool", "value-bool", "value-nan"],
+    [{"index": "2"}, {"value": "a"}, {"index": True}, {"value": False}, {"value": float("nan")},
+     {"value": 10**400}],
+    ids=["index-str", "value-str", "index-bool", "value-bool", "value-nan", "value-past-float"],
 )
 def test_constants_rejects_unreadable_records(tmp_path, capsys, bad):
     # a record whose index is not an int, or whose value is not a real

@@ -145,20 +145,49 @@ def _is_coarse(cfg):
     return cfg.rel_tol == eigensolver._COARSE
 
 
+def _datum(mode, init):
+    """The trial datum x of a probe's initial data."""
+    return init.slope0 if SearchMode.coerce(mode).kind is ModeKind.SLOPE else init.y0
+
+
+def _is_full(eq, mode, args):
+    """True for a full-horizon probe, of the negative direction's
+    trial-energy horizon or of no horizon; False for one that stops at its
+    own t."""
+    _, init, direction, cfg = args
+    if direction is Direction.NEGATIVE_T:
+        return cfg.t_horizon == eigensolver._negative_horizon(eq, SearchMode.coerce(mode), _datum(mode, init))
+    return cfg.t_horizon is None
+
+
+def _check_coarse_probes(eq, mode, calls):
+    """At the scan tolerance only the two bracket ends run to the full
+    horizon. At most one more probe runs there: the stable end again,
+    stopped at its own t, since the end game reads past its stop in the
+    stable well."""
+    coarse = [args for args in calls if _is_coarse(args[3])]
+    full = [args[1] for args in coarse if _is_full(eq, mode, args)]
+    again = [args[1] for args in coarse if not _is_full(eq, mode, args)]
+    assert len(full) <= 2 and len(again) <= 1
+    for init in again:
+        assert init in full
+        assert _record(eq, SearchMode.coerce(mode), _datum(mode, init), eigensolver._COARSE).key == "stable"
+
+
 @END_GAME_CASES
 def test_end_game_probe_count(monkeypatch, eq, mode, bracket, ref):
-    # Only the two bracket ends are probed at the scan tolerance. The matched
-    # passes stop their probes at the matching time, so only the two
-    # certificate probes run to the full horizon, and all of them together
-    # integrate less than half of the time span that bisecting at the fine
-    # tolerance (15 probes to t = -28 for the first of these cases) would.
+    # Only the two bracket ends are probed at the scan tolerance to the full
+    # horizon (see _check_coarse_probes). The matched passes stop their
+    # probes at the matching time, so only the two certificate probes run to
+    # the full horizon, and all of them together integrate less than half of
+    # the time span that bisecting at the fine tolerance (15 probes to
+    # t = -28 for the first of these cases) would.
     calls = counted_probes(monkeypatch)
     rec = bisect(eq, mode, bracket, tol=1e-9)
     assert abs(rec.value - ref) < 3e-9
-    coarse = [args for args in calls if _is_coarse(args[3])]
     spans = [abs(args[3].resolved_horizon(args[0], args[2])) for args in calls if not _is_coarse(args[3])]
     full = [t for t in spans if t >= 28.0]
-    assert len(coarse) <= 2
+    _check_coarse_probes(eq, mode, calls)
     assert len(full) <= 2
     assert sum(spans) < 0.5 * 15 * 28.0
 
@@ -188,16 +217,16 @@ def test_end_game_failure_raises_bisection_error(monkeypatch):
 def test_matched_end_game_converges_on_p2_slope_b1(monkeypatch, bracket):
     # on these scan brackets of P-II slope b1 the third matched pass lands
     # several tol off; the fourth widens its bracket until it holds the value
-    # and converges, with no bisection: two scan-tolerance and two
-    # full-horizon probes only
+    # and converges, with no bisection: two full-horizon scan-tolerance
+    # probes (and the stable end's stop-at-T run) and two full-horizon fine
+    # probes only
     calls = counted_probes(monkeypatch)
     rec = bisect(PAINLEVE_II, "slope", bracket, tol=1e-9)
     assert abs(rec.value - P2_SLOPE_REF[1]) < 3e-9
     assert rec.pole_count == 0
-    coarse = [args for args in calls if _is_coarse(args[3])]
     full = [args for args in calls if not _is_coarse(args[3])
             and abs(args[3].resolved_horizon(args[0], args[2])) >= 28.0]
-    assert len(coarse) <= 2
+    _check_coarse_probes(PAINLEVE_II, "slope", calls)
     assert len(full) <= 2
 
 
@@ -452,9 +481,9 @@ def test_negative_pole_cap_keeps_every_class(eq, mode, reach):
     # the negative-direction cap rests on the pole-count law for stable data,
     # which is measured, not proven: on a sparse grid of both signs out to
     # |x_30|, a capped scan probe has the class key of a run to the horizon
-    # under the default cap (and a stable one its pole count), and every
-    # stable probe stays two poles below its cap, so the cap never decides
-    # a class
+    # under the default cap, and every stable probe stays two poles below
+    # its cap, so the cap never decides a class. A stable probe stops in the
+    # stable well, with the pole count of that run to the horizon.
     search = SearchMode(mode)
     stable = 0
     for x in (np.linspace(-reach, reach, 15) + 0.0123 * reach).tolist():
@@ -463,11 +492,8 @@ def test_negative_pole_cap_keeps_every_class(eq, mode, reach):
         full = integrate(eq, eigensolver._initial_data(search, x), Direction.NEGATIVE_T, cfg)
         key, poles = eigensolver._class_key(eq, full)
         assert capped.key == key
-        # a certificate probe, which also stops once trapped in the well, reads the same
-        certified = _record(eq, search, x, eigensolver._COARSE, certify=True)
-        assert (certified.key, certified.poles) == (capped.key, capped.poles)
         if key == "stable":
-            assert capped.poles == poles
+            assert capped.traj.stopped_by == "settled" and capped.poles == poles
             stable += 1
             assert capped.poles <= _law_cap(eq, mode, x) - 2
         else:
@@ -478,12 +504,16 @@ def test_negative_pole_cap_keeps_every_class(eq, mode, reach):
 
 
 def test_eigen_table_probes_no_datum_twice_at_scan_tolerance(monkeypatch):
-    # the end game starts from the scan's own records of the bracket ends
+    # the end game starts from the scan's own records of the bracket ends: no
+    # datum runs twice to the full horizon at the scan tolerance, and a
+    # scan-tolerance probe that stops at its own t runs a scanned datum again
     calls = counted_probes(monkeypatch)
     eigen_table(PAINLEVE_I, ModeKind.SLOPE, 3)
-    scan = [(args[1], args[3].rel_tol) for args in calls if _is_coarse(args[3])]
+    coarse = [args for args in calls if _is_coarse(args[3])]
+    scan = [args[1] for args in coarse if _is_full(PAINLEVE_I, ModeKind.SLOPE, args)]
     assert len(scan) > 3
     assert len(set(scan)) == len(scan)
+    assert all(args[1] in scan for args in coarse if not _is_full(PAINLEVE_I, ModeKind.SLOPE, args))
 
 
 def _record_bits(search):
@@ -498,15 +528,18 @@ def _record_bits(search):
 
 def _scan_then_bisect_probes(monkeypatch, eq, mode, window, ref, **search):
     # the public flow: bisect starts from the scan's records of the bracket
-    # ends, so it probes neither end again, and the record is the one the
-    # plain tuple gives bit for bit
+    # ends, so it probes neither end again to the full horizon; at the scan
+    # tolerance it runs only a stable end again, stopped at its own t. The
+    # record is the one the plain tuple gives bit for bit.
     calls = counted_probes(monkeypatch)
     lo, hi = window
     brackets = scan_brackets(eq, mode, window, (hi - lo) / 4 * (1.0 + 1e-9))
     scanned = len(calls)
     assert brackets and brackets[0][0] < ref < brackets[0][1]
     rec = bisect(eq, mode, brackets[0], **search)
-    assert not [args for args in calls[scanned:] if _is_coarse(args[3])]
+    again = [args for args in calls[scanned:] if _is_coarse(args[3])]
+    assert [_datum(mode, args[1]) for args in again] == [end.x for end in brackets[0].ends if end.key == "stable"]
+    assert not any(_is_full(eq, mode, args) for args in again)
     data = [(args[1], args[3]) for args in calls]
     assert len(set(data)) == len(data)
     assert _record_bits(lambda: rec) == _record_bits(lambda: bisect(eq, mode, tuple(brackets[0]), **search))
@@ -522,33 +555,44 @@ def test_toy_scan_then_bisect_probes_no_datum_twice(monkeypatch):
 
 
 @END_GAME_CASES
-def test_only_the_certificates_stop_in_the_well(monkeypatch, eq, mode, bracket, ref):
-    # The matched end game starts from the tails of the bracket ends, so the
-    # scan's records and bisect's own bracket-end records run to the horizon
-    # and only the certificates (bisect's last two probes, one on each side)
-    # may stop once trapped in the well: in the negative direction the stable
-    # one does, in the positive one neither. The record is the one the search
-    # gives with the rule withheld, bit for bit.
-    stops = []
-    real_integrate, real_run = eigensolver.integrate, eigensolver._run
+def test_every_stable_probe_stops_in_the_well(monkeypatch, eq, mode, bracket, ref):
+    # Every full-horizon probe, of the scan, of bisect's bracket ends and of
+    # the certificates, stops once its class is final: in the negative
+    # direction each stable one stops in the well, in the positive one none
+    # stops early. The end game runs the stable bracket end again, stopped at
+    # its own t, and every sample of that run before its last is the one the
+    # full run of that datum takes without the stop. The record is the one
+    # the search gives with the stop withheld, bit for bit.
+    probes = []  # (args, until, trajectory) of each integration
+    real = eigensolver.integrate
 
-    def integrate(*args, **kwargs):
-        traj = real_integrate(*args, **kwargs)
-        stops.append(traj.stopped_by)
+    def integrate(*args, until=None):
+        traj = real(*args, until=until)
+        probes.append((args, until, traj))
         return traj
 
     monkeypatch.setattr(eigensolver, "integrate", integrate)
     lo, hi = bracket
     assert len(scan_brackets(eq, mode, bracket, (hi - lo) / 4 * (1.0 + 1e-9))) == 1
-    assert len(stops) == 5
+    assert len(probes) == 5
     rec = bisect(eq, mode, bracket)
     assert abs(rec.value - ref) < 3e-9
     negative = eq.modes[mode].direction is Direction.NEGATIVE_T
-    assert "settled" not in stops[:-2] and stops[-2:].count("settled") == negative
-    monkeypatch.setattr(eigensolver, "_run", lambda *args, certify=False, **kwargs: real_run(*args, **kwargs))
-    del stops[:]
+    full = [(args, traj) for args, _, traj in probes if _is_full(eq, mode, args)]
+    assert len(full) == 9
+    settled = [traj.stopped_by == "settled" for _, traj in full]
+    assert settled == [eigensolver._class_key(eq, traj)[0] == "stable" for _, traj in full]
+    assert any(settled) == negative
+    again = [probe for probe in probes if _is_coarse(probe[0][3]) and not _is_full(eq, mode, probe[0])]
+    assert len(again) == negative
+    for args, until, traj in again:
+        whole = real(*next(a for a, _ in full if a[1] == args[1] and _is_coarse(a[3])))
+        n = len(traj.t) - 1
+        assert until is None and traj.stopped_by == "horizon" and n < len(whole.t)
+        for a, b in [(traj.t, whole.t), (traj.y, whole.y), (traj.yp, whole.yp)]:
+            assert np.array_equal(a[:n], b[:n])
+    monkeypatch.setattr(eigensolver, "integrate", lambda *args, until=None: real(*args))
     assert _record_bits(lambda: bisect(eq, mode, bracket)) == _record_bits(lambda: rec)
-    assert "settled" not in stops
 
 
 def test_scan_bracket_copies_pickles_and_json_are_plain_tuples():
