@@ -24,15 +24,15 @@ be one flip apart around the root (the certificate). A failed match or
 certificate raises :class:`BisectionError`. One rule, :func:`_flip_poles`,
 reads off the flip and the pole count for the bracket ends and the
 certificate. Every full-horizon probe ends once its class key is final
-(``Equation.settled``).
+(``Equation.settled``, or its pole cap).
 
 The direction, scan seed and growth law of each search mode, and the
-turning point and separatrix asymptotics of each equation, come from the
-equation's spec; the instability rate is sqrt(V) of the separatrix. Every
-integration, :func:`separatrix_check`'s too, runs through :func:`_run`,
-which sizes a full-horizon probe from its own datum, so ``bisect``'s
-``index`` is only a label, and its relative tolerance is the one
-integration setting a caller of the search chooses.
+separatrix asymptotics of each equation, come from the equation's spec;
+the instability rate is sqrt(V) of the separatrix. Every integration,
+:func:`separatrix_check`'s too, runs through :func:`_run`, which sizes a
+full-horizon probe's pole cap and horizon from its own datum by the
+pole-count law, so ``bisect``'s ``index`` is only a label, and its relative
+tolerance is the one integration setting a caller of the search chooses.
 
 The search never asks the classifier to *detect* a separatrix (a
 measure-zero event): :func:`~painleve.classify.classify` reads generic
@@ -50,8 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import ClassificationError, ClassTag, SolutionClass, classify, count_toy_maxima, toy_maxima
-from .equations import (TOY_MODEL, Direction, Equation, InitialData, ModeKind, ModeSpec, branch_curve,
-                        energy)
+from .equations import TOY_MODEL, Direction, Equation, InitialData, ModeKind, ModeSpec, branch_curve
 from .integrator import IntegrationConfig, IntegrationError, integrate
 
 __all__ = [
@@ -93,11 +92,7 @@ class SearchMode:
 
     @classmethod
     def coerce(cls, mode: "SearchMode | ModeKind | str") -> "SearchMode":
-        if isinstance(mode, SearchMode):
-            return mode
-        if isinstance(mode, str):
-            mode = ModeKind(mode)
-        return cls(mode)
+        return mode if isinstance(mode, SearchMode) else cls(ModeKind(mode))
 
 
 @dataclass(frozen=True)
@@ -122,16 +117,6 @@ def _initial_data(mode: SearchMode, x: float) -> InitialData:
     if mode.kind is ModeKind.VALUE:
         return InitialData(x, mode.fixed_value)
     return InitialData(x)
-
-
-def _trial_energy(eq: Equation, mode: SearchMode, x: float) -> float:
-    init = _initial_data(mode, x)
-    return max(abs(energy(eq, init.y0, init.slope0)), 0.75)
-
-
-def _negative_horizon(eq: Equation, mode: SearchMode, x: float) -> float:
-    turn = eq.turning_point(_trial_energy(eq, mode, x))
-    return -max(28.0, 1.35 * turn + 16.0)
 
 
 # rel_tol of the scan and of its bracket-end probes; perfbench/workloads.py
@@ -164,26 +149,30 @@ def _fine_rel_tol(eq: Equation, rel_tol: float, tol: float) -> float:
 def _run(eq, mode, x, rel_tol: float, t_stop: float | None = None):
     """Trajectory of the trial datum x at rel_tol; a run stopped by step
     underflow raises IntegrationError. With ``t_stop`` the run stops there
-    under the default pole cap; without it it goes to the full horizon,
-    sized from x alone. N = (|x| / coeff)^(1/p) + 1, rounded down, bounds
-    the number of critical values at or below |x|, and the pole-count law
-    caps the poles from it. In the negative direction the horizon follows
-    from the trial energy and the cap is N // 2 + 2: the n-th separatrix
+    under the default pole cap. Without it the run is a full-horizon probe,
+    sized from x alone by the pole-count law: N = (|x| / coeff)^(1/p) + 1,
+    rounded down, bounds the number of critical values at or below |x|. In
+    the negative direction the cap is N // 2 + 2: the n-th separatrix
     crosses n // 2 poles and stable data no more (measured, not proven), so
-    a cascade outruns them. In the positive direction the cap is N + 1, past
-    the n + 1 blow-ups that tell the sides of any c_n <= |x|. A full-horizon
-    run also ends once ``settled``."""
+    a cascade outruns them. In the positive direction it is N + 1, past the
+    n + 1 blow-ups that tell the sides of any c_n <= |x|. The horizon is the
+    integrator's default for the direction, one time unit further per
+    critical value. A full-horizon probe ends once ``settled`` or at its
+    cap, where its class is final; one that reaches its horizon instead has
+    no final class and raises IntegrationError."""
     spec, until = _spec(eq, mode), eq.settled if t_stop is None else None
     cfg = IntegrationConfig(rel_tol, t_stop)
-    if t_stop is None and eq.pole_order:
+    if t_stop is None:
         n = int(min(abs(x) / spec.coeff, 1e6) ** (1.0 / spec.exponent)) + 1  # 1e6 keeps the power finite
-        if spec.direction is Direction.NEGATIVE_T:
-            cfg = IntegrationConfig(rel_tol, _negative_horizon(eq, mode, x), n // 2 + 2)
-        else:
-            cfg = IntegrationConfig(rel_tol, max_poles=n + 1)
+        sigma = spec.direction.sign
+        cfg = IntegrationConfig(rel_tol, cfg.resolved_horizon(eq, spec.direction) + sigma * n,
+                                n // 2 + 2 if sigma < 0.0 else n + 1)
     traj = integrate(eq, _initial_data(mode, x), spec.direction, cfg, until=until)
     if traj.stopped_by == "step-underflow":
         raise IntegrationError(f"probe x = {x!r} stopped by step underflow at t = {traj.terminal_t:.6g}")
+    if until is not None and traj.stopped_by == "horizon":
+        raise IntegrationError(f"probe x = {x!r} reached its horizon t = {traj.terminal_t:.6g} before its "
+                               "class was final")
     return traj
 
 
@@ -501,7 +490,7 @@ def _end_game(eq, mode, lo, hi, tol, rel_tol, index):
     bracket's ends, one flip apart; their trajectories start the matched end
     game (:func:`_matched_root`), whose first pass runs at rel_tol. Its first
     T can lie past the stable end's stop in the well, so that end runs again
-    to a time unit past the other's first unshared pole (within its horizon);
+    to a time unit past the other's first unshared pole, if there is one;
     only its last step is clipped, so every earlier sample is the full run's.
     Fine-tolerance probes at value -+ w/2, with w the bracket width halved
     until it is at most ``tol``, must still be one flip apart (the
@@ -516,9 +505,8 @@ def _end_game(eq, mode, lo, hi, tol, rel_tol, index):
         w *= 0.5
     ends = [lo.traj, hi.traj]
     for i, (end, other) in enumerate([(lo, hi), (hi, lo)]):
-        if end.key == "stable":
-            stops = [end.traj.config.t_horizon] + [p.location - 1.0 for p in other.traj.poles[end.poles:][:1]]
-            ends[i] = _run(eq, mode, end.x, end.traj.config.rel_tol, max(stops))
+        if end.key == "stable" and (unshared := other.traj.poles[end.poles:]):
+            ends[i] = _run(eq, mode, end.x, end.traj.config.rel_tol, unshared[0].location - 1.0)
     value = float(_matched_root(eq, mode, rel_tol, fine_rel_tol, (lo.x, hi.x), ends, tol))
     pole_count = _flip_poles(_record(eq, mode, value - 0.5 * w, fine_rel_tol),
                              _record(eq, mode, value + 0.5 * w, fine_rel_tol))
@@ -543,7 +531,8 @@ def separatrix_check(eq: Equation, mode: SearchMode | ModeKind | str, value: flo
     """Classify the trajectory at a converged critical value.
 
     The run is the search's own certificate probe of ``value`` (see
-    :func:`_run`) at rel_tol 1e-11. A double-precision trajectory shadows
+    :func:`_run`) at rel_tol 1e-11, sized from ``value`` by the pole-count
+    law and ended by its class rule. A double-precision trajectory shadows
     the separatrix only over a finite stretch (deviations grow like
     exp((2/3) t^(3/2)) in the positive direction), so the check reads a
     window of the run, not its tail. Its samples are the step controller's
@@ -558,7 +547,8 @@ def separatrix_check(eq: Equation, mode: SearchMode | ModeKind | str, value: flo
     that of the poles the run crossed before the window.
     Returns the :class:`SolutionClass`. A run that never hugs a branch or
     never decays raises ClassificationError, a run stopped by step
-    underflow IntegrationError, bad arguments and the toy model ValueError.
+    underflow or one that reaches its horizon IntegrationError, bad
+    arguments and the toy model ValueError.
     """
     mode = SearchMode.coerce(mode)
     if not math.isfinite(value):

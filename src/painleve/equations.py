@@ -9,13 +9,13 @@ Three systems are supported:
 Every fact the pipeline needs about one of them - its right-hand side and
 fluctuation integrand dH/dt, written once as source, the energy H, the
 branch curves, the pole order, Laurent family and Laurent correction, the
-pole-spacing model, the turning point, the separatrix asymptotics the
-eigenvalue search matches to, the rule that ends a run once its class is
-final (the stable well's for Painleve I and II), the allowed directions and
-default horizon, and the search facts of each mode (direction, scan seed,
-growth exponent, Richardson order, WKB constant) - lives in its
-:class:`Equation` below. The integrator, classifier, eigensolver and CLI
-read those facts and never ask which equation they hold.
+pole-spacing model, the separatrix asymptotics the eigenvalue search
+matches to, the rule that ends a run once its class is final (the stable
+well's for Painleve I and II), the allowed directions and default horizon,
+and the search facts of each mode (direction, scan seed, growth exponent,
+Richardson order, WKB constant) - lives in its :class:`Equation` below.
+The integrator, classifier, eigensolver and CLI read those facts and never
+ask which equation they hold.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ class ModeSpec:
     The search integrates in ``direction``, and its critical values x_n
     grow like n**exponent. The scan starts at ``origin`` with ``step``.
     In every mode ``coeff`` is a lower bound on |x_n| / n**exponent for
-    n >= 2: it bounds the scan, and it sizes each probe's pole cap from
-    the number of critical values at or below the probe's |x|. ``order``,
-    ``split_even_odd`` and ``constant`` (a
+    n >= 2: it bounds the scan, and it sizes each full-horizon probe's pole
+    cap and horizon from the number of critical values at or below the
+    probe's |x|. ``order``, ``split_even_odd`` and ``constant`` (a
     :class:`~painleve.asymptotics.WkbConstants` field) drive the Richardson
     extraction; a mode without a closed form has none.
     A table of the mode holds at most ``max_index`` critical values.
@@ -130,7 +130,6 @@ class Equation:
       coefficients a_k, Q being the function of y with dH/dt = t dQ/dt
       (Q = y for Painleve I, y^2/2 for Painleve II); q_1 = 0, so Q
       integrates termwise without a logarithm;
-    * ``turning_point(E)`` is |t| where the branch curve's energy reaches E;
     * ``separatrix[direction](t, t_near, y_near)`` is (y, y', V, V_t) at t
       on the separatrix nearest (t_near, y_near) in that direction: the
       branch of y_near's sign, or the toy model's unstable level t y =
@@ -162,7 +161,6 @@ class Equation:
     laurent: Callable | None = None
     laurent_q: Callable | None = None
     pole_spacing: Callable | None = None
-    turning_point: Callable | None = None
     separatrix: Mapping[Direction, Callable] = field(default_factory=dict)
     fine_tol_divisor: float = 100.0
 
@@ -310,7 +308,6 @@ PAINLEVE_I = Equation(
     laurent_q=lambda a: a,  # Q = y
     # linearized frequency about -sqrt(-t/6) is sqrt(12)*( -t/6 )^(1/4)
     pole_spacing=lambda mag: 2.0 * math.pi / (math.sqrt(12.0) * max(0.3, mag / 6.0) ** 0.25),
-    turning_point=lambda e: 6.0 * (0.5 * e) ** (2.0 / 3.0),
     separatrix={_NEG: _p1_separatrix},
     settled=_p1_trapped,
 )
@@ -333,11 +330,11 @@ PAINLEVE_II = Equation(
     # cascade swings are faster than the Airy frequency sqrt(-t); the
     # 1.7 prefactor matches measured pole gaps with ~2x margin
     pole_spacing=lambda mag: 1.7 / math.sqrt(max(mag, 0.5)),
-    turning_point=lambda e: math.sqrt(8.0 * e),
     # positive direction: the separatrix decays to 0 and deviations obey Airy's d'' = t d
     separatrix={_NEG: _p2_separatrix, _POS: lambda t, _t_near, _y_near: (0.0, 0.0, t, 1.0)},
     settled=_p2_trapped,
-    # the certificate of c_29 reads its 30th blow-up, past t = 30
+    # the default horizon of a plain run; a search probe of x runs one time
+    # unit further per critical value at or below |x|
     positive_horizon=40.0,
     # simple poles amplify traversal noise harder
     fine_tol_divisor=1000.0,

@@ -67,6 +67,11 @@ def test_divergent_classification_flanks():
     dn = integrate(PAINLEVE_II, InitialData(1.21, 0.0), Direction.POSITIVE_T, cfg)
     cu, cd = classify(PAINLEVE_II, up), classify(PAINLEVE_II, dn)
     assert {cu.tag, cd.tag} == {ClassTag.DIVERGENT_POSITIVE, ClassTag.DIVERGENT_NEGATIVE}
+    # a run with no pole yet is read by the sign of y at its last sample
+    for y0, tag in [(0.1, ClassTag.DIVERGENT_POSITIVE), (-0.1, ClassTag.DIVERGENT_NEGATIVE)]:
+        traj = integrate(PAINLEVE_II, InitialData(y0, 0.0), Direction.POSITIVE_T, IntegrationConfig(t_horizon=1.0))
+        cls = classify(PAINLEVE_II, traj)
+        assert not traj.poles and cls.tag is tag and cls.pole_count == 0
 
 
 def test_positive_direction_reads_the_blow_up_sign_at_every_tolerance():

@@ -314,13 +314,15 @@ def test_constants_rejects_empty_table(tmp_path, capsys):
 
 
 def test_constants_rejects_a_table_without_an_extraction_rule(tmp_path, capsys):
-    # the toy model has no growth constant to extract: exit 1, named
+    # the toy model has no growth constant to extract, and an unknown
+    # equation or a mode its equation lacks has no rule either: exit 1, named
     table = tmp_path / "toy.json"
-    table.write_text(json.dumps({"equation": "toy", "mode": "toy",
-                                 "records": [{"index": n, "value": TOY_REF[n]} for n in (1, 2, 3)]}))
-    rc = main(["constants", "--table", str(table)])
-    assert rc == 1
-    assert "no extraction rule for equation/mode ('toy', 'toy')" in capsys.readouterr().err
+    for eq, mode in [("toy", "toy"), ("p3", "slope"), ("p1", "toy")]:
+        table.write_text(json.dumps({"equation": eq, "mode": mode,
+                                     "records": [{"index": n, "value": TOY_REF[n]} for n in (1, 2, 3)]}))
+        rc = main(["constants", "--table", str(table)])
+        assert rc == 1
+        assert f"no extraction rule for equation/mode ('{eq}', '{mode}')" in capsys.readouterr().err
 
 
 def test_constants_rejects_malformed_table(tmp_path):

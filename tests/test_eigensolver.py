@@ -1,5 +1,6 @@
 import ast
 import copy
+import dataclasses
 import inspect
 import json
 import math
@@ -43,6 +44,7 @@ def test_search_mode_coercion():
     m = SearchMode.coerce("slope")
     assert m.kind is ModeKind.SLOPE and m.fixed_value == 0.0
     assert SearchMode.coerce(m) is m
+    assert SearchMode.coerce(ModeKind.VALUE) == SearchMode(ModeKind.VALUE)
 
 
 def test_scan_brackets_p1_slope():
@@ -150,14 +152,26 @@ def _datum(mode, init):
     return init.slope0 if SearchMode.coerce(mode).kind is ModeKind.SLOPE else init.y0
 
 
+def _law_count(eq, mode, x):
+    """N = (|x| / coeff)^(1/p) + 1 rounded down, the pole-count law's bound
+    on the number of critical values at or below |x|."""
+    spec = eq.modes[SearchMode.coerce(mode).kind]
+    return int((abs(x) / spec.coeff) ** (1.0 / spec.exponent)) + 1
+
+
+def _law_cap(eq, mode, x):
+    """The pole cap the pole-count law gives a full-horizon probe of x:
+    N // 2 + 2 in the negative direction and N + 1 in the positive one."""
+    n = _law_count(eq, mode, x)
+    return n // 2 + 2 if eq.modes[SearchMode.coerce(mode).kind].direction is Direction.NEGATIVE_T else n + 1
+
+
 def _is_full(eq, mode, args):
-    """True for a full-horizon probe, of the negative direction's
-    trial-energy horizon or of no horizon; False for one that stops at its
-    own t."""
-    _, init, direction, cfg = args
-    if direction is Direction.NEGATIVE_T:
-        return cfg.t_horizon == eigensolver._negative_horizon(eq, SearchMode.coerce(mode), _datum(mode, init))
-    return cfg.t_horizon is None
+    """True for a full-horizon probe, which caps its poles by the pole-count
+    law for its datum, in every mode; False for one that stops at its own t
+    under the default cap."""
+    _, init, _, cfg = args
+    return cfg.max_poles == _law_cap(eq, mode, _datum(mode, init))
 
 
 def _check_coarse_probes(eq, mode, calls):
@@ -181,15 +195,25 @@ def test_end_game_probe_count(monkeypatch, eq, mode, bracket, ref):
     # probes at the matching time, so only the two certificate probes run to
     # the full horizon, and all of them together integrate less than half of
     # the time span that bisecting at the fine tolerance (15 probes to
-    # t = -28 for the first of these cases) would.
+    # t = -28 for the first of these cases) would. A full-horizon probe
+    # ends by its class rule, short of its horizon, so the span a probe
+    # integrates is read from where it stopped.
     calls = counted_probes(monkeypatch)
+    stops = []
+    counted = eigensolver.integrate
+
+    def integrate(*args, **kwargs):
+        traj = counted(*args, **kwargs)
+        stops.append(abs(traj.terminal_t))
+        return traj
+
+    monkeypatch.setattr(eigensolver, "integrate", integrate)
     rec = bisect(eq, mode, bracket, tol=1e-9)
     assert abs(rec.value - ref) < 3e-9
-    spans = [abs(args[3].resolved_horizon(args[0], args[2])) for args in calls if not _is_coarse(args[3])]
-    full = [t for t in spans if t >= 28.0]
+    fine = [(args, span) for args, span in zip(calls, stops) if not _is_coarse(args[3])]
     _check_coarse_probes(eq, mode, calls)
-    assert len(full) <= 2
-    assert sum(spans) < 0.5 * 15 * 28.0
+    assert sum(_is_full(eq, mode, args) for args, _ in fine) <= 2
+    assert sum(span for _, span in fine) < 0.5 * 15 * 28.0
 
 
 def test_end_game_failure_raises_bisection_error(monkeypatch):
@@ -207,6 +231,11 @@ def test_end_game_failure_raises_bisection_error(monkeypatch):
         eigen_table(PAINLEVE_I, "slope", 2)
     assert info.value.failed_index == 1
     assert info.value.records == []
+    # a scan that finds no flip up to its limit fails the same way
+    monkeypatch.setattr(eigensolver, "_walk", lambda *args: iter(()))
+    with pytest.raises(PartialTableError, match=r"scan passed \|x\| = .* with only 0 of 2 eigenvalues") as info:
+        eigen_table(PAINLEVE_I, "slope", 2)
+    assert info.value.failed_index == 1 and isinstance(info.value.__cause__, BisectionError)
 
 
 @pytest.mark.parametrize(
@@ -224,8 +253,7 @@ def test_matched_end_game_converges_on_p2_slope_b1(monkeypatch, bracket):
     rec = bisect(PAINLEVE_II, "slope", bracket, tol=1e-9)
     assert abs(rec.value - P2_SLOPE_REF[1]) < 3e-9
     assert rec.pole_count == 0
-    full = [args for args in calls if not _is_coarse(args[3])
-            and abs(args[3].resolved_horizon(args[0], args[2])) >= 28.0]
+    full = [args for args in calls if not _is_coarse(args[3]) and _is_full(PAINLEVE_II, "slope", args)]
     _check_coarse_probes(PAINLEVE_II, "slope", calls)
     assert len(full) <= 2
 
@@ -249,15 +277,15 @@ def test_search_refuses_probes_stopped_by_step_underflow(monkeypatch):
 
 
 def test_matched_probes_stopped_by_step_underflow_raise_integration_error(monkeypatch):
-    # only the probes that stop at a matching time T underflow (in the
-    # positive direction they alone carry a horizon): a matched pass refuses
-    # them as the scan does its own, rather than failing the match with a
-    # BisectionError, and a table stops there as a partial table
+    # only the probes that stop at a matching time T underflow (they alone
+    # keep the default pole cap): a matched pass refuses them as the scan
+    # does its own, rather than failing the match with a BisectionError, and
+    # a table stops there as a partial table
     real = eigensolver.integrate
 
     def integrate(eq, init, direction, cfg, until=None):
         with monkeypatch.context() as m:
-            if cfg.t_horizon is not None:
+            if cfg.max_poles == IntegrationConfig().max_poles:
                 m.setattr(integrator, "_MIN_STEP", 0.5)
             return real(eq, init, direction, cfg, until=until)
 
@@ -291,6 +319,9 @@ def test_separatrix_check_rejects_generic_data_and_the_toy_model(monkeypatch):
     # model has no separatrix run to read and is refused before any run
     with pytest.raises(ClassificationError, match="never decays to zero"):
         separatrix_check(PAINLEVE_II, "value", 1.21)
+    # between b_1 and b_2 the run cascades without hugging a branch curve
+    with pytest.raises(ClassificationError, match="never tracks a branch curve"):
+        separatrix_check(PAINLEVE_I, "slope", 2.5)
     calls = counted_probes(monkeypatch)
     with pytest.raises(ValueError, match="count_toy_maxima"):
         separatrix_check(TOY_MODEL, "toy", TOY_REF[1])
@@ -318,12 +349,20 @@ _NO_TOY_MODE = "p1 has no toy mode; its modes are: slope, value"
         (lambda: eigen_table(PAINLEVE_I, "toy", 2), _NO_TOY_MODE),
         (lambda: separatrix_check(PAINLEVE_I, "toy", 1.0), _NO_TOY_MODE),
         (lambda: scan_brackets(TOY_MODEL, "slope", (0.5, 1.0), 0.1), "toy has no slope mode; its modes are: toy"),
+        # a mode that is no SearchMode, ModeKind or mode name
+        (lambda: bisect(PAINLEVE_I, 5, (1.0, 2.0)), "5 is not a valid ModeKind"),
+        (lambda: eigen_table(PAINLEVE_I, 5, 3), "5 is not a valid ModeKind"),
+        (lambda: scan_brackets(PAINLEVE_I, None, (0.5, 1.0), 0.1), "None is not a valid ModeKind"),
+        (lambda: separatrix_check(PAINLEVE_I, 1.5, 1.0), "1.5 is not a valid ModeKind"),
     ],
-    ids=["scan_brackets", "bisect", "eigen_table", "separatrix_check", "toy-scan_brackets"],
+    ids=["scan_brackets", "bisect", "eigen_table", "separatrix_check", "toy-scan_brackets",
+         "int-bisect", "int-eigen_table", "none-scan_brackets", "float-separatrix_check"],
 )
-def test_mode_missing_from_equation(call, message):
+def test_mode_missing_from_equation(monkeypatch, call, message):
+    calls = counted_probes(monkeypatch)
     with pytest.raises(ValueError, match=message):
         call()
+    assert calls == []
 
 
 @pytest.mark.parametrize("n_max", [1.5, math.nan, True, 0, 61], ids=["fraction", "nan", "bool", "zero", "past-max"])
@@ -411,22 +450,14 @@ def test_fine_cfg_keeps_a_tighter_caller_tolerance():
     assert _fine_rel_tol(PAINLEVE_I, 1e-12, 1e-9) <= 1e-12
 
 
-def _law_cap(eq, mode, x):
-    """The pole cap the pole-count law gives a full-horizon probe of x:
-    with N = (|x| / coeff)^(1/p) + 1 rounded down, N // 2 + 2 in the
-    negative direction and N + 1 in the positive one."""
-    spec = eq.modes[mode]
-    n = int((abs(x) / spec.coeff) ** (1.0 / spec.exponent)) + 1
-    return n // 2 + 2 if spec.direction is Direction.NEGATIVE_T else n + 1
-
-
 def test_every_probe_config_follows_one_rule(monkeypatch):
     # scan, bracket ends, matched passes, certificates and separatrix_check
     # alike: every integration is one call of the one probe path, _run, and
     # a probe's config holds its rel_tol and what sizes it. A full-horizon
-    # probe (the negative direction's trial-energy horizon, or no horizon)
-    # caps its poles by the pole-count law for its datum, the toy model's by
-    # none; a matched probe stops at its own t and keeps the default cap.
+    # probe caps its poles by the pole-count law for its datum, and its
+    # horizon lies one time unit per critical value at or below |x| past
+    # the integrator's default, in every mode, the toy model's too; a
+    # matched probe stops at its own t and keeps the default cap.
     # separatrix_check's run, the last, is a full-horizon probe at 1e-11.
     default = IntegrationConfig()
     searches = [
@@ -456,15 +487,13 @@ def test_every_probe_config_follows_one_rule(monkeypatch):
         assert runs and runs.count(1) == len(runs) == len(calls)
         assert {eigensolver._COARSE, *rel_tols} <= {args[3].rel_tol for args in calls}
         kinds = []
-        for _, init, direction, cfg in calls:
-            x = init.slope0 if mode is ModeKind.SLOPE else init.y0
-            if direction is Direction.NEGATIVE_T:
-                full = cfg.t_horizon == eigensolver._negative_horizon(eq, SearchMode(mode), x)
-            else:
-                full = cfg.t_horizon is None
+        for args in calls:
+            _, init, direction, cfg = args
+            full = _is_full(eq, mode, args)
             kinds.append(full)
-            if full and eq.pole_order:
-                assert cfg.max_poles == _law_cap(eq, mode, x)
+            if full:
+                n = _law_count(eq, mode, _datum(mode, init))
+                assert cfg.t_horizon == default.resolved_horizon(eq, direction) + direction.sign * n
             else:
                 assert cfg.max_poles == default.max_poles
         assert set(kinds) == {True, False}
@@ -480,15 +509,15 @@ def test_every_probe_config_follows_one_rule(monkeypatch):
 def test_negative_pole_cap_keeps_every_class(eq, mode, reach):
     # the negative-direction cap rests on the pole-count law for stable data,
     # which is measured, not proven: on a sparse grid of both signs out to
-    # |x_30|, a capped scan probe has the class key of a run to the horizon
-    # under the default cap, and every stable probe stays two poles below
-    # its cap, so the cap never decides a class. A stable probe stops in the
-    # stable well, with the pole count of that run to the horizon.
+    # |x_30|, a capped scan probe has the class key of a run to its own
+    # horizon under the default cap, and every stable probe stays two poles
+    # below its cap, so the cap never decides a class. A stable probe stops
+    # in the stable well, with the pole count of that run to the horizon.
     search = SearchMode(mode)
     stable = 0
     for x in (np.linspace(-reach, reach, 15) + 0.0123 * reach).tolist():
         capped = _record(eq, search, x, eigensolver._COARSE)
-        cfg = IntegrationConfig(eigensolver._COARSE, t_horizon=eigensolver._negative_horizon(eq, search, x))
+        cfg = IntegrationConfig(eigensolver._COARSE, t_horizon=capped.traj.config.t_horizon)
         full = integrate(eq, eigensolver._initial_data(search, x), Direction.NEGATIVE_T, cfg)
         key, poles = eigensolver._class_key(eq, full)
         assert capped.key == key
@@ -561,8 +590,9 @@ def test_every_stable_probe_stops_in_the_well(monkeypatch, eq, mode, bracket, re
     # direction each stable one stops in the well, in the positive one none
     # stops early. The end game runs the stable bracket end again, stopped at
     # its own t, and every sample of that run before its last is the one the
-    # full run of that datum takes without the stop. The record is the one
-    # the search gives with the stop withheld, bit for bit.
+    # full run of that datum takes without the stop. With the stop withheld a
+    # stable probe runs on to its horizon; read as settled there, where the
+    # well's rule holds at its last sample, it gives the record bit for bit.
     probes = []  # (args, until, trajectory) of each integration
     real = eigensolver.integrate
 
@@ -591,7 +621,14 @@ def test_every_stable_probe_stops_in_the_well(monkeypatch, eq, mode, bracket, re
         assert until is None and traj.stopped_by == "horizon" and n < len(whole.t)
         for a, b in [(traj.t, whole.t), (traj.y, whole.y), (traj.yp, whole.yp)]:
             assert np.array_equal(a[:n], b[:n])
-    monkeypatch.setattr(eigensolver, "integrate", lambda *args, until=None: real(*args))
+
+    def unstopped(*args, until=None):
+        traj = real(*args)
+        if until and traj.stopped_by == "horizon" and until(traj.terminal_t, traj.y[-1], traj.yp[-1]):
+            return dataclasses.replace(traj, stopped_by="settled")
+        return traj
+
+    monkeypatch.setattr(eigensolver, "integrate", unstopped)
     assert _record_bits(lambda: bisect(eq, mode, bracket)) == _record_bits(lambda: rec)
 
 
@@ -668,11 +705,36 @@ def test_bisect_index_only_labels_the_record():
 
 def test_bisect_last_p2_value_index():
     # the certificate of c_29 reads the sign of its 30th blow-up, which lies
-    # past t = 30, inside the horizon of 40 (3.735381955 was computed by this
-    # code, not quoted)
+    # past t = 30, inside its horizon of t = 71 (3.735381955 was computed by
+    # this code, not quoted)
     rec = bisect(PAINLEVE_II, ModeKind.VALUE, (3.73, 3.74), tol=1e-9, index=29)
     assert rec.pole_count == 29
     assert abs(rec.value - 3.735381955) < 1e-8
+
+
+def test_bisect_p2_value_past_the_table():
+    # each probe's horizon grows with the critical values below its datum,
+    # so the certificate of c_50 reaches its 51st blow-up (a horizon fixed
+    # at t = 40 stopped it short) and the record validates as decay after
+    # 50 poles (4.479097862998857 was computed by this code, not quoted)
+    rec = bisect(PAINLEVE_II, ModeKind.VALUE, (4.476122044853204, 4.482054785192478), index=50)
+    assert rec.pole_count == 50
+    assert abs(rec.value - 4.479097862998857) < 1e-8
+    cls = separatrix_check(PAINLEVE_II, "value", rec.value)
+    assert cls.tag is ClassTag.DECAY_TO_ZERO and cls.pole_count == 50
+
+
+def test_full_probe_that_reaches_its_horizon_raises_integration_error():
+    # a full-horizon probe ends by its class rule, settled or at its pole
+    # cap; one that reaches its horizon has no final class, and the search
+    # refuses it rather than reading its tail. A P-I spec whose runs never
+    # settle leaves every stable probe so.
+    unsettled = dataclasses.replace(PAINLEVE_I, settled=lambda *_: False)
+    with pytest.raises(IntegrationError, match="probe x = 1.0 reached its horizon t = -61 "):
+        _record(unsettled, SearchMode(ModeKind.SLOPE), 1.0, eigensolver._COARSE)
+    with pytest.raises(PartialTableError, match="reached its horizon") as info:
+        eigen_table(unsettled, "slope", 2)
+    assert info.value.failed_index == 1 and isinstance(info.value.__cause__, IntegrationError)
 
 
 def test_p1_slope_table(p1_slope_table):
@@ -829,10 +891,11 @@ def test_toy_probe_count(monkeypatch):
     table = toy_eigen_table(3)
     assert len(end_games) == 3
     for probes in end_games:
-        horizons = [args[3].t_horizon for args in probes]
-        assert horizons.count(None) <= 2
-        assert all(t <= 0.1 * TOY_MODEL.positive_horizon for t in horizons if t is not None)
-    full = [stop for args, stop in zip(calls, stops) if args[3].t_horizon is None]
+        full = [_is_full(TOY_MODEL, "toy", args) for args in probes]
+        assert sum(full) <= 2
+        assert all(args[3].t_horizon <= 0.1 * TOY_MODEL.positive_horizon
+                   for args, f in zip(probes, full) if not f)
+    full = [stop for args, stop in zip(calls, stops) if _is_full(TOY_MODEL, "toy", args)]
     assert full and all(by == "settled" and t < 6.0 for by, t in full)
     for rec in table:
         assert abs(rec.value - TOY_REF[rec.index]) <= 1.5e-4
