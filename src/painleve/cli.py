@@ -67,11 +67,7 @@ def cmd_trajectory(args) -> int:
     cfg = IntegrationConfig(t_horizon=args.horizon, **kw)
     init = InitialData(args.y0, args.slope)
     started = time.time()
-    try:
-        traj = integrate(eq, init, direction, cfg)
-    except (IntegrationError, ValueError) as exc:
-        print(f"trajectory failed: {exc}", file=sys.stderr)
-        return 1
+    traj = integrate(eq, init, direction, cfg)
     manifest = _manifest(args, "trajectory",
                          {"config": dataclasses.asdict(cfg), "stopped_by": traj.stopped_by})
 

@@ -4,12 +4,14 @@ crossed on their Laurent series.
 The sweep follows the real axis in the requested direction. When |y| crosses
 ``_DETOUR_START``, the pole location t0 is estimated by :func:`estimate_pole`
 from the leading Laurent behavior (y ~ (t - t0)^{-p}  =>  t0 = t + p y/y'),
-less the equation's Laurent correction. The samples at or past the entry
-point, at the detour radius from t0, are dropped, and the sweep walks
-forward to the entry from the last sample before it, so no state carried
-inside the circle reaches the crossing. There the solution is a member of
-the pole's two-parameter Laurent family (the location t0 and a free
-coefficient h; see ``Equation.laurent``). Newton's method fits both to the
+less the equation's Laurent correction. The detour radius never reaches back
+to the sweep's boundary, t = 0 or the previous crossing's exit, so the entry
+point lies ahead of every sample the sweep keeps. The samples at or past the
+entry are dropped, and the sweep walks forward to the entry from the last
+sample before it, so no state carried inside the circle reaches the
+crossing. There the solution is a member of the pole's two-parameter
+Laurent family (the location t0 and a free coefficient h; see
+``Equation.laurent``). Newton's method fits both to the
 entry sample: two steps on a short series, then steps on the full one, whose
 last step is applied to the coefficients linearly, so a crossing builds the
 full series about once. The series gives y, y' and the fluctuation integral
@@ -134,8 +136,9 @@ class PoleEvent:
     zero radius. ``approach_sign`` is the sign of y at the trigger crossing,
     i.e. the direction of the blow-up on the approach side. ``entry_index``
     locates the crossing's entry in the sample arrays; the exit is the next
-    sample. A cap-terminating event has no entry. The pole's order is the
-    equation's ``pole_order``.
+    sample. The entry lies strictly ahead of the previous crossing's exit,
+    or of t = 0 for the first crossing. A cap-terminating event has no
+    entry. The pole's order is the equation's ``pole_order``.
     """
 
     location: float
@@ -148,15 +151,16 @@ class PoleEvent:
 class Trajectory:
     """Sampled solution path with recorded pole events.
 
-    Samples lie on the real axis, strictly ordered by t in the integration
-    direction, and the arrays are float. A pole crossing's entry and exit
-    are consecutive samples. ``fluct`` is the fluctuation integral
-    I = int_0^t dH/dt dt, carried by the stepper and, across each pole, by
-    the Laurent series (see
-    :func:`~painleve.equations.fluctuation_integral`); it and
-    ``yp`` are None for the first-order toy model. ``stopped_by`` is
-    one of 'horizon', 'settled' (the caller's ``until`` predicate fired),
-    'pole-cap', 'step-underflow'; only the last two truncate the run.
+    Samples lie on the real axis, from t = 0 strictly ordered by t in the
+    integration direction, and the arrays are float. A pole crossing's entry
+    and exit are consecutive samples, the entry strictly ahead of the
+    previous exit (see :class:`PoleEvent`). ``fluct`` is the fluctuation
+    integral I = int_0^t dH/dt dt, carried by the stepper and, across each
+    pole, by the Laurent series (see
+    :func:`~painleve.equations.fluctuation_integral`); it and ``yp`` are
+    None for the first-order toy model. ``stopped_by`` is one of 'horizon',
+    'settled' (the caller's ``until`` predicate fired), 'pole-cap',
+    'step-underflow'; only the last two truncate the run.
     """
 
     equation: Equation
@@ -541,10 +545,12 @@ def _laurent_fit_and_exit(eq: Equation, entry, t0: float, cfg: IntegrationConfig
 
 _RADIUS_MIN = 1e-3
 _RADIUS_MAX = 0.3
+_BOUNDARY_SHARE = 0.99  # of the distance from the pole back to the sweep's boundary
 
 
-def _pick_radius(eq: Equation, t0: float, prev_pole: float | None) -> float:
-    """Detour radius for the pole at t0.
+def _pick_radius(eq: Equation, t0: float, prev_pole: float | None, boundary: float) -> float:
+    """Detour radius for the pole at t0, the one place every bound on it is
+    set.
 
     The circle must hold only this pole: the pole's Laurent series converges
     only out to the nearest other singularity, in the complex t plane, so
@@ -554,13 +560,17 @@ def _pick_radius(eq: Equation, t0: float, prev_pole: float | None) -> float:
     close to the pole the fit is ill-conditioned, because at distance d the
     free Laurent coefficient is buried ~ d^(2p+2) below the leading term
     and double precision cannot retain it. A moderate radius keeps the
-    crossing well conditioned. The trigger depth plays no part: the sweep
-    reaches the circle from outside it.
+    crossing well conditioned. Last, the circle must not reach back to the
+    sweep's ``boundary``, t = 0 or the previous crossing's exit: the radius
+    is at most ``_BOUNDARY_SHARE`` of the distance from t0 to it, whatever
+    the clamp above gave, so the entry lies strictly ahead of every sample
+    the sweep keeps. The trigger depth plays no part: the sweep reaches the
+    circle from outside it.
     """
     r = 0.3 * eq.pole_spacing(abs(t0))
     if prev_pole is not None:
         r = min(r, 0.3 * abs(t0 - prev_pole))
-    return min(_RADIUS_MAX, max(_RADIUS_MIN, r))
+    return min(_RADIUS_MAX, max(_RADIUS_MIN, r), _BOUNDARY_SHARE * abs(t0 - boundary))
 
 
 def integrate(
@@ -575,7 +585,10 @@ def integrate(
 
     Each equation runs in its ``directions`` only: Painleve I in the
     negative direction, the toy model in the positive one, Painleve II in
-    both. Every pole crossing is recorded as a :class:`PoleEvent`. Hitting
+    both. Every pole crossing is recorded as a :class:`PoleEvent`; its
+    circle is placed by one rule, :func:`_pick_radius`, which keeps it clear
+    of the sweep's boundary (t = 0, then each crossing's exit), so the
+    samples stay strictly ordered in the direction of the run. Hitting
     the pole cap or a step underflow truncates the trajectory (see
     ``Trajectory.stopped_by``) rather than raising, so callers can classify
     truncated runs; a crossing that fails raises :class:`CrossingError`.
@@ -605,6 +618,7 @@ def integrate(
     v = 0.0 if eq.first_order else float(init.slope0)
     w = 0.0
     samples: list[tuple] = [(t, y, v, w)]  # (t, y, y', I) on the real axis
+    boundary = t  # no circle reaches back to it: the start, then the last exit
     poles: list[PoleEvent] = []
     armed = abs(y) < trigger
     last_mag = abs(y)
@@ -643,30 +657,19 @@ def integrate(
             raise IntegrationError(
                 f"pole estimate {t0:.6g} is not ahead of the sweep at t = {t:.6g}"
             )
-        if poles:
-            prev = poles[-1].location
-            if dirsign * (t0 - prev) <= 0.0:
-                raise IntegrationError(
-                    f"pole estimate {t0:.6g} is not beyond the previous pole at {prev:.6g}"
-                )
         if len(poles) >= cfg.max_poles:
             poles.append(PoleEvent(location=t0, detour_radius=0.0, approach_sign=approach_sign))
             stopped_by = "pole-cap"
             break
-        radius = _pick_radius(eq, t0, poles[-1].location if poles else None)
+        radius = _pick_radius(eq, t0, poles[-1].location if poles else None, boundary)
         entry_t = t0 - dirsign * radius
         # The samples at or past the circle entry served the trigger and the
-        # pole estimate; drop them, back to the last exit at most, and walk
-        # to the circle from the last sample before it, so no state from
-        # inside the circle is carried back out.
+        # pole estimate; drop them and walk to the circle from the last
+        # sample before it, so no state from inside the circle is carried
+        # back out. The entry lies ahead of the boundary sample, which stays.
         if dirsign * (t - entry_t) >= 0.0:
-            last_exit = poles[-1].entry_index + 1 if poles else 0
-            while len(samples) > last_exit + 1 and dirsign * (samples[-1][0] - entry_t) >= 0.0:
+            while dirsign * (samples[-1][0] - entry_t) >= 0.0:
                 samples.pop()
-            if poles and dirsign * (samples[-1][0] - entry_t) >= 0.0:
-                raise IntegrationError(
-                    f"detour circle of the pole at {t0:.6g} overlaps the previous detour"
-                )
             (t, y, v, w), k1 = samples[-1], None
         if abs(entry_t - t) > 1e-14 * max(1.0, abs(t)):
             t, y, v, w, _, h, tok2 = _advance(step, f, t, y, v, w, entry_t, cfg, lambda *_: None,
@@ -689,6 +692,7 @@ def integrate(
             )
         )
         t, y, v, w = exit_sample
+        boundary = t
         armed = False
         last_mag = abs(y)
         k1 = None

@@ -139,6 +139,8 @@ def test_richardson_annihilates_polynomial_tails():
 def test_richardson_rejects_short_sequences():
     with pytest.raises(ValueError):
         richardson([1.0, 2.0], 2)
+    with pytest.raises(ValueError, match="non-negative"):
+        richardson([1.0, 2.0], -1)
 
 
 def test_extract_constant_synthetic():

@@ -16,6 +16,7 @@ from painleve import (
     ClassificationError,
     CrossingError,
     Direction,
+    InitialData,
     IntegrationConfig,
     IntegrationError,
     ModeKind,
@@ -224,6 +225,14 @@ def test_end_game_failure_raises_bisection_error(monkeypatch):
     def off_illinois(*args, **kwargs):
         return real_illinois(*args, **kwargs) + 1e-7
 
+    # the end game's own refusals: Illinois on a jump that no root
+    # resolves, and two ends trapped in the stable well, where V <= 0 on the
+    # separatrix at every sample time
+    with pytest.raises(eigensolver._Unmatched, match="did not converge .* in 40 steps"):
+        real_illinois(lambda x: 1.0 if x > 0.3 else -1.0, 0.0, -1.0, 1.0, 1.0, 1e-300)
+    stable = integrate(PAINLEVE_I, InitialData(0.0, 1.0), Direction.NEGATIVE_T, IntegrationConfig(t_horizon=-20.0))
+    with pytest.raises(eigensolver._Unmatched, match="no matching time"):
+        eigensolver._matching_start(PAINLEVE_I, [stable, stable])
     monkeypatch.setattr(eigensolver, "_illinois", off_illinois)
     with pytest.raises(BisectionError):
         bisect(PAINLEVE_I, ModeKind.SLOPE, (1.8, 1.9), tol=1e-9)
@@ -722,6 +731,10 @@ def test_bisect_p2_value_past_the_table():
     assert abs(rec.value - 4.479097862998857) < 1e-8
     cls = separatrix_check(PAINLEVE_II, "value", rec.value)
     assert cls.tag is ClassTag.DECAY_TO_ZERO and cls.pole_count == 50
+    # its first pole lies within 0.3 of t = 0, and the probe's first circle
+    # still enters ahead of the start
+    probe = eigensolver._run(PAINLEVE_II, SearchMode.coerce("value"), rec.value, 1e-11)
+    assert (np.diff(probe.t) > 0.0).all()
 
 
 def test_full_probe_that_reaches_its_horizon_raises_integration_error():

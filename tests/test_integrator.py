@@ -11,6 +11,7 @@ from painleve import (
     Direction,
     InitialData,
     IntegrationConfig,
+    IntegrationError,
     PAINLEVE_I,
     PAINLEVE_II,
     TOY_MODEL,
@@ -433,7 +434,7 @@ def test_circle_past_the_next_pole_raises(monkeypatch):
     # convergence: its terms stop decaying, and the crossing fails typed
     # instead of crossing two poles as one. The README run's first two
     # poles lie 2.3 apart.
-    monkeypatch.setattr(integrator, "_pick_radius", lambda eq, t0, prev: 2.6)
+    monkeypatch.setattr(integrator, "_pick_radius", lambda eq, t0, prev, boundary: 2.6)
     with pytest.raises(CrossingError, match="does not converge"):
         integrate(PAINLEVE_I, InitialData(0.0, 2.504031103), Direction.NEGATIVE_T,
                   IntegrationConfig(t_horizon=-12.0))
@@ -459,6 +460,18 @@ def test_detour_half_plane_conjugation():
         arc_exit(PAINLEVE_I, entry, traj.poles[0].location, 0)
 
 
+def _assert_in_order(traj):
+    """t strictly ordered in the run's direction, and each crossing's entry
+    strictly ahead of the previous exit, or of t = 0 for the first."""
+    sign = traj.direction.sign
+    assert (sign * np.diff(traj.t) > 0.0).all()
+    boundary = 0.0
+    for p in traj.poles:
+        if p.entry_index is not None:  # a cap-terminating event has no entry
+            assert sign * (traj.t[p.entry_index] - boundary) > 0.0
+            boundary = traj.t[p.entry_index + 1]
+
+
 def test_trajectory_structure_cascade():
     traj = integrate(PAINLEVE_I, InitialData(0.0, 2.504031103), Direction.NEGATIVE_T,
                      IntegrationConfig(t_horizon=-20.0))
@@ -480,8 +493,36 @@ def test_trajectory_structure_cascade():
     # positive-direction exit is stored once
     pos = integrate(PAINLEVE_II, InitialData(2.0, 0.0), Direction.POSITIVE_T, IntegrationConfig(t_horizon=10.0))
     assert len(pos.poles) == 6
-    for run in (traj, pos):
-        assert (run.direction.sign * np.diff(run.t) > 0.0).all()
+    # a first pole 0.29 past t = 0: a circle of the clamped radius 0.3
+    # would enter at t = -0.0073, behind the start
+    near = integrate(PAINLEVE_II, InitialData(4.48, 0.0), Direction.POSITIVE_T, IntegrationConfig(t_horizon=2.0))
+    assert near.stopped_by == "horizon" and near.poles[0].location == pytest.approx(0.2925, abs=1e-4)
+    for run in (traj, pos, near):
+        _assert_in_order(run)
+
+
+def test_random_runs_stay_in_order():
+    # random data of both equations, in each of their directions, keep
+    # every returned trajectory in order; a typed failure is allowed
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    p2 = st.tuples(st.just(PAINLEVE_II), st.floats(-10.0, 10.0), st.floats(-5.0, 5.0),
+                   st.sampled_from([Direction.NEGATIVE_T, Direction.POSITIVE_T]))
+    # P-I over the ranges of the session tables' searches
+    p1_slope = st.tuples(st.just(PAINLEVE_I), st.just(0.0), st.floats(0.2, 9.0), st.just(Direction.NEGATIVE_T))
+    p1_value = st.tuples(st.just(PAINLEVE_I), st.floats(-3.0, -0.1), st.just(0.0), st.just(Direction.NEGATIVE_T))
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @hypothesis.given(st.one_of(p2, p1_slope, p1_value))
+    def check(case):
+        eq, y0, slope0, direction = case
+        try:
+            traj = integrate(eq, InitialData(y0, slope0), direction, IntegrationConfig(t_horizon=3.0 * direction.sign))
+        except IntegrationError:
+            return
+        _assert_in_order(traj)
+
+    check()
 
 
 def test_pole_cap_truncates():
