@@ -71,10 +71,6 @@ class BisectionError(RuntimeError):
     """A bracket could not be resolved: its ends or the certificate are not
     one flip apart, a probe's class is neither side's, or matching failed."""
 
-    def __init__(self, message: str, probe: float | None = None):
-        super().__init__(message)
-        self.probe = probe
-
 
 class PartialTableError(RuntimeError):
     """Table construction failed mid-way; carries the completed records."""
@@ -512,7 +508,7 @@ def _end_game(eq, mode, lo, hi, tol, rel_tol, index):
                              _record(eq, mode, value + 0.5 * w, fine_rel_tol))
     if pole_count is None:
         raise BisectionError(f"matched root {value!r} failed its certificate: fine probes {w:.3g} "
-                             "apart are not one flip apart", probe=value)
+                             "apart are not one flip apart")
     return EigenvalueRecord(index, value, w, pole_count, mode)
 
 
@@ -584,18 +580,21 @@ def eigen_table(
     tol: float = 1e-9,
     rel_tol: float = 1e-10,
 ) -> list[EigenvalueRecord]:
-    """First ``n_max`` critical initial conditions of a search mode.
+    """First ``n_max`` critical initial conditions of a search mode, for any
+    int ``n_max >= 1``.
 
     Scans outward from the mode's scan origin with a step that adapts to
     the predicted eigenvalue spacing (which shrinks like n^(p-1)), and hands
     the records of every class flip's two scan probes to :func:`_end_game`.
-    Indices are ordinal in the scanned variable. On a mid-table failure a
-    :class:`PartialTableError` carrying the finished records is raised.
+    ``n_max`` sets only the scan's far end, so a longer table keeps a
+    shorter one's records. Indices are ordinal in the scanned variable. On a
+    mid-table failure a :class:`PartialTableError` carrying the finished
+    records is raised.
     """
     mode = SearchMode.coerce(mode)
     spec = _spec(eq, mode)
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or not 1 <= n_max <= spec.max_index:
-        raise ValueError(f"n_max = {n_max!r} must be an int between 1 and {spec.max_index}")
+    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
+        raise ValueError(f"n_max = {n_max!r} must be an int of at least 1")
     _check_tol(tol, rel_tol)
     p = spec.exponent
     sign = -1.0 if spec.origin < 0 else 1.0

@@ -70,12 +70,12 @@ class ModeSpec:
     The search integrates in ``direction``, and its critical values x_n
     grow like n**exponent. The scan starts at ``origin`` with ``step``.
     In every mode ``coeff`` is a lower bound on |x_n| / n**exponent for
-    n >= 2: it bounds the scan, and it sizes each full-horizon probe's pole
-    cap and horizon from the number of critical values at or below the
-    probe's |x|. ``order``, ``split_even_odd`` and ``constant`` (a
+    n >= 2 (measured to n = 60, the toy's to n = 100): it bounds the scan,
+    and it sizes each full-horizon probe's pole cap and horizon from the
+    number of critical values at or below the probe's |x|. ``order``,
+    ``split_even_odd`` and ``constant`` (a
     :class:`~painleve.asymptotics.WkbConstants` field) drive the Richardson
     extraction; a mode without a closed form has none.
-    A table of the mode holds at most ``max_index`` critical values.
     """
 
     direction: Direction
@@ -86,7 +86,6 @@ class ModeSpec:
     order: int | None = None
     split_even_odd: bool = False
     constant: str | None = None
-    max_index: int = 30
 
 
 def _compiled(source: str, name: str):
@@ -319,7 +318,7 @@ PAINLEVE_II = Equation(
     directions=(_NEG, _POS),
     modes={
         ModeKind.SLOPE: ModeSpec(_NEG, 0.1, 0.1, 2.0 / 3.0, 0.95, 4, True, "p2_slope"),
-        # (c_n / 1.2)^3 - n runs from 0.058 (n = 1) to 1.202 (n = 30)
+        # (c_n / 1.2)^3 - n runs 0.058 (n = 1), 1.202 (n = 30), 2.403 (n = 60)
         ModeKind.VALUE: ModeSpec(_POS, 0.3, 0.08, 1.0 / 3.0, 1.2, 4, False, "p2_value"),
     },
     hamiltonian=lambda y, yp: 0.5 * yp * yp - 0.5 * y * y * y * y,
@@ -345,7 +344,7 @@ TOY_MODEL = Equation(
     pole_order=0,
     rhs_source=("cos(pi * t * y)",),
     directions=(_POS,),
-    modes={ModeKind.TOY: ModeSpec(_POS, 0.05, 0.4, 1.0 / 2.0, 1.65, max_index=60)},
+    modes={ModeKind.TOY: ModeSpec(_POS, 0.05, 0.4, 1.0 / 2.0, 1.65)},
     positive_horizon=50.0,
     separatrix={_POS: _toy_separatrix},
     settled=_toy_settled,

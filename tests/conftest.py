@@ -105,26 +105,44 @@ def arc_exit(eq, entry, t0, half_plane):
     return u, v, w
 
 
+# The five session tables: name -> (equation, mode, n_max, tol). The toy
+# table is toy_eigen_table's, at its own rel_tol.
+SESSION_TABLES = {
+    "p1_slope": (PAINLEVE_I, ModeKind.SLOPE, 11, 1e-9),
+    "p1_value": (PAINLEVE_I, ModeKind.VALUE, 15, 1e-9),
+    "p2_slope": (PAINLEVE_II, ModeKind.SLOPE, 21, 1e-9),
+    "p2_value": (PAINLEVE_II, ModeKind.VALUE, 14, 1e-9),
+    "toy": (TOY_MODEL, ModeKind.TOY, 50, 1e-6),
+}
+
+
+def session_table(name):
+    eq, mode, n_max, tol = SESSION_TABLES[name]
+    if eq is TOY_MODEL:
+        return toy_eigen_table(n_max, tol=tol)
+    return eigen_table(eq, mode, n_max, tol=tol)
+
+
 @pytest.fixture(scope="session")
 def p1_slope_table():
-    return eigen_table(PAINLEVE_I, ModeKind.SLOPE, 11, tol=1e-9)
+    return session_table("p1_slope")
 
 
 @pytest.fixture(scope="session")
 def p1_value_table():
-    return eigen_table(PAINLEVE_I, ModeKind.VALUE, 15, tol=1e-9)
+    return session_table("p1_value")
 
 
 @pytest.fixture(scope="session")
 def p2_slope_table():
-    return eigen_table(PAINLEVE_II, ModeKind.SLOPE, 21, tol=1e-9)
+    return session_table("p2_slope")
 
 
 @pytest.fixture(scope="session")
 def p2_value_table():
-    return eigen_table(PAINLEVE_II, ModeKind.VALUE, 14, tol=1e-9)
+    return session_table("p2_value")
 
 
 @pytest.fixture(scope="session")
 def toy_table():
-    return toy_eigen_table(50, tol=1e-6)
+    return session_table("toy")

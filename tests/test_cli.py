@@ -195,6 +195,13 @@ def test_eigen_rejects_non_finite_tol(tmp_path, capsys, monkeypatch):
     assert calls == [] and not out.exists()
 
 
+def test_eigen_rejects_a_bad_record_count(tmp_path, capsys):
+    out = tmp_path / "eig.json"
+    assert main(["eigen", "--eq", "p1", "--n", "0", "--out", str(out)]) == 1
+    assert "n_max = 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eigen_roundtrip_constants(tmp_path):
     table = tmp_path / "eigs.json"
     rc = main(["eigen", "--eq", "p2", "--mode", "value", "--n", "5",

@@ -374,14 +374,24 @@ def test_mode_missing_from_equation(monkeypatch, call, message):
     assert calls == []
 
 
-@pytest.mark.parametrize("n_max", [1.5, math.nan, True, 0, 61], ids=["fraction", "nan", "bool", "zero", "past-max"])
+@pytest.mark.parametrize("n_max", [1.5, math.nan, True, 0], ids=["fraction", "nan", "bool", "zero"])
 def test_eigen_table_rejects_a_bad_record_count(monkeypatch, n_max):
     # unchecked, n_max = 1.5 computed 19 toy records before it raised
     # PartialTableError("... only 19 of 1.5 eigenvalues found")
     calls = counted_probes(monkeypatch)
-    with pytest.raises(ValueError, match="n_max = .* must be an int between 1 and 60"):
+    with pytest.raises(ValueError, match="n_max = .* must be an int of at least 1"):
         eigen_table(TOY_MODEL, "toy", n_max)
     assert calls == []
+
+
+@pytest.mark.parametrize("eq,mode,n_max", [(TOY_MODEL, "toy", 61), (PAINLEVE_I, "slope", 31)], ids=["toy", "p1-slope"])
+def test_eigen_table_takes_any_record_count(monkeypatch, eq, mode, n_max):
+    # no mode caps its table: a count past 60 (toy) or 30 starts the scan,
+    # here stopped at its first probe
+    calls = counted_probes(monkeypatch, fail_at=1)
+    with pytest.raises(PartialTableError) as info:
+        eigen_table(eq, mode, n_max)
+    assert info.value.failed_index == 1 and len(calls) == 1
 
 
 def _benchmark_copy(name):

@@ -392,6 +392,9 @@ def test_crossing_failures_are_typed():
     entry = _family_entry(PAINLEVE_I, -4.3, 0.37, 1.0, 0.2)
     with pytest.raises(CrossingError, match="broke down"):
         _laurent_cross(PAINLEVE_I, entry, -4.3 + 0.2, IntegrationConfig())
+    # an entry far off any Laurent family sends Newton to a non-finite step
+    with pytest.raises(CrossingError, match="took a non-finite step"):
+        _laurent_cross(PAINLEVE_I, (-1.0, 3.0, 1e6, 0.0), -1.1, IntegrationConfig())
 
 
 def _first_pole_entry(radius):
