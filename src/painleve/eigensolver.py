@@ -18,9 +18,11 @@ scan's own records of the two bracket ends pick the first T (a bracket of
 :func:`scan_brackets` carries them into :func:`bisect`), and a
 bracketing Illinois search finds its root in passes at later and later T,
 with probes that stop at T instead of running through the whole pole
-cascade or through the toy model's maxima. The binary discriminant stays
-the ground truth: two full-horizon probes a bracket width apart must still
-be one flip apart around the root (the certificate). A failed match or
+cascade or through the toy model's maxima. A pass returns the iterate
+whose secant step fell below its stop without probing it. The binary
+discriminant stays the ground truth: two full-horizon probes a bracket
+width apart must still be one flip apart around the root (the
+certificate); it checks every returned root. A failed match or
 certificate raises :class:`BisectionError`. One rule, :func:`_flip_poles`,
 reads off the flip and the pole count for the bracket ends and the
 certificate. Every full-horizon probe ends once its class key is final
@@ -290,16 +292,20 @@ class _Unmatched(Exception):
 
 def _illinois(g, a, ga, b, gb, stop):
     """Root of g between a and b (ga = g(a), gb = g(b) of opposite signs) by Illinois
-    regula falsi, once a step or the bracket is below ``stop``; raises _Unmatched after 40 steps."""
+    regula falsi: returns the iterate whose secant step fell below ``stop``, unprobed (the
+    caller's certificate checks it), or a probed iterate where g is 0 or the bracket is below
+    ``stop``; raises _Unmatched after 40 steps."""
     x_old, side = math.inf, 0
     for _ in range(40):
         x = b - gb * (b - a) / (gb - ga)
+        if abs(x - x_old) < stop:
+            return x
         gx = g(x)
         if (gx > 0.0) == (gb > 0.0):
             b, gb, ga, side = x, gx, 0.5 * ga if side == 1 else ga, 1
         else:
             a, ga, gb, side = x, gx, 0.5 * gb if side == -1 else gb, -1
-        if gx == 0.0 or abs(x - x_old) < stop or abs(b - a) < stop:
+        if gx == 0.0 or abs(b - a) < stop:
             return x
         x_old = x
     raise _Unmatched(f"Illinois did not converge in ({a:.12g}, {b:.12g}) in 40 steps")

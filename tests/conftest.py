@@ -59,6 +59,22 @@ CONST_REF = {
 # (maxima-count jumps located by a step-1e-4 scan; see test_eigensolver).
 TOY_REF = {1: 1.602573, 2: 2.388358, 3: 2.976682}
 
+# Single brackets of the first critical value of each Painleve search mode:
+# name -> (equation, mode, bracket, reference value), bisected at tol 1e-9.
+END_GAME_BRACKETS = {
+    "p1-slope": (PAINLEVE_I, ModeKind.SLOPE, (1.8, 1.9), P1_SLOPE_REF[1]),
+    "p1-value": (PAINLEVE_I, ModeKind.VALUE, (-0.8, -0.7), P1_VALUE_REF[1]),
+    "p2-slope": (PAINLEVE_II, ModeKind.SLOPE, (0.55, 0.65), P2_SLOPE_REF[1]),
+    "p2-value": (PAINLEVE_II, ModeKind.VALUE, (1.2, 1.25), P2_VALUE_REF[1]),
+}
+
+# Two scan brackets of P-II slope b1 on which the third matched pass lands
+# several tol off, bisected at tol 1e-9.
+P2_SLOPE_B1_BRACKETS = {
+    "natural": (0.5502734701768284, 0.6903018533268568),
+    "shifted": (0.5670768761380284, 0.7071052592880568),
+}
+
 
 def toy_count(a, cfg):
     """Maxima count of the toy model's trajectory from y(0) = a."""

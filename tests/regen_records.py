@@ -5,9 +5,11 @@ root:
 
 The ledger holds every record of the five session tables (index, value and
 bracket width as ``float.hex()``, pole count), ``separatrix_check``'s tag
-and pole count on each Painleve session record, and a manifest of the
-Python, numpy and platform that computed them. ``test_ledger.py`` compares
-the session tables with it. Regenerate it only with a change that moves
+and pole count on each Painleve session record, the record of each
+single-bracket end game of ``conftest.END_GAME_BRACKETS`` and
+``conftest.P2_SLOPE_B1_BRACKETS``, and a manifest of the Python, numpy and
+platform that computed them. ``test_ledger.py`` compares the session tables
+and the end games with it. Regenerate it only with a change that moves
 records on purpose, and name the moved records with that change.
 """
 
@@ -18,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import SESSION_TABLES, session_table
-from painleve import separatrix_check
+from conftest import END_GAME_BRACKETS, P2_SLOPE_B1_BRACKETS, SESSION_TABLES, session_table
+from painleve import PAINLEVE_II, ModeKind, bisect, separatrix_check
 
 LEDGER = Path(__file__).resolve().parent / "data" / "records.json"
 
@@ -34,11 +36,14 @@ def manifest():
     }
 
 
+def _entry(rec):
+    return [rec.index, rec.value.hex(), rec.bracket_width.hex(), rec.pole_count]
+
+
 def ledger_entries(tables):
     """The ledger's records and checks of ``tables``, a map from a name of
     ``conftest.SESSION_TABLES`` to that table's records."""
-    records = {name: [[r.index, r.value.hex(), r.bracket_width.hex(), r.pole_count] for r in table]
-               for name, table in tables.items()}
+    records = {name: [_entry(r) for r in table] for name, table in tables.items()}
     checks = {}
     for name, table in tables.items():
         eq = SESSION_TABLES[name][0]
@@ -48,8 +53,18 @@ def ledger_entries(tables):
     return {"records": records, "checks": checks}
 
 
+def end_game_entries():
+    """The ledger's record of each single-bracket end game, a one-record
+    table under its bracket's name, bisected at tol 1e-9."""
+    brackets = {name: (eq, mode, bracket) for name, (eq, mode, bracket, _) in END_GAME_BRACKETS.items()}
+    brackets.update({f"p2-slope-b1-{name}": (PAINLEVE_II, ModeKind.SLOPE, bracket)
+                     for name, bracket in P2_SLOPE_B1_BRACKETS.items()})
+    return {name: [_entry(bisect(eq, mode, bracket, tol=1e-9))] for name, (eq, mode, bracket) in brackets.items()}
+
+
 def main():
-    ledger = {"manifest": manifest(), **ledger_entries({name: session_table(name) for name in SESSION_TABLES})}
+    ledger = {"manifest": manifest(), **ledger_entries({name: session_table(name) for name in SESSION_TABLES}),
+              "end_games": end_game_entries()}
     text = json.dumps(ledger, indent=1)
     # one record or check per line, so that a moved record is a one-line diff
     text = re.sub(r"\[\s+([^\[\]]*?)\s+\]", lambda m: "[" + " ".join(m.group(1).split()) + "]", text)

@@ -37,8 +37,8 @@ import painleve.eigensolver as eigensolver
 import painleve.integrator as integrator
 from painleve.eigensolver import _fine_rel_tol, _flip_poles, _record
 
-from conftest import (P1_SLOPE_REF, P1_VALUE_REF, P2_SLOPE_REF, P2_VALUE_REF, TOY_REF, counted_probes,
-                      toy_count)
+from conftest import (END_GAME_BRACKETS, P1_SLOPE_REF, P1_VALUE_REF, P2_SLOPE_B1_BRACKETS, P2_SLOPE_REF,
+                      P2_VALUE_REF, TOY_REF, counted_probes, toy_count)
 
 
 def test_search_mode_coercion():
@@ -119,16 +119,8 @@ def test_bisect_first_critical_slope():
     assert abs(m - round(m)) < 1e-6
 
 
-END_GAME_CASES = pytest.mark.parametrize(
-    "eq,mode,bracket,ref",
-    [
-        (PAINLEVE_I, ModeKind.SLOPE, (1.8, 1.9), P1_SLOPE_REF[1]),
-        (PAINLEVE_I, ModeKind.VALUE, (-0.8, -0.7), P1_VALUE_REF[1]),
-        (PAINLEVE_II, ModeKind.SLOPE, (0.55, 0.65), P2_SLOPE_REF[1]),
-        (PAINLEVE_II, ModeKind.VALUE, (1.2, 1.25), P2_VALUE_REF[1]),
-    ],
-    ids=["p1-slope", "p1-value", "p2-slope", "p2-value"],
-)
+END_GAME_CASES = pytest.mark.parametrize("eq,mode,bracket,ref", list(END_GAME_BRACKETS.values()),
+                                         ids=list(END_GAME_BRACKETS))
 
 
 @END_GAME_CASES
@@ -189,6 +181,17 @@ def _check_coarse_probes(eq, mode, calls):
         assert _record(eq, SearchMode.coerce(mode), _datum(mode, init), eigensolver._COARSE).key == "stable"
 
 
+# Stop-at-T probes and Illinois calls of each END_GAME_CASES bisect. Every
+# Illinois call returns its last iterate unprobed: a loop that probed it too
+# ran 18, 21, 25 and 12 stop-at-T probes, one more per call.
+_STOP_AT_T_PROBES = {
+    ("p1", ModeKind.SLOPE): (16, 2),
+    ("p1", ModeKind.VALUE): (18, 3),
+    ("p2", ModeKind.SLOPE): (22, 3),
+    ("p2", ModeKind.VALUE): (10, 2),
+}
+
+
 @END_GAME_CASES
 def test_end_game_probe_count(monkeypatch, eq, mode, bracket, ref):
     # Only the two bracket ends are probed at the scan tolerance to the full
@@ -198,8 +201,17 @@ def test_end_game_probe_count(monkeypatch, eq, mode, bracket, ref):
     # the time span that bisecting at the fine tolerance (15 probes to
     # t = -28 for the first of these cases) would. A full-horizon probe
     # ends by its class rule, short of its horizon, so the span a probe
-    # integrates is read from where it stopped.
+    # integrates is read from where it stopped. No stop-at-T probe runs at
+    # the returned value: only the certificate checks it.
     calls = counted_probes(monkeypatch)
+    illinois_calls = []
+    real_illinois = eigensolver._illinois
+
+    def illinois(*args):
+        illinois_calls.append(args)
+        return real_illinois(*args)
+
+    monkeypatch.setattr(eigensolver, "_illinois", illinois)
     stops = []
     counted = eigensolver.integrate
 
@@ -215,6 +227,9 @@ def test_end_game_probe_count(monkeypatch, eq, mode, bracket, ref):
     _check_coarse_probes(eq, mode, calls)
     assert sum(_is_full(eq, mode, args) for args, _ in fine) <= 2
     assert sum(span for _, span in fine) < 0.5 * 15 * 28.0
+    short = [_datum(mode, args[1]) for args, _ in fine if not _is_full(eq, mode, args)]
+    assert rec.value not in short
+    assert (len(short), len(illinois_calls)) == _STOP_AT_T_PROBES[eq.name, mode]
 
 
 def test_end_game_failure_raises_bisection_error(monkeypatch):
@@ -226,10 +241,12 @@ def test_end_game_failure_raises_bisection_error(monkeypatch):
         return real_illinois(*args, **kwargs) + 1e-7
 
     # the end game's own refusals: Illinois on a jump that no root
-    # resolves, and two ends trapped in the stable well, where V <= 0 on the
-    # separatrix at every sample time
+    # resolves (after probing each of its 40 iterates), and two ends trapped
+    # in the stable well, where V <= 0 on the separatrix at every sample time
+    probed = []
     with pytest.raises(eigensolver._Unmatched, match="did not converge .* in 40 steps"):
-        real_illinois(lambda x: 1.0 if x > 0.3 else -1.0, 0.0, -1.0, 1.0, 1.0, 1e-300)
+        real_illinois(lambda x: probed.append(x) or (1.0 if x > 0.3 else -1.0), 0.0, -1.0, 1.0, 1.0, 1e-300)
+    assert len(probed) == 40
     stable = integrate(PAINLEVE_I, InitialData(0.0, 1.0), Direction.NEGATIVE_T, IntegrationConfig(t_horizon=-20.0))
     with pytest.raises(eigensolver._Unmatched, match="no matching time"):
         eigensolver._matching_start(PAINLEVE_I, [stable, stable])
@@ -247,11 +264,51 @@ def test_end_game_failure_raises_bisection_error(monkeypatch):
     assert info.value.failed_index == 1 and isinstance(info.value.__cause__, BisectionError)
 
 
-@pytest.mark.parametrize(
-    "bracket",
-    [(0.5502734701768284, 0.6903018533268568), (0.5670768761380284, 0.7071052592880568)],
-    ids=["natural", "shifted"],
-)
+def _illinois_probing_its_root(g, a, ga, b, gb, stop):
+    """The Illinois loop as it was when it also probed the iterate it
+    returned, verbatim: the reference for _illinois."""
+    x_old, side = math.inf, 0
+    for _ in range(40):
+        x = b - gb * (b - a) / (gb - ga)
+        gx = g(x)
+        if (gx > 0.0) == (gb > 0.0):
+            b, gb, ga, side = x, gx, 0.5 * ga if side == 1 else ga, 1
+        else:
+            a, ga, gb, side = x, gx, 0.5 * gb if side == -1 else gb, -1
+        if gx == 0.0 or abs(x - x_old) < stop or abs(b - a) < stop:
+            return x
+        x_old = x
+    raise eigensolver._Unmatched(f"Illinois did not converge in ({a:.12g}, {b:.12g}) in 40 steps")
+
+
+# g on (a, b): linear, curved, and the shape of a first matched pass's g
+# (FOUND in CHANGES.md), nearly flat from 15 to 23 and then steeply negative
+ILLINOIS_SHAPES = {
+    "linear": (lambda x: x - 0.3, 0.0, 1.0),
+    "curved": (lambda x: math.exp(4.0 * x) - 5.0, 0.0, 1.0),
+    "flat": (lambda x: 15.0 + 8.0 * x - 4e4 * max(x - 0.9, 0.0) ** 2, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("stop", [1e-3, 1e-10])
+@pytest.mark.parametrize("g,a,b", list(ILLINOIS_SHAPES.values()), ids=list(ILLINOIS_SHAPES))
+def test_illinois_returns_its_root_unprobed(g, a, b, stop):
+    # the iterate whose secant step fell below stop is returned as it is:
+    # the same root as the loop that probed it, with that one probe fewer
+    def logged(probed):
+        def g_logged(x):
+            probed.append(x)
+            return g(x)
+        return g_logged
+
+    probed, probed_before = [], []
+    root = eigensolver._illinois(logged(probed), a, g(a), b, g(b), stop)
+    assert root == _illinois_probing_its_root(logged(probed_before), a, g(a), b, g(b), stop)
+    assert root not in probed
+    assert probed == probed_before[:-1]
+
+
+@pytest.mark.parametrize("bracket", list(P2_SLOPE_B1_BRACKETS.values()), ids=list(P2_SLOPE_B1_BRACKETS))
 def test_matched_end_game_converges_on_p2_slope_b1(monkeypatch, bracket):
     # on these scan brackets of P-II slope b1 the third matched pass lands
     # several tol off; the fourth widens its bracket until it holds the value
@@ -924,17 +981,39 @@ def test_toy_probe_count(monkeypatch):
         assert abs(rec.value - TOY_REF[rec.index]) <= 1.5e-4
 
 
+def _second_end_game(monkeypatch, build):
+    """Ordinals of the first and the last probe of the second eigenvalue's
+    end game in a clean, counted run of ``build``."""
+    with monkeypatch.context() as m:
+        calls = counted_probes(m)
+        spans = []
+        real_end_game = eigensolver._end_game
+
+        def end_game(*args, **kwargs):
+            first = len(calls) + 1
+            rec = real_end_game(*args, **kwargs)
+            spans.append((first, len(calls)))
+            return rec
+
+        m.setattr(eigensolver, "_end_game", end_game)
+        build()
+    return spans[1]
+
+
 @pytest.mark.parametrize(
-    "build,fail_at,ref",
+    "build,ref",
     [
-        # the second eigenvalue's end game runs probes 19-32 of 48
-        (lambda: toy_eigen_table(3), 28, TOY_REF),
-        # the second eigenvalue's end game runs probes 31-43 of 43
-        (lambda: eigen_table(PAINLEVE_II, ModeKind.VALUE, 2, tol=1e-6), 40, P2_VALUE_REF),
+        (lambda: toy_eigen_table(3), TOY_REF),
+        (lambda: eigen_table(PAINLEVE_II, ModeKind.VALUE, 2, tol=1e-6), P2_VALUE_REF),
     ],
     ids=["toy", "p2-value"],
 )
-def test_table_keeps_records_on_integration_error(monkeypatch, build, fail_at, ref):
+def test_table_keeps_records_on_integration_error(monkeypatch, build, ref):
+    # the injected failure is the sixth probe of the second eigenvalue's end
+    # game (probes 18-29 of 46 for the toy table, 29-39 of 39 for P-II value)
+    first, last = _second_end_game(monkeypatch, build)
+    fail_at = first + 5
+    assert fail_at <= last
     counted_probes(monkeypatch, fail_at)
     with pytest.raises(PartialTableError) as info:
         build()

@@ -1,10 +1,11 @@
-"""The session tables against the committed record ledger,
-``tests/data/records.json`` (see ``regen_records.py``)."""
+"""The session tables and the single-bracket end games against the
+committed record ledger, ``tests/data/records.json`` (see
+``regen_records.py``)."""
 
 import json
 
 from conftest import SESSION_TABLES
-from regen_records import LEDGER, ledger_entries, manifest
+from regen_records import LEDGER, end_game_entries, ledger_entries, manifest
 
 # Off the ledger's platform the last bits of a record may differ, so there a
 # value or width may move by this share of the ledger's bracket width.
@@ -26,13 +27,20 @@ def _moved(name, old, new, share):
     return lines
 
 
-def test_session_tables_match_the_ledger(request):
+def _ledger():
+    """The ledger, the share of a bracket width by which a record may move
+    from it here, and a line that says which."""
     ledger = json.loads(LEDGER.read_text())
     here = manifest()
     share = 0.0 if ledger["manifest"] == here else OFF_PLATFORM_SHARE
     how = ("exact: the ledger's platform" if share == 0.0
            else f"within {share} w: ledger from {ledger['manifest']}, run on {here}")
     print(f"\nledger comparison {how}")
+    return ledger, share, how
+
+
+def test_session_tables_match_the_ledger(request):
+    ledger, share, how = _ledger()
     now = ledger_entries({name: request.getfixturevalue(f"{name}_table") for name in SESSION_TABLES})
     assert now["records"].keys() == ledger["records"].keys() and now["checks"].keys() == ledger["checks"].keys()
     moved = [line for name, old in ledger["records"].items() for line in _moved(name, old, now["records"][name], share)]
@@ -40,3 +48,11 @@ def test_session_tables_match_the_ledger(request):
               for name, checks in ledger["checks"].items()
               for n, (old, new) in enumerate(zip(checks, now["checks"][name]), 1) if old != new]
     assert not moved, f"records moved from the ledger ({how}):\n" + "\n".join(moved)
+
+
+def test_end_games_match_the_ledger():
+    ledger, share, how = _ledger()
+    now = end_game_entries()
+    assert now.keys() == ledger["end_games"].keys()
+    moved = [line for name, old in ledger["end_games"].items() for line in _moved(name, old, now[name], share)]
+    assert not moved, f"end-game records moved from the ledger ({how}):\n" + "\n".join(moved)
