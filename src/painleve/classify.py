@@ -54,21 +54,19 @@ class ClassTag(enum.Enum):
 class SolutionClass:
     tag: ClassTag
     pole_count: int
-    confidence_window: tuple[float, float]
 
 
 def classify(eq: Equation, traj: Trajectory) -> SolutionClass:
     """Assign the trajectory of ``eq`` its generic terminal class.
 
-    Each class counts all the run's poles. Negative direction, with the
-    window of the last 10 time units before its end: a run stopped by its
-    pole cap is a PoleCascade; a run trapped in the stable well at its last
-    sample (``eq.settled``, which also ends a run stopped as 'settled') is a
-    StableOscillation; a pole inside the window makes any other run a
-    PoleCascade. Positive direction, with the window of the last 10 time
-    units up to its end: the sign from which the run approaches its last
-    pole (of y at its end if it has none) decides
-    DivergentPositive/Negative. Separatrix and decay tags come from
+    Each class counts all the run's poles. Negative direction: a run
+    stopped by its pole cap is a PoleCascade; a run trapped in the stable
+    well at its last sample (``eq.settled``, which also ends a run stopped
+    as 'settled') is a StableOscillation; a pole within the last 10 time
+    units before its end makes any other run a PoleCascade. Positive
+    direction: the sign from which the run approaches its last pole (of y
+    at its end if it has none) decides DivergentPositive/Negative.
+    Separatrix and decay tags come from
     :func:`~painleve.eigensolver.separatrix_check` alone.
 
     Raises :class:`ClassificationError` when no negative-direction rule
@@ -85,16 +83,16 @@ def classify(eq: Equation, traj: Trajectory) -> SolutionClass:
 
 
 def _classify_negative(eq, traj):
-    window = (traj.terminal_t, traj.terminal_t + 10.0)
+    lo, hi = traj.terminal_t, traj.terminal_t + 10.0
     if traj.stopped_by == "pole-cap":
-        return SolutionClass(ClassTag.POLE_CASCADE, len(traj.poles), window)
+        return SolutionClass(ClassTag.POLE_CASCADE, len(traj.poles))
     if eq.settled(traj.t[-1], traj.y[-1], traj.yp[-1]):
-        return SolutionClass(ClassTag.STABLE_OSCILLATION, len(traj.poles), window)
-    if any(window[0] <= p.location <= window[1] for p in traj.poles):
-        return SolutionClass(ClassTag.POLE_CASCADE, len(traj.poles), window)
+        return SolutionClass(ClassTag.STABLE_OSCILLATION, len(traj.poles))
+    if any(lo <= p.location <= hi for p in traj.poles):
+        return SolutionClass(ClassTag.POLE_CASCADE, len(traj.poles))
     raise ClassificationError(
-        f"the run is not trapped in the stable well at its end, t = {traj.terminal_t:.6g}, "
-        f"and has no pole in [{window[0]:.3g}, {window[1]:.3g}]"
+        f"the run is not trapped in the stable well at its end, t = {lo:.6g}, "
+        f"and has no pole in [{lo:.3g}, {hi:.3g}]"
     )
 
 
@@ -104,7 +102,7 @@ def _classify_positive(traj):
     else:
         sign = 1 if traj.y[-1] >= 0 else -1
     tag = ClassTag.DIVERGENT_POSITIVE if sign > 0 else ClassTag.DIVERGENT_NEGATIVE
-    return SolutionClass(tag, len(traj.poles), (traj.terminal_t - 10.0, traj.terminal_t))
+    return SolutionClass(tag, len(traj.poles))
 
 
 def toy_maxima(traj: Trajectory) -> np.ndarray:

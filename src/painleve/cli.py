@@ -62,7 +62,7 @@ def _write(path: str | None, text: str) -> None:
 
 def cmd_trajectory(args) -> int:
     eq = equation_from_name(args.eq)
-    direction = eq.directions[0] if args.direction is None else Direction(args.direction)
+    direction = next(iter(eq.horizons)) if args.direction is None else Direction(args.direction)
     kw = {} if args.rel_tol is None else {"rel_tol": args.rel_tol}
     cfg = IntegrationConfig(t_horizon=args.horizon, **kw)
     init = InitialData(args.y0, args.slope)

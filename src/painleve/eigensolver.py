@@ -175,25 +175,24 @@ def _run(eq, mode, x, rel_tol: float, t_stop: float | None = None):
 
 
 def _class_key(eq, traj):
-    """Class key of a probe and its pole count: the toy model's maxima count
-    (no poles), the blow-up signature in the positive direction (its pole
-    count needs the other bracket end, :func:`_flip_poles`), or cascade /
-    stable as :func:`classify` reads them."""
+    """Class key of a probe: the toy model's maxima count, the blow-up
+    signature in the positive direction, or the negative direction's
+    :class:`~painleve.classify.ClassTag` (cascade or stable) as
+    :func:`classify` reads it."""
     if eq.first_order:
-        return count_toy_maxima(traj), 0
+        return count_toy_maxima(traj)
     if traj.direction is Direction.POSITIVE_T:
-        return _events(traj)[1], None
-    cls = classify(eq, traj)
-    return "stable" if cls.tag is ClassTag.STABLE_OSCILLATION else "cascade", cls.pole_count
+        return _events(traj)[1]
+    return classify(eq, traj).tag
 
 
-_Record = namedtuple("_Record", "x traj key poles")  # a probe of the trial datum x
+_Record = namedtuple("_Record", "x traj key")  # a probe of the trial datum x
 
 
 def _record(eq, mode, x, rel_tol):
     """The record of x: its full-horizon run at rel_tol and its class key."""
     traj = _run(eq, mode, x, rel_tol)
-    return _Record(x, traj, *_class_key(eq, traj))
+    return _Record(x, traj, _class_key(eq, traj))
 
 
 def _keys_differ(a, b) -> bool:
@@ -207,14 +206,15 @@ def _flip_poles(lo, hi) -> int | None:
     """Pole count of the separatrix between the records lo < hi, or None
     unless their keys are one flip apart: the toy model's maxima count rises
     by exactly 1 (no poles); blow-up signatures differ past the events they
-    share; otherwise one side cascades and the count is the stable side's."""
+    share; otherwise one side cascades and the count is all the poles of
+    the stable side's run."""
     if isinstance(lo.key, int):
         return 0 if hi.key - lo.key == 1 else None
     if not _keys_differ(lo.key, hi.key):
         return None
     if isinstance(lo.key, tuple):
         return _shared_events(lo.key, hi.key)
-    return lo.poles if lo.key == "stable" else hi.poles
+    return len((lo if lo.key is ClassTag.STABLE_OSCILLATION else hi).traj.poles)
 
 
 def _walk(eq, mode, x, end, step):
@@ -507,7 +507,7 @@ def _end_game(eq, mode, lo, hi, tol, rel_tol, index):
         w *= 0.5
     ends = [lo.traj, hi.traj]
     for i, (end, other) in enumerate([(lo, hi), (hi, lo)]):
-        if end.key == "stable" and (unshared := other.traj.poles[end.poles:]):
+        if end.key is ClassTag.STABLE_OSCILLATION and (unshared := other.traj.poles[len(end.traj.poles):]):
             ends[i] = _run(eq, mode, end.x, end.traj.config.rel_tol, unshared[0].location - 1.0)
     value = float(_matched_root(eq, mode, rel_tol, fine_rel_tol, (lo.x, hi.x), ends, tol))
     pole_count = _flip_poles(_record(eq, mode, value - 0.5 * w, fine_rel_tol),
@@ -537,16 +537,19 @@ def separatrix_check(eq: Equation, mode: SearchMode | ModeKind | str, value: flo
     law and ended by its class rule. A double-precision trajectory shadows
     the separatrix only over a finite stretch (deviations grow like
     exp((2/3) t^(3/2)) in the positive direction), so the check reads a
-    window of the run, not its tail. Its samples are the step controller's
-    own, so the window's ends follow the stepper's step sizes.
+    stretch of the run, not its tail. The stretch's far end follows the
+    stepper's own samples and moves with the probe's tolerance, so only the
+    tag and the pole count are reported.
 
-    Negative direction: the window is the longest stretch on which the run
-    stays within ``SEPARATRIX_BAND`` of a branch curve, trimmed by 5 % at
-    each end. The tag is the branch the run hugs there (the sign of y).
-    Positive direction: the window is the first stretch on which |y| stays
-    within ``DECAY_NEIGHBORHOOD`` for at least ``DECAY_SPAN`` and dips to
-    ``DECAY_DIP``, and the tag is DecayToZero. Either way the pole count is
-    that of the poles the run crossed before the window.
+    Negative direction: the stretch is the longest on which the run stays
+    within ``SEPARATRIX_BAND`` of a branch curve. The tag is the branch the
+    run hugs there (the sign of y), and the pole count that of the poles
+    the run crossed before the stretch, whose near end is trimmed by 5 % of
+    its span.
+    Positive direction: the stretch is the first on which |y| stays within
+    ``DECAY_NEIGHBORHOOD`` for at least ``DECAY_SPAN`` and dips to
+    ``DECAY_DIP``, the tag is DecayToZero, and the pole count that of the
+    poles before the stretch.
     Returns the :class:`SolutionClass`. A run that never hugs a branch or
     never decays raises ClassificationError, a run stopped by step
     underflow or one that reaches its horizon IntegrationError, bad
@@ -563,7 +566,7 @@ def separatrix_check(eq: Equation, mode: SearchMode | ModeKind | str, value: flo
         for i, j in _runs(ay <= DECAY_NEIGHBORHOOD):
             if rt[j] - rt[i] >= DECAY_SPAN and ay[i:j + 1].min() <= DECAY_DIP:
                 poles = sum(1 for p in traj.poles if p.location < rt[i])
-                return SolutionClass(ClassTag.DECAY_TO_ZERO, poles, (rt[i], rt[j]))
+                return SolutionClass(ClassTag.DECAY_TO_ZERO, poles)
         raise ClassificationError(f"trajectory at {value!r} never decays to zero")
     m = traj.t < -0.5
     rt, ry = traj.t[m], traj.y[m]
@@ -573,10 +576,9 @@ def separatrix_check(eq: Equation, mode: SearchMode | ModeKind | str, value: flo
     i, j = runs[np.argmax(rt[runs[:, 0]] - rt[runs[:, 1]])] if len(runs) else (0, 0)
     if j - i < 3:
         raise ClassificationError(f"trajectory at {value!r} never tracks a branch curve within the band")
-    span = rt[i] - rt[j]
-    lo, hi = rt[j] + 0.05 * span, rt[i] - 0.05 * span
+    near = rt[i] - 0.05 * (rt[i] - rt[j])
     tag = ClassTag.SEPARATRIX_PLUS if ry[i] > 0.0 else ClassTag.SEPARATRIX_MINUS
-    return SolutionClass(tag, sum(1 for p in traj.poles if p.location > hi), (lo, hi))
+    return SolutionClass(tag, sum(1 for p in traj.poles if p.location > near))
 
 
 def eigen_table(

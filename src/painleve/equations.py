@@ -11,9 +11,10 @@ fluctuation integrand dH/dt, written once as source, the energy H, the
 branch curves, the pole order, Laurent family and Laurent correction, the
 pole-spacing model, the separatrix asymptotics the eigenvalue search
 matches to, the rule that ends a run once its class is final (the stable
-well's for Painleve I and II), the allowed directions and default horizon,
-and the search facts of each mode (direction, scan seed, growth exponent,
-Richardson order, WKB constant) - lives in its :class:`Equation` below.
+well's for Painleve I and II), the default horizon of each allowed
+direction, and the search facts of each mode (direction, scan seed,
+growth exponent, Richardson order, WKB constant) - lives in its
+:class:`Equation` below.
 The integrator, classifier, eigensolver and CLI read those facts and never
 ask which equation they hold.
 """
@@ -142,18 +143,18 @@ class Equation:
       false for t >= 0 and is :func:`~painleve.classify.classify`'s one
       stable rule, read at a negative-direction run's last sample.
 
-    ``fine_tol_divisor`` ties the end-game integration tolerance of a
-    bisection to its width, and ``modes`` holds the facts of each search
-    mode.
+    ``horizons`` maps each direction the equation runs in, and no other,
+    to its default horizon. ``fine_tol_divisor`` ties the end-game
+    integration tolerance of a bisection to its width, and ``modes`` holds
+    the facts of each search mode.
     """
 
     name: str
     pole_order: int
     rhs_source: tuple[str, ...]
-    directions: tuple[Direction, ...]
+    horizons: Mapping[Direction, float]
     modes: Mapping[ModeKind, ModeSpec]
     settled: Callable
-    positive_horizon: float = 30.0
     hamiltonian: Callable | None = None
     branch_denom: float | None = None
     laurent_correction: Callable | None = None
@@ -295,7 +296,7 @@ PAINLEVE_I = Equation(
     name="p1",
     pole_order=2,
     rhs_source=("yp", "6.0 * y * y + t", "t * yp"),
-    directions=(_NEG,),
+    horizons={_NEG: -60.0},
     modes={
         ModeKind.SLOPE: ModeSpec(_NEG, 0.2, 0.3, 3.0 / 5.0, 1.95, 5, False, "p1_slope"),
         ModeKind.VALUE: ModeSpec(_NEG, -0.1, 0.12, 2.0 / 5.0, 0.9, 4, False, "p1_value"),
@@ -315,7 +316,9 @@ PAINLEVE_II = Equation(
     name="p2",
     pole_order=1,
     rhs_source=("yp", "2.0 * y * y * y + t * y", "t * y * yp"),
-    directions=(_NEG, _POS),
+    # the default horizon of a plain run; a search probe of x runs one time
+    # unit further per critical value at or below |x|
+    horizons={_NEG: -60.0, _POS: 40.0},
     modes={
         ModeKind.SLOPE: ModeSpec(_NEG, 0.1, 0.1, 2.0 / 3.0, 0.95, 4, True, "p2_slope"),
         # (c_n / 1.2)^3 - n runs 0.058 (n = 1), 1.202 (n = 30), 2.403 (n = 60)
@@ -332,9 +335,6 @@ PAINLEVE_II = Equation(
     # positive direction: the separatrix decays to 0 and deviations obey Airy's d'' = t d
     separatrix={_NEG: _p2_separatrix, _POS: lambda t, _t_near, _y_near: (0.0, 0.0, t, 1.0)},
     settled=_p2_trapped,
-    # the default horizon of a plain run; a search probe of x runs one time
-    # unit further per critical value at or below |x|
-    positive_horizon=40.0,
     # simple poles amplify traversal noise harder
     fine_tol_divisor=1000.0,
 )
@@ -343,9 +343,8 @@ TOY_MODEL = Equation(
     name="toy",
     pole_order=0,
     rhs_source=("cos(pi * t * y)",),
-    directions=(_POS,),
+    horizons={_POS: 50.0},
     modes={ModeKind.TOY: ModeSpec(_POS, 0.05, 0.4, 1.0 / 2.0, 1.65)},
-    positive_horizon=50.0,
     separatrix={_POS: _toy_separatrix},
     settled=_toy_settled,
 )

@@ -92,10 +92,9 @@ class CrossingError(IntegrationError):
 class IntegrationConfig:
     """Tolerances and limits for :func:`integrate`.
 
-    ``t_horizon`` of None selects the default: -60 for the negative
-    direction, the equation's ``positive_horizon`` (+40 for Painleve II,
-    +50 for the toy model) for the positive one; a full-horizon search
-    probe stops earlier once ``Equation.settled`` holds. A run crosses at
+    ``t_horizon`` of None selects the equation's default horizon for the
+    direction, from ``Equation.horizons``; a full-horizon search probe
+    stops earlier once ``Equation.settled`` holds. A run crosses at
     most ``max_poles`` poles. ``abs_tol`` is ``rel_tol * 1e-2``; the step
     controller alone sizes every step.
     """
@@ -121,9 +120,7 @@ class IntegrationConfig:
     def resolved_horizon(self, eq: Equation, direction: Direction) -> float:
         if self.t_horizon is not None:
             return float(self.t_horizon)
-        if direction is Direction.NEGATIVE_T:
-            return -60.0
-        return eq.positive_horizon
+        return eq.horizons[direction]
 
 
 @dataclass
@@ -361,27 +358,28 @@ def _advance(step, f, s0, u0, v0, w0, s1, cfg: IntegrationConfig, on_accept, k1=
     a truthy stop token. ``k1`` is f at the start, when the caller has it.
     ``h`` is the size of the first step to try, a step an earlier march
     proposed; without it the march starts at min(1e-3, |s1 - s0|/10).
-    From there the error controller alone sizes every step.
+    From there the error controller alone sizes every step, clipped to end
+    at s1. A step below ``_MIN_STEP`` is not taken: the march has arrived
+    if s1 is that close, and underflows otherwise.
     Returns (s, u, v, w, k1, h, stop_token): h is the size of the step the
-    march would take next, stop_token None when s1 was reached.
+    march would take next, stop_token None when s1 was reached and
+    'step-underflow' on an underflow.
     """
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     s, u, v, w = s0, u0, v0, w0
     span = s1 - s0
     if h is None:
         h = min(1e-3, abs(span) / 10.0)
-    if span == 0.0:
-        return s, u, v, w, k1, h, None
     direction = 1.0 if span > 0.0 else -1.0
     if k1 is None:
         k1 = f(s, u, v)
     h = direction * abs(h)
     while True:
         if direction * (s + h - s1) > 0.0:
-            if abs(s1 - s) <= _MIN_STEP:
-                return s1, u, v, w, k1, abs(h), None
             h = s1 - s
         if abs(h) < _MIN_STEP:
+            if abs(s1 - s) < _MIN_STEP:
+                return s1, u, v, w, k1, abs(h), None
             return s, u, v, w, k1, abs(h), "step-underflow"
         un, vn, dw, err = step(s, u, v, h, k1, rtol, atol)
         if err <= 1.0:
@@ -583,23 +581,24 @@ def integrate(
     """Integrate the initial-value problem from t = 0 to the horizon,
     crossing movable poles on their Laurent series.
 
-    Each equation runs in its ``directions`` only: Painleve I in the
-    negative direction, the toy model in the positive one, Painleve II in
-    both. Every pole crossing is recorded as a :class:`PoleEvent`; its
-    circle is placed by one rule, :func:`_pick_radius`, which keeps it clear
-    of the sweep's boundary (t = 0, then each crossing's exit), so the
-    samples stay strictly ordered in the direction of the run. Hitting
-    the pole cap or a step underflow truncates the trajectory (see
-    ``Trajectory.stopped_by``) rather than raising, so callers can classify
-    truncated runs; a crossing that fails raises :class:`CrossingError`.
+    Each equation runs only in the directions of its ``horizons``: Painleve
+    I in the negative direction, the toy model in the positive one,
+    Painleve II in both. Every pole crossing is recorded as a
+    :class:`PoleEvent`; its circle is placed by one rule,
+    :func:`_pick_radius`, which keeps it clear of the sweep's boundary
+    (t = 0, then each crossing's exit), so the samples stay strictly
+    ordered in the direction of the run. Hitting the pole cap or a step
+    underflow truncates the trajectory (see ``Trajectory.stopped_by``)
+    rather than raising, so callers can classify truncated runs; a
+    crossing that fails raises :class:`CrossingError`.
     ``until(t, y, y')``, if given, is checked after every accepted
     real-axis step; once it holds, the run ends there with ``stopped_by``
     'settled'. Non-finite initial data raise ValueError.
     """
     if cfg is None:
         cfg = IntegrationConfig()
-    if direction not in eq.directions:
-        allowed = " and ".join(d.name.split("_")[0].lower() for d in eq.directions)
+    if direction not in eq.horizons:
+        allowed = " and ".join(d.name.split("_")[0].lower() for d in eq.horizons)
         raise ValueError(f"{eq.name} is integrated in the {allowed} direction only")
     if not (math.isfinite(init.y0) and (eq.first_order or math.isfinite(init.slope0))):
         raise ValueError(f"initial data {init} must be finite")

@@ -2,8 +2,10 @@
 to 3 s of CPU), so they are computed once per session and shared by the
 unit, property, and acceptance tests."""
 
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +76,17 @@ P2_SLOPE_B1_BRACKETS = {
     "natural": (0.5502734701768284, 0.6903018533268568),
     "shifted": (0.5670768761380284, 0.7071052592880568),
 }
+
+
+def benchmark_copy(name):
+    """The value perfbench/workloads.py assigns to ``name``, read without
+    importing the benchmark."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    copies = [node.value for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)]
+    assert len(copies) == 1
+    return ast.literal_eval(copies[0])
 
 
 def toy_count(a, cfg):

@@ -237,7 +237,6 @@ def test_trapped_run_classifies_as_stable_with_all_its_poles():
     assert len(stopped.poles) == 1 and stopped.poles[-1].location - stopped.terminal_t < 10.0
     cls = classify(PAINLEVE_I, stopped)
     assert cls.tag is ClassTag.STABLE_OSCILLATION and cls.pole_count == 1
-    assert cls.confidence_window == (stopped.terminal_t, stopped.terminal_t + 10.0)
 
 
 def test_count_toy_maxima_counts_level_crossings():

@@ -1,11 +1,9 @@
-import ast
 import copy
 import dataclasses
 import inspect
 import json
 import math
 import pickle
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +36,7 @@ import painleve.integrator as integrator
 from painleve.eigensolver import _fine_rel_tol, _flip_poles, _record
 
 from conftest import (END_GAME_BRACKETS, P1_SLOPE_REF, P1_VALUE_REF, P2_SLOPE_B1_BRACKETS, P2_SLOPE_REF,
-                      P2_VALUE_REF, TOY_REF, counted_probes, toy_count)
+                      P2_VALUE_REF, TOY_REF, benchmark_copy, counted_probes, toy_count)
 
 
 def test_search_mode_coercion():
@@ -178,7 +176,8 @@ def _check_coarse_probes(eq, mode, calls):
     assert len(full) <= 2 and len(again) <= 1
     for init in again:
         assert init in full
-        assert _record(eq, SearchMode.coerce(mode), _datum(mode, init), eigensolver._COARSE).key == "stable"
+        end = _record(eq, SearchMode.coerce(mode), _datum(mode, init), eigensolver._COARSE)
+        assert end.key is ClassTag.STABLE_OSCILLATION
 
 
 # Stop-at-T probes and Illinois calls of each END_GAME_CASES bisect. Every
@@ -306,6 +305,30 @@ def test_illinois_returns_its_root_unprobed(g, a, b, stop):
     assert root == _illinois_probing_its_root(logged(probed_before), a, g(a), b, g(b), stop)
     assert root not in probed
     assert probed == probed_before[:-1]
+
+
+def test_illinois_returns_an_exact_zero_at_once():
+    # an iterate where g is exactly 0 is the root: one probe, no more steps
+    probed = []
+    root = eigensolver._illinois(lambda x: probed.append(x) or x - 0.5, 0.0, -0.5, 1.0, 0.5, 1e-12)
+    assert root == 0.5 and probed == [0.5]
+
+
+def test_matched_root_refuses_past_the_widening_bound(monkeypatch):
+    # a first pass that lands near the bracket's lower end, far from the
+    # separatrix, leaves g of one sign on every later bracket it may try, up
+    # to the first pass's own width: the end game refuses there rather than
+    # widen further
+    real_illinois, calls = eigensolver._illinois, []
+
+    def first_pass_off(g, a, ga, b, gb, stop):
+        calls.append((a, b))
+        return a + 1e-3 * (b - a) if len(calls) == 1 else real_illinois(g, a, ga, b, gb, stop)
+
+    monkeypatch.setattr(eigensolver, "_illinois", first_pass_off)
+    with pytest.raises(BisectionError, match="at the widening bound"):
+        bisect(PAINLEVE_I, "slope", (1.8, 1.9))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("bracket", list(P2_SLOPE_B1_BRACKETS.values()), ids=list(P2_SLOPE_B1_BRACKETS))
@@ -451,36 +474,25 @@ def test_eigen_table_takes_any_record_count(monkeypatch, eq, mode, n_max):
     assert info.value.failed_index == 1 and len(calls) == 1
 
 
-def _benchmark_copy(name):
-    """The value perfbench/workloads.py assigns to ``name``, read without
-    importing the benchmark."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    copies = [node.value for node in ast.parse(path.read_text()).body
-              if isinstance(node, ast.Assign)
-              and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)]
-    assert len(copies) == 1
-    return ast.literal_eval(copies[0])
-
-
 def test_benchmark_copies_reference_values():
     # perfbench checks its critical values against its own copies of the
     # references, so that an edit to the tests cannot loosen them; hold those
     # copies to the tests' ones
     tests = {("p1", "slope"): P1_SLOPE_REF, ("p1", "value"): P1_VALUE_REF,
              ("p2", "slope"): P2_SLOPE_REF, ("p2", "value"): P2_VALUE_REF}
-    refs = _benchmark_copy("REFS")
+    refs = benchmark_copy("REFS")
     assert set(refs) == set(tests)
     for key, values in refs.items():
         for n, value in values.items():
             assert value == tests[key][n], (key, n)
-    assert _benchmark_copy("TOY_REF") == TOY_REF
+    assert benchmark_copy("TOY_REF") == TOY_REF
 
 
 def test_benchmark_names_exist():
     # perfbench patches the names painleve.eigensolver imports and calls the
     # public search functions; a rename or a new signature would stop the
     # benchmark from running
-    for name in _benchmark_copy("EIGENSOLVER_IMPORTS"):
+    for name in benchmark_copy("EIGENSOLVER_IMPORTS"):
         assert hasattr(eigensolver, name), name
     for name in ("scan_brackets", "bisect", "toy_eigen_table"):
         assert hasattr(eigensolver, name) and name in painleve.__all__, name
@@ -503,7 +515,7 @@ def test_benchmark_names_exist():
 def test_benchmark_copies_scan_tolerance():
     # perfbench splits traced probes into coarse and fine by comparing
     # rel_tol with its own copy of the scan tolerance
-    assert _benchmark_copy("COARSE_REL_TOL") == eigensolver._COARSE
+    assert benchmark_copy("COARSE_REL_TOL") == eigensolver._COARSE
 
 
 def test_bisect_first_critical_value():
@@ -595,12 +607,12 @@ def test_negative_pole_cap_keeps_every_class(eq, mode, reach):
         capped = _record(eq, search, x, eigensolver._COARSE)
         cfg = IntegrationConfig(eigensolver._COARSE, t_horizon=capped.traj.config.t_horizon)
         full = integrate(eq, eigensolver._initial_data(search, x), Direction.NEGATIVE_T, cfg)
-        key, poles = eigensolver._class_key(eq, full)
+        key = eigensolver._class_key(eq, full)
         assert capped.key == key
-        if key == "stable":
-            assert capped.traj.stopped_by == "settled" and capped.poles == poles
+        if key is ClassTag.STABLE_OSCILLATION:
+            assert capped.traj.stopped_by == "settled" and len(capped.traj.poles) == len(full.poles)
             stable += 1
-            assert capped.poles <= _law_cap(eq, mode, x) - 2
+            assert len(capped.traj.poles) <= _law_cap(eq, mode, x) - 2
         else:
             # it crossed the cap's poles and stopped at the next one
             assert capped.traj.stopped_by == "pole-cap"
@@ -643,7 +655,8 @@ def _scan_then_bisect_probes(monkeypatch, eq, mode, window, ref, **search):
     assert brackets and brackets[0][0] < ref < brackets[0][1]
     rec = bisect(eq, mode, brackets[0], **search)
     again = [args for args in calls[scanned:] if _is_coarse(args[3])]
-    assert [_datum(mode, args[1]) for args in again] == [end.x for end in brackets[0].ends if end.key == "stable"]
+    stable_ends = [end.x for end in brackets[0].ends if end.key is ClassTag.STABLE_OSCILLATION]
+    assert [_datum(mode, args[1]) for args in again] == stable_ends
     assert not any(_is_full(eq, mode, args) for args in again)
     data = [(args[1], args[3]) for args in calls]
     assert len(set(data)) == len(data)
@@ -687,7 +700,7 @@ def test_every_stable_probe_stops_in_the_well(monkeypatch, eq, mode, bracket, re
     full = [(args, traj) for args, _, traj in probes if _is_full(eq, mode, args)]
     assert len(full) == 9
     settled = [traj.stopped_by == "settled" for _, traj in full]
-    assert settled == [eigensolver._class_key(eq, traj)[0] == "stable" for _, traj in full]
+    assert settled == [eigensolver._class_key(eq, traj) is ClassTag.STABLE_OSCILLATION for _, traj in full]
     assert any(settled) == negative
     again = [probe for probe in probes if _is_coarse(probe[0][3]) and not _is_full(eq, mode, probe[0])]
     assert len(again) == negative
@@ -973,7 +986,7 @@ def test_toy_probe_count(monkeypatch):
     for probes in end_games:
         full = [_is_full(TOY_MODEL, "toy", args) for args in probes]
         assert sum(full) <= 2
-        assert all(args[3].t_horizon <= 0.1 * TOY_MODEL.positive_horizon
+        assert all(args[3].t_horizon <= 0.1 * TOY_MODEL.horizons[Direction.POSITIVE_T]
                    for args, f in zip(probes, full) if not f)
     full = [stop for args, stop in zip(calls, stops) if _is_full(TOY_MODEL, "toy", args)]
     assert full and all(by == "settled" and t < 6.0 for by, t in full)

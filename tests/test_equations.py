@@ -26,6 +26,15 @@ def test_equation_singularity_structure():
         equation_from_name("p7")
 
 
+@pytest.mark.parametrize("eq", [PAINLEVE_I, PAINLEVE_II, TOY_MODEL], ids=["p1", "p2", "toy"])
+def test_each_direction_has_a_horizon_a_separatrix_and_a_mode(eq):
+    # an equation runs in the directions of its horizons; each has its
+    # separatrix, and every search mode runs in one of them
+    directions = set(eq.horizons)
+    assert directions == set(eq.separatrix) == {spec.direction for spec in eq.modes.values()}
+    assert all(d.sign * eq.horizons[d] > 0.0 for d in directions)
+
+
 def test_initial_data_posed_at_zero():
     # the data carry no start time: every trajectory begins at t = 0
     with pytest.raises(TypeError):

@@ -180,6 +180,17 @@ def test_step_rejects_a_nan_state(eq):
     assert (s, token) == (1.0, "step-underflow")
 
 
+def test_march_within_the_step_floor_arrives():
+    # a march whose span is already below _MIN_STEP has arrived: it returns
+    # s1 without a step and reports no underflow, alone or as a whole run
+    eq = PAINLEVE_I
+    s, u, v, w, _, _, token = _advance(_step_for(eq.rhs_source), eq.rhs, 0.0, 0.0, 1.0, 0.0, -5e-13,
+                                       IntegrationConfig(), lambda *_: pytest.fail("took a step"), h=5e-13)
+    assert (s, u, v, w, token) == (-5e-13, 0.0, 1.0, 0.0, None)
+    traj = integrate(eq, InitialData(0.0, 1.0), Direction.NEGATIVE_T, IntegrationConfig(t_horizon=-5e-13))
+    assert traj.stopped_by == "horizon" and traj.terminal_t == -5e-13
+
+
 def test_direction_restrictions():
     with pytest.raises(ValueError):
         integrate(PAINLEVE_I, InitialData(0.0, 1.0), Direction.POSITIVE_T)

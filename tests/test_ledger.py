@@ -1,11 +1,11 @@
-"""The session tables and the single-bracket end games against the
-committed record ledger, ``tests/data/records.json`` (see
-``regen_records.py``)."""
+"""The session tables, the single-bracket end games and the benchmark's
+``eigen`` ops against the committed record ledger,
+``tests/data/records.json`` (see ``regen_records.py``)."""
 
 import json
 
 from conftest import SESSION_TABLES
-from regen_records import LEDGER, end_game_entries, ledger_entries, manifest
+from regen_records import LEDGER, eigen_entries, end_game_entries, ledger_entries, manifest
 
 # Off the ledger's platform the last bits of a record may differ, so there a
 # value or width may move by this share of the ledger's bracket width.
@@ -56,3 +56,15 @@ def test_end_games_match_the_ledger():
     assert now.keys() == ledger["end_games"].keys()
     moved = [line for name, old in ledger["end_games"].items() for line in _moved(name, old, now[name], share)]
     assert not moved, f"end-game records moved from the ledger ({how}):\n" + "\n".join(moved)
+
+
+def test_eigen_workload_matches_the_ledger():
+    # the brackets are sums of scan steps, so they match exactly everywhere
+    ledger, share, how = _ledger()
+    now = eigen_entries()
+    assert now.keys() == ledger["eigen"].keys()
+    moved = [f"{name}: brackets {now[name]['brackets']}, ledger {old['brackets']}"
+             for name, old in ledger["eigen"].items() if now[name]["brackets"] != old["brackets"]]
+    moved += [line for name, old in ledger["eigen"].items()
+              for line in _moved(name, old["records"], now[name]["records"], share)]
+    assert not moved, f"eigen workload records moved from the ledger ({how}):\n" + "\n".join(moved)
